@@ -19,12 +19,19 @@ RationalLike = Union[Rational, int, str]
 
 
 def rat(value: RationalLike) -> Rational:
-    """Coerce an int, "num/den" string or Fraction to a Rational."""
+    """Coerce an int, "num/den" string or Fraction to a Rational.
+
+    A string with a zero denominator raises ValueError, like any other
+    malformed rational.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def rat_str(value: Rational) -> str:
@@ -186,15 +193,3 @@ class Polynomial:
     @staticmethod
     def from_json(data: Sequence[str]) -> "Polynomial":
         return Polynomial([rat(c) for c in data])
-
-
-def poly_eval(p: Polynomial, x: RationalLike) -> Rational:
-    return p.eval(x)
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def div_by_linear(p: Polynomial, root: RationalLike) -> Polynomial:
-    return p.div_by_linear(root)

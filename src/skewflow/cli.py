@@ -133,14 +133,14 @@ def _emit(payload: Any, path: str | None) -> None:
 def _rat_list(spec: str) -> list[Fraction]:
     try:
         return [rat(part) for part in spec.split(",") if part]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad rational list {spec!r}: {exc}") from exc
 
 
 def _parse_rat(text: str) -> Fraction:
     try:
         return rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad rational {text!r}: {exc}") from exc
 
 

@@ -725,8 +725,11 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     """The two vector contiguous relations at sample points, plus per-site
     skew-orthogonality of the phi family.
 
-    Relation instances touching a site where some needed sigma vanishes
-    (the origin, where sigma_0 = 0 by construction) are recorded as skipped.
+    Relation instances touching a site where some needed sigma vanishes are
+    recorded as skipped.  sigma_0 = (s*mu + t*lam) * tau_0 vanishes by
+    construction at the origin and wherever s*mu + t*lam = 0, so phi_0 is
+    only required to exist away from those sites; every other phi_2n is
+    required at every site but the origin.
     """
     c = grid.config
     pts = [rat(x) for x in samples]
@@ -832,7 +835,14 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         ]
         report.add(
             f"phi-even-defined:s={s},t={t}",
-            all(p is not None for p in phis[0::2]) or (s, t) == (0, 0),
+            # sigma_0 = (s*mu + t*lam) * tau_0 vanishes where s*mu + t*lam = 0.
+            # The origin stays wholly exempt: there sigma_1 is the bare moment
+            # s_02, which some tables have zero.
+            (s, t) == (0, 0)
+            or (
+                all(p is not None for p in phis[2::2])
+                and (phis[0] is not None or s * c.mu + t * c.lam == 0)
+            ),
             f"monic even indices: {monic}",
         )
     return report

@@ -2,8 +2,9 @@
 
 Constructors cover generic random tables (for property sweeps) and the two
 random-matrix ensemble products evaluated on exact discrete measures, so
-every moment is rational.  The one-step :func:`shift` realizes the modified
-product <(z-c).|(z-c).> and consumes one unit of the index budget.
+every moment is rational.  The one-step :meth:`SkewMoments.shift` realizes
+the modified product <(z-c).|(z-c).> and consumes one unit of the index
+budget.
 """
 
 from __future__ import annotations
@@ -225,7 +226,3 @@ def from_discrete_symplectic(measure: DiscreteMeasure, max_index: int) -> SkewMo
             "weights": [rat_str(w) for w in ws],
         },
     )
-
-
-def shift(moments: SkewMoments, c: RationalLike) -> SkewMoments:
-    return moments.shift(c)

@@ -1,10 +1,14 @@
 """Exact Pfaffians of skew-symmetric rational matrices.
 
-Two independent algorithms are provided: a cubic skew-symmetric elimination
-(the fast path) and a memoized recursive expansion (the oracle).  On top of
-those, :func:`augmented_pfaffian` evaluates Pfaffians whose index lists mix
-moment indices with the special symbols z, lambda, mu; the special rows are
-expanded away first, so the elimination kernel only ever sees numbers.
+Every Pfaffian the library computes goes through one engine,
+:func:`pfaffian`: row denominators are cleared, then a fraction-free skew
+elimination runs in Python integers, O(m^3) integer operations.
+:func:`numeric_pfaffian` and :func:`augmented_pfaffian` only build the
+matrix for an index list.  In an augmented list mu and lambda are numeric
+border rows, and z is removed by a single expansion along its row, one
+:func:`pfaffian` call per moment index in the list.  The memoized recursive expansion
+:func:`pfaffian_expand` is an independent algorithm kept as the test oracle;
+nothing in the library calls it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import Callable, Protocol, Sequence, Union
 
 from .algebra import Polynomial, Rational, RationalLike, rat
@@ -78,51 +83,76 @@ class SkewMatrix:
         return hash((self.dimension, self._upper))
 
 
-def _height(q: Rational) -> int:
-    return max(abs(q.numerator), q.denominator)
-
-
 def pfaffian(matrix: SkewMatrix) -> Rational:
-    """Pfaffian via skew-symmetric elimination, O(m^3) field operations.
+    """Pfaffian by fraction-free skew elimination in integers.
 
-    The matrix is reduced by congruence transformations to a direct sum of
-    2x2 blocks whose off-diagonal entries multiply into the Pfaffian; row
-    and column swaps each flip the sign.  Dimension 0 gives 1.
+    Row and column i are first scaled by D_i, the lcm of the denominators of
+    A_ij for j > i; the result is an integer matrix B = D*A*D with
+    Pf(B) = det(D)*Pf(A).  Step r of the elimination then replaces every
+    remaining entry by the bordered minor Pf(0..2r+1, i, j), computed from
+    the previous step's minors by
+
+        M'_ij = (p*M_ij - M_ki*M_{k+1,j} + M_kj*M_{k+1,i}) / p_prev
+
+    with k = 2r, p = M_{k,k+1} and p_prev the previous pivot (1 at the first
+    step).  The division is exact by the Pfaffian form of Sylvester's
+    identity (Tanner), so every entry stays an integer and the last pivot is
+    Pf(B).  The pivot is the nonzero entry of row k of least absolute value;
+    each swap that brings it next to row k flips the sign, and a zero row
+    gives 0.  Dimension 0 gives 1.
     """
     m = matrix.dimension
-    if m == 0:
-        return Fraction(1)
-    a = matrix.to_rows()
+    upper = matrix._upper
+    # D_i clears the stored (upper) part of row i, so every D_i*A_ij*D_j with
+    # i < j is an integer
+    scale = [lcm(*(q.denominator for q in row)) for row in upper]
+    # upper triangle only: a[i][j] is read and written for j > i
+    a = [
+        [0] * (i + 1)
+        + [
+            q.numerator * (scale[i] // q.denominator) * scale[j]
+            for j, q in enumerate(row, i + 1)
+        ]
+        for i, row in enumerate(upper)
+    ]
     sign = 1
-    result = Fraction(1)
-    for k in range(0, m - 1, 2):
-        pivot_row = -1
+    prev = 1
+    for k in range(0, m, 2):
+        row = a[k]
         best = -1
-        for i in range(k + 1, m):
-            if a[k][i] != 0:
-                h = _height(a[k][i])
-                if h > best:
-                    best = h
-                    pivot_row = i
-        if pivot_row < 0:
-            # row k is zero in the remaining block
+        for j in range(k + 1, m):
+            if row[j] and (best < 0 or abs(row[j]) < abs(row[best])):
+                best = j
+        if best < 0:
             return Fraction(0)
-        if pivot_row != k + 1:
-            a[k + 1], a[pivot_row] = a[pivot_row], a[k + 1]
-            for row in a:
-                row[k + 1], row[pivot_row] = row[pivot_row], row[k + 1]
+        if best != k + 1:
+            _swap(a, k, best)
             sign = -sign
-        pivot = a[k][k + 1]
-        result *= pivot
+        pivot = row[k + 1]
+        nxt = a[k + 1]
         for i in range(k + 2, m):
-            if a[k][i] == 0:
-                continue
-            f = a[k][i] / pivot
-            for j in range(k, m):
-                a[i][j] -= f * a[k + 1][j]
-            for j in range(k, m):
-                a[j][i] -= f * a[j][k + 1]
-    return sign * result
+            ri, si = row[i], nxt[i]
+            a[i][i + 1 :] = [
+                (pivot * x - ri * y + z * si) // prev
+                for x, y, z in zip(a[i][i + 1 :], nxt[i + 1 :], row[i + 1 :])
+            ]
+        prev = pivot
+    return Fraction(sign * prev, prod(scale))
+
+
+def _swap(a: list[list[int]], k: int, q: int) -> None:
+    """Exchange indices k+1 and q > k+1 in the upper-triangle store ``a``.
+
+    Rows before k are finished and left alone.  An entry whose index pair
+    changes order under the exchange changes sign.
+    """
+    u = k + 1
+    a[k][u], a[k][q] = a[k][q], a[k][u]
+    for r in range(u + 1, q):
+        a[u][r], a[r][q] = -a[r][q], -a[u][r]
+    a[u][q] = -a[u][q]
+    for r in range(q + 1, len(a)):
+        a[u][r], a[q][r] = a[q][r], a[u][r]
 
 
 def pfaffian_expand(matrix: SkewMatrix) -> Rational:
@@ -174,14 +204,6 @@ def numeric_pfaffian(moments: MomentTable, indices: Sequence[int]) -> Rational:
     return pfaffian(SkewMatrix(len(idx), lambda u, v: moments.entry(idx[u], idx[v])))
 
 
-def _special_element(i: int, tag: Special, mu: Rational, lam: Rational) -> Polynomial:
-    if tag is ZVAR:
-        return Polynomial.monomial(i)
-    if tag is LAMBDA:
-        return Polynomial.constant(lam**i)
-    return Polynomial.constant(mu**i)
-
-
 def augmented_pfaffian(
     moments: MomentTable,
     indices: Sequence[AugmentedIndex],
@@ -194,9 +216,13 @@ def augmented_pfaffian(
     Pf(i,mu)=mu^i, and any pairing of two special symbols is 0.  The result
     is a Polynomial in z (constant when z is absent).  Each special symbol
     may appear at most once.
+
+    mu and lambda are numeric border rows of the matrix handed to
+    :func:`pfaffian`.  The Pfaffian is linear in the z row, so z is removed
+    by one expansion along it: the coefficient of z^i is the signed Pfaffian
+    of the list without z and i.
     """
-    mu = rat(mu)
-    lam = rat(lam)
+    border = {MU: rat(mu), LAMBDA: rat(lam)}
     idx = list(indices)
     if len(idx) % 2 != 0:
         raise ValueError("index list must have even length")
@@ -209,26 +235,34 @@ def augmented_pfaffian(
                 f"moment index {i} exceeds table budget {moments.max_index}"
             )
 
-    def expand(items: tuple[AugmentedIndex, ...]) -> Polynomial:
-        special_pos = [p for p, v in enumerate(items) if isinstance(v, Special)]
-        if not special_pos:
-            ints = [v for v in items if isinstance(v, int)]
-            return Polynomial.constant(numeric_pfaffian(moments, ints))
-        # move the last special index to the end, then expand along it
-        pos = special_pos[-1]
-        tag = items[pos]
-        rest = items[:pos] + items[pos + 1 :]
-        move_sign = (-1) ** (len(items) - 1 - pos)
-        total = Polynomial.zero()
-        for k, other in enumerate(rest):
-            if isinstance(other, Special):
-                continue  # special-special element is 0
-            elem = _special_element(other, tag, mu, lam)
-            minor = rest[:k] + rest[k + 1 :]
-            term = elem * expand(minor)
-            if k % 2 == 1:
-                term = -term
-            total = total + term
-        return total.scale(move_sign)
+    def element(x: AugmentedIndex, y: AugmentedIndex) -> RationalLike:
+        if isinstance(x, Special):
+            return 0 if isinstance(y, Special) else -(border[x] ** y)
+        if isinstance(y, Special):
+            return border[y] ** x
+        return moments.entry(x, y)
 
-    return expand(tuple(idx))
+    # z is linear, so the rest of the matrix is evaluated once and every
+    # Pfaffian below picks its rows out of it
+    items = [i for i in idx if i is not ZVAR]
+    upper = [[element(x, y) for y in items[a + 1 :]] for a, x in enumerate(items)]
+
+    def bordered(keep: Sequence[int]) -> Rational:
+        """Pfaffian of the rows ``keep`` (increasing positions in items)."""
+        return pfaffian(
+            SkewMatrix(len(keep), lambda u, v: upper[keep[u]][keep[v] - keep[u] - 1])
+        )
+
+    if ZVAR not in specials:
+        return Polynomial.constant(bordered(range(len(items))))
+    pos = idx.index(ZVAR)
+    # moving z from pos to the end costs (-1)^(len(items)-pos); expanding along
+    # the last row gives Pf(items, z) = sum_k (-1)^k z^items[k] Pf(items without k)
+    sign = (-1) ** (len(items) - pos)
+    coeffs: dict[int, Rational] = {}
+    for k, i in enumerate(items):
+        if isinstance(i, Special):
+            continue
+        term = bordered([u for u in range(len(items)) if u != k])
+        coeffs[i] = coeffs.get(i, 0) + (sign if k % 2 == 0 else -sign) * term
+    return Polynomial([coeffs.get(d, 0) for d in range(max(coeffs, default=-1) + 1)])

@@ -228,9 +228,6 @@ class BandMatrix:
                 if any(v != 0 for v in row[i + 1 :]):
                     raise ValueError("R must be lower triangular")
 
-    def __matmul__(self, other: "BandMatrix") -> tuple[tuple[Rational, ...], ...]:
-        return self.multiply(other)
-
     def multiply(self, other: "BandMatrix") -> tuple[tuple[Rational, ...], ...]:
         n = self.size
         return tuple(

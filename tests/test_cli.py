@@ -162,6 +162,18 @@ class TestExitCodes:
             "--moments", str(other),
         ]) == 1
 
+    def test_zero_denominator_in_file(self, tmp_path, random_setup, capsys):
+        moments, _ = random_setup
+        data = read(moments)
+        data["entries"][0][2] = "1/0"
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["family", "--moments", str(tampered), "--pairs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1/0" in err
+        assert err.count("\n") == 1
+
     def test_unknown_suite(self, random_setup):
         moments, family = random_setup
         assert main([

@@ -255,6 +255,25 @@ class TestExtendedSystems:
         assert skipped
         assert all("sigma" in c.detail or "phi" in c.detail for c in skipped)
 
+    def test_edlax_phi_zero_exempt_where_offset_vanishes(self):
+        # lam = -mu: sigma_0 = (s*mu + t*lam)*tau_0 vanishes at (1,1) and (2,2)
+        config = LatticeConfig(1, -1, 1, 2, 2)
+        grid = build_grid(from_random(7, config.required_budget), config)
+        assert grid.sigma(0, 1, 1) == 0 == grid.sigma(0, 2, 2)
+        report = verify_edlax(grid, samples_for(grid))
+        assert report.passed
+        defined = [c for c in report.checks if c.id.startswith("phi-even-defined")]
+        assert len(defined) == 9 and all(c.status == "pass" for c in defined)
+
+    def test_edlax_requires_higher_phi_even_where_phi_zero_exempt(self):
+        config = LatticeConfig(1, -1, 1, 2, 2)
+        data = build_grid(from_random(7, config.required_budget), config).to_json()
+        data["sigma"][1][1][1] = "0/1"
+        grid = TauGrid.from_json(data)
+        report = verify_edlax(grid, samples_for(grid))
+        failed = [c.id for c in report.checks if c.status == "fail"]
+        assert failed == ["phi-even-defined:s=1,t=1"]
+
     def test_phi_orthogonality_direct(self):
         s, t = 0, 1
         table = GRID.moments(s, t)

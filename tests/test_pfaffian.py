@@ -40,6 +40,21 @@ def skew_matrices(dim):
     )
 
 
+@st.composite
+def sparse_skew_matrices(draw, max_dim=10):
+    """Skew matrices of even dimension 0..max_dim with forced zero entries
+    and whole zero rows, so that pivot swaps and early exits are exercised."""
+    dim = draw(st.sampled_from(range(0, max_dim + 1, 2)))
+    zero_rows = draw(st.sets(st.integers(0, dim - 1), max_size=1)) if dim else set()
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = Fraction(0) if {i, j} & zero_rows else draw(entry)
+            rows[i][j], rows[j][i] = v, -v
+    return SkewMatrix.from_rows(rows)
+
+
 def exact_determinant(rows):
     """Fraction Gaussian elimination; independent of the Pfaffian code."""
     a = [row[:] for row in rows]
@@ -86,10 +101,35 @@ class TestBaseCases:
 
 
 class TestCrossChecks:
-    @settings(max_examples=30, deadline=None)
-    @given(skew_matrices(6))
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_skew_matrices())
     def test_two_algorithms_agree(self, m):
         assert pfaffian(m) == pfaffian_expand(m)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(range(0, 8, 2)).flatmap(
+            lambda d: st.tuples(
+                skew_matrices(d),
+                st.lists(
+                    st.lists(rationals, min_size=d, max_size=d), min_size=d, max_size=d
+                ),
+            )
+        )
+    )
+    def test_congruence_scales_by_determinant(self, case):
+        # Pf(B A B^T) = det(B) Pf(A)
+        a, b = case
+
+        def times(x, y):
+            return [
+                [sum((x[i][k] * y[k][j] for k in range(len(y))), Fraction(0)) for j in range(len(y))]
+                for i in range(len(x))
+            ]
+
+        b_t = [list(col) for col in zip(*b)]
+        congruent = SkewMatrix.from_rows(times(times(b, a.to_rows()), b_t))
+        assert pfaffian(congruent) == exact_determinant(b) * pfaffian(a)
 
     @settings(max_examples=20, deadline=None)
     @given(skew_matrices(8))
@@ -190,3 +230,45 @@ class TestAugmented:
         assert augmented_pfaffian(SYMPLECTIC, [0, 1, 2, 3]) == Polynomial.constant(
             numeric_pfaffian(SYMPLECTIC, [0, 1, 2, 3])
         )
+
+
+@st.composite
+def augmented_cases(draw):
+    """An index list mixing moment indices 0..7 (repeats allowed) with any
+    subset of mu, lambda, z in any positions, plus values for mu and lambda."""
+    specials = draw(st.sets(st.sampled_from([MU, LAMBDA, ZVAR])))
+    count = draw(st.sampled_from([n for n in range(1, 10) if (n + len(specials)) % 2 == 0]))
+    ints = draw(st.lists(st.integers(0, 7), min_size=count, max_size=count))
+    items = draw(st.permutations(ints + sorted(specials, key=lambda x: x.value)))
+    return items, draw(rationals), draw(rationals)
+
+
+def bordered_expand(table, items, values):
+    """pfaffian_expand of the numeric matrix with every special row filled in."""
+
+    def element(x, y):
+        if not isinstance(x, int):
+            return 0 if not isinstance(y, int) else -(values[x] ** y)
+        if not isinstance(y, int):
+            return values[y] ** x
+        return table.entry(x, y)
+
+    return pfaffian_expand(
+        SkewMatrix(len(items), lambda u, v: element(items[u], items[v]))
+    )
+
+
+class TestAugmentedOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(augmented_cases())
+    def test_matches_bordered_expansion(self, case):
+        # both sides are polynomials in z of degree <= the largest moment
+        # index, so agreeing at that many points plus one proves equality
+        items, mu, lam = case
+        table = _table(seed=11, size=7)
+        result = augmented_pfaffian(table, items, mu, lam)
+        top = max(i for i in items if isinstance(i, int))
+        assert result.degree <= (top if ZVAR in items else 0)
+        for x in range(-1, top + 1):
+            values = {MU: mu, LAMBDA: lam, ZVAR: Fraction(x)}
+            assert result.eval(x) == bordered_expand(table, items, values)
