@@ -4,11 +4,14 @@ The scalar type is ``fractions.Fraction``: arbitrary precision, always in
 lowest terms with positive denominator.  ``Rational`` is an alias so call
 sites read like the rest of the library.  Polynomials are dense coefficient
 tuples over that scalar, constant term first, with no trailing zeros.
+The module also holds the deterministic sample-point pool that every
+pointwise verifier draws from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import NotDivisible
@@ -22,10 +25,14 @@ def rat(value: RationalLike) -> Rational:
     """Coerce an int, "num/den" string or Fraction to a Rational.
 
     A string with a zero denominator raises ValueError, like any other
-    malformed rational.
+    malformed rational.  Floats and bools raise ValueError too: a float is
+    not an exact rational (0.1 would become 3602879701896397/2**55), and a
+    JSON true/false is not a number.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     try:
@@ -37,6 +44,34 @@ def rat(value: RationalLike) -> Rational:
 def rat_str(value: Rational) -> str:
     """Serialize a Rational as "num/den" (denominator always present)."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integers a and the least d > 0 with values[k] = a[k]/d."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def sample_points(
+    count: int, exclude: Sequence[RationalLike] = ()
+) -> list[Rational]:
+    """Deterministic rational sample pool for pointwise verifications."""
+    banned = {rat(x) for x in exclude}
+    pool: list[Rational] = [
+        Fraction(0),
+        Fraction(1),
+        Fraction(-1),
+        Fraction(2),
+        Fraction(-2),
+        Fraction(1, 2),
+        Fraction(-1, 3),
+    ]
+    odd = 3
+    while len(pool) < count + len(banned):
+        pool.append(Fraction(odd))
+        odd += 2
+    out = [x for x in pool if x not in banned]
+    return out[:count]
 
 
 class Polynomial:

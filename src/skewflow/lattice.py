@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Any, Iterator, Sequence
 
 from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
+from .algebra import sample_points  # noqa: F401  (public as lattice.sample_points)
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
 from .pfaffian import LAMBDA, MU, ZVAR, augmented_pfaffian, numeric_pfaffian
@@ -204,6 +205,9 @@ class TauGrid:
         sigma: dict[tuple[int, int, int], Rational] = {}
         tauhat: dict[tuple[int, int, int], Polynomial] = {}
         sighat: dict[tuple[int, int, int], Polynomial] = {}
+        shape = (config.pairs + 2, config.steps_s + 1, config.steps_t + 1)
+        for name in ("tau", "sigma", "tau_hat", "sigma_hat"):
+            _check_shape(name, data[name], shape)
         for n in range(config.pairs + 2):
             for s in range(config.steps_s + 1):
                 for t in range(config.steps_t + 1):
@@ -212,6 +216,19 @@ class TauGrid:
                     tauhat[(n, s, t)] = Polynomial.from_json(data["tau_hat"][n][s][t])
                     sighat[(n, s, t)] = Polynomial.from_json(data["sigma_hat"][n][s][t])
         return TauGrid(config, base, tables, tau, sigma, tauhat, sighat)
+
+
+def _check_shape(name: str, value: Any, shape: tuple[int, ...]) -> None:
+    """Raise ValueError unless value is nested lists of exactly this shape."""
+    level = [value]
+    for size in shape:
+        if any(not isinstance(x, list) or len(x) != size for x in level):
+            raise ValueError(
+                f"grid field {name!r} is not a "
+                + "x".join(map(str, shape))
+                + " array (pairs+2 x steps_s+1 x steps_t+1)"
+            )
+        level = [y for x in level for y in x]
 
 
 def _shift_tables(
@@ -449,28 +466,6 @@ def verify_dckp(grid: TauGrid) -> Report:
                 )
                 report.add(f"dckp2:n={n},s={s},t={t}", lhs == rhs)
     return report
-
-
-def sample_points(
-    count: int, exclude: Sequence[RationalLike] = ()
-) -> list[Rational]:
-    """Deterministic rational sample pool for pointwise verifications."""
-    banned = {rat(x) for x in exclude}
-    pool: list[Rational] = [
-        Fraction(0),
-        Fraction(1),
-        Fraction(-1),
-        Fraction(2),
-        Fraction(-2),
-        Fraction(1, 2),
-        Fraction(-1, 3),
-    ]
-    odd = 3
-    while len(pool) < count + len(banned):
-        pool.append(Fraction(odd))
-        odd += 2
-    out = [x for x in pool if x not in banned]
-    return out[:count]
 
 
 def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
@@ -765,16 +760,16 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
                 report.skip(f"edlax1:{tag}", "sigma vanishes inside the stencil")
             else:
                 ok = True
+                bterm = field.b[(n, s, t)].apply(phi_st)
+                extra = field.a[(n, s, t)].apply(phi_prev) if n >= 1 else None
                 for z in pts:
                     zm, zl = z - c.mu, z - c.lam
                     lhs = tuple(
                         zl * u - zm * v
                         for u, v in zip(vec_eval(phi_t1, z), vec_eval(phi_s1, z))
                     )
-                    bterm = field.b[(n, s, t)].apply(phi_st)
                     rhs = (-bterm[0].eval(z), -bterm[1].eval(z))
-                    if n >= 1:
-                        extra = field.a[(n, s, t)].apply(phi_prev)
+                    if extra is not None:
                         rhs = (
                             rhs[0] + zm * zl * extra[0].eval(z),
                             rhs[1] + zm * zl * extra[1].eval(z),

@@ -5,16 +5,25 @@ random-matrix ensemble products evaluated on exact discrete measures, so
 every moment is rational.  The one-step :meth:`SkewMoments.shift` realizes
 the modified product <(z-c).|(z-c).> and consumes one unit of the index
 budget.
+
+Besides its canonical upper triangle of rationals, every table carries one
+integer form: D, the lcm of the entry denominators, and N = D*S as a full
+skew matrix of Python ints.  Shifts and rescalings are computed on N and
+reduced back to the least common denominator; :meth:`SkewMoments.apply`
+returns S*g as an integer vector over one denominator, which is all a skew
+product needs.  No other module reads the integer form.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Any, Sequence
 
-from .algebra import Rational, RationalLike, rat, rat_str
+from .algebra import Polynomial, Rational, RationalLike, clear_denominators, rat, rat_str
 from .errors import DegreeBudgetExceeded
 from . import pfaffian
 
@@ -42,7 +51,7 @@ class DiscreteMeasure:
 class SkewMoments:
     """Immutable table of skew moments for 0 <= i < j <= max_index."""
 
-    __slots__ = ("max_index", "_upper", "provenance")
+    __slots__ = ("max_index", "_upper", "provenance", "_num", "_den")
 
     def __init__(
         self,
@@ -58,6 +67,34 @@ class SkewMoments:
             for i in range(max_index + 1)
         )
         self.provenance = provenance or {"kind": "unspecified"}
+        den = lcm(*(v.denominator for row in self._upper for v in row))
+        num = [[0] * (max_index + 1) for _ in range(max_index + 1)]
+        for i, row in enumerate(self._upper):
+            for j, v in enumerate(row, i + 1):
+                num[i][j] = v.numerator * (den // v.denominator)
+                num[j][i] = -num[i][j]
+        self._num = tuple(map(tuple, num))
+        self._den = den
+
+    @classmethod
+    def _from_integers(
+        cls, num: list[list[int]], den: int, provenance: dict[str, Any]
+    ) -> "SkewMoments":
+        """Table with entries num[i][j]/den (num skew, den > 0), reduced so
+        that den is again the lcm of the entry denominators."""
+        g = gcd(den, *(x for row in num for x in row))
+        if g > 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+        table = object.__new__(cls)
+        table.max_index = len(num) - 1
+        table._upper = tuple(
+            tuple(Fraction(x, den) for x in row[i + 1 :]) for i, row in enumerate(num)
+        )
+        table.provenance = provenance
+        table._num = tuple(map(tuple, num))
+        table._den = den
+        return table
 
     def entry(self, i: int, j: int) -> Rational:
         """s_ij with the lower triangle implied by skew-symmetry."""
@@ -71,6 +108,19 @@ class SkewMoments:
             return self._upper[i][j - i - 1]
         return -self._upper[j][i - j - 1]
 
+    def apply(self, g: Polynomial, rows: int) -> tuple[list[int], int]:
+        """The first ``rows`` rows of S*g over one denominator: (v, d) with
+        sum_j s_ij g_j = v[i]/d for i < rows."""
+        size = self.max_index + 1
+        if g.degree >= size or rows > size:
+            raise DegreeBudgetExceeded(
+                f"S*g needs degree and rows within budget {self.max_index}, "
+                f"got degree {g.degree} and {rows} rows"
+            )
+        coeffs, g_den = clear_denominators(g.coeffs)
+        num = self._num
+        return [sum(map(mul, num[i], coeffs)) for i in range(rows)], self._den * g_den
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SkewMoments)
@@ -82,36 +132,39 @@ class SkewMoments:
         return hash((self.max_index, self._upper))
 
     def shift(self, c: RationalLike) -> "SkewMoments":
-        """Moment table of <(z-c).|(z-c).>; budget drops by one."""
+        """Moment table of <(z-c).|(z-c).>; budget drops by one.
+
+        With c = p/q the shifted numerators are
+        q^2 N_{i+1,j+1} - pq (N_{i+1,j} + N_{i,j+1}) + p^2 N_ij over D q^2.
+        """
         if self.max_index < 1:
             raise DegreeBudgetExceeded("cannot shift a table with max_index 0")
         c = rat(c)
-        m = self.max_index - 1
-        entries = [
-            [
-                self.entry(i + 1, j + 1)
-                - c * self.entry(i + 1, j)
-                - c * self.entry(i, j + 1)
-                + c * c * self.entry(i, j)
-                for j in range(i + 1, m + 1)
-            ]
-            for i in range(m + 1)
-        ]
+        p, q = c.numerator, c.denominator
+        pp, pq, qq = p * p, p * q, q * q
+        old = self._num
+        size = self.max_index
+        num = [[0] * size for _ in range(size)]
+        for i in range(size):
+            row, below, out = old[i], old[i + 1], num[i]
+            for j in range(i + 1, size):
+                v = qq * below[j + 1] - pq * (below[j] + row[j + 1]) + pp * row[j]
+                out[j] = v
+                num[j][i] = -v
         prov = dict(self.provenance)
         prov["shifts"] = list(prov.get("shifts", [])) + [rat_str(c)]
-        return SkewMoments(m, entries, prov)
+        return SkewMoments._from_integers(num, self._den * qq, prov)
 
     def scale(self, c: RationalLike) -> "SkewMoments":
         """Rescale every moment by a nonzero constant."""
         c = rat(c)
         if c == 0:
             raise ValueError("scale factor must be nonzero")
-        entries = [
-            [c * v for v in row] for row in self._upper
-        ]
+        p = c.numerator
+        num = [[p * x for x in row] for row in self._num]
         prov = dict(self.provenance)
         prov["scaled_by"] = rat_str(c)
-        return SkewMoments(self.max_index, entries, prov)
+        return SkewMoments._from_integers(num, self._den * c.denominator, prov)
 
     # -- serialization ------------------------------------------------
 

@@ -9,9 +9,10 @@ independent exact linear solve so the two constructions can cross-validate.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Any, Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
+from .algebra import Polynomial, Rational, RationalLike, clear_denominators, rat, rat_str
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
 from .pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
@@ -22,21 +23,19 @@ COEFF_GAUGE = "z2n-coefficient-zero"
 
 
 def skew_product(moments: SkewMoments, f: Polynomial, g: Polynomial) -> Rational:
-    """<f|g> = sum_ij f_i g_j s_ij; bilinear and skew."""
+    """<f|g> = sum_ij f_i g_j s_ij; bilinear and skew.
+
+    Evaluated in integers: the cleared coefficients of f dotted with the
+    table's S*g, divided once at the end.
+    """
     if f.degree > moments.max_index or g.degree > moments.max_index:
         raise DegreeBudgetExceeded(
             f"skew product needs degree <= {moments.max_index}, "
             f"got {f.degree} and {g.degree}"
         )
-    total = Fraction(0)
-    for i, fi in enumerate(f.coeffs):
-        if fi == 0:
-            continue
-        for j, gj in enumerate(g.coeffs):
-            if gj == 0:
-                continue
-            total += fi * gj * moments.entry(i, j)
-    return total
+    coeffs, f_den = clear_denominators(f.coeffs)
+    sg, sg_den = moments.apply(g, len(coeffs))
+    return Fraction(sum(map(mul, coeffs, sg)), f_den * sg_den)
 
 
 def _denominator(moments: SkewMoments, n: int) -> Rational:
@@ -183,7 +182,8 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
         )
     polys: list[Polynomial] = []
     norms: list[Rational] = []
-    mono = [Polynomial.monomial(k) for k in range(2 * pairs + 2)]
+    # pairings[k][j] = <z^j|q_k>, the j-th entry of S*q_k
+    pairings: list[list[Rational]] = []
     for degree in range(2 * pairs + 2):
         # q_degree = z^degree + sum_{j<degree} c_j z^j with <q|q_k> = 0
         # for k < 2*floor(degree/2); odd degrees add the gauge row c_{deg-1}=0.
@@ -191,9 +191,8 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
         rhs: list[Rational] = []
         lower = degree - (0 if degree % 2 == 0 else 1)
         for k in range(lower):
-            row = [skew_product(moments, mono[j], polys[k]) for j in range(degree)]
-            rhs.append(-skew_product(moments, mono[degree], polys[k]))
-            constraints.append(row)
+            constraints.append(pairings[k][:degree])
+            rhs.append(-pairings[k][degree])
         if degree % 2 == 1:
             gauge_row = [Fraction(0)] * degree
             gauge_row[degree - 1] = Fraction(1)
@@ -201,9 +200,10 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
             rhs.append(Fraction(0))
         if degree == 0:
             polys.append(Polynomial.one())
-            continue
-        coeffs = _solve(constraints, rhs)
-        polys.append(Polynomial(coeffs + [Fraction(1)]))
+        else:
+            polys.append(Polynomial(_solve(constraints, rhs) + [Fraction(1)]))
+        sq, sq_den = moments.apply(polys[-1], 2 * pairs + 2)
+        pairings.append([Fraction(v, sq_den) for v in sq])
     for n in range(pairs + 1):
         r = skew_product(moments, polys[2 * n], polys[2 * n + 1])
         if r == 0:
@@ -213,12 +213,21 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
 
 
 def verify_skew_orthogonality(family: SOPFamily, moments: SkewMoments) -> Report:
-    """Check every pairing <q_a|q_b> against the defining pattern."""
+    """Check every pairing <q_a|q_b> against the defining pattern.
+
+    S*q_b is formed once per member; each pairing is then one integer dot
+    product with the cleared coefficients of q_a.
+    """
     report = Report("orthogonality", {"provenance": moments.provenance})
     count = 2 * family.pairs + 2
+    cleared = [clear_denominators(p.coeffs) for p in family.polys]
+    # S*q_b restricted to the rows 0..b-1 that every q_a, a < b, reaches
+    applied = [moments.apply(p, b) for b, p in enumerate(family.polys)]
     for a in range(count):
+        coeffs, a_den = cleared[a]
         for b in range(a + 1, count):
-            value = skew_product(moments, family.polys[a], family.polys[b])
+            sq, sq_den = applied[b]
+            value = Fraction(sum(map(mul, coeffs, sq)), a_den * sq_den)
             if a % 2 == 0 and b % 2 == 1 and b == a + 1:
                 expected = family.norms[a // 2]
             else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
+from .algebra import Polynomial, Rational, RationalLike, rat, rat_str, sample_points
 from .errors import SingularConfiguration, TruncationTooLarge
 from .moments import SkewMoments
 from .report import Report
@@ -143,15 +143,15 @@ def geronimus_coeffs(
     """Expansion coefficients of the pre-transform family in the transformed one.
 
     Each coefficient is a modified-product pairing divided by the transformed
-    normalization; the pairing is evaluated as a (z-lam)-multiplied product
-    on the base table.  The reconstruction identities are checked exactly
-    before returning.
+    normalization; the pairing is a skew product on the table shifted once
+    by lam, since <f|g> there equals <(z-lam)f|(z-lam)g> on the base table.
+    The reconstruction identities are checked exactly before returning.
     """
     lam = rat(lam)
-    shift_factor = Polynomial((-lam, 1))
+    shifted = moments.shift(lam)
 
     def modified(f: Polynomial, g: Polynomial) -> Rational:
-        return skew_product(moments, shift_factor * f, shift_factor * g)
+        return skew_product(shifted, f, g)
 
     pairs = family_next.pairs
     alpha, beta, gamma, epsilon = [], [], [], []
@@ -278,18 +278,6 @@ def _r_matrix(data: GeronimusData, size: int) -> BandMatrix:
     return BandMatrix(size, "R", rows)
 
 
-def _sample_points(count: int, avoid: Sequence[Rational]) -> list[Rational]:
-    """Deterministic distinct rational samples avoiding the given values."""
-    pool = [Fraction(v) for v in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 3)]
-    k = 3
-    while len(pool) < count + len(avoid) + 4:
-        pool.append(Fraction(2 * k + 1))
-        pool.append(Fraction(1, 2 * k + 1))
-        k += 1
-    picked = [x for x in pool if x not in avoid]
-    return picked[:count]
-
-
 def build_lax_pair(
     families: Sequence[SOPFamily],
     datas: Sequence[tuple[ChristoffelData, GeronimusData]],
@@ -314,7 +302,7 @@ def build_lax_pair(
         lmat = _l_matrix(cdata, size)
         rmat = _r_matrix(gdata, size)
         cur, nxt = families[t], families[t + 1]
-        samples = _sample_points(size + 1, [lam])
+        samples = sample_points(size + 1, [lam])
         for z in samples:
             cur_vals = [p.eval(z) for p in cur.polys[:size]]
             nxt_vals = [p.eval(z) for p in nxt.polys[:size]]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewflow.algebra import Polynomial, rat, rat_str
+from skewflow.algebra import Polynomial, clear_denominators, rat, rat_str, sample_points
 from skewflow.errors import NotDivisible
 
 
@@ -96,3 +96,29 @@ class TestRat:
     def test_round_trip(self):
         for value in (Fraction(0), Fraction(-7, 3), Fraction(12)):
             assert rat(rat_str(value)) == value
+
+    def test_rejects_float_and_bool(self):
+        for value in (0.1, 2.0, True, False):
+            with pytest.raises(ValueError):
+                rat(value)
+        with pytest.raises(ValueError):
+            Polynomial([1, 0.5])
+
+
+class TestClearDenominators:
+    def test_least_common_denominator(self):
+        values = [Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5)]
+        ints, den = clear_denominators(values)
+        assert den == 12
+        assert ints == [2, -9, 0, 60]
+
+    def test_empty(self):
+        assert clear_denominators([]) == ([], 1)
+
+
+class TestSamplePoints:
+    def test_distinct_and_excluding(self):
+        pts = sample_points(12, [Fraction(1, 2), Fraction(3)])
+        assert len(pts) == 12 == len(set(pts))
+        assert Fraction(1, 2) not in pts and Fraction(3) not in pts
+        assert sample_points(3) == [Fraction(0), Fraction(1), Fraction(-1)]

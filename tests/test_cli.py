@@ -174,6 +174,41 @@ class TestExitCodes:
         assert err.startswith("error:") and "1/0" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [0.1, True])
+    def test_inexact_number_in_file(self, tmp_path, random_setup, capsys, value):
+        moments, _ = random_setup
+        data = read(moments)
+        data["entries"][0][2] = value
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["family", "--moments", str(tampered), "--pairs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(value) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["tau", "sigma", "tau_hat", "sigma_hat"])
+    def test_truncated_grid(self, tmp_path, capsys, field):
+        moments = tmp_path / "m.json"
+        grid = tmp_path / "g.json"
+        assert main([
+            "gen-moments", "--kind", "random", "--max-index", "8",
+            "--seed", "7", "-o", str(moments),
+        ]) == 0
+        assert main([
+            "grid", "--moments", str(moments), "--mu", "1/2", "--lambda", "3",
+            "--pairs", "1", "--steps-s", "1", "--steps-t", "1",
+            "-o", str(grid),
+        ]) == 0
+        data = read(grid)
+        data[field][1][0].pop()
+        grid.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--suite", "dckp", "--grid", str(grid)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err
+        assert err.count("\n") == 1
+
     def test_unknown_suite(self, random_setup):
         moments, family = random_setup
         assert main([

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewflow.algebra import Polynomial
 from skewflow.errors import DegreeBudgetExceeded
@@ -13,6 +14,29 @@ from skewflow.moments import (
 )
 from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import skew_product
+
+# Mixed denominators, with zero entries drawn often.
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+# Shift parameters: negative values and large denominators included.
+params = st.one_of(
+    st.integers(-7, 7).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=10**9),
+)
+
+
+@st.composite
+def tables(draw, min_index=1, max_index=7):
+    m = draw(st.integers(min_index, max_index))
+    rows = [[draw(entries) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
+    return SkewMoments(m, rows)
+
+
+def polynomials(max_degree):
+    return st.lists(entries, max_size=max_degree + 1).map(Polynomial)
 
 
 class TestRandom:
@@ -126,6 +150,47 @@ class TestShift:
     def test_provenance_records_shifts(self):
         table = from_random(7, 5).shift(Fraction(1, 2)).shift(3)
         assert table.provenance["shifts"] == ["1/2", "3/1"]
+
+
+class TestShiftProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pairing_on_shift_is_modified_pairing(self, data):
+        table = data.draw(tables())
+        c = data.draw(params)
+        f = data.draw(polynomials(table.max_index - 1))
+        g = data.draw(polynomials(table.max_index - 1))
+        factor = Polynomial([-c, Fraction(1)])
+        assert skew_product(table.shift(c), f, g) == skew_product(
+            table, factor * f, factor * g
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(tables(min_index=2), params, params)
+    def test_shifts_commute(self, table, mu, lam):
+        assert table.shift(mu).shift(lam) == table.shift(lam).shift(mu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_integer_form_is_canonical(self, data):
+        # A shifted or scaled table and the same entries read back through
+        # the constructor must give the same S*g, denominator included.
+        table = data.draw(tables())
+        c = data.draw(params.filter(lambda c: c != 0))
+        for derived in (table.shift(c), table.scale(c)):
+            again = SkewMoments.from_json(derived.to_json())
+            assert again == derived
+            g = data.draw(polynomials(derived.max_index))
+            rows = derived.max_index + 1
+            assert again.apply(g, rows) == derived.apply(g, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tables(), params.filter(lambda c: c != 0))
+    def test_scale_is_entrywise(self, table, c):
+        scaled = table.scale(c)
+        for i in range(table.max_index + 1):
+            for j in range(table.max_index + 1):
+                assert scaled.entry(i, j) == c * table.entry(i, j)
 
 
 class TestSerialization:

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewflow.algebra import Polynomial
-from skewflow.errors import SingularConfiguration
+from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
 from skewflow.moments import (
     DiscreteMeasure,
     SkewMoments,
@@ -24,6 +25,51 @@ from skewflow.sops import (
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
 
+# Mixed denominators, with zero entries drawn often.
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@st.composite
+def tables(draw, min_index=0, max_index=8):
+    m = draw(st.integers(min_index, max_index))
+    rows = [[draw(entries) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
+    return SkewMoments(m, rows)
+
+
+def polynomials(max_degree):
+    return st.lists(entries, max_size=max_degree + 1).map(Polynomial)
+
+
+def definitional_product(table, f, g):
+    """The Fraction double sum sum_ij f_i g_j s_ij, read through entry()."""
+    total = Fraction(0)
+    for i, fi in enumerate(f.coeffs):
+        for j, gj in enumerate(g.coeffs):
+            total += fi * gj * table.entry(i, j)
+    return total
+
+
+@st.composite
+def arbitrary_families(draw, max_pairs=3):
+    """A table and any family of the right degrees; mostly not orthogonal."""
+    pairs = draw(st.integers(0, max_pairs))
+    table = draw(tables(min_index=2 * pairs + 1, max_index=2 * pairs + 3))
+    nonzero = st.builds(
+        lambda sign, v: sign * v,
+        st.sampled_from([1, -1]),
+        st.fractions(min_value=Fraction(1, 60), max_value=50, max_denominator=60),
+    )
+    polys = [
+        Polynomial(draw(st.lists(entries, min_size=n, max_size=n)) + [draw(nonzero)])
+        for n in range(2 * pairs + 2)
+    ]
+    norms = [draw(nonzero) for _ in range(pairs + 1)]
+    return table, SOPFamily(polys, norms)
+
 
 class TestSkewProduct:
     def test_self_pairing_zero(self):
@@ -43,6 +89,22 @@ class TestSkewProduct:
         assert skew_product(table, f1 + f2, g) == skew_product(
             table, f1, g
         ) + skew_product(table, f2, g)
+
+
+    def test_budget_checked(self):
+        table = from_random(3, 4)
+        with pytest.raises(DegreeBudgetExceeded):
+            skew_product(table, Polynomial.monomial(5), Polynomial.one())
+        with pytest.raises(DegreeBudgetExceeded):
+            skew_product(table, Polynomial.one(), Polynomial.monomial(5))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_definitional_sum(self, data):
+        table = data.draw(tables())
+        f = data.draw(polynomials(table.max_index))
+        g = data.draw(polynomials(table.max_index))
+        assert skew_product(table, f, g) == definitional_product(table, f, g)
 
 
 class TestConstruction:
@@ -167,6 +229,19 @@ class TestVerifier:
         assert failing
         # only pairings that involve the perturbed q_3 may fail
         assert all("q3" in cid for cid in failing)
+
+    @settings(max_examples=40, deadline=None)
+    @given(arbitrary_families())
+    def test_report_values_are_pairwise_products(self, case):
+        table, family = case
+        report = verify_skew_orthogonality(family, table)
+        count = len(family.polys)
+        pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
+        assert [c.id for c in report.checks] == [f"<q{a}|q{b}>" for a, b in pairs]
+        for check, (a, b) in zip(report.checks, pairs):
+            lhs = check.detail.split()[0]
+            value = skew_product(table, family.polys[a], family.polys[b])
+            assert lhs == f"lhs={value.numerator}/{value.denominator}"
 
     def test_empty_pair_family_passes(self):
         family = build_family(SYMPLECTIC, 0)
