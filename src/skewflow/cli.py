@@ -33,22 +33,6 @@ from .moments import (
 from .report import Report
 from .sops import SOPFamily, build_family, verify_skew_orthogonality
 
-SUITES = (
-    "orthogonality",
-    "christoffel",
-    "geronimus",
-    "dlax",
-    "kernel",
-    "dckp",
-    "slax",
-    "dpfl",
-    "edckp",
-    "edlax",
-    "edpfl",
-    "crosscheck",
-)
-
-
 class UsageError(Exception):
     pass
 
@@ -99,7 +83,7 @@ def _build_parser() -> _Parser:
     gr.add_argument("-o", "--output", type=str, default=None)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", choices=SUITES, required=True)
+    ver.add_argument("--suite", choices=tuple(SUITES), required=True)
     ver.add_argument("--family", default=None)
     ver.add_argument("--moments", default=None)
     ver.add_argument("--grid", default=None)
@@ -260,23 +244,7 @@ def _suite_christoffel(args) -> Report:
     moments = _load_moments(args)
     lam = _lam_values(args)[0]
     transformed, shifted, _ = transforms.christoffel(family, moments, lam)
-    report = Report(
-        "christoffel",
-        {"lambda": rat_str(lam), "provenance": moments.provenance},
-    )
-    inner = verify_skew_orthogonality(transformed, shifted)
-    for check in inner.checks:
-        report.checks.append(check)
-    for n in range(transformed.pairs + 1):
-        expected = (
-            family.even(n + 1).eval(lam) / family.even(n).eval(lam)
-        ) * family.norms[n]
-        report.add(
-            f"norm-ratio:r*_{n}",
-            transformed.norms[n] == expected,
-            f"lhs={rat_str(transformed.norms[n])} rhs={rat_str(expected)}",
-        )
-    return report
+    return transforms.verify_christoffel(transformed, shifted, family, moments, lam)
 
 
 def _suite_geronimus(args) -> Report:
@@ -284,23 +252,8 @@ def _suite_geronimus(args) -> Report:
     moments = _load_moments(args)
     lam = _lam_values(args)[0]
     transformed, _, _ = transforms.christoffel(family, moments, lam)
-    report = Report(
-        "geronimus",
-        {"lambda": rat_str(lam), "provenance": moments.provenance},
-    )
     data = transforms.geronimus_coeffs(transformed, family, moments, lam)
-    for n in range(transformed.pairs + 1):
-        even_sum = transformed.even(n)
-        odd_sum = transformed.odd(n)
-        for k in range(n):
-            even_sum = even_sum + transformed.even(k).scale(data.alpha[n][k])
-            even_sum = even_sum + transformed.odd(k).scale(data.beta[n][k])
-            odd_sum = odd_sum + transformed.odd(k).scale(data.epsilon[n][k])
-        for k in range(n + 1):
-            odd_sum = odd_sum + transformed.even(k).scale(data.gamma[n][k])
-        report.add(f"reconstruct-even:{n}", even_sum == family.even(n))
-        report.add(f"reconstruct-odd:{n}", odd_sum == family.odd(n))
-    return report
+    return transforms.verify_geronimus(transformed, family, moments, data)
 
 
 def _suite_dlax(args) -> Report:
@@ -327,13 +280,7 @@ def _suite_dlax(args) -> Report:
         {"lambdas": [rat_str(x) for x in lams], "size": size},
     )
     for t in range(len(factors) - 1):
-        step = transforms.verify_dlax(
-            factors[t][0], factors[t][1], factors[t + 1][0], factors[t + 1][1]
-        )
-        for check in step.checks:
-            report.checks.append(
-                type(check)(f"step{t}:{check.id}", check.status, check.detail)
-            )
+        report.extend(transforms.verify_dlax(*factors[t], *factors[t + 1]), f"step{t}:")
     return report
 
 
@@ -346,11 +293,9 @@ def _suite_kernel(args) -> Report:
     report = Report("kernel", {"provenance": moments.provenance})
     for raw in args.y:
         y = _parse_rat(raw)
-        inner = transforms.verify_factorization(family, moments, pairs, y)
-        for check in inner.checks:
-            report.checks.append(
-                type(check)(f"y={rat_str(y)}:{check.id}", check.status, check.detail)
-            )
+        report.extend(
+            transforms.verify_factorization(family, moments, pairs, y), f"y={rat_str(y)}:"
+        )
     return report
 
 
@@ -361,51 +306,39 @@ def _suite_crosscheck(args) -> Report:
     for n in range(c.pairs + 1):
         for s in range(c.steps_s):
             for t in range(c.steps_t):
-                inner = lattice.crosscheck_single_step(grid, n, s, t)
-                for check in inner.checks:
-                    report.checks.append(
-                        type(check)(
-                            f"n={n},s={s},t={t}:{check.id}",
-                            check.status,
-                            check.detail,
-                        )
-                    )
+                report.extend(
+                    lattice.crosscheck_single_step(grid, n, s, t), f"n={n},s={s},t={t}:"
+                )
     return report
 
 
-def _grid_samples(grid: TauGrid) -> list[Fraction]:
+def _sampled(verify, grid: TauGrid) -> Report:
     c = grid.config
-    return lattice.sample_points(2 * c.pairs + 3, [c.mu, c.lam])
+    return verify(grid, lattice.sample_points(2 * c.pairs + 3, [c.mu, c.lam]))
+
+
+# Handlers name library functions in their bodies, so each call finds the
+# module attribute current at call time (a tracer may have replaced it).
+SUITES = {
+    "orthogonality": _suite_orthogonality,
+    "christoffel": _suite_christoffel,
+    "geronimus": _suite_geronimus,
+    "dlax": _suite_dlax,
+    "kernel": _suite_kernel,
+    "dckp": lambda args: lattice.verify_dckp(_load_grid(args)),
+    "slax": lambda args: _sampled(lattice.verify_slax, _load_grid(args)),
+    "dpfl": lambda args: lattice.verify_dpfl(lattice.coefficient_field(_load_grid(args))),
+    "edckp": lambda args: lattice.verify_edckp(_load_grid(args)),
+    "edlax": lambda args: _sampled(lattice.verify_edlax, _load_grid(args)),
+    "edpfl": lambda args: lattice.verify_edpfl(
+        lattice.matrix_coefficient_field(_load_grid(args))
+    ),
+    "crosscheck": _suite_crosscheck,
+}
 
 
 def run_suite(args) -> Report:
-    suite = args.suite
-    if suite == "orthogonality":
-        return _suite_orthogonality(args)
-    if suite == "christoffel":
-        return _suite_christoffel(args)
-    if suite == "geronimus":
-        return _suite_geronimus(args)
-    if suite == "dlax":
-        return _suite_dlax(args)
-    if suite == "kernel":
-        return _suite_kernel(args)
-    if suite == "crosscheck":
-        return _suite_crosscheck(args)
-    grid = _load_grid(args)
-    if suite == "dckp":
-        return lattice.verify_dckp(grid)
-    if suite == "slax":
-        return lattice.verify_slax(grid, _grid_samples(grid))
-    if suite == "dpfl":
-        return lattice.verify_dpfl(lattice.coefficient_field(grid))
-    if suite == "edckp":
-        return lattice.verify_edckp(grid)
-    if suite == "edlax":
-        return lattice.verify_edlax(grid, _grid_samples(grid))
-    if suite == "edpfl":
-        return lattice.verify_edpfl(lattice.matrix_coefficient_field(grid))
-    raise UsageError(f"unknown suite {suite}")  # pragma: no cover
+    return SUITES[args.suite](args)
 
 
 def _cmd_verify(args) -> int:
@@ -414,13 +347,14 @@ def _cmd_verify(args) -> int:
     report.elapsed_ms = (time.monotonic() - started) * 1000.0
     report.instance.setdefault("threads", _threads())
     _emit(report.to_json(), args.output)
-    failures = len(report.failures)
-    status = "pass" if report.passed else "fail"
-    print(
+    failures = report.failures
+    summary = (
         f"suite={report.suite} checks={len(report.checks)} "
-        f"failures={failures} status={status}",
-        file=sys.stderr,
+        f"failures={len(failures)} status={'fail' if failures else 'pass'}"
     )
+    if failures:
+        summary += f" first={failures[0].id} {failures[0].detail}".rstrip()
+    print(summary, file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -212,6 +212,11 @@ class TauGrid:
             for s in range(config.steps_s + 1):
                 for t in range(config.steps_t + 1):
                     tau[(n, s, t)] = rat(data["tau"][n][s][t])
+                    if tau[(n, s, t)] == 0:
+                        # build_grid raises rather than store one
+                        raise ValueError(
+                            f"grid field 'tau' is zero at n={n}, s={s}, t={t}"
+                        )
                     sigma[(n, s, t)] = rat(data["sigma"][n][s][t])
                     tauhat[(n, s, t)] = Polynomial.from_json(data["tau_hat"][n][s][t])
                     sighat[(n, s, t)] = Polynomial.from_json(data["sigma_hat"][n][s][t])
@@ -395,7 +400,11 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
 
 
 class CoefficientField:
-    """A, B, C, D per interior site; A only for n >= 1."""
+    """A, B, C, D per interior site, keyed (n, s, t); A only for n >= 1.
+
+    The scalar field holds rationals, the matrix field
+    :class:`AntiDiagonal` entries.
+    """
 
     __slots__ = ("config", "a", "b", "c", "d")
 
@@ -582,20 +591,7 @@ class AntiDiagonal:
         return (vec[1].scale(self.upper), vec[0].scale(self.lower))
 
 
-class MatrixCoefficientField:
-    """Antidiagonal 2x2 coefficients of the vector contiguous relations."""
-
-    __slots__ = ("config", "a", "b", "c", "d")
-
-    def __init__(self, config, a, b, c, d):
-        self.config = config
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-
-
-def matrix_coefficient_field(grid: TauGrid) -> MatrixCoefficientField:
+def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
     """Matrix coefficients per interior site.
 
     An entry is omitted (not stored) wherever a sigma in its denominator
@@ -653,7 +649,7 @@ def matrix_coefficient_field(grid: TauGrid) -> MatrixCoefficientField:
                 grid.sigma(n + 1, s, t + 1) * grid.sigma(n, s + 1, t),
                 lm * tup,
             )
-    return MatrixCoefficientField(c, a, b, cc, d)
+    return CoefficientField(c, a, b, cc, d)
 
 
 def verify_edckp(grid: TauGrid) -> Report:
@@ -846,7 +842,7 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
 _EDPFL_VARIANTS = ("pattern-swapped", "pattern", "printed", "printed-swapped")
 
 
-def verify_edpfl(field: MatrixCoefficientField) -> Report:
+def verify_edpfl(field: CoefficientField) -> Report:
     """Matrix nonlinear system: the additive balance, then every product
     relation in four index/order variants.
 

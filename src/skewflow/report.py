@@ -37,6 +37,10 @@ class Report:
         a bookkeeping denominator vanishes at the origin, ...)."""
         self.checks.append(Check(check_id, "skip", detail))
 
+    def extend(self, other: "Report", prefix: str = "") -> None:
+        """Append every check of another report, its id prefixed."""
+        self.checks.extend(Check(prefix + c.id, c.status, c.detail) for c in other.checks)
+
     @property
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)

@@ -16,7 +16,7 @@ from .algebra import Polynomial, Rational, RationalLike, rat, rat_str, sample_po
 from .errors import SingularConfiguration, TruncationTooLarge
 from .moments import SkewMoments
 from .report import Report
-from .sops import SOPFamily, skew_product
+from .sops import SOPFamily, skew_product, verify_skew_orthogonality
 
 CHRISTOFFEL_GAUGE = "christoffel-alpha-zero"
 
@@ -145,7 +145,7 @@ def geronimus_coeffs(
     Each coefficient is a modified-product pairing divided by the transformed
     normalization; the pairing is a skew product on the table shifted once
     by lam, since <f|g> there equals <(z-lam)f|(z-lam)g> on the base table.
-    The reconstruction identities are checked exactly before returning.
+    :func:`verify_geronimus` checks that the coefficients reconstruct the family.
     """
     lam = rat(lam)
     shifted = moments.shift(lam)
@@ -180,10 +180,57 @@ def geronimus_coeffs(
                 for k in range(n)
             )
         )
-    data = GeronimusData(
+    return GeronimusData(
         lam, tuple(alpha), tuple(beta), tuple(gamma), tuple(epsilon)
     )
-    for n in range(pairs + 1):
+
+
+def verify_christoffel(
+    family_next: SOPFamily,
+    shifted: SkewMoments,
+    family: SOPFamily,
+    moments: SkewMoments,
+    lam: RationalLike,
+) -> Report:
+    """Check one Christoffel step: the transformed family is skew orthogonal
+    for the shifted table, and r*_n = (q_{2n+2}(lam)/q_2n(lam)) r_n.
+
+    ``moments`` is the untransformed table; the report records its provenance.
+    """
+    lam = rat(lam)
+    report = Report(
+        "christoffel",
+        {"lambda": rat_str(lam), "provenance": moments.provenance},
+    )
+    report.extend(verify_skew_orthogonality(family_next, shifted))
+    for n in range(family_next.pairs + 1):
+        expected = (
+            family.even(n + 1).eval(lam) / family.even(n).eval(lam)
+        ) * family.norms[n]
+        report.add(
+            f"norm-ratio:r*_{n}",
+            family_next.norms[n] == expected,
+            f"lhs={rat_str(family_next.norms[n])} rhs={rat_str(expected)}",
+        )
+    return report
+
+
+def verify_geronimus(
+    family_next: SOPFamily,
+    family: SOPFamily,
+    moments: SkewMoments,
+    data: GeronimusData,
+) -> Report:
+    """Check that the contiguous relations of ``data`` rebuild every member
+    of ``family`` from ``family_next``, exactly.
+
+    ``moments`` is the untransformed table; the report records its provenance.
+    """
+    report = Report(
+        "geronimus",
+        {"lambda": rat_str(data.lam), "provenance": moments.provenance},
+    )
+    for n in range(family_next.pairs + 1):
         even_sum = family_next.even(n)
         odd_sum = family_next.odd(n)
         for k in range(n):
@@ -192,11 +239,9 @@ def geronimus_coeffs(
             odd_sum = odd_sum + family_next.odd(k).scale(data.epsilon[n][k])
         for k in range(n + 1):
             odd_sum = odd_sum + family_next.even(k).scale(data.gamma[n][k])
-        if even_sum != family.even(n) or odd_sum != family.odd(n):
-            raise SingularConfiguration(
-                f"contiguous-relation reconstruction failed at pair {n}"
-            )
-    return data
+        report.add(f"reconstruct-even:{n}", even_sum == family.even(n))
+        report.add(f"reconstruct-odd:{n}", odd_sum == family.odd(n))
+    return report
 
 
 class BandMatrix:

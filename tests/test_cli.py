@@ -7,6 +7,8 @@ from skewflow.algebra import Polynomial
 from skewflow.cli import main
 from skewflow.sops import SOPFamily
 
+GRID_SUITES = ("dckp", "slax", "dpfl", "edckp", "edlax", "edpfl", "crosscheck")
+
 
 def read(path):
     return json.loads(path.read_text())
@@ -35,6 +37,22 @@ def random_setup(tmp_path):
         "-o", str(family),
     ]) == 0
     return moments, family
+
+
+@pytest.fixture
+def grid_file(tmp_path):
+    moments = tmp_path / "m.json"
+    grid = tmp_path / "g.json"
+    assert main([
+        "gen-moments", "--kind", "random", "--max-index", "8",
+        "--seed", "7", "-o", str(moments),
+    ]) == 0
+    assert main([
+        "grid", "--moments", str(moments), "--mu", "1/2", "--lambda", "3",
+        "--pairs", "1", "--steps-s", "1", "--steps-t", "1",
+        "-o", str(grid),
+    ]) == 0
+    return grid
 
 
 class TestEndToEnd:
@@ -79,20 +97,9 @@ class TestEndToEnd:
         assert steps[0]["lambda"] == "3/1"
         assert steps[0]["even_coeffs"][0] == ["-3/1"]
 
-    def test_grid_suites(self, tmp_path):
-        moments = tmp_path / "m.json"
-        grid = tmp_path / "g.json"
-        assert main([
-            "gen-moments", "--kind", "random", "--max-index", "8",
-            "--seed", "7", "-o", str(moments),
-        ]) == 0
-        assert main([
-            "grid", "--moments", str(moments), "--mu", "1/2", "--lambda", "3",
-            "--pairs", "1", "--steps-s", "1", "--steps-t", "1",
-            "-o", str(grid),
-        ]) == 0
+    def test_grid_suites(self, grid_file):
         for suite in ("dckp", "slax", "edckp", "edlax", "crosscheck"):
-            assert main(["verify", "--suite", suite, "--grid", str(grid)]) == 0
+            assert main(["verify", "--suite", suite, "--grid", str(grid_file)]) == 0
 
     def test_dlax_chain(self, tmp_path, random_setup):
         moments, family = random_setup
@@ -150,17 +157,45 @@ class TestExitCodes:
             "family", "--moments", str(sym_moments), "--pairs", "2",
         ]) == 2
 
-    def test_failing_suite(self, tmp_path, random_setup):
+    def test_failing_suite(self, tmp_path, random_setup, capsys):
         moments, family = random_setup
         other = tmp_path / "other.json"
+        out = tmp_path / "report.json"
         assert main([
             "gen-moments", "--kind", "random", "--max-index", "9",
             "--seed", "4", "-o", str(other),
         ]) == 0
+        capsys.readouterr()
         assert main([
             "verify", "--suite", "orthogonality", "--family", str(family),
-            "--moments", str(other),
+            "--moments", str(other), "-o", str(out),
         ]) == 1
+        err = capsys.readouterr().err
+        first = next(c for c in read(out)["checks"] if c["status"] == "fail")
+        assert err.count("\n") == 1
+        assert err.rstrip("\n").endswith(
+            f"status=fail first={first['id']} {first['detail']}"
+        )
+
+    @pytest.mark.parametrize(
+        "suite, failing", [("christoffel", "<q"), ("geronimus", "reconstruct-")]
+    )
+    def test_transform_suite_on_other_moments(
+        self, tmp_path, random_setup, suite, failing
+    ):
+        moments, family = random_setup
+        other = tmp_path / "other.json"
+        out = tmp_path / "report.json"
+        assert main([
+            "gen-moments", "--kind", "random", "--max-index", "9",
+            "--seed", "4", "-o", str(other),
+        ]) == 0
+        argv = ["verify", "--suite", suite, "--family", str(family),
+                "--lambda", "3", "-o", str(out)]
+        assert main([*argv, "--moments", str(moments)]) == 0
+        assert main([*argv, "--moments", str(other)]) == 1
+        failed = [c["id"] for c in read(out)["checks"] if c["status"] == "fail"]
+        assert failed and all(cid.startswith(failing) for cid in failed)
 
     def test_zero_denominator_in_file(self, tmp_path, random_setup, capsys):
         moments, _ = random_setup
@@ -187,27 +222,25 @@ class TestExitCodes:
         assert err.startswith("error:") and repr(value) in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("field", ["tau", "sigma", "tau_hat", "sigma_hat"])
-    def test_truncated_grid(self, tmp_path, capsys, field):
-        moments = tmp_path / "m.json"
-        grid = tmp_path / "g.json"
-        assert main([
-            "gen-moments", "--kind", "random", "--max-index", "8",
-            "--seed", "7", "-o", str(moments),
-        ]) == 0
-        assert main([
-            "grid", "--moments", str(moments), "--mu", "1/2", "--lambda", "3",
-            "--pairs", "1", "--steps-s", "1", "--steps-t", "1",
-            "-o", str(grid),
-        ]) == 0
-        data = read(grid)
-        data[field][1][0].pop()
-        grid.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["verify", "--suite", "dckp", "--grid", str(grid)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and repr(field) in err
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize(
+        "field, zero",
+        [("tau", False), ("sigma", False), ("tau_hat", False), ("sigma_hat", False),
+         ("tau", True)],
+        ids=["tau", "sigma", "tau_hat", "sigma_hat", "zero-tau"],
+    )
+    def test_truncated_grid(self, grid_file, capsys, field, zero):
+        data = read(grid_file)
+        if zero:  # a value build_grid never writes
+            data[field] = [[["0/1" for _ in row] for row in plane] for plane in data[field]]
+        else:
+            data[field][1][0].pop()
+        grid_file.write_text(json.dumps(data))
+        for suite in GRID_SUITES:
+            capsys.readouterr()
+            assert main(["verify", "--suite", suite, "--grid", str(grid_file)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and repr(field) in err
+            assert err.count("\n") == 1
 
     def test_unknown_suite(self, random_setup):
         moments, family = random_setup

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial
 from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
@@ -15,7 +15,6 @@ from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import (
     SOPFamily,
     build_family,
-    normalization,
     oracle_family,
     sop_even,
     sop_odd,
@@ -150,9 +149,6 @@ class TestConstruction:
 
 
 class TestNormalization:
-    def test_r0(self):
-        assert normalization(SYMPLECTIC, 0) == 2
-
     def test_r1_two_oracles(self):
         direct = skew_product(
             SYMPLECTIC, sop_even(SYMPLECTIC, 1), sop_odd(SYMPLECTIC, 1)
@@ -179,6 +175,16 @@ class TestFamily:
         family = build_family(from_random(42, 9), 3)
         report = verify_skew_orthogonality(family, from_random(42, 9))
         assert report.passed
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 4))
+    def test_random_family_is_skew_orthogonal(self, seed, pairs):
+        table = from_random(seed, 2 * pairs + 1)
+        try:
+            family = build_family(table, pairs)
+        except SingularConfiguration:
+            assume(False)
+        assert verify_skew_orthogonality(family, table).passed
 
     def test_matches_oracle_after_gauge_projection(self):
         table = from_random(42, 9)

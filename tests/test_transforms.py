@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial
 from skewflow.errors import SingularConfiguration, TruncationTooLarge
@@ -15,6 +16,7 @@ from skewflow.transforms import (
     kernel,
     verify_dlax,
     verify_factorization,
+    verify_geronimus,
 )
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
@@ -82,6 +84,23 @@ class TestGeronimus:
                 odd_sum = odd_sum + transformed.even(k).scale(data.gamma[n][k])
             assert even_sum == family.even(n)
             assert odd_sum == family.odd(n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.fractions(min_value=-9, max_value=9, max_denominator=5),
+    )
+    def test_christoffel_then_geronimus_reconstructs(self, seed, pairs, lam):
+        table = from_random(seed, 2 * pairs + 2)
+        try:
+            family = build_family(table, pairs)
+        except SingularConfiguration:
+            assume(False)
+        assume(all(family.even(n).eval(lam) != 0 for n in range(pairs + 1)))
+        transformed, _, _ = christoffel(family, table, lam)
+        data = geronimus_coeffs(transformed, family, table, lam)
+        assert verify_geronimus(transformed, family, table, data).passed
 
     def test_modified_product_matches_shifted_table(self):
         table, family = random_setup(seed=13)
