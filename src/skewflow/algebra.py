@@ -2,16 +2,19 @@
 
 The scalar type is ``fractions.Fraction``: arbitrary precision, always in
 lowest terms with positive denominator.  ``Rational`` is an alias so call
-sites read like the rest of the library.  Polynomials are dense coefficient
-tuples over that scalar, constant term first, with no trailing zeros.
-The module also holds the deterministic sample-point pool that every
-pointwise verifier draws from.
+sites read like the rest of the library.  A polynomial stores one integer
+form: a dense tuple of int numerators, constant term first with no
+trailing zero, over one positive denominator coprime to them all.  Its
+arithmetic, evaluation and exact division run in Python ints, and a
+``Fraction`` is built only for a value handed out.  The module also
+holds the deterministic sample-point pool that every pointwise verifier
+draws from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import NotDivisible
@@ -77,18 +80,37 @@ def sample_points(
 class Polynomial:
     """Dense univariate polynomial over exact rationals.
 
-    Coefficient ``k`` multiplies ``z**k``.  The zero polynomial stores an
-    empty tuple; every other value has a nonzero leading coefficient.
-    Instances are immutable and hashable.
+    Stored as ``num``, a tuple of ints with no trailing zero (coefficient
+    ``k`` multiplies ``z**k``), over ``den > 0`` with gcd(den, *num) = 1, so
+    ``den`` is the lcm of the coefficient denominators and equal values have
+    equal forms.  The zero polynomial is ``((), 1)``.  Every method works
+    on the ints and reduces its result by one gcd.  Instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        num, den = clear_denominators(cs)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, num: list[int], den: int) -> "Polynomial":
+        """num/den with den > 0, stripped of trailing zeros and reduced."""
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "num", tuple(num))
+        object.__setattr__(poly, "den", den)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -118,99 +140,128 @@ class Polynomial:
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
+
+    @property
+    def coeffs(self) -> tuple[Rational, ...]:
+        """Coefficients as Rationals, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def coefficient(self, k: int) -> Rational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     @property
     def leading(self) -> Rational:
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign*other over lcm(den, other.den)."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        a = [fa * c for c in self.num]
+        b = [fb * c for c in other.num]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return Polynomial._reduced(a, den)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial._reduced([-c for c in self.num], self.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
+        if not self.num or not other.num:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        b = other.num
+        out = [0] * (len(self.num) + len(b) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, c in enumerate(b, i):
+                    out[j] += a * c
+        return Polynomial._reduced(out, self.den * other.den)
 
     def scale(self, c: RationalLike) -> "Polynomial":
         c = rat(c)
-        return Polynomial([c * a for a in self.coeffs])
+        p = c.numerator
+        return Polynomial._reduced([p * a for a in self.num], c.denominator * self.den)
 
     def __call__(self, x: RationalLike) -> Rational:
         return self.eval(x)
 
     def eval(self, x: RationalLike) -> Rational:
-        """Horner evaluation; exact."""
+        """Exact value at x = p/q by homogeneous Horner:
+        sum_i num_i p^i q^(d-i) over q^d den."""
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.num:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc = 0
+        qk = 1  # q^(d-i) when num_i is added
+        for c in reversed(self.num):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, q ** self.degree * self.den)
 
     def div_by_linear(self, root: RationalLike) -> "Polynomial":
-        """Exact synthetic division by (z - root).
+        """Exact division by (z - root).
 
-        Raises NotDivisible unless ``root`` is an exact root; a failure
+        With root = p/q the integer numerator is divided by q*z - p; by
+        Gauss's lemma the quotient has integer coefficients exactly when
+        ``root`` is a root.  Raises NotDivisible otherwise; a failure
         signals a genericity violation or a caller bug upstream.
         """
         root = rat(root)
-        if not self.coeffs:
+        num = self.num
+        if not num:
             return Polynomial()
-        quotient = [Fraction(0)] * (len(self.coeffs) - 1)
-        carry = Fraction(0)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[k] + carry * root
+        p, q = root.numerator, root.denominator
+        quotient = [0] * (len(num) - 1)
+        carry = 0
+        for k in range(len(num) - 1, 0, -1):
+            carry, rest = divmod(num[k] + p * carry, q)
+            if rest:
+                break
             quotient[k - 1] = carry
-        remainder = self.coeffs[0] + carry * root
-        if remainder != 0:
-            raise NotDivisible(
-                f"polynomial does not vanish at {rat_str(root)} "
-                f"(remainder {rat_str(remainder)})"
-            )
-        return Polynomial(quotient)
+        else:
+            if num[0] + p * carry == 0:
+                # f/den = (q z - p) g/den, so f/(den (z - p/q)) = q g/den
+                return Polynomial._reduced([q * c for c in quotient], self.den)
+        raise NotDivisible(
+            f"polynomial does not vanish at {rat_str(root)} "
+            f"(remainder {rat_str(self.eval(root))})"
+        )
 
     # -- comparison / misc -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Polynomial)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "Polynomial(0)"
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -223,7 +274,12 @@ class Polynomial:
 
     def to_json(self) -> list[str]:
         """Coefficient list, constant term first, rationals as strings."""
-        return [rat_str(c) for c in self.coeffs]
+        den = self.den
+        out = []
+        for c in self.num:
+            g = gcd(c, den)
+            out.append(f"{c // g}/{den // g}")
+        return out
 
     @staticmethod
     def from_json(data: Sequence[str]) -> "Polynomial":

@@ -6,12 +6,15 @@ fixed command line (elapsed_ms in verification reports is the only field
 that varies between runs).
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 singular
-configuration, 3 usage or input error.
+configuration, 3 usage or input error.  A suite that evaluates no check
+on its input (none at all, or every one skipped) is an input error: it
+writes no report and exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,7 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="skewflow")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,6 +349,8 @@ def run_suite(args) -> Report:
 def _cmd_verify(args) -> int:
     started = time.monotonic()
     report = run_suite(args)
+    if all(c.status == "skip" for c in report.checks):
+        raise UsageError(f"suite {report.suite} evaluated no check on this input")
     report.elapsed_ms = (time.monotonic() - started) * 1000.0
     report.instance.setdefault("threads", _threads())
     _emit(report.to_json(), args.output)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Any, Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, clear_denominators, rat, rat_str
+from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
 from .pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
@@ -25,17 +25,16 @@ COEFF_GAUGE = "z2n-coefficient-zero"
 def skew_product(moments: SkewMoments, f: Polynomial, g: Polynomial) -> Rational:
     """<f|g> = sum_ij f_i g_j s_ij; bilinear and skew.
 
-    Evaluated in integers: the cleared coefficients of f dotted with the
-    table's S*g, divided once at the end.
+    Evaluated in integers: the numerators of f dotted with the table's
+    S*g, divided once at the end.
     """
     if f.degree > moments.max_index or g.degree > moments.max_index:
         raise DegreeBudgetExceeded(
             f"skew product needs degree <= {moments.max_index}, "
             f"got {f.degree} and {g.degree}"
         )
-    coeffs, f_den = clear_denominators(f.coeffs)
-    sg, sg_den = moments.apply(g, len(coeffs))
-    return Fraction(sum(map(mul, coeffs, sg)), f_den * sg_den)
+    sg, sg_den = moments.apply(g, len(f.num))
+    return Fraction(sum(map(mul, f.num, sg)), f.den * sg_den)
 
 
 def _denominator(moments: SkewMoments, n: int) -> Rational:
@@ -207,18 +206,17 @@ def verify_skew_orthogonality(family: SOPFamily, moments: SkewMoments) -> Report
     """Check every pairing <q_a|q_b> against the defining pattern.
 
     S*q_b is formed once per member; each pairing is then one integer dot
-    product with the cleared coefficients of q_a.
+    product with the numerators of q_a.
     """
     report = Report("orthogonality", {"provenance": moments.provenance})
     count = 2 * family.pairs + 2
-    cleared = [clear_denominators(p.coeffs) for p in family.polys]
     # S*q_b restricted to the rows 0..b-1 that every q_a, a < b, reaches
     applied = [moments.apply(p, b) for b, p in enumerate(family.polys)]
     for a in range(count):
-        coeffs, a_den = cleared[a]
+        q_a = family.polys[a]
         for b in range(a + 1, count):
             sq, sq_den = applied[b]
-            value = Fraction(sum(map(mul, coeffs, sq)), a_den * sq_den)
+            value = Fraction(sum(map(mul, q_a.num, sq)), q_a.den * sq_den)
             if a % 2 == 0 and b % 2 == 1 and b == a + 1:
                 expected = family.norms[a // 2]
             else:

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial, clear_denominators, rat, rat_str, sample_points
 from skewflow.errors import NotDivisible
@@ -8,6 +10,69 @@ from skewflow.errors import NotDivisible
 
 def P(*coeffs):
     return Polynomial([Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs])
+
+
+# -- dense Fraction reference ------------------------------------------
+# Coefficient lists, constant term first, trimmed of trailing zeros; every
+# operation is the textbook one, one Fraction at a time.
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return trim(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def ref_eval(a, x):
+    return sum((c * x**i for i, c in enumerate(a)), Fraction(0))
+
+
+def ref_div_by_linear(a, root):
+    """Synthetic division by (z - root) in Fractions; raises like the
+    library, with the remainder a(root) in the message."""
+    if not a:
+        return []
+    quotient = [Fraction(0)] * (len(a) - 1)
+    carry = Fraction(0)
+    for k in range(len(a) - 1, 0, -1):
+        carry = a[k] + carry * root
+        quotient[k - 1] = carry
+    remainder = a[0] + carry * root
+    if remainder != 0:
+        raise NotDivisible(
+            f"polynomial does not vanish at {rat_str(root)} "
+            f"(remainder {rat_str(remainder)})"
+        )
+    return trim(quotient)
+
+
+# Mixed denominators, zeros drawn often, negative values included.
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+coeff_lists = st.lists(coefficients, max_size=7)  # the empty list is zero
+points = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
 
 
 class TestEval:
@@ -122,3 +187,70 @@ class TestSamplePoints:
         assert len(pts) == 12 == len(set(pts))
         assert Fraction(1, 2) not in pts and Fraction(3) not in pts
         assert sample_points(3) == [Fraction(0), Fraction(1), Fraction(-1)]
+
+
+class TestIntegerFormProperties:
+    """The int-over-one-denominator Polynomial against the Fraction reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(coeff_lists, coeff_lists)
+    def test_ring_operations(self, a, b):
+        f, g = Polynomial(a), Polynomial(b)
+        neg_b = [-c for c in b]
+        assert list((f + g).coeffs) == ref_add(a, b)
+        assert list((f - g).coeffs) == ref_add(a, neg_b)
+        assert list((-g).coeffs) == trim(neg_b)
+        assert list((f * g).coeffs) == ref_mul(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(coeff_lists, coefficients, points)
+    def test_scale_and_eval(self, a, c, x):
+        f = Polynomial(a)
+        assert list(f.scale(c).coeffs) == trim(c * v for v in a)
+        assert f.eval(x) == ref_eval(a, x)
+        assert f(x) == ref_eval(a, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(coeff_lists)
+    def test_readout(self, a):
+        f, ref = Polynomial(a), trim(a)
+        for k in range(-1, len(a) + 2):
+            assert f.coefficient(k) == (ref[k] if 0 <= k < len(ref) else 0)
+        assert f.leading == (ref[-1] if ref else 0)
+        assert f.degree == len(ref) - 1
+        assert f.to_json() == [rat_str(c) for c in ref]
+
+    @settings(max_examples=80, deadline=None)
+    @given(coeff_lists, coeff_lists, coefficients.filter(lambda c: c != 0))
+    def test_form_is_canonical(self, a, b, c):
+        f = Polynomial(a)
+        assert f.den > 0 and gcd(f.den, *f.num) == 1
+        assert not f.num or f.num[-1] != 0
+        assert f.den == lcm(*(v.denominator for v in trim(a)))
+        # the same value reached by other routes has the same form
+        for same in (
+            Polynomial(a + [Fraction(0)] * 2),
+            (f + Polynomial(b)) - Polynomial(b),
+            f.scale(c).scale(1 / c),
+            f * Polynomial.one(),
+            Polynomial.from_json(f.to_json()),
+        ):
+            assert (same.num, same.den) == (f.num, f.den)
+            assert same == f and hash(same) == hash(f)
+        assert (f - f).num == () and (f - f).den == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(coeff_lists, points)
+    def test_div_by_linear_recovers_factor(self, a, r):
+        f = Polynomial(a)
+        assert (Polynomial([-r, 1]) * f).div_by_linear(r) == f
+
+    @settings(max_examples=80, deadline=None)
+    @given(coeff_lists.filter(lambda a: any(a)), points)
+    def test_non_root_raises_reference_message(self, a, r):
+        assume(ref_eval(a, r) != 0)
+        with pytest.raises(NotDivisible) as caught:
+            Polynomial(a).div_by_linear(r)
+        with pytest.raises(NotDivisible) as expected:
+            ref_div_by_linear(a, r)
+        assert str(caught.value) == str(expected.value)

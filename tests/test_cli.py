@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from skewflow import cli
 from skewflow.algebra import Polynomial
 from skewflow.cli import main
+from skewflow.report import Report
 from skewflow.sops import SOPFamily
 
 GRID_SUITES = ("dckp", "slax", "dpfl", "edckp", "edlax", "edpfl", "crosscheck")
@@ -102,11 +104,20 @@ class TestEndToEnd:
             assert main(["verify", "--suite", suite, "--grid", str(grid_file)]) == 0
 
     def test_dlax_chain(self, tmp_path, random_setup):
-        moments, family = random_setup
+        # pairs=3 leaves a nonempty truncation window after two steps
+        moments, _ = random_setup
+        family = tmp_path / "family3.json"
+        out = tmp_path / "report.json"
+        assert main([
+            "family", "--moments", str(moments), "--pairs", "3",
+            "-o", str(family),
+        ]) == 0
         assert main([
             "verify", "--suite", "dlax", "--family", str(family),
             "--moments", str(moments), "--lambda", "3", "--lambda", "3",
+            "-o", str(out),
         ]) == 0
+        assert len(read(out)["checks"]) == 4
 
 
 class TestExitCodes:
@@ -242,12 +253,48 @@ class TestExitCodes:
             assert err.startswith("error:") and repr(field) in err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("suite", ["dlax", "dpfl", "edpfl"])
+    def test_vacuous_suite(self, tmp_path, random_setup, grid_file, capsys, suite):
+        # dlax: a pairs=2 family over two steps has an empty window; dpfl
+        # and edpfl: a 1x1 box has no relation (edpfl records only skips)
+        moments, family = random_setup
+        out = tmp_path / "report.json"
+        if suite == "dlax":
+            inputs = ["--family", str(family), "--moments", str(moments),
+                      "--lambda", "3", "--lambda", "3"]
+        else:
+            inputs = ["--grid", str(grid_file)]
+        capsys.readouterr()
+        assert main(["verify", "--suite", suite, *inputs, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: suite {suite} evaluated no check on this input\n"
+        assert not out.exists()
+
     def test_unknown_suite(self, random_setup):
         moments, family = random_setup
         assert main([
             "verify", "--suite", "nope", "--family", str(family),
             "--moments", str(moments),
         ]) == 3
+
+
+class TestParser:
+    def test_built_once_without_shared_values(self, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append((args.lam, args.y))
+            report = Report(args.suite)
+            report.add("seen", True)
+            return report
+
+        monkeypatch.setitem(cli.SUITES, "kernel", record)
+        assert main(["verify", "--suite", "kernel",
+                     "--lambda", "1", "--lambda", "2", "--y", "5"]) == 0
+        assert main(["verify", "--suite", "kernel", "--lambda", "3",
+                     "--y", "7", "--y", "8"]) == 0
+        assert seen == [(["1", "2"], ["5"]), (["3"], ["7", "8"])]
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestDeterminism:

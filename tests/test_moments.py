@@ -39,6 +39,45 @@ def polynomials(max_degree):
     return st.lists(entries, max_size=max_degree + 1).map(Polynomial)
 
 
+def pair_sum_table(measure, max_index):
+    """Reference orthogonal-ensemble table: the ordered O(K^2 m^2) double
+    sum over node pairs k > l."""
+    xs, ws = measure.nodes, measure.weights
+    rows = [
+        [
+            sum(
+                (
+                    (xs[k] ** i * xs[l] ** j - xs[l] ** i * xs[k] ** j) * ws[k] * ws[l]
+                    for k in range(len(xs))
+                    for l in range(k)
+                ),
+                Fraction(0),
+            )
+            for j in range(i + 1, max_index + 1)
+        ]
+        for i in range(max_index + 1)
+    ]
+    return SkewMoments(max_index, rows)
+
+
+@st.composite
+def measures(draw):
+    """Increasing nodes, negative and fractional, with positive weights."""
+    nodes = draw(
+        st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=7),
+            min_size=1, max_size=6, unique=True,
+        )
+    )
+    weights = draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9),
+            min_size=len(nodes), max_size=len(nodes),
+        )
+    )
+    return DiscreteMeasure(sorted(nodes), weights)
+
+
 class TestRandom:
     def test_deterministic(self):
         a = from_random(42, 9, 10)
@@ -79,6 +118,29 @@ class TestOrthogonalEnsemble:
                     for xl, wl in zip(measure.nodes, measure.weights)
                 )
                 assert table.entry(i, j) == brute
+
+    @pytest.mark.parametrize(
+        "measure, max_index",
+        [
+            # the acceptance battery's measure
+            (DiscreteMeasure([-6, -5, -4, -2, -1, 1, 2, 4, 5, 6],
+                             [1, 1, 1, 2, 1, 1, 2, 1, 1, 1]), 9),
+            # the size of a scripted CLI session: 8 nodes, max-index 10
+            (DiscreteMeasure([-9, -7, -4, -1, 2, 3, 6, 8], [1, 3, 2, 1, 2, 3, 1, 2]), 10),
+        ],
+        ids=["acceptance", "cli-session"],
+    )
+    def test_prefix_sum_matches_pair_sum(self, measure, max_index):
+        assert from_discrete_orthogonal(measure, max_index) == pair_sum_table(
+            measure, max_index
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(measures(), st.integers(1, 6))
+    def test_prefix_sum_matches_pair_sum_property(self, measure, max_index):
+        assert from_discrete_orthogonal(measure, max_index) == pair_sum_table(
+            measure, max_index
+        )
 
     def test_antisymmetry(self):
         table = from_discrete_orthogonal(
