@@ -9,9 +9,11 @@ budget.
 Besides its canonical upper triangle of rationals, every table carries one
 integer form: D, the lcm of the entry denominators, and N = D*S as a full
 skew matrix of Python ints.  Shifts and rescalings are computed on N and
-reduced back to the least common denominator; :meth:`SkewMoments.apply`
-returns S*g as an integer vector over one denominator, which is all a skew
-product needs.  No other module reads the integer form.
+reduced back to the least common denominator.  Two methods hand it out:
+:meth:`SkewMoments.apply` returns S*g as an integer vector over one
+denominator, which is all a skew product needs, and
+:meth:`SkewMoments.integer_rows` returns the leading rows of N and D for
+the one-pass elimination of :func:`skewflow.pfaffian.prefix_pfaffians`.
 """
 
 from __future__ import annotations
@@ -119,6 +121,15 @@ class SkewMoments:
             )
         num, coeffs = self._num, g.num
         return [sum(map(mul, num[i], coeffs)) for i in range(rows)], self._den * g.den
+
+    def integer_rows(self, size: int) -> tuple[list[list[int]], int]:
+        """The integer form on the indices 0..size-1: (rows, D) with
+        rows[i][j] = D*s_ij, as fresh lists the caller may overwrite."""
+        if size > self.max_index + 1:
+            raise DegreeBudgetExceeded(
+                f"{size} rows need max_index >= {size - 1}, got {self.max_index}"
+            )
+        return [list(row[:size]) for row in self._num[:size]], self._den
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1,14 +1,16 @@
 """Exact Pfaffians of skew-symmetric rational matrices.
 
-Every Pfaffian the library computes goes through one engine,
-:func:`pfaffian`: row denominators are cleared, then a fraction-free skew
-elimination runs in Python integers, O(m^3) integer operations.
-:func:`numeric_pfaffian` and :func:`augmented_pfaffian` only build the
-matrix for an index list.  In an augmented list mu and lambda are numeric
-border rows, and z is removed by a single expansion along its row, one
-:func:`pfaffian` call per moment index in the list.  The memoized recursive expansion
-:func:`pfaffian_expand` is an independent algorithm kept as the test oracle;
-nothing in the library calls it.
+Every Pfaffian the library computes is one fraction-free skew elimination
+in Python integers (:func:`_step`), O(m^3) integer operations after the row
+denominators are cleared.  :func:`pfaffian` runs it with pivoting on a
+numeric matrix.  :func:`augmented_pfaffian` builds the matrix for an index
+list: mu and lambda are numeric border rows, and z is carried through the
+same elimination as a last border column of integer polynomials, so a
+z-bearing list costs one elimination.  :func:`prefix_pfaffians` runs it
+once without pivoting on a table's integer form and reads every leading
+and z-bordered Pfaffian of the lattice off that single pass.  The memoized
+recursive expansion :func:`pfaffian_expand` is an independent algorithm
+kept as the test oracle; nothing in the library calls it.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Callable, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol, Sequence, Union
 
 from .algebra import Polynomial, Rational, RationalLike, rat
 from .errors import IndexOutOfBudget
+
+if TYPE_CHECKING:
+    from .moments import SkewMoments
 
 
 class Special(enum.Enum):
@@ -88,25 +93,24 @@ def pfaffian(matrix: SkewMatrix) -> Rational:
 
     Row and column i are first scaled by D_i, the lcm of the denominators of
     A_ij for j > i; the result is an integer matrix B = D*A*D with
-    Pf(B) = det(D)*Pf(A).  Step r of the elimination then replaces every
-    remaining entry by the bordered minor Pf(0..2r+1, i, j), computed from
-    the previous step's minors by
-
-        M'_ij = (p*M_ij - M_ki*M_{k+1,j} + M_kj*M_{k+1,i}) / p_prev
-
-    with k = 2r, p = M_{k,k+1} and p_prev the previous pivot (1 at the first
-    step).  The division is exact by the Pfaffian form of Sylvester's
-    identity (Tanner), so every entry stays an integer and the last pivot is
-    Pf(B).  The pivot is the nonzero entry of row k of least absolute value;
-    each swap that brings it next to row k flips the sign, and a zero row
-    gives 0.  Dimension 0 gives 1.
+    Pf(B) = det(D)*Pf(A).  :func:`_eliminate` then reduces B to its last
+    pivot, which is Pf(B).  Dimension 0 gives 1.
     """
-    m = matrix.dimension
-    upper = matrix._upper
-    # D_i clears the stored (upper) part of row i, so every D_i*A_ij*D_j with
-    # i < j is an integer
+    a, scale = _integer_rows(matrix._upper)
+    sign, pivot = _eliminate(a)
+    return Fraction(sign * pivot, prod(scale))
+
+
+def _integer_rows(
+    upper: Sequence[Sequence[Rational]],
+) -> tuple[list[list[int]], list[int]]:
+    """Upper-triangle store of B = D*A*D and the row scales D_i.
+
+    ``upper[i]`` holds A_ij for j > i; D_i clears its denominators, so every
+    D_i*A_ij*D_j with i < j is an integer.  Only a[i][j] with j > i is ever
+    read or written.
+    """
     scale = [lcm(*(q.denominator for q in row)) for row in upper]
-    # upper triangle only: a[i][j] is read and written for j > i
     a = [
         [0] * (i + 1)
         + [
@@ -115,44 +119,106 @@ def pfaffian(matrix: SkewMatrix) -> Rational:
         ]
         for i, row in enumerate(upper)
     ]
+    return a, scale
+
+
+def _step(
+    a: list[list[int]], k: int, prev: int, zc: list[list[int]] | None = None
+) -> int:
+    """One fraction-free step, in place: eliminate indices k and k+1.
+
+    Every later entry becomes
+
+        M'_ij = (p*M_ij - M_ki*M_{k+1,j} + M_kj*M_{k+1,i}) / prev
+
+    with p = M_{k,k+1}, the returned pivot, and ``prev`` the pivot of the
+    previous step (1 at the first).  A z column ``zc`` (one int polynomial
+    per row, all of one length, standing for an index after every row of
+    ``a``) is updated by the same rule, coefficient by coefficient.  The
+    division is exact by the Pfaffian form of Sylvester's identity
+    (Tanner): after r steps entry (i, j) is the bordered minor
+    Pf(0..2r-1, i, j), so every entry stays an integer.
+    """
+    row, nxt = a[k], a[k + 1]
+    pivot = row[k + 1]
+    for i in range(k + 2, len(a)):
+        ri, si = row[i], nxt[i]
+        a[i][i + 1 :] = [
+            (pivot * x - ri * y + z * si) // prev
+            for x, y, z in zip(a[i][i + 1 :], nxt[i + 1 :], row[i + 1 :])
+        ]
+        if zc is not None:
+            zc[i] = [
+                (pivot * x - ri * y + z * si) // prev
+                for x, y, z in zip(zc[i], zc[k + 1], zc[k])
+            ]
+    return pivot
+
+
+def _eliminate(
+    a: list[list[int]], zc: list[list[int]] | None = None
+) -> tuple[int, int]:
+    """Run every :func:`_step` on the store ``a``, with pivoting.
+
+    Returns (sign, pivot): the sign of the index exchanges made, 0 when the
+    Pfaffian vanishes, and the last pivot.  Without ``zc``, ``a`` has even
+    dimension and sign*pivot is Pf(a).  With a z column ``a`` has odd
+    dimension m and the Pfaffian of a bordered by z is sign*zc[m-1].
+
+    The pivot of step k is the nonzero entry of row k of least absolute
+    value, taken from the numeric columns only; each exchange that brings
+    it next to row k flips the sign.  A zero row gives 0, unless a z column
+    is carried: then the row may still pair with z, so a later row with a
+    nonzero numeric entry is exchanged into place k (one more sign flip),
+    and 0 comes only when no later row has one.
+    """
+    m = len(a)
     sign = 1
     prev = 1
-    for k in range(0, m, 2):
-        row = a[k]
-        best = -1
-        for j in range(k + 1, m):
-            if row[j] and (best < 0 or abs(row[j]) < abs(row[best])):
-                best = j
+    for k in range(0, m - 1, 2):
+        best = _pivot_column(a[k], k)
+        if best < 0 and zc is not None:
+            u = next((u for u in range(k + 1, m) if any(a[u][u + 1 :])), -1)
+            if u >= 0:
+                _swap(a, zc, k, k, u)
+                sign = -sign
+                best = _pivot_column(a[k], k)
         if best < 0:
-            return Fraction(0)
+            return 0, prev
         if best != k + 1:
-            _swap(a, k, best)
+            _swap(a, zc, k, k + 1, best)
             sign = -sign
-        pivot = row[k + 1]
-        nxt = a[k + 1]
-        for i in range(k + 2, m):
-            ri, si = row[i], nxt[i]
-            a[i][i + 1 :] = [
-                (pivot * x - ri * y + z * si) // prev
-                for x, y, z in zip(a[i][i + 1 :], nxt[i + 1 :], row[i + 1 :])
-            ]
-        prev = pivot
-    return Fraction(sign * prev, prod(scale))
+        prev = _step(a, k, prev, zc)
+    return sign, prev
 
 
-def _swap(a: list[list[int]], k: int, q: int) -> None:
-    """Exchange indices k+1 and q > k+1 in the upper-triangle store ``a``.
+def _pivot_column(row: list[int], k: int) -> int:
+    """Column j > k of the nonzero row[j] of least absolute value, or -1."""
+    best = -1
+    for j in range(k + 1, len(row)):
+        if row[j] and (best < 0 or abs(row[j]) < abs(row[best])):
+            best = j
+    return best
 
-    Rows before k are finished and left alone.  An entry whose index pair
-    changes order under the exchange changes sign.
+
+def _swap(
+    a: list[list[int]], zc: list[list[int]] | None, k: int, u: int, q: int
+) -> None:
+    """Exchange indices u and q > u in the upper-triangle store ``a``, and
+    their z entries.
+
+    Rows before k <= u are finished and left alone.  An entry whose index
+    pair changes order under the exchange changes sign.
     """
-    u = k + 1
-    a[k][u], a[k][q] = a[k][q], a[k][u]
+    for r in range(k, u):
+        a[r][u], a[r][q] = a[r][q], a[r][u]
     for r in range(u + 1, q):
         a[u][r], a[r][q] = -a[r][q], -a[u][r]
     a[u][q] = -a[u][q]
     for r in range(q + 1, len(a)):
         a[u][r], a[q][r] = a[q][r], a[u][r]
+    if zc is not None:
+        zc[u], zc[q] = zc[q], zc[u]
 
 
 def pfaffian_expand(matrix: SkewMatrix) -> Rational:
@@ -217,10 +283,10 @@ def augmented_pfaffian(
     is a Polynomial in z (constant when z is absent).  Each special symbol
     may appear at most once.
 
-    mu and lambda are numeric border rows of the matrix handed to
-    :func:`pfaffian`.  The Pfaffian is linear in the z row, so z is removed
-    by one expansion along it: the coefficient of z^i is the signed Pfaffian
-    of the list without z and i.
+    mu and lambda are numeric border rows.  Without z the matrix goes to
+    :func:`pfaffian`; with z, z is moved to the end and carried as a border
+    column of integer polynomials through one :func:`_eliminate`, whose
+    pivots come from the numeric columns only.
     """
     border = {MU: rat(mu), LAMBDA: rat(lam)}
     idx = list(indices)
@@ -242,27 +308,60 @@ def augmented_pfaffian(
             return border[y] ** x
         return moments.entry(x, y)
 
-    # z is linear, so the rest of the matrix is evaluated once and every
-    # Pfaffian below picks its rows out of it
     items = [i for i in idx if i is not ZVAR]
     upper = [[element(x, y) for y in items[a + 1 :]] for a, x in enumerate(items)]
-
-    def bordered(keep: Sequence[int]) -> Rational:
-        """Pfaffian of the rows ``keep`` (increasing positions in items)."""
-        return pfaffian(
-            SkewMatrix(len(keep), lambda u, v: upper[keep[u]][keep[v] - keep[u] - 1])
-        )
-
     if ZVAR not in specials:
-        return Polynomial.constant(bordered(range(len(items))))
-    pos = idx.index(ZVAR)
-    # moving z from pos to the end costs (-1)^(len(items)-pos); expanding along
-    # the last row gives Pf(items, z) = sum_k (-1)^k z^items[k] Pf(items without k)
-    sign = (-1) ** (len(items) - pos)
-    coeffs: dict[int, Rational] = {}
-    for k, i in enumerate(items):
-        if isinstance(i, Special):
-            continue
-        term = bordered([u for u in range(len(items)) if u != k])
-        coeffs[i] = coeffs.get(i, 0) + (sign if k % 2 == 0 else -sign) * term
-    return Polynomial([coeffs.get(d, 0) for d in range(max(coeffs, default=-1) + 1)])
+        return Polynomial.constant(
+            pfaffian(SkewMatrix(len(items), lambda u, v: upper[u][v - u - 1]))
+        )
+    # z becomes the last index, a border column of int polynomials: row r
+    # scaled by D_r reads D_r*z^i for a moment index i, 0 for mu and lambda
+    a, scale = _integer_rows(upper)
+    size = max((i for i in items if not isinstance(i, Special)), default=-1) + 1
+    zc = [[0] * size for _ in items]
+    for r, i in enumerate(items):
+        if not isinstance(i, Special):
+            zc[r][i] = scale[r]
+    sign, _ = _eliminate(a, zc)
+    # moving z from its position to the end passes every index after it
+    if (len(idx) - 1 - idx.index(ZVAR)) % 2:
+        sign = -sign
+    return Polynomial._reduced([sign * c for c in zc[-1]], prod(scale))
+
+
+def prefix_pfaffians(
+    moments: SkewMoments, pairs: int
+) -> Iterator[tuple[Rational, Rational, Polynomial, Polynomial]]:
+    """Every leading and z-bordered Pfaffian of a table from one pass.
+
+    Yields, for n = 0..pairs+1 in turn,
+
+        (Pf(0..2n-1), Pf(0..2n-2, 2n), Pf(0..2n, z), Pf(0..2n-1, 2n+1, z))
+
+    with Pf(0..-2, 0) = 0 at n = 0.  The pass is :func:`_step` without
+    pivoting on N = D*S over the indices 0..2*pairs+3, with z as a border
+    column whose row i starts as D*z^i.  A bordered minor of N of dimension
+    2n is D^n times that of S, so after n steps the pivot is D^n*tau_n,
+    entry (2n-2, 2n) still holds D^n times the sigma core from step n-1,
+    and the z entries of rows 2n and 2n+1 are D^(n+1) times the two
+    z-bordered Pfaffians.  Step n divides by D^n*tau_n, so the pass stops
+    after yielding a vanishing tau_n.
+    """
+    size = 2 * pairs + 4
+    a, d = moments.integer_rows(size)
+    zc = [[0] * size for _ in range(size)]
+    for i in range(size):
+        zc[i][i] = d
+    pivot, dn = 1, 1  # pivot after n steps, and D^n
+    for n in range(pairs + 2):
+        core = Fraction(a[2 * n - 2][2 * n], dn) if n else Fraction(0)
+        yield (
+            Fraction(pivot, dn),
+            core,
+            Polynomial._reduced(zc[2 * n][:], dn * d),
+            Polynomial._reduced(zc[2 * n + 1][:], dn * d),
+        )
+        if not pivot or n > pairs:
+            return
+        pivot = _step(a, 2 * n, pivot, zc)
+        dn *= d

@@ -142,22 +142,34 @@ def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
     return SOPFamily(polys, norms, PFAFFIAN_GAUGE)
 
 
-def _solve(matrix: list[list[Rational]], rhs: list[Rational]) -> list[Rational]:
-    """Exact Gaussian elimination with partial (first-nonzero) pivoting."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+def _solve(rows: list[list[int]]) -> list[Rational]:
+    """Solve the integer system [A | b] by fraction-free (Bareiss) forward
+    elimination with first-nonzero row pivoting.
+
+    After step c the entry in row r > c and column j > c is the minor of
+    the row-permuted system on rows 0..c, r and columns 0..c, j, so the
+    division by the previous pivot is exact and the rows stay integers.
+    Only back substitution on the triangular result forms Fractions.
+    """
+    n = len(rows)
+    a = [row[:] for row in rows]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise SingularConfiguration("linear system for SOP oracle is singular")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        top = a[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            f = a[r][col]
+            a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    x: list[Rational] = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        rest = sum((a[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        x[i] = (a[i][n] - rest) / a[i][i]
+    return x
 
 
 def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
@@ -172,28 +184,21 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
         )
     polys: list[Polynomial] = []
     norms: list[Rational] = []
-    # pairings[k][j] = <z^j|q_k>, the j-th entry of S*q_k
-    pairings: list[list[Rational]] = []
+    # pairings[k][j] = <z^j|q_k> times its row's denominator: the j-th entry
+    # of S*q_k in integers
+    pairings: list[list[int]] = []
     for degree in range(2 * pairs + 2):
         # q_degree = z^degree + sum_{j<degree} c_j z^j with <q|q_k> = 0
         # for k < 2*floor(degree/2); odd degrees add the gauge row c_{deg-1}=0.
-        constraints: list[list[Rational]] = []
-        rhs: list[Rational] = []
         lower = degree - (0 if degree % 2 == 0 else 1)
-        for k in range(lower):
-            constraints.append(pairings[k][:degree])
-            rhs.append(-pairings[k][degree])
+        rows = [pairings[k][:degree] + [-pairings[k][degree]] for k in range(lower)]
         if degree % 2 == 1:
-            gauge_row = [Fraction(0)] * degree
-            gauge_row[degree - 1] = Fraction(1)
-            constraints.append(gauge_row)
-            rhs.append(Fraction(0))
+            rows.append([0] * (degree - 1) + [1, 0])
         if degree == 0:
             polys.append(Polynomial.one())
         else:
-            polys.append(Polynomial(_solve(constraints, rhs) + [Fraction(1)]))
-        sq, sq_den = moments.apply(polys[-1], 2 * pairs + 2)
-        pairings.append([Fraction(v, sq_den) for v in sq])
+            polys.append(Polynomial(_solve(rows) + [Fraction(1)]))
+        pairings.append(moments.apply(polys[-1], 2 * pairs + 2)[0])
     for n in range(pairs + 1):
         r = skew_product(moments, polys[2 * n], polys[2 * n + 1])
         if r == 0:

@@ -192,7 +192,7 @@ class TestSamplePoints:
 class TestIntegerFormProperties:
     """The int-over-one-denominator Polynomial against the Fraction reference."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(coeff_lists, coeff_lists)
     def test_ring_operations(self, a, b):
         f, g = Polynomial(a), Polynomial(b)
@@ -202,7 +202,7 @@ class TestIntegerFormProperties:
         assert list((-g).coeffs) == trim(neg_b)
         assert list((f * g).coeffs) == ref_mul(a, b)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(coeff_lists, coefficients, points)
     def test_scale_and_eval(self, a, c, x):
         f = Polynomial(a)
@@ -210,7 +210,7 @@ class TestIntegerFormProperties:
         assert f.eval(x) == ref_eval(a, x)
         assert f(x) == ref_eval(a, x)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(coeff_lists)
     def test_readout(self, a):
         f, ref = Polynomial(a), trim(a)
@@ -220,7 +220,7 @@ class TestIntegerFormProperties:
         assert f.degree == len(ref) - 1
         assert f.to_json() == [rat_str(c) for c in ref]
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(coeff_lists, coeff_lists, coefficients.filter(lambda c: c != 0))
     def test_form_is_canonical(self, a, b, c):
         f = Polynomial(a)
@@ -239,13 +239,13 @@ class TestIntegerFormProperties:
             assert same == f and hash(same) == hash(f)
         assert (f - f).num == () and (f - f).den == 1
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(coeff_lists, points)
     def test_div_by_linear_recovers_factor(self, a, r):
         f = Polynomial(a)
         assert (Polynomial([-r, 1]) * f).div_by_linear(r) == f
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(coeff_lists.filter(lambda a: any(a)), points)
     def test_non_root_raises_reference_message(self, a, r):
         assume(ref_eval(a, r) != 0)

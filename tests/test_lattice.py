@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from skewflow.algebra import Polynomial
-from skewflow.errors import DegreeBudgetExceeded
+from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
 from skewflow.lattice import (
     AntiDiagonal,
+    CoefficientField,
     LatticeConfig,
     TauGrid,
     build_grid,
@@ -20,7 +21,13 @@ from skewflow.lattice import (
     verify_edpfl,
     verify_slax,
 )
-from skewflow.moments import DiscreteMeasure, from_discrete_symplectic, from_random
+from skewflow.moments import (
+    DiscreteMeasure,
+    SkewMoments,
+    from_discrete_symplectic,
+    from_random,
+)
+from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import skew_product, sop_even, sop_odd
 
 MU, LAM = Fraction(1, 2), Fraction(3)
@@ -104,6 +111,26 @@ class TestGrid:
         assert field.b == scaled_field.b
         assert field.c == scaled_field.c
         assert field.d == scaled_field.d
+
+    def test_vanishing_tau_at_shifted_site(self):
+        # Pf(0..3) of base.shift(MU) is linear in s_34 with coefficient
+        # s_01 of that shifted table; pick s_34 so that it vanishes at (1,0)
+        config = LatticeConfig(MU, LAM, 1, 1, 1)
+        m = config.required_budget
+        upper = [[GRID.base.entry(i, j) for j in range(i + 1, m + 1)] for i in range(m + 1)]
+
+        def tau_2_at_1_0(x):
+            upper[3][0] = x
+            return numeric_pfaffian(SkewMoments(m, upper).shift(MU), range(4))
+
+        f0, f1 = tau_2_at_1_0(0), tau_2_at_1_0(1)
+        tau_2_at_1_0(f0 / (f0 - f1))
+        table = SkewMoments(m, upper)
+        assert numeric_pfaffian(table.shift(MU), range(4)) == 0
+        assert numeric_pfaffian(table, range(4)) != 0
+        with pytest.raises(SingularConfiguration) as err:
+            build_grid(table, config)
+        assert str(err.value) == "tau_2 vanishes at site (1,0)"
 
     def test_json_round_trip(self):
         again = TauGrid.from_json(GRID.to_json())
@@ -290,6 +317,29 @@ class TestExtendedSystems:
         assert "printed=fail" in ac.detail
         bc = next(c for c in report.checks if c.id == "product-bc")
         assert "pattern-swapped=pass" in bc.detail
+
+    def test_edpfl_passes_only_on_pattern_swapped(self):
+        # product-ac has instances n=1 and n=2 on a pairs=2, 2x1 box.  At
+        # n=1 every factor is the identity-like (1, 1), so all variants
+        # hold; at n=2 the right-hand factors do not commute and only
+        # "pattern" holds.  That field passed while any variant sufficed.
+        def ad(upper, lower):
+            return AntiDiagonal(Fraction(upper), Fraction(lower))
+
+        config = LatticeConfig(MU, LAM, 2, 2, 1)
+        a = {(1, 1, 0): ad(1, 1), (1, 0, 0): ad(1, 1), (2, 1, 0): ad(5, 6), (2, 0, 0): ad(1, 2)}
+        cc = {
+            (0, 1, 0): ad(1, 1),
+            (1, 0, 0): ad(1, 1),
+            (1, 1, 0): ad(1, 1),
+            (2, 1, 0): ad(3, 5),
+            (2, 0, 0): ad(3, 5),
+        }
+        report = verify_edpfl(CoefficientField(config, a, {}, cc, {}))
+        ac = next(c for c in report.checks if c.id == "product-ac")
+        assert "pattern-swapped=fail pattern=pass" in ac.detail
+        assert ac.status == "fail"
+        assert [c.status for c in report.checks if c.id != "product-ac"] == ["skip"] * 3
 
     def test_edpfl_degeneration(self):
         report = verify_edpfl(matrix_coefficient_field(GRID.degenerate()))

@@ -135,7 +135,7 @@ class TestOrthogonalEnsemble:
             measure, max_index
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(measures(), st.integers(1, 6))
     def test_prefix_sum_matches_pair_sum_property(self, measure, max_index):
         assert from_discrete_orthogonal(measure, max_index) == pair_sum_table(
@@ -215,7 +215,7 @@ class TestShift:
 
 
 class TestShiftProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_pairing_on_shift_is_modified_pairing(self, data):
         table = data.draw(tables())
@@ -227,12 +227,12 @@ class TestShiftProperties:
             table, factor * f, factor * g
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(tables(min_index=2), params, params)
     def test_shifts_commute(self, table, mu, lam):
         assert table.shift(mu).shift(lam) == table.shift(lam).shift(mu)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_integer_form_is_canonical(self, data):
         # A shifted or scaled table and the same entries read back through
@@ -246,7 +246,7 @@ class TestShiftProperties:
             rows = derived.max_index + 1
             assert again.apply(g, rows) == derived.apply(g, rows)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(tables(), params.filter(lambda c: c != 0))
     def test_scale_is_entrywise(self, table, c):
         scaled = table.scale(c)

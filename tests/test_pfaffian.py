@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial
 from skewflow.errors import IndexOutOfBudget
@@ -15,6 +15,7 @@ from skewflow.pfaffian import (
     numeric_pfaffian,
     pfaffian,
     pfaffian_expand,
+    prefix_pfaffians,
 )
 
 rationals = st.fractions(
@@ -101,12 +102,12 @@ class TestBaseCases:
 
 
 class TestCrossChecks:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(sparse_skew_matrices())
     def test_two_algorithms_agree(self, m):
         assert pfaffian(m) == pfaffian_expand(m)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         st.sampled_from(range(0, 8, 2)).flatmap(
             lambda d: st.tuples(
@@ -131,7 +132,7 @@ class TestCrossChecks:
         congruent = SkewMatrix.from_rows(times(times(b, a.to_rows()), b_t))
         assert pfaffian(congruent) == exact_determinant(b) * pfaffian(a)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(skew_matrices(8))
     def test_square_is_determinant(self, m):
         assert pfaffian(m) ** 2 == exact_determinant(m.to_rows())
@@ -144,7 +145,7 @@ def _table(seed=5, size=9):
 
 
 class TestIndexedPfaffians:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.permutations(list(range(6))))
     def test_antisymmetry_under_index_permutation(self, perm):
         table = _table()
@@ -156,7 +157,7 @@ class TestIndexedPfaffians:
         table = _table()
         assert numeric_pfaffian(table, [0, 1, 2, 2]) == 0
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(rationals.filter(lambda c: c != 0), st.integers(0, 5))
     def test_row_scaling(self, c, k):
         # scaling row and column k of the underlying matrix scales Pf by c
@@ -233,14 +234,36 @@ class TestAugmented:
 
 
 @st.composite
+def moment_tables(draw, max_index, zero_row=None):
+    """Tables with mixed denominators; every entry of row ``zero_row`` is 0."""
+    rows = [
+        [
+            Fraction(0) if zero_row in (i, j) else draw(rationals)
+            for j in range(i + 1, max_index + 1)
+        ]
+        for i in range(max_index + 1)
+    ]
+    return SkewMoments(max_index, rows)
+
+
+@st.composite
 def augmented_cases(draw):
-    """An index list mixing moment indices 0..7 (repeats allowed) with any
-    subset of mu, lambda, z in any positions, plus values for mu and lambda."""
+    """A table, an index list mixing moment indices 0..7 (repeated or
+    distinct) with any subset of mu, lambda, z in any positions, and values
+    for mu and lambda.
+
+    Half the tables have a zero row at one of the indices.  That row, a
+    repeated index or a mu or lambda row that vanishes off index 0 brings
+    the elimination to a row with no numeric pivot, which with z present
+    may still pair with z."""
     specials = draw(st.sets(st.sampled_from([MU, LAMBDA, ZVAR])))
     count = draw(st.sampled_from([n for n in range(1, 10) if (n + len(specials)) % 2 == 0]))
-    ints = draw(st.lists(st.integers(0, 7), min_size=count, max_size=count))
+    unique = count <= 8 and draw(st.booleans())
+    ints = draw(st.lists(st.integers(0, 7), min_size=count, max_size=count, unique=unique))
     items = draw(st.permutations(ints + sorted(specials, key=lambda x: x.value)))
-    return items, draw(rationals), draw(rationals)
+    table = draw(moment_tables(7, draw(st.none() | st.sampled_from(ints))))
+    value = st.just(Fraction(0)) | rationals
+    return table, items, draw(value), draw(value)
 
 
 def bordered_expand(table, items, values):
@@ -258,17 +281,48 @@ def bordered_expand(table, items, values):
     )
 
 
+def _zero_row_table(row, seed=11):
+    """A dense random table with every entry of one row set to 0."""
+    table = _table(seed=seed, size=7)
+    return SkewMoments(
+        7, [[0 if row in (i, j) else table.entry(i, j) for j in range(i + 1, 8)] for i in range(8)]
+    )
+
+
 class TestAugmentedOracle:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(augmented_cases())
+    # rows with no numeric pivot that pair with z: first, and after one step
+    @example((_zero_row_table(2), [2, 0, 1, ZVAR], Fraction(0), Fraction(0)))
+    @example((_zero_row_table(4), [0, 1, 4, 3, 5, ZVAR], Fraction(0), Fraction(0)))
     def test_matches_bordered_expansion(self, case):
         # both sides are polynomials in z of degree <= the largest moment
         # index, so agreeing at that many points plus one proves equality
-        items, mu, lam = case
-        table = _table(seed=11, size=7)
+        table, items, mu, lam = case
         result = augmented_pfaffian(table, items, mu, lam)
         top = max(i for i in items if isinstance(i, int))
         assert result.degree <= (top if ZVAR in items else 0)
         for x in range(-1, top + 1):
             values = {MU: mu, LAMBDA: lam, ZVAR: Fraction(x)}
             assert result.eval(x) == bordered_expand(table, items, values)
+
+
+class TestPrefixPass:
+    @settings(max_examples=60)
+    @given(
+        st.tuples(st.integers(0, 4), st.integers(0, 2), st.none() | st.integers(0, 13)).flatmap(
+            lambda c: st.tuples(st.just(c[0]), moment_tables(2 * c[0] + 3 + c[1], c[2]))
+        )
+    )
+    def test_matches_single_pfaffians(self, case):
+        # tables may be larger than the 2*pairs+4 indices the pass reads
+        pairs, table = case
+        values = list(prefix_pfaffians(table, pairs))
+        for n, (tau, core, hat, core_hat) in enumerate(values):
+            assert tau == numeric_pfaffian(table, range(2 * n))
+            assert core == (numeric_pfaffian(table, [*range(2 * n - 1), 2 * n]) if n else 0)
+            assert hat == augmented_pfaffian(table, [*range(2 * n + 1), ZVAR])
+            assert core_hat == augmented_pfaffian(table, [*range(2 * n), 2 * n + 1, ZVAR])
+        # the pass ends after the first vanishing tau, else after n = pairs+1
+        taus = [v[0] for v in values]
+        assert len(values) == (taus.index(0) + 1 if 0 in taus else pairs + 2)

@@ -97,7 +97,7 @@ class TestSkewProduct:
         with pytest.raises(DegreeBudgetExceeded):
             skew_product(table, Polynomial.one(), Polynomial.monomial(5))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.data())
     def test_matches_definitional_sum(self, data):
         table = data.draw(tables())
@@ -176,7 +176,7 @@ class TestFamily:
         report = verify_skew_orthogonality(family, from_random(42, 9))
         assert report.passed
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 10**6), st.integers(0, 4))
     def test_random_family_is_skew_orthogonal(self, seed, pairs):
         table = from_random(seed, 2 * pairs + 1)
@@ -236,7 +236,7 @@ class TestVerifier:
         # only pairings that involve the perturbed q_3 may fail
         assert all("q3" in cid for cid in failing)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(arbitrary_families())
     def test_report_values_are_pairwise_products(self, case):
         table, family = case

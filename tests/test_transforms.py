@@ -85,7 +85,7 @@ class TestGeronimus:
             assert even_sum == family.even(n)
             assert odd_sum == family.odd(n)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         st.integers(0, 10**6),
         st.integers(1, 3),
