@@ -851,7 +851,9 @@ def verify_edpfl(field: CoefficientField) -> Report:
     scalar-system indices with the right-hand product order reversed.  A
     relation passes when that variant has at least one admissible instance
     and holds at every one; the verdicts of all four variants go into the
-    check details.
+    check details.  A relation is skipped when no variant has an admissible
+    instance, or when only the others have one (a singular site removes
+    every instance of the form that holds).
     """
     c = field.config
     report = Report("edpfl", {})
@@ -906,9 +908,11 @@ def verify_edpfl(field: CoefficientField) -> Report:
         if max(counts.values()) == 0:
             report.skip(rel_id, "every instance touches a singular site")
             return
+        if counts["pattern-swapped"] == 0:
+            report.skip(rel_id, "no admissible pattern-swapped instance")
+            return
         detail = " ".join(f"{k}={'pass' if v else 'fail'}" for k, v in table.items())
-        held = "pattern-swapped"
-        report.add(rel_id, counts[held] > 0 and table[held], detail)
+        report.add(rel_id, table["pattern-swapped"], detail)
 
     # A-C relation; "printed" shifts the right C to (s+1, t).
     def inst_ac(variant):

@@ -6,5 +6,5 @@ per-example deadline is off; each test keeps its own ``max_examples``.
 
 from hypothesis import settings
 
-settings.register_profile("skewflow")
+settings.register_profile("skewflow", deadline=None)
 settings.load_profile("skewflow")

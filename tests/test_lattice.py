@@ -341,6 +341,14 @@ class TestExtendedSystems:
         assert ac.status == "fail"
         assert [c.status for c in report.checks if c.id != "product-ac"] == ["skip"] * 3
 
+        # Without C at (n, 0, 0) only the "printed" variants, which read C at
+        # (n, 1, 0), keep instances: the relation is skipped, not failed.
+        cc_printed = {k: v for k, v in cc.items() if k[1] == 1}
+        report = verify_edpfl(CoefficientField(config, a, {}, cc_printed, {}))
+        ac = next(c for c in report.checks if c.id == "product-ac")
+        assert ac.status == "skip"
+        assert ac.detail == "no admissible pattern-swapped instance"
+
     def test_edpfl_degeneration(self):
         report = verify_edpfl(matrix_coefficient_field(GRID.degenerate()))
         assert report.passed
