@@ -11,13 +11,17 @@ Pfaffian-valued lattice functions
     sighat_n = Pf(0..2n-1, 2n+1, z) + (s*mu + t*lam) * tauhat_n
 
 :func:`build_grid` reads all four off one prefix elimination of each site's
-table (:func:`skewflow.pfaffian.prefix_pfaffians`).
+table (:func:`skewflow.pfaffian.prefix_pfaffians`), and
+:func:`crosscheck_single_step` reads its twelve bordered Pfaffians off one
+elimination of the shared leading block
+(:func:`skewflow.pfaffian.bordered_pfaffians`).
 
 Ratios of these produce the even-degree lattice polynomials q_{2n} =
 tauhat_n/tau_n, the coefficient fields of the contiguous relations, and the
 phi polynomials of the extended (vector) theory.  Every verifier in this
-module checks its identities by exact rational arithmetic; a failed identity
-is reported, never raised.
+module checks its identities by exact rational arithmetic, and each
+relation in z (bilinear or contiguous) once, as an identity of
+polynomials; a failed identity is reported, never raised.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
 from .algebra import sample_points  # noqa: F401  (public as lattice.sample_points)
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
-from .pfaffian import LAMBDA, MU, ZVAR, augmented_pfaffian, prefix_pfaffians
+from .pfaffian import LAMBDA, MU, ZVAR, bordered_pfaffians, prefix_pfaffians
 from .report import Report
 from .sops import skew_product
 
@@ -283,113 +287,122 @@ def build_grid(moments: SkewMoments, config: LatticeConfig) -> TauGrid:
     return TauGrid(config, moments, tables, tau, sigma, tauhat, sighat)
 
 
+def _z_factors(
+    config: LatticeConfig,
+) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """z - mu, z - lambda and their product."""
+    z_mu = Polynomial((-config.mu, 1))
+    z_lam = Polynomial((-config.lam, 1))
+    return z_mu, z_lam, z_mu * z_lam
+
+
 # -- single-step Pfaffian crosschecks ----------------------------------
 
 
 def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     """Compare shift-based lattice values at the three neighbours of (s, t)
-    against single augmented Pfaffians over the (s, t) table.
+    against bordered Pfaffians over the (s, t) table.
 
     Twelve identities: one per quantity (tau, tauhat, sigma, sighat) and
     step direction (s+1, t+1, and the diagonal s+1,t+1).  The sigma and
     sighat identities carry a one-step bookkeeping term (mu, lambda, or
-    mu+lambda times the stepped tau) on top of the plain Pfaffian.
+    mu+lambda times the stepped tau) on top of the plain Pfaffian.  All
+    twelve Pfaffians share the leading block 0..2n-1 and are read off one
+    elimination of it (:func:`skewflow.pfaffian.bordered_pfaffians`).  A
+    vanishing leading Pfaffian of the table, which :func:`build_grid` rules
+    out on a grid it built, raises SingularConfiguration naming it and the
+    site.
     """
     c = grid.config
-    if not (0 <= n <= c.pairs and s + 1 <= c.steps_s and t + 1 <= c.steps_t):
+    if not (0 <= n <= c.pairs and 0 <= s < c.steps_s and 0 <= t < c.steps_t):
         raise IndexError(f"crosscheck stencil at (n={n}, s={s}, t={t}) leaves the box")
     mu, lam = c.mu, c.lam
     lm = lam - mu
-    table = grid.moments(s, t)
-    z_mu = Polynomial((-mu, 1))
-    z_lam = Polynomial((-lam, 1))
-    z_both = z_mu * z_lam
-
-    def aug(indices) -> Polynomial:
-        return augmented_pfaffian(table, indices, mu, lam)
+    offset = s * mu + t * lam
+    z_mu, z_lam, z_both = _z_factors(c)
+    i0, i1, i2, i3 = range(2 * n, 2 * n + 4)
+    try:
+        (
+            tau_s, tau_t, tau_st,
+            hat_s, hat_t, hat_st,
+            sig_s, sig_t, sig_st,
+            shat_s, shat_t, shat_st,
+        ) = bordered_pfaffians(
+            grid.moments(s, t),
+            n,
+            mu,
+            lam,
+            [
+                [i0, MU],
+                [i0, LAMBDA],
+                [i0, i1, MU, LAMBDA],
+                [i0, i1, MU, ZVAR],
+                [i0, i1, LAMBDA, ZVAR],
+                [i0, i1, i2, MU, LAMBDA, ZVAR],
+                [i1, MU],
+                [i1, LAMBDA],
+                [i0, i2, MU, LAMBDA],
+                [i0, i2, MU, ZVAR],
+                [i0, i2, LAMBDA, ZVAR],
+                [i0, i1, i3, MU, LAMBDA, ZVAR],
+            ],
+        )
+    except SingularConfiguration as exc:
+        raise SingularConfiguration(f"{exc} at site ({s},{t})") from None
 
     report = Report(
         "crosscheck",
         {"n": n, "s": s, "t": t, "provenance": grid.base.provenance},
     )
-    low = list(range(2 * n))
-    full = list(range(2 * n + 1))
-
-    report.add(
-        "tau:s+1",
-        grid.tau(n, s + 1, t) == aug(full + [MU]).coefficient(0),
-    )
-    report.add(
-        "tau:t+1",
-        grid.tau(n, s, t + 1) == aug(full + [LAMBDA]).coefficient(0),
-    )
+    report.add("tau:s+1", grid.tau(n, s + 1, t) == tau_s.coefficient(0))
+    report.add("tau:t+1", grid.tau(n, s, t + 1) == tau_t.coefficient(0))
     report.add(
         "tau:s+1,t+1",
-        lm * grid.tau(n, s + 1, t + 1)
-        == -aug(list(range(2 * n + 2)) + [MU, LAMBDA]).coefficient(0),
+        lm * grid.tau(n, s + 1, t + 1) == -tau_st.coefficient(0),
     )
-    report.add(
-        "tauhat:s+1",
-        grid.tau_hat(n, s + 1, t) * z_mu
-        == -aug(list(range(2 * n + 2)) + [MU, ZVAR]),
-    )
-    report.add(
-        "tauhat:t+1",
-        grid.tau_hat(n, s, t + 1) * z_lam
-        == -aug(list(range(2 * n + 2)) + [LAMBDA, ZVAR]),
-    )
+    report.add("tauhat:s+1", grid.tau_hat(n, s + 1, t) * z_mu == -hat_s)
+    report.add("tauhat:t+1", grid.tau_hat(n, s, t + 1) * z_lam == -hat_t)
     report.add(
         "tauhat:s+1,t+1",
-        grid.tau_hat(n, s + 1, t + 1) * z_both.scale(lm)
-        == -aug(list(range(2 * n + 3)) + [MU, LAMBDA, ZVAR]),
+        grid.tau_hat(n, s + 1, t + 1) * z_both.scale(lm) == -hat_st,
     )
     # sigma identities: subtract the stepped site's own (s*mu + t*lam)
     # bookkeeping down to the base site's, leaving a one-step term.
     report.add(
         "sigma:s+1",
-        grid.sigma(n, s + 1, t) - (s * mu + t * lam) * grid.tau(n, s + 1, t)
-        == aug(low + [2 * n + 1, MU]).coefficient(0),
+        grid.sigma(n, s + 1, t) - offset * grid.tau(n, s + 1, t)
+        == sig_s.coefficient(0),
     )
     report.add(
         "sigma:t+1",
-        grid.sigma(n, s, t + 1) - (s * mu + t * lam) * grid.tau(n, s, t + 1)
-        == aug(low + [2 * n + 1, LAMBDA]).coefficient(0),
+        grid.sigma(n, s, t + 1) - offset * grid.tau(n, s, t + 1)
+        == sig_t.coefficient(0),
     )
     report.add(
         "sigma:s+1,t+1",
-        lm
-        * (
-            grid.sigma(n, s + 1, t + 1)
-            - (s * mu + t * lam) * grid.tau(n, s + 1, t + 1)
-        )
-        == -aug(list(range(2 * n + 1)) + [2 * n + 2, MU, LAMBDA]).coefficient(0),
+        lm * (grid.sigma(n, s + 1, t + 1) - offset * grid.tau(n, s + 1, t + 1))
+        == -sig_st.coefficient(0),
     )
     report.add(
         "sighat:s+1",
-        (
-            grid.sigma_hat(n, s + 1, t)
-            - grid.tau_hat(n, s + 1, t).scale(s * mu + t * lam)
-        )
+        (grid.sigma_hat(n, s + 1, t) - grid.tau_hat(n, s + 1, t).scale(offset))
         * z_mu
-        == -aug(list(range(2 * n + 1)) + [2 * n + 2, MU, ZVAR]),
+        == -shat_s,
     )
     report.add(
         "sighat:t+1",
-        (
-            grid.sigma_hat(n, s, t + 1)
-            - grid.tau_hat(n, s, t + 1).scale(s * mu + t * lam)
-        )
+        (grid.sigma_hat(n, s, t + 1) - grid.tau_hat(n, s, t + 1).scale(offset))
         * z_lam
-        == -aug(list(range(2 * n + 1)) + [2 * n + 2, LAMBDA, ZVAR]),
+        == -shat_t,
     )
     report.add(
         "sighat:s+1,t+1",
         (
             grid.sigma_hat(n, s + 1, t + 1)
-            - grid.tau_hat(n, s + 1, t + 1).scale(s * mu + t * lam)
+            - grid.tau_hat(n, s + 1, t + 1).scale(offset)
         )
         * z_both.scale(lm)
-        == -aug(list(range(2 * n + 2)) + [2 * n + 3, MU, LAMBDA, ZVAR]),
+        == -shat_st,
     )
     return report
 
@@ -446,11 +459,8 @@ def coefficient_field(grid: TauGrid) -> CoefficientField:
 def verify_dckp(grid: TauGrid) -> Report:
     """The two bilinear tau/tauhat relations, exact in z at each interior site."""
     c = grid.config
-    mu, lam = c.mu, c.lam
-    lm = lam - mu
-    z_mu = Polynomial((-mu, 1))
-    z_lam = Polynomial((-lam, 1))
-    z_both = z_mu * z_lam
+    lm = c.lam - c.mu
+    z_mu, z_lam, z_both = _z_factors(c)
     report = Report("dckp", {"provenance": grid.base.provenance})
     for s, t in grid.interior_sites():
         for n in range(c.pairs + 1):
@@ -476,7 +486,14 @@ def verify_dckp(grid: TauGrid) -> Report:
 
 
 def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
-    """Both scalar contiguous relations, checked at every sample point."""
+    """Both scalar contiguous relations, each checked once as an identity
+    of polynomials in z.
+
+    ``samples`` is validated (distinct points, at least 2*pairs+3 of them)
+    and recorded in the report.  On a grid built by :func:`build_grid` both
+    sides of every relation have degree at most 2*pairs+2, below the
+    sample count, so a check at the sample points gives the same verdict.
+    """
     c = grid.config
     pts = [rat(x) for x in samples]
     if len(set(pts)) != len(pts):
@@ -484,6 +501,7 @@ def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     if len(pts) < 2 * c.pairs + 3:
         raise ValueError(f"need at least {2 * c.pairs + 3} sample points")
     field = coefficient_field(grid)
+    z_mu, z_lam, z_both = _z_factors(c)
     report = Report(
         "slax",
         {"samples": [rat_str(x) for x in pts], "provenance": grid.base.provenance},
@@ -495,24 +513,18 @@ def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
             q_t1 = grid.q_even(n, s, t + 1)
             q_d = grid.q_even(n, s + 1, t + 1)
             q_up = grid.q_even(n + 1, s, t)
-            q_prev = grid.q_even(n - 1, s + 1, t + 1) if n >= 1 else None
-            b = field.b[(n, s, t)]
-            cf = field.c[(n, s, t)]
-            d = field.d[(n, s, t)]
-            ok1 = True
-            ok2 = True
-            for z in pts:
-                zm, zl = z - c.mu, z - c.lam
-                lhs1 = zl * q_t1.eval(z) - zm * q_s1.eval(z)
-                rhs1 = b * q_st.eval(z)
-                if n >= 1:
-                    rhs1 -= zm * zl * field.a[(n, s, t)] * q_prev.eval(z)
-                ok1 = ok1 and lhs1 == rhs1
-                lhs2 = zm * zl * q_d.eval(z) - q_up.eval(z)
-                rhs2 = -zl * cf * q_t1.eval(z) + zm * d * q_s1.eval(z)
-                ok2 = ok2 and lhs2 == rhs2
-            report.add(f"slax1:n={n},s={s},t={t}", ok1)
-            report.add(f"slax2:n={n},s={s},t={t}", ok2)
+            lhs1 = z_lam * q_t1 - z_mu * q_s1
+            rhs1 = q_st.scale(field.b[(n, s, t)])
+            if n >= 1:
+                rhs1 -= (z_both * grid.q_even(n - 1, s + 1, t + 1)).scale(
+                    field.a[(n, s, t)]
+                )
+            report.add(f"slax1:n={n},s={s},t={t}", lhs1 == rhs1)
+            lhs2 = z_both * q_d - q_up
+            rhs2 = (z_mu * q_s1).scale(field.d[(n, s, t)]) - (z_lam * q_t1).scale(
+                field.c[(n, s, t)]
+            )
+            report.add(f"slax2:n={n},s={s},t={t}", lhs2 == rhs2)
     return report
 
 
@@ -653,11 +665,8 @@ def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
 def verify_edckp(grid: TauGrid) -> Report:
     """The four bilinear relations coupling tau/sigma with tauhat/sighat."""
     c = grid.config
-    mu, lam = c.mu, c.lam
-    lm = lam - mu
-    z_mu = Polynomial((-mu, 1))
-    z_lam = Polynomial((-lam, 1))
-    z_both = z_mu * z_lam
+    lm = c.lam - c.mu
+    z_mu, z_lam, z_both = _z_factors(c)
     report = Report("edckp", {"provenance": grid.base.provenance})
     for s, t in grid.interior_sites():
         for n in range(c.pairs + 1):
@@ -711,8 +720,19 @@ def _phi_vector(
 
 
 def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
-    """The two vector contiguous relations at sample points, plus per-site
-    skew-orthogonality of the phi family.
+    """The two vector contiguous relations, each checked once as an identity
+    of polynomial vectors in z, plus per-site skew-orthogonality of the phi
+    family.
+
+    ``samples`` is validated (distinct points, at least 2*pairs+3 of them)
+    and recorded in the report.  A check at those points gives the same
+    verdict as the polynomial check whenever lhs - rhs has degree below the
+    sample count.  On a grid with the degrees :func:`build_grid` gives
+    (phi_2n of degree 2n, phi_2n+1 monic of degree 2n+1) the degree is at
+    most 2*pairs+2; only the second component of edlax2 at n = pairs can
+    reach 2*pairs+3, and only when an odd phi is not monic, which
+    :func:`build_grid` never produces.  The polynomial check is the
+    stricter one.
 
     Relation instances touching a site where some needed sigma vanishes are
     recorded as skipped.  sigma_0 = (s*mu + t*lam) * tau_0 vanishes by
@@ -727,14 +747,11 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     if len(pts) < 2 * c.pairs + 3:
         raise ValueError(f"need at least {2 * c.pairs + 3} sample points")
     field = matrix_coefficient_field(grid)
+    z_mu, z_lam, z_both = _z_factors(c)
     report = Report(
         "edlax",
         {"samples": [rat_str(x) for x in pts], "provenance": grid.base.provenance},
     )
-
-    def vec_eval(vec, z):
-        return (vec[0].eval(z), vec[1].eval(z))
-
     for s, t in grid.interior_sites():
         for n in range(c.pairs + 1):
             tag = f"n={n},s={s},t={t}"
@@ -753,23 +770,12 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
             ):
                 report.skip(f"edlax1:{tag}", "sigma vanishes inside the stencil")
             else:
-                ok = True
-                bterm = field.b[(n, s, t)].apply(phi_st)
-                extra = field.a[(n, s, t)].apply(phi_prev) if n >= 1 else None
-                for z in pts:
-                    zm, zl = z - c.mu, z - c.lam
-                    lhs = tuple(
-                        zl * u - zm * v
-                        for u, v in zip(vec_eval(phi_t1, z), vec_eval(phi_s1, z))
-                    )
-                    rhs = (-bterm[0].eval(z), -bterm[1].eval(z))
-                    if extra is not None:
-                        rhs = (
-                            rhs[0] + zm * zl * extra[0].eval(z),
-                            rhs[1] + zm * zl * extra[1].eval(z),
-                        )
-                    ok = ok and lhs == rhs
-                report.add(f"edlax1:{tag}", ok)
+                lhs = tuple(z_lam * u - z_mu * v for u, v in zip(phi_t1, phi_s1))
+                rhs = tuple(-x for x in field.b[(n, s, t)].apply(phi_st))
+                if n >= 1:
+                    extra = field.a[(n, s, t)].apply(phi_prev)
+                    rhs = tuple(x + z_both * y for x, y in zip(rhs, extra))
+                report.add(f"edlax1:{tag}", lhs == rhs)
             if (
                 phi_d is None
                 or phi_up is None
@@ -780,21 +786,11 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
             ):
                 report.skip(f"edlax2:{tag}", "sigma vanishes inside the stencil")
             else:
-                ok = True
+                lhs = tuple(z_both * u - v for u, v in zip(phi_d, phi_up))
                 cterm = field.c[(n, s, t)].apply(phi_t1)
                 dterm = field.d[(n, s, t)].apply(phi_s1)
-                for z in pts:
-                    zm, zl = z - c.mu, z - c.lam
-                    lhs = tuple(
-                        zm * zl * u - v
-                        for u, v in zip(vec_eval(phi_d, z), vec_eval(phi_up, z))
-                    )
-                    rhs = (
-                        zl * cterm[0].eval(z) - zm * dterm[0].eval(z),
-                        zl * cterm[1].eval(z) - zm * dterm[1].eval(z),
-                    )
-                    ok = ok and lhs == rhs
-                report.add(f"edlax2:{tag}", ok)
+                rhs = tuple(z_lam * x - z_mu * y for x, y in zip(cterm, dterm))
+                report.add(f"edlax2:{tag}", lhs == rhs)
     for s, t in grid.sites():
         table = grid.moments(s, t)
         phis: list[Polynomial | None] = []

@@ -1,16 +1,21 @@
 """Exact Pfaffians of skew-symmetric rational matrices.
 
-Every Pfaffian the library computes is one fraction-free skew elimination
-in Python integers (:func:`_step`), O(m^3) integer operations after the row
-denominators are cleared.  :func:`pfaffian` runs it with pivoting on a
-numeric matrix.  :func:`augmented_pfaffian` builds the matrix for an index
-list: mu and lambda are numeric border rows, and z is carried through the
-same elimination as a last border column of integer polynomials, so a
-z-bearing list costs one elimination.  :func:`prefix_pfaffians` runs it
-once without pivoting on a table's integer form and reads every leading
-and z-bordered Pfaffian of the lattice off that single pass.  The memoized
-recursive expansion :func:`pfaffian_expand` is an independent algorithm
-kept as the test oracle; nothing in the library calls it.
+Every Pfaffian the library computes comes from fraction-free skew
+elimination in Python integers (:func:`_step`), O(m^3) integer operations
+after the row denominators are cleared.  :func:`pfaffian` runs it with
+pivoting on a numeric matrix.  :func:`augmented_pfaffian` builds the matrix
+for an index list: mu and lambda are numeric border rows, and z is carried
+through the same elimination as a last border column of integer
+polynomials, so a z-bearing list costs one elimination.
+:func:`prefix_pfaffians` runs it once without pivoting on a table's integer
+form and reads every leading and z-bordered Pfaffian of the lattice off
+that single pass.  :func:`bordered_pfaffians` eliminates a table's leading
+block 0..2n-1 once and reads every Pfaffian of that block bordered by a
+short tail (indices 2n..2n+3, mu, lambda, z) off the reduced block, by
+Tanner's Pfaffian form of Sylvester's identity: one small elimination per
+tail.  The memoized recursive expansion :func:`pfaffian_expand` is an
+independent algorithm kept as the test oracle; nothing in the library
+calls it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from math import lcm, prod
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol, Sequence, Union
 
 from .algebra import Polynomial, Rational, RationalLike, rat
-from .errors import IndexOutOfBudget
+from .errors import IndexOutOfBudget, SingularConfiguration
 
 if TYPE_CHECKING:
     from .moments import SkewMoments
@@ -365,3 +370,75 @@ def prefix_pfaffians(
             return
         pivot = _step(a, 2 * n, pivot, zc)
         dn *= d
+
+
+def bordered_pfaffians(
+    moments: SkewMoments,
+    n: int,
+    mu: RationalLike,
+    lam: RationalLike,
+    tails: Sequence[Sequence[AugmentedIndex]],
+) -> list[Polynomial]:
+    """Pf(0..2n-1, *tail) for each tail, from one elimination of 0..2n-1.
+
+    A tail is a nonempty list of even length whose entries come from
+    2n..2n+3, MU and LAMBDA, with ZVAR allowed as its last entry; each
+    value equals ``augmented_pfaffian(moments, [*range(2n), *tail], mu,
+    lam)``.
+
+    The integer form N = D*S on the indices 0..2n+3 is bordered by a mu
+    and a lambda row, whose entry at index i is D*q^(2n+3)*x^i for x = p/q,
+    and by a z column whose row i starts as D*z^i.  That is the augmented
+    matrix with every index scaled by sqrt(D), and mu and lambda further
+    by their q^(2n+3).  n :func:`_step`s without pivoting leave
+    P = Pf(0..2n-1) as the last pivot and the bordered minor
+    Pf(0..2n-1, i, j) in every later entry (i, j).  By Tanner's identity
+    the Pfaffian of that reduced block restricted to a tail of length 2h
+    is P^(h-1) * Pf(0..2n-1, *tail); :func:`_eliminate` computes it, and
+    dividing by P^(h-1) and the scales gives the value.
+
+    Raises SingularConfiguration naming tau_k when a leading Pfaffian
+    Pf(0..2k-1), 1 <= k <= n, vanishes.
+    """
+    size = 2 * n + 4
+    a, d = moments.integer_rows(size)
+    border = [rat(mu), rat(lam)]
+    for i, row in enumerate(a):
+        row += [d * x.numerator**i * x.denominator ** (size - 1 - i) for x in border]
+    a += [[0] * (size + 2), [0] * (size + 2)]
+    zc = [[0] * size for _ in a]
+    for i in range(size):
+        zc[i][i] = d
+    pivot = 1
+    for k in range(n):
+        pivot = _step(a, 2 * k, pivot, zc)
+        if not pivot:
+            raise SingularConfiguration(f"tau_{k + 1} vanishes")
+    index: dict[AugmentedIndex, int] = {i: i for i in range(2 * n, size)}
+    index.update({MU: size, LAMBDA: size + 1})
+    values = []
+    for tail in tails:
+        if not tail or len(tail) % 2:
+            raise ValueError("a tail must have even, nonzero length")
+        with_z = tail[-1] is ZVAR
+        rows = [index[x] for x in (tail[:-1] if with_z else tail)]
+        block = [
+            [0] * (r + 1) + [a[u][v] if u < v else -a[v][u] for v in rows[r + 1 :]]
+            for r, u in enumerate(rows)
+        ]
+        if with_z:
+            column = [zc[u] for u in rows]
+            sign, _ = _eliminate(block, column)
+            num = [sign * c for c in column[-1]]
+        else:
+            sign, last = _eliminate(block)
+            num = [sign * last]
+        half = len(tail) // 2
+        den = d ** (n + half) * pivot ** (half - 1)
+        for x, special in zip(border, (MU, LAMBDA)):
+            if special in tail:
+                den *= x.denominator ** (size - 1)
+        if den < 0:
+            num, den = [-c for c in num], -den
+        values.append(Polynomial._reduced(num, den))
+    return values

@@ -253,6 +253,27 @@ class TestExitCodes:
             assert err.startswith("error:") and repr(field) in err
             assert err.count("\n") == 1
 
+    def test_crosscheck_on_corrupt_base_table(self, tmp_path, capsys):
+        # s_01 = 0 in the base table makes tau_1 of the (0, 0) table vanish,
+        # while the stored tau values still come from the true table
+        moments, grid = tmp_path / "m.json", tmp_path / "g.json"
+        assert main([
+            "gen-moments", "--kind", "random", "--max-index", "8",
+            "--seed", "42", "-o", str(moments),
+        ]) == 0
+        assert main([
+            "grid", "--moments", str(moments), "--mu", "1/2", "--lambda", "3",
+            "--pairs", "1", "--steps-s", "1", "--steps-t", "1", "-o", str(grid),
+        ]) == 0
+        data = read(grid)
+        assert data["base_moments"]["entries"][0][:2] == [0, 1]
+        data["base_moments"]["entries"][0][2] = "0/1"
+        grid.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--suite", "crosscheck", "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert err == "singular configuration: tau_1 vanishes at site (0,0)\n"
+
     @pytest.mark.parametrize("suite", ["dlax", "dpfl", "edpfl"])
     def test_vacuous_suite(self, tmp_path, random_setup, grid_file, capsys, suite):
         # dlax: a pairs=2 family over two steps has an empty window; dpfl

@@ -45,6 +45,35 @@ def samples_for(grid):
     return sample_points(2 * grid.config.pairs + 3, [grid.config.mu, grid.config.lam])
 
 
+def with_hats(grid, tauhat=(), sighat=()):
+    """Copy of a grid with some tau_hat/sigma_hat polynomials replaced."""
+    return TauGrid(
+        grid.config,
+        grid.base,
+        grid.tables,
+        grid._tau,
+        grid._sigma,
+        {**grid._tauhat, **dict(tauhat)},
+        {**grid._sighat, **dict(sighat)},
+    )
+
+
+# tau_hat_1 at the centre (1, 1) of the box, off by z in one coefficient
+BROKEN = with_hats(GRID, tauhat={(1, 1, 1): GRID.tau_hat(1, 1, 1) + Polynomial.monomial(1)})
+# the relations of slax (and, as edlax, of the vector system) whose stencil
+# reads tau_hat_1 at (1, 1)
+BROKEN_LAX = [
+    "slax2:n=1,s=0,t=0",
+    "slax1:n=2,s=0,t=0",
+    "slax1:n=1,s=0,t=1",
+    "slax2:n=1,s=0,t=1",
+    "slax1:n=1,s=1,t=0",
+    "slax2:n=1,s=1,t=0",
+    "slax2:n=0,s=1,t=1",
+    "slax1:n=1,s=1,t=1",
+]
+
+
 class TestConfig:
     def test_equal_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -157,8 +186,23 @@ class TestCrosscheck:
             assert crosscheck_single_step(SYM_GRID, n, 0, 0).passed
 
     def test_out_of_box_rejected(self):
-        with pytest.raises(IndexError):
-            crosscheck_single_step(GRID, 0, CONFIG.steps_s, 0)
+        for n, s, t in [(0, CONFIG.steps_s, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]:
+            with pytest.raises(IndexError):
+                crosscheck_single_step(GRID, n, s, t)
+
+    def test_perturbed_tau_hat_fails(self):
+        failed = {
+            (n, s, t): [c.id for c in crosscheck_single_step(BROKEN, n, s, t).failures]
+            for n in range(CONFIG.pairs + 1)
+            for s in range(CONFIG.steps_s)
+            for t in range(CONFIG.steps_t)
+        }
+        # sighat:s+1,t+1 reads tau_hat_1(1, 1) times the origin's offset, 0
+        assert {k: v for k, v in failed.items() if v} == {
+            (1, 0, 0): ["tauhat:s+1,t+1"],
+            (1, 0, 1): ["tauhat:s+1", "sighat:s+1"],
+            (1, 1, 0): ["tauhat:t+1", "sighat:t+1"],
+        }
 
 
 class TestCoefficientField:
@@ -204,20 +248,12 @@ class TestScalarSystems:
     def test_dpfl(self):
         assert verify_dpfl(coefficient_field(GRID)).passed
 
+    def test_slax_fails_where_tau_hat_is_perturbed(self):
+        report = verify_slax(BROKEN, samples_for(BROKEN))
+        assert [c.id for c in report.failures] == BROKEN_LAX
+
     def test_fault_injection(self):
-        tauhat = dict(GRID._tauhat)
-        key = (1, 1, 1)
-        tauhat[key] = tauhat[key] + Polynomial.monomial(1)
-        broken = TauGrid(
-            GRID.config,
-            GRID.base,
-            GRID.tables,
-            GRID._tau,
-            GRID._sigma,
-            tauhat,
-            GRID._sighat,
-        )
-        report = verify_dckp(broken)
+        report = verify_dckp(BROKEN)
         assert not report.passed
         # the perturbation only touches relations whose stencil meets (1,1)
         assert report.failures
@@ -281,6 +317,33 @@ class TestExtendedSystems:
         skipped = [c for c in report.checks if c.status == "skip"]
         assert skipped
         assert all("sigma" in c.detail or "phi" in c.detail for c in skipped)
+
+    def test_edlax_fails_where_tau_hat_is_perturbed(self):
+        report = verify_edlax(BROKEN, samples_for(BROKEN))
+        assert [c.id for c in report.failures] == [
+            *(cid.replace("slax", "edlax") for cid in BROKEN_LAX),
+            "phi-orthogonality:<phi0|phi2>:s=1,t=1",
+            "phi-orthogonality:<phi1|phi2>:s=1,t=1",
+        ]
+
+    def test_edlax_is_an_identity_in_z(self):
+        # c * prod(z - p) over the samples has degree 2*pairs+3, the sample
+        # count, and vanishes at every sample.  Added to phi_(2*pairs+3) at
+        # the origin it makes that odd phi non-monic, which only the up
+        # term of edlax2 at n = pairs reads; a check at the samples alone
+        # would pass it.
+        pairs = CONFIG.pairs
+        samples = samples_for(GRID)
+        bump = Polynomial.one()
+        for p in samples:
+            bump = bump * Polynomial((-p, 1))
+        bump = bump.scale(Fraction(5, 3) * GRID.tau(pairs + 1, 0, 0))
+        key = (pairs + 1, 0, 0)
+        tampered = with_hats(GRID, sighat={key: GRID.sigma_hat(*key) + bump})
+        tag = f"edlax2:n={pairs},s=0,t=0"
+        assert next(c for c in verify_edlax(GRID, samples).checks if c.id == tag).status == "pass"
+        report = verify_edlax(tampered, samples)
+        assert [c.id for c in report.failures] == [tag]
 
     def test_edlax_phi_zero_exempt_where_offset_vanishes(self):
         # lam = -mu: sigma_0 = (s*mu + t*lam)*tau_0 vanishes at (1,1) and (2,2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial
-from skewflow.errors import IndexOutOfBudget
+from skewflow.errors import IndexOutOfBudget, SingularConfiguration
 from skewflow.moments import DiscreteMeasure, SkewMoments, from_discrete_symplectic
 from skewflow.pfaffian import (
     LAMBDA,
@@ -12,6 +12,7 @@ from skewflow.pfaffian import (
     ZVAR,
     SkewMatrix,
     augmented_pfaffian,
+    bordered_pfaffians,
     numeric_pfaffian,
     pfaffian,
     pfaffian_expand,
@@ -326,3 +327,40 @@ class TestPrefixPass:
         # the pass ends after the first vanishing tau, else after n = pairs+1
         taus = [v[0] for v in values]
         assert len(values) == (taus.index(0) + 1 if 0 in taus else pairs + 2)
+
+
+@st.composite
+def bordered_cases(draw):
+    """A table with mixed denominators, n in 0..3, distinct mu and lambda,
+    and one to four tails of distinct entries from 2n..2n+3, mu, lambda in
+    any order, half of them with a trailing z."""
+    n = draw(st.integers(0, 3))
+    table = draw(moment_tables(2 * n + 3 + draw(st.integers(0, 2))))
+    mu, lam = draw(st.lists(rationals, min_size=2, max_size=2, unique=True))
+    pool = [*range(2 * n, 2 * n + 4), MU, LAMBDA]
+    tails = []
+    for _ in range(draw(st.integers(1, 4))):
+        with_z = draw(st.booleans())
+        size = draw(st.sampled_from([k for k in range(1, 7) if (k + with_z) % 2 == 0]))
+        tail = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
+        tails.append(tail + [ZVAR] * with_z)
+    return table, n, mu, lam, tails
+
+
+class TestBorderedPass:
+    @settings(max_examples=80)
+    @given(bordered_cases())
+    # a vanishing leading Pfaffian: tau_1, and tau_2 after one step
+    @example((_zero_row_table(0), 1, Fraction(1, 2), Fraction(3), [[2, MU]]))
+    @example((_zero_row_table(2), 2, Fraction(1, 2), Fraction(3), [[4, MU]]))
+    def test_matches_augmented(self, case):
+        table, n, mu, lam, tails = case
+        lead = [numeric_pfaffian(table, range(2 * k)) for k in range(1, n + 1)]
+        if 0 in lead:
+            with pytest.raises(SingularConfiguration) as err:
+                bordered_pfaffians(table, n, mu, lam, tails)
+            assert str(err.value) == f"tau_{lead.index(0) + 1} vanishes"
+            return
+        assert bordered_pfaffians(table, n, mu, lam, tails) == [
+            augmented_pfaffian(table, [*range(2 * n), *tail], mu, lam) for tail in tails
+        ]
