@@ -14,7 +14,11 @@ Pfaffian-valued lattice functions
 table (:func:`skewflow.pfaffian.prefix_pfaffians`), and
 :func:`crosscheck_single_step` reads its twelve bordered Pfaffians off one
 elimination of the shared leading block
-(:func:`skewflow.pfaffian.bordered_pfaffians`).
+(:func:`skewflow.pfaffian.bordered_pfaffians`).  The four functions are
+determined by the base table and the box, so a grid file is not parsed:
+:meth:`TauGrid.from_json` rebuilds the grid with :func:`build_grid` from the
+file's ``config`` and ``base_moments`` and only compares the stored fields
+with it.
 
 Ratios of these produce the even-degree lattice polynomials q_{2n} =
 tauhat_n/tau_n, the coefficient fields of the contiguous relations, and the
@@ -173,74 +177,92 @@ class TauGrid:
 
     # -- serialization ------------------------------------------------
 
-    def to_json(self) -> dict[str, Any]:
+    def _fields(self) -> dict[str, list]:
+        """The four stored fields as to_json writes them: (n, s, t) nested lists."""
         c = self.config
 
-        def scal(store):
+        def nest(store, emit):
             return [
                 [
-                    [rat_str(store[(n, s, t)]) for t in range(c.steps_t + 1)]
-                    for s in range(c.steps_s + 1)
-                ]
-                for n in range(c.pairs + 2)
-            ]
-
-        def poly(store):
-            return [
-                [
-                    [store[(n, s, t)].to_json() for t in range(c.steps_t + 1)]
+                    [emit(store[(n, s, t)]) for t in range(c.steps_t + 1)]
                     for s in range(c.steps_s + 1)
                 ]
                 for n in range(c.pairs + 2)
             ]
 
         return {
-            "config": c.to_json(),
+            "tau": nest(self._tau, rat_str),
+            "sigma": nest(self._sigma, rat_str),
+            "tau_hat": nest(self._tauhat, Polynomial.to_json),
+            "sigma_hat": nest(self._sighat, Polynomial.to_json),
+        }
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "config": self.config.to_json(),
             "base_moments": self.base.to_json(),
-            "tau": scal(self._tau),
-            "sigma": scal(self._sigma),
-            "tau_hat": poly(self._tauhat),
-            "sigma_hat": poly(self._sighat),
+            **self._fields(),
         }
 
     @staticmethod
     def from_json(data: dict[str, Any]) -> "TauGrid":
-        config = LatticeConfig.from_json(data["config"])
-        base = SkewMoments.from_json(data["base_moments"])
-        tables = _shift_tables(base, config)
-        tau: dict[tuple[int, int, int], Rational] = {}
-        sigma: dict[tuple[int, int, int], Rational] = {}
-        tauhat: dict[tuple[int, int, int], Polynomial] = {}
-        sighat: dict[tuple[int, int, int], Polynomial] = {}
-        shape = (config.pairs + 2, config.steps_s + 1, config.steps_t + 1)
-        for name in ("tau", "sigma", "tau_hat", "sigma_hat"):
-            _check_shape(name, data[name], shape)
-        for n in range(config.pairs + 2):
-            for s in range(config.steps_s + 1):
-                for t in range(config.steps_t + 1):
-                    tau[(n, s, t)] = rat(data["tau"][n][s][t])
-                    if tau[(n, s, t)] == 0:
-                        # build_grid raises rather than store one
-                        raise ValueError(
-                            f"grid field 'tau' is zero at n={n}, s={s}, t={t}"
-                        )
-                    sigma[(n, s, t)] = rat(data["sigma"][n][s][t])
-                    tauhat[(n, s, t)] = Polynomial.from_json(data["tau_hat"][n][s][t])
-                    sighat[(n, s, t)] = Polynomial.from_json(data["sigma_hat"][n][s][t])
-        return TauGrid(config, base, tables, tau, sigma, tauhat, sighat)
+        """The grid :func:`build_grid` rebuilds from the file's ``config`` and
+        ``base_moments``, once the four stored fields are found to agree with it.
+
+        A field written by :meth:`to_json` matches as strings, without parsing
+        a coefficient.  Otherwise each stored entry must equal the rebuilt
+        value (any exact spelling: ``"2/4"``, a JSON integer); the first entry
+        that is missing, extra, malformed or different raises ValueError
+        naming its field and site.
+        """
+        grid = build_grid(
+            SkewMoments.from_json(data["base_moments"]),
+            LatticeConfig.from_json(data["config"]),
+        )
+        for name, rebuilt in grid._fields().items():
+            stored = data[name]
+            site = None if stored == rebuilt else _first_mismatch(stored, rebuilt)
+            if site is not None:
+                raise ValueError(
+                    f"grid field {name!r} differs from the grid rebuilt from config "
+                    "and base_moments at n={}, s={}, t={}".format(*site)
+                )
+        return grid
 
 
-def _check_shape(name: str, value: Any, shape: tuple[int, ...]) -> None:
-    """Raise ValueError unless value is nested lists of exactly this shape."""
-    level = [value]
-    for size in shape:
-        if any(not isinstance(x, list) or len(x) != size for x in level):
-            raise ValueError(
-                f"grid field {name!r} is not a "
-                + "x".join(map(str, shape))
-                + " array (pairs+2 x steps_s+1 x steps_t+1)"
+def _same_value(entry: Any, canonical: str | list[str]) -> bool:
+    """Whether a stored grid entry spells the value of a canonical one."""
+    if entry == canonical:
+        return True
+    try:
+        if isinstance(canonical, list):
+            return isinstance(entry, list) and (
+                Polynomial.from_json(entry) == Polynomial.from_json(canonical)
             )
-        level = [y for x in level for y in x]
+        return rat(entry) == rat(canonical)
+    except (TypeError, ValueError):
+        return False
+
+
+def _first_mismatch(
+    stored: Any, rebuilt: list, site: tuple[int, ...] = ()
+) -> tuple[int, ...] | None:
+    """Site (n, s, t) of the first entry of a stored field that is missing,
+    extra, malformed or unequal to the rebuilt one, in to_json order."""
+    if len(site) == 3:
+        return None if _same_value(stored, rebuilt) else site
+    rest = (0,) * (2 - len(site))
+    if not isinstance(stored, list):
+        return site + (0,) + rest
+    for i, canonical in enumerate(rebuilt):
+        if i == len(stored):
+            return site + (i,) + rest
+        found = _first_mismatch(stored[i], canonical, site + (i,))
+        if found is not None:
+            return found
+    if len(stored) > len(rebuilt):
+        return site + (len(rebuilt),) + rest
+    return None
 
 
 def _shift_tables(
@@ -309,9 +331,9 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     mu+lambda times the stepped tau) on top of the plain Pfaffian.  All
     twelve Pfaffians share the leading block 0..2n-1 and are read off one
     elimination of it (:func:`skewflow.pfaffian.bordered_pfaffians`).  A
-    vanishing leading Pfaffian of the table, which :func:`build_grid` rules
-    out on a grid it built, raises SingularConfiguration naming it and the
-    site.
+    vanishing leading Pfaffian of the table, which :func:`build_grid` (and
+    so :meth:`TauGrid.from_json`) rules out, raises SingularConfiguration
+    naming it and the site on a grid assembled by hand.
     """
     c = grid.config
     if not (0 <= n <= c.pairs and 0 <= s < c.steps_s and 0 <= t < c.steps_t):
@@ -456,32 +478,43 @@ def coefficient_field(grid: TauGrid) -> CoefficientField:
 # -- bilinear systems ---------------------------------------------------
 
 
+def _bilinear(
+    fields: tuple, n: int, m: int, s: int, t: int, lm: Rational, z: tuple
+) -> bool:
+    """One bilinear relation at (n, s, t), exact in z:
+
+        lm (z-mu)(z-lam) x_{n+1} yhat_{m-1}^{s+1,t+1}
+          = (z-lam) y_m^{s+1,t} xhat_n^{s,t+1} - (z-mu) y_m^{s,t+1} xhat_n^{s+1,t}
+            + lm x_n^{s+1,t+1} yhat_m
+
+    (unmarked sites are (s, t)) for fields = (x, xhat, y, yhat), grid
+    accessors.  m = n+1 gives the "up" shape (dckp1, edckp3/4), m = n the
+    "down" shape (dckp2, edckp1/2).
+    """
+    x, xhat, y, yhat = fields
+    z_mu, z_lam, z_both = z
+    lhs = z_both.scale(lm * x(n + 1, s, t)) * yhat(m - 1, s + 1, t + 1)
+    rhs = (
+        z_lam.scale(y(m, s + 1, t)) * xhat(n, s, t + 1)
+        - z_mu.scale(y(m, s, t + 1)) * xhat(n, s + 1, t)
+        + yhat(m, s, t).scale(lm * x(n, s + 1, t + 1))
+    )
+    return lhs == rhs
+
+
 def verify_dckp(grid: TauGrid) -> Report:
     """The two bilinear tau/tauhat relations, exact in z at each interior site."""
     c = grid.config
     lm = c.lam - c.mu
-    z_mu, z_lam, z_both = _z_factors(c)
+    z = _z_factors(c)
+    tau = (grid.tau, grid.tau_hat, grid.tau, grid.tau_hat)
     report = Report("dckp", {"provenance": grid.base.provenance})
     for s, t in grid.interior_sites():
         for n in range(c.pairs + 1):
-            lhs = z_both.scale(lm * grid.tau(n + 1, s, t)) * grid.tau_hat(
-                n, s + 1, t + 1
-            )
-            rhs = (
-                z_lam.scale(grid.tau(n + 1, s + 1, t)) * grid.tau_hat(n, s, t + 1)
-                - z_mu.scale(grid.tau(n + 1, s, t + 1)) * grid.tau_hat(n, s + 1, t)
-                + grid.tau_hat(n + 1, s, t).scale(lm * grid.tau(n, s + 1, t + 1))
-            )
-            report.add(f"dckp1:n={n},s={s},t={t}", lhs == rhs)
+            tag = f"n={n},s={s},t={t}"
+            report.add(f"dckp1:{tag}", _bilinear(tau, n, n + 1, s, t, lm, z))
             if n >= 1:
-                lhs = grid.tau_hat(n, s, t).scale(lm * grid.tau(n, s + 1, t + 1))
-                rhs = (
-                    z_mu.scale(grid.tau(n, s, t + 1)) * grid.tau_hat(n, s + 1, t)
-                    - z_lam.scale(grid.tau(n, s + 1, t)) * grid.tau_hat(n, s, t + 1)
-                    + z_both.scale(lm * grid.tau(n + 1, s, t))
-                    * grid.tau_hat(n - 1, s + 1, t + 1)
-                )
-                report.add(f"dckp2:n={n},s={s},t={t}", lhs == rhs)
+                report.add(f"dckp2:{tag}", _bilinear(tau, n, n, s, t, lm, z))
     return report
 
 
@@ -666,57 +699,19 @@ def verify_edckp(grid: TauGrid) -> Report:
     """The four bilinear relations coupling tau/sigma with tauhat/sighat."""
     c = grid.config
     lm = c.lam - c.mu
-    z_mu, z_lam, z_both = _z_factors(c)
+    z = _z_factors(c)
+    sig_tau = (grid.sigma, grid.sigma_hat, grid.tau, grid.tau_hat)
+    tau_sig = (grid.tau, grid.tau_hat, grid.sigma, grid.sigma_hat)
     report = Report("edckp", {"provenance": grid.base.provenance})
     for s, t in grid.interior_sites():
         for n in range(c.pairs + 1):
+            tag = f"n={n},s={s},t={t}"
             if n >= 1:
-                lhs = z_both.scale(lm * grid.sigma(n + 1, s, t)) * grid.tau_hat(
-                    n - 1, s + 1, t + 1
-                )
-                rhs = (
-                    z_lam.scale(grid.tau(n, s + 1, t)) * grid.sigma_hat(n, s, t + 1)
-                    - z_mu.scale(grid.tau(n, s, t + 1)) * grid.sigma_hat(n, s + 1, t)
-                    + grid.tau_hat(n, s, t).scale(lm * grid.sigma(n, s + 1, t + 1))
-                )
-                report.add(f"edckp1:n={n},s={s},t={t}", lhs == rhs)
-                lhs = z_both.scale(lm * grid.tau(n + 1, s, t)) * grid.sigma_hat(
-                    n - 1, s + 1, t + 1
-                )
-                rhs = (
-                    z_lam.scale(grid.sigma(n, s + 1, t)) * grid.tau_hat(n, s, t + 1)
-                    - z_mu.scale(grid.sigma(n, s, t + 1)) * grid.tau_hat(n, s + 1, t)
-                    + grid.sigma_hat(n, s, t).scale(lm * grid.tau(n, s + 1, t + 1))
-                )
-                report.add(f"edckp2:n={n},s={s},t={t}", lhs == rhs)
-            lhs = z_both.scale(lm * grid.sigma(n + 1, s, t)) * grid.tau_hat(
-                n, s + 1, t + 1
-            )
-            rhs = (
-                z_lam.scale(grid.tau(n + 1, s + 1, t)) * grid.sigma_hat(n, s, t + 1)
-                - z_mu.scale(grid.tau(n + 1, s, t + 1)) * grid.sigma_hat(n, s + 1, t)
-                + grid.tau_hat(n + 1, s, t).scale(lm * grid.sigma(n, s + 1, t + 1))
-            )
-            report.add(f"edckp3:n={n},s={s},t={t}", lhs == rhs)
-            lhs = z_both.scale(lm * grid.tau(n + 1, s, t)) * grid.sigma_hat(
-                n, s + 1, t + 1
-            )
-            rhs = (
-                z_lam.scale(grid.sigma(n + 1, s + 1, t)) * grid.tau_hat(n, s, t + 1)
-                - z_mu.scale(grid.sigma(n + 1, s, t + 1)) * grid.tau_hat(n, s + 1, t)
-                + grid.sigma_hat(n + 1, s, t).scale(lm * grid.tau(n, s + 1, t + 1))
-            )
-            report.add(f"edckp4:n={n},s={s},t={t}", lhs == rhs)
+                report.add(f"edckp1:{tag}", _bilinear(sig_tau, n, n, s, t, lm, z))
+                report.add(f"edckp2:{tag}", _bilinear(tau_sig, n, n, s, t, lm, z))
+            report.add(f"edckp3:{tag}", _bilinear(sig_tau, n, n + 1, s, t, lm, z))
+            report.add(f"edckp4:{tag}", _bilinear(tau_sig, n, n + 1, s, t, lm, z))
     return report
-
-
-def _phi_vector(
-    grid: TauGrid, n: int, s: int, t: int
-) -> tuple[Polynomial, Polynomial] | None:
-    """Phi_n = (phi_2n, phi_2n+1), or None where sigma_n vanishes."""
-    if grid.sigma(n, s, t) == 0:
-        return None
-    return (grid.phi_even(n, s, t), grid.phi_odd(n, s, t))
 
 
 def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
@@ -752,21 +747,28 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         "edlax",
         {"samples": [rat_str(x) for x in pts], "provenance": grid.base.provenance},
     )
+    # (phi_2n, phi_2n+1) at every site, phi_2n None where sigma_n vanishes
+    phi = {
+        (n, s, t): (
+            None if grid.sigma(n, s, t) == 0 else grid.phi_even(n, s, t),
+            grid.phi_odd(n, s, t),
+        )
+        for s, t in grid.sites()
+        for n in range(c.pairs + 2)
+    }
     for s, t in grid.interior_sites():
         for n in range(c.pairs + 1):
             tag = f"n={n},s={s},t={t}"
-            phi_st = _phi_vector(grid, n, s, t)
-            phi_s1 = _phi_vector(grid, n, s + 1, t)
-            phi_t1 = _phi_vector(grid, n, s, t + 1)
-            phi_d = _phi_vector(grid, n, s + 1, t + 1)
-            phi_prev = _phi_vector(grid, n - 1, s + 1, t + 1) if n >= 1 else None
-            phi_up = _phi_vector(grid, n + 1, s, t)
+            phi_st = phi[(n, s, t)]
+            phi_s1 = phi[(n, s + 1, t)]
+            phi_t1 = phi[(n, s, t + 1)]
+            phi_d = phi[(n, s + 1, t + 1)]
+            phi_up = phi[(n + 1, s, t)]
+            phi_prev = phi[(n - 1, s + 1, t + 1)] if n >= 1 else None
             if (
-                phi_s1 is None
-                or phi_t1 is None
-                or phi_st is None
+                None in (phi_st[0], phi_s1[0], phi_t1[0])
                 or (n, s, t) not in field.b
-                or (n >= 1 and (phi_prev is None or (n, s, t) not in field.a))
+                or (n >= 1 and (phi_prev[0] is None or (n, s, t) not in field.a))
             ):
                 report.skip(f"edlax1:{tag}", "sigma vanishes inside the stencil")
             else:
@@ -777,10 +779,7 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
                     rhs = tuple(x + z_both * y for x, y in zip(rhs, extra))
                 report.add(f"edlax1:{tag}", lhs == rhs)
             if (
-                phi_d is None
-                or phi_up is None
-                or phi_t1 is None
-                or phi_s1 is None
+                None in (phi_d[0], phi_up[0], phi_t1[0], phi_s1[0])
                 or (n, s, t) not in field.c
                 or (n, s, t) not in field.d
             ):
@@ -793,13 +792,7 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
                 report.add(f"edlax2:{tag}", lhs == rhs)
     for s, t in grid.sites():
         table = grid.moments(s, t)
-        phis: list[Polynomial | None] = []
-        for n in range(c.pairs + 1):
-            if grid.sigma(n, s, t) == 0:
-                phis.append(None)
-            else:
-                phis.append(grid.phi_even(n, s, t))
-            phis.append(grid.phi_odd(n, s, t))
+        phis = [p for n in range(c.pairs + 1) for p in phi[(n, s, t)]]
         for u in range(len(phis)):
             for v in range(u + 1, len(phis)):
                 tag = f"phi-orthogonality:<phi{u}|phi{v}>:s={s},t={t}"

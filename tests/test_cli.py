@@ -16,6 +16,40 @@ def read(path):
     return json.loads(path.read_text())
 
 
+# Tampering of one stored grid field, an (n, s, t) nested list.
+def truncate(field):
+    field[1][0].pop()
+
+
+def zero_all(field):
+    for plane in field:
+        for row in plane:
+            row[:] = ["0/1"] * len(row)
+
+
+def bumped(value):
+    x = Fraction(value) + 1
+    return f"{x.numerator}/{x.denominator}"
+
+
+def change_value(field):
+    field[1][1][1] = bumped(field[1][1][1])
+
+
+def change_coefficient(field):
+    field[1][1][1][0] = bumped(field[1][1][1][0])
+
+
+def set_entry(value):
+    def tamper(field):
+        field[0][1][0] = value
+    return tamper
+
+
+def extend(field):
+    field[1][1].append(field[1][1][0])
+
+
 @pytest.fixture
 def sym_moments(tmp_path):
     path = tmp_path / "sym.json"
@@ -234,28 +268,84 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "field, zero",
-        [("tau", False), ("sigma", False), ("tau_hat", False), ("sigma_hat", False),
-         ("tau", True)],
-        ids=["tau", "sigma", "tau_hat", "sigma_hat", "zero-tau"],
+        "field, site, tamper",
+        [
+            pytest.param("tau", (1, 0, 1), truncate, id="tau"),
+            pytest.param("sigma", (1, 0, 1), truncate, id="sigma"),
+            pytest.param("tau_hat", (1, 0, 1), truncate, id="tau_hat"),
+            pytest.param("sigma_hat", (1, 0, 1), truncate, id="sigma_hat"),
+            # a value build_grid never writes
+            pytest.param("tau", (0, 0, 0), zero_all, id="zero-tau"),
+            pytest.param("sigma", (1, 1, 1), change_value, id="changed-sigma"),
+            pytest.param(
+                "sigma_hat", (1, 1, 1), change_coefficient, id="changed-sigma_hat"
+            ),
+            # tau_0 = 1: equal values, but not exact rationals
+            pytest.param("tau", (0, 1, 0), set_entry(1.0), id="float-tau"),
+            pytest.param("tau", (0, 1, 0), set_entry(True), id="bool-tau"),
+            pytest.param("sigma", (0, 1, 0), set_entry("1/0"), id="zero-denominator"),
+            pytest.param("tau_hat", (0, 1, 0), set_entry("1/1"), id="unnested-tau_hat"),
+            pytest.param("sigma", (1, 1, 2), extend, id="extra-sigma"),
+        ],
     )
-    def test_truncated_grid(self, grid_file, capsys, field, zero):
+    def test_truncated_grid(self, grid_file, capsys, field, site, tamper):
         data = read(grid_file)
-        if zero:  # a value build_grid never writes
-            data[field] = [[["0/1" for _ in row] for row in plane] for plane in data[field]]
-        else:
-            data[field][1][0].pop()
+        tamper(data[field])
         grid_file.write_text(json.dumps(data))
+        n, s, t = site
         for suite in GRID_SUITES:
             capsys.readouterr()
             assert main(["verify", "--suite", suite, "--grid", str(grid_file)]) == 3
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and repr(field) in err
-            assert err.count("\n") == 1
+            assert capsys.readouterr().err == (
+                f"error: bad input (grid field {field!r} differs from the grid "
+                f"rebuilt from config and base_moments at n={n}, s={s}, t={t})\n"
+            )
+
+    def test_equal_spellings_of_grid_values(self, tmp_path, capsys):
+        # every "p/q" written as "2p/2q", and every tau equal to 1 as the
+        # JSON integer 1: the same values, so the same reports
+        moments, canonical = tmp_path / "m.json", tmp_path / "g.json"
+        assert main([
+            "gen-moments", "--kind", "random", "--max-index", "10",
+            "--seed", "7", "-o", str(moments),
+        ]) == 0
+        assert main([
+            "grid", "--moments", str(moments), "--mu", "1/2", "--lambda", "3",
+            "--pairs", "1", "--steps-s", "2", "--steps-t", "2", "-o", str(canonical),
+        ]) == 0
+
+        def respell(value):
+            if isinstance(value, list):
+                return [respell(v) for v in value]
+            num, den = value.split("/")
+            return f"{2 * int(num)}/{2 * int(den)}"
+
+        data = read(canonical)
+        for name in ("tau", "sigma", "tau_hat", "sigma_hat"):
+            data[name] = respell(data[name])
+        data["tau"] = [
+            [[1 if v == "2/2" else v for v in row] for row in plane]
+            for plane in data["tau"]
+        ]
+        assert 1 in data["tau"][0][0]
+        respelled = tmp_path / "respelled.json"
+        respelled.write_text(json.dumps(data))
+        for suite in GRID_SUITES:
+            outputs = []
+            for grid in (canonical, respelled):
+                out = tmp_path / f"{suite}-{grid.stem}.json"
+                capsys.readouterr()
+                assert main(["verify", "--suite", suite, "--grid", str(grid),
+                             "-o", str(out)]) == 0
+                report = read(out)
+                report.pop("elapsed_ms")
+                outputs.append((report, capsys.readouterr().err))
+            assert outputs[0] == outputs[1]
 
     def test_crosscheck_on_corrupt_base_table(self, tmp_path, capsys):
         # s_01 = 0 in the base table makes tau_1 of the (0, 0) table vanish,
-        # while the stored tau values still come from the true table
+        # while the stored tau values still come from the true table; every
+        # grid suite rebuilds the grid from that table and stops there
         moments, grid = tmp_path / "m.json", tmp_path / "g.json"
         assert main([
             "gen-moments", "--kind", "random", "--max-index", "8",
@@ -269,10 +359,11 @@ class TestExitCodes:
         assert data["base_moments"]["entries"][0][:2] == [0, 1]
         data["base_moments"]["entries"][0][2] = "0/1"
         grid.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["verify", "--suite", "crosscheck", "--grid", str(grid)]) == 2
-        err = capsys.readouterr().err
-        assert err == "singular configuration: tau_1 vanishes at site (0,0)\n"
+        for suite in GRID_SUITES:
+            capsys.readouterr()
+            assert main(["verify", "--suite", suite, "--grid", str(grid)]) == 2
+            err = capsys.readouterr().err
+            assert err == "singular configuration: tau_1 vanishes at site (0,0)\n"
 
     @pytest.mark.parametrize("suite", ["dlax", "dpfl", "edpfl"])
     def test_vacuous_suite(self, tmp_path, random_setup, grid_file, capsys, suite):

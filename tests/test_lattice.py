@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewflow.algebra import Polynomial
+from skewflow.algebra import Polynomial, rat, rat_str
 from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
 from skewflow.lattice import (
     AntiDiagonal,
@@ -170,6 +171,30 @@ class TestGrid:
                 assert again.sigma(n, s, t) == GRID.sigma(n, s, t)
                 assert again.tau_hat(n, s, t) == GRID.tau_hat(n, s, t)
                 assert again.sigma_hat(n, s, t) == GRID.sigma_hat(n, s, t)
+
+    @settings(max_examples=50)
+    @given(st.data())
+    def test_from_json_names_a_changed_entry(self, data):
+        field = data.draw(st.sampled_from(["tau", "sigma", "tau_hat", "sigma_hat"]))
+        n = data.draw(st.integers(0, CONFIG.pairs + 1))
+        s = data.draw(st.integers(0, CONFIG.steps_s))
+        t = data.draw(st.integers(0, CONFIG.steps_t))
+        delta = data.draw(
+            st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+        )
+        payload = GRID.to_json()
+        if field.endswith("_hat"):
+            entry = payload[field][n][s][t]
+            k = data.draw(st.integers(0, len(entry) - 1))
+            entry[k] = rat_str(rat(entry[k]) + delta)
+        else:
+            payload[field][n][s][t] = rat_str(rat(payload[field][n][s][t]) + delta)
+        with pytest.raises(ValueError) as err:
+            TauGrid.from_json(payload)
+        assert str(err.value) == (
+            f"grid field {field!r} differs from the grid rebuilt from config "
+            f"and base_moments at n={n}, s={s}, t={t}"
+        )
 
 
 class TestCrosscheck:
@@ -357,9 +382,16 @@ class TestExtendedSystems:
 
     def test_edlax_requires_higher_phi_even_where_phi_zero_exempt(self):
         config = LatticeConfig(1, -1, 1, 2, 2)
-        data = build_grid(from_random(7, config.required_budget), config).to_json()
-        data["sigma"][1][1][1] = "0/1"
-        grid = TauGrid.from_json(data)
+        built = build_grid(from_random(7, config.required_budget), config)
+        grid = TauGrid(
+            built.config,
+            built.base,
+            built.tables,
+            built._tau,
+            {**built._sigma, (1, 1, 1): Fraction(0)},
+            built._tauhat,
+            built._sighat,
+        )
         report = verify_edlax(grid, samples_for(grid))
         failed = [c.id for c in report.checks if c.status == "fail"]
         assert failed == ["phi-even-defined:s=1,t=1"]
