@@ -177,6 +177,25 @@ class Polynomial:
             a[i] += c
         return Polynomial._reduced(a, den)
 
+    @classmethod
+    def combination(
+        cls, terms: Iterable[tuple[RationalLike, "Polynomial"]]
+    ) -> "Polynomial":
+        """sum_k c_k p_k over one common denominator, reduced once.
+
+        With c_k = a_k/b_k the sum is formed on the int numerators over
+        lcm(b_k * p_k.den), so a sum of many terms pays one gcd rather
+        than one per term.
+        """
+        terms = [(c, p) for c, p in ((rat(c), p) for c, p in terms) if c and p.num]
+        den = lcm(*(c.denominator * p.den for c, p in terms))
+        out = [0] * max((len(p.num) for _, p in terms), default=0)
+        for c, p in terms:
+            f = c.numerator * (den // (c.denominator * p.den))
+            for i, a in enumerate(p.num):
+                out[i] += f * a
+        return cls._reduced(out, den)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._combine(other, 1)
 

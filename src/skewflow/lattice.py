@@ -58,6 +58,11 @@ class LatticeConfig:
         object.__setattr__(self, "lam", rat(self.lam))
         if self.mu == self.lam:
             raise ValueError("lattice parameters mu and lambda must differ")
+        for name in ("pairs", "steps_s", "steps_t"):
+            value = getattr(self, name)
+            # a JSON true or 1.0 is not a count
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.pairs < 0 or self.steps_s < 0 or self.steps_t < 0:
             raise ValueError("pairs and step counts must be nonnegative")
 

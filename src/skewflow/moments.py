@@ -53,7 +53,7 @@ class DiscreteMeasure:
 class SkewMoments:
     """Immutable table of skew moments for 0 <= i < j <= max_index."""
 
-    __slots__ = ("max_index", "_upper", "provenance", "_num", "_den")
+    __slots__ = ("max_index", "_upper", "provenance", "_num", "_den", "_last_shift")
 
     def __init__(
         self,
@@ -77,6 +77,7 @@ class SkewMoments:
                 num[j][i] = -num[i][j]
         self._num = tuple(map(tuple, num))
         self._den = den
+        self._last_shift = None
 
     @classmethod
     def _from_integers(
@@ -96,6 +97,7 @@ class SkewMoments:
         table.provenance = provenance
         table._num = tuple(map(tuple, num))
         table._den = den
+        table._last_shift = None
         return table
 
     def entry(self, i: int, j: int) -> Rational:
@@ -146,10 +148,14 @@ class SkewMoments:
 
         With c = p/q the shifted numerators are
         q^2 N_{i+1,j+1} - pq (N_{i+1,j} + N_{i,j+1}) + p^2 N_ij over D q^2.
+        The last (c, result) is kept, so a Christoffel step and the
+        Geronimus coefficients of that step share one shift.
         """
         if self.max_index < 1:
             raise DegreeBudgetExceeded("cannot shift a table with max_index 0")
         c = rat(c)
+        if self._last_shift is not None and self._last_shift[0] == c:
+            return self._last_shift[1]
         p, q = c.numerator, c.denominator
         pp, pq, qq = p * p, p * q, q * q
         old = self._num
@@ -163,7 +169,9 @@ class SkewMoments:
                 num[j][i] = -v
         prov = dict(self.provenance)
         prov["shifts"] = list(prov.get("shifts", [])) + [rat_str(c)]
-        return SkewMoments._from_integers(num, self._den * qq, prov)
+        shifted = SkewMoments._from_integers(num, self._den * qq, prov)
+        self._last_shift = (c, shifted)
+        return shifted
 
     def scale(self, c: RationalLike) -> "SkewMoments":
         """Rescale every moment by a nonzero constant."""

@@ -142,14 +142,17 @@ def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
     return SOPFamily(polys, norms, PFAFFIAN_GAUGE)
 
 
-def _solve(rows: list[list[int]]) -> list[Rational]:
-    """Solve the integer system [A | b] by fraction-free (Bareiss) forward
-    elimination with first-nonzero row pivoting.
+def _solve(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Solve the integer system [A | b] fraction-free: (y, d) with d > 0
+    and x = y/d.
 
-    After step c the entry in row r > c and column j > c is the minor of
-    the row-permuted system on rows 0..c, r and columns 0..c, j, so the
+    Forward elimination is Bareiss's with first-nonzero row pivoting: after
+    step c the entry in row r > c and column j > c is the minor of the
+    row-permuted system on rows 0..c, r and columns 0..c, j, so the
     division by the previous pivot is exact and the rows stay integers.
-    Only back substitution on the triangular result forms Fractions.
+    The last pivot d is +-det(A), so y = d*x is an integer vector by
+    Cramer's rule, and back substitution y_i = (d b_i - sum_j a_ij y_j) / a_ii
+    divides exactly.
     """
     n = len(rows)
     a = [row[:] for row in rows]
@@ -165,11 +168,13 @@ def _solve(rows: list[list[int]]) -> list[Rational]:
             f = a[r][col]
             a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
         prev = p
-    x: list[Rational] = [Fraction(0)] * n
+    det = prev if prev > 0 else -prev
+    y = [0] * n
     for i in reversed(range(n)):
-        rest = sum((a[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        x[i] = (a[i][n] - rest) / a[i][i]
-    return x
+        row = a[i]
+        rest = sum(map(mul, row[i + 1 : n], y[i + 1 :]))
+        y[i] = (det * row[n] - rest) // row[i]
+    return y, det
 
 
 def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
@@ -197,7 +202,8 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
         if degree == 0:
             polys.append(Polynomial.one())
         else:
-            polys.append(Polynomial(_solve(rows) + [Fraction(1)]))
+            y, det = _solve(rows)
+            polys.append(Polynomial._reduced(y + [det], det))
         pairings.append(moments.apply(polys[-1], 2 * pairs + 2)[0])
     for n in range(pairs + 1):
         r = skew_product(moments, polys[2 * n], polys[2 * n + 1])

@@ -4,33 +4,61 @@ Lax pair of the iterated chain, and the skew Christoffel-Darboux kernel.
 The transformation maps SOPs for <.|.> to SOPs for <(z-lambda).|(z-lambda).>
 by an explicit sum (even degree) and an explicit two-term division (odd
 degree); both numerators vanish at lambda, so the division is exact.
+
+Polynomial work runs on the integer forms underneath: a kernel sum is one
+:meth:`Polynomial.combination` over one denominator, a Geronimus pairing
+is one integer dot product with S*g, a Lax-pair row is checked as one
+polynomial identity, and an L*R product multiplies two integer matrices.
+``Fraction`` arithmetic is left for the scalar coefficients of a step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, rat, rat_str, sample_points
+from .algebra import Polynomial, Rational, RationalLike, clear_denominators, rat, rat_str
 from .errors import SingularConfiguration, TruncationTooLarge
 from .moments import SkewMoments
 from .report import Report
-from .sops import SOPFamily, skew_product, verify_skew_orthogonality
+from .sops import SOPFamily, verify_skew_orthogonality
 
 CHRISTOFFEL_GAUGE = "christoffel-alpha-zero"
 
 
-def _admissible_values(family: SOPFamily, lam: Rational) -> list[Rational]:
-    values = []
-    for n in range(family.pairs + 1):
-        v = family.even(n).eval(lam)
-        if v == 0:
-            raise SingularConfiguration(
-                f"q_{2 * n}({rat_str(lam)}) = 0: lambda outside the admissible set"
-            )
-        values.append(v)
-    return values
+def _values_at(
+    family: SOPFamily, y: Rational, pairs: int
+) -> tuple[list[Rational], list[Rational]]:
+    """q_2k(y) and q_{2k+1}(y) for k = 0..pairs, each evaluated once."""
+    return (
+        [family.even(k).eval(y) for k in range(pairs + 1)],
+        [family.odd(k).eval(y) for k in range(pairs + 1)],
+    )
+
+
+def _kernel_coeffs(
+    family: SOPFamily,
+    even_at: Sequence[Rational],
+    odd_at: Sequence[Rational],
+    n: int,
+    factor: Rational,
+) -> tuple[list[Rational], list[Rational]]:
+    """(a, b) with factor * sum_{k<=n} (q_2k(y) q_{2k+1} - q_{2k+1}(y) q_2k) / r_k
+    = sum_{k<=n} a_k q_2k + b_k q_{2k+1}, given the values at y."""
+    a, b = [], []
+    for k in range(n + 1):
+        c = factor / family.norms[k]
+        a.append(-c * odd_at[k])
+        b.append(c * even_at[k])
+    return a, b
+
+
+def _kernel_sum(family: SOPFamily, a: Sequence[Rational], b: Sequence[Rational]) -> Polynomial:
+    """sum_k a_k q_2k + b_k q_{2k+1}, reduced once."""
+    polys = family.polys
+    return Polynomial.combination([*zip(a, polys[0::2]), *zip(b, polys[1::2])])
 
 
 @dataclass(frozen=True)
@@ -55,16 +83,11 @@ def christoffel_even(family: SOPFamily, lam: RationalLike, n: int) -> Polynomial
     lam = rat(lam)
     if n > family.pairs:
         raise ValueError(f"q*_{2 * n} needs pair index {n} in the family")
-    q2n_lam = family.even(n).eval(lam)
-    if q2n_lam == 0:
+    even_at, odd_at = _values_at(family, lam, n)
+    if even_at[n] == 0:
         raise SingularConfiguration(f"q_{2 * n}({rat_str(lam)}) = 0")
-    r_n = family.norms[n]
-    acc = Polynomial.zero()
-    for k in range(n + 1):
-        q_even, q_odd = family.even(k), family.odd(k)
-        term = q_odd.scale(q_even.eval(lam)) - q_even.scale(q_odd.eval(lam))
-        acc = acc + term.scale(r_n / (family.norms[k] * q2n_lam))
-    return acc.div_by_linear(lam)
+    a, b = _kernel_coeffs(family, even_at, odd_at, n, family.norms[n] / even_at[n])
+    return _kernel_sum(family, a, b).div_by_linear(lam)
 
 
 def christoffel(
@@ -74,45 +97,43 @@ def christoffel(
 
     Returns the transformed family (one pair shorter, alpha_n = 0 gauge),
     the shifted moment table, and the banded coefficient tables of the step.
+    The kernel sum of q*_2n is the L row (z - lam) q*_2n of the step, so
+    both are read off one set of coefficients.
     """
     lam = rat(lam)
     if family.pairs < 1:
         raise ValueError("need at least two pairs to transform")
-    even_at_lam = _admissible_values(family, lam)
-    new_pairs = family.pairs - 1
+    even_at, odd_at = _values_at(family, lam, family.pairs)
+    for n, v in enumerate(even_at):
+        if v == 0:
+            raise SingularConfiguration(
+                f"q_{2 * n}({rat_str(lam)}) = 0: lambda outside the admissible set"
+            )
+    norms = family.norms
     polys: list[Polynomial] = []
-    norms: list[Rational] = []
-    for n in range(new_pairs + 1):
-        polys.append(christoffel_even(family, lam, n))
-        odd_num = family.even(n + 1) - family.even(n).scale(
-            even_at_lam[n + 1] / even_at_lam[n]
-        )
-        polys.append(odd_num.div_by_linear(lam))
-        r_star = (even_at_lam[n + 1] / even_at_lam[n]) * family.norms[n]
-        if r_star == 0:
-            raise SingularConfiguration(f"transformed normalization r*_{n} vanishes")
-        norms.append(r_star)
-    transformed = SOPFamily(polys, norms, CHRISTOFFEL_GAUGE)
-
+    new_norms: list[Rational] = []
     even_coeffs = []
     odd_coeffs = []
     odd_shift = []
     for n in range(family.pairs + 1):
-        r_n = family.norms[n]
-        even_coeffs.append(
-            tuple(
-                -(r_n / family.norms[k]) * family.odd(k).eval(lam) / even_at_lam[n]
-                for k in range(n + 1)
-            )
+        # b[n] = (r_n / q_2n(lam)) q_2n(lam) / r_n = 1: the q_{2n+1} term
+        a, b = _kernel_coeffs(family, even_at, odd_at, n, norms[n] / even_at[n])
+        even_coeffs.append(tuple(a))
+        odd_coeffs.append(tuple(b[:n]))
+        if n == family.pairs:
+            break
+        ratio = even_at[n + 1] / even_at[n]
+        odd_shift.append(-ratio)
+        polys.append(_kernel_sum(family, a, b).div_by_linear(lam))
+        odd_num = Polynomial.combination(
+            ((1, family.even(n + 1)), (-ratio, family.even(n)))
         )
-        odd_coeffs.append(
-            tuple(
-                (r_n / family.norms[k]) * even_at_lam[k] / even_at_lam[n]
-                for k in range(n)
-            )
-        )
-        if n + 1 <= family.pairs:
-            odd_shift.append(-even_at_lam[n + 1] / even_at_lam[n])
+        polys.append(odd_num.div_by_linear(lam))
+        r_star = ratio * norms[n]
+        if r_star == 0:
+            raise SingularConfiguration(f"transformed normalization r*_{n} vanishes")
+        new_norms.append(r_star)
+    transformed = SOPFamily(polys, new_norms, CHRISTOFFEL_GAUGE)
     data = ChristoffelData(lam, tuple(even_coeffs), tuple(odd_coeffs), tuple(odd_shift))
     return transformed, moments.shift(lam), data
 
@@ -145,40 +166,38 @@ def geronimus_coeffs(
     Each coefficient is a modified-product pairing divided by the transformed
     normalization; the pairing is a skew product on the table shifted once
     by lam, since <f|g> there equals <(z-lam)f|(z-lam)g> on the base table.
+    S*g on that table is formed once per right-hand member, so each pairing
+    is one integer dot product with the numerators of f.
     :func:`verify_geronimus` checks that the coefficients reconstruct the family.
     """
     lam = rat(lam)
     shifted = moments.shift(lam)
-
-    def modified(f: Polynomial, g: Polynomial) -> Rational:
-        return skew_product(shifted, f, g)
-
     pairs = family_next.pairs
+    rows = 2 * pairs + 2  # every left-hand member has degree <= 2*pairs+1
+
+    next_odd = [shifted.apply(family_next.odd(k), rows) for k in range(pairs + 1)]
+    even = [shifted.apply(family.even(n), rows) for n in range(pairs + 1)]
+    odd = [shifted.apply(family.odd(n), rows) for n in range(pairs + 1)]
+    norms = family_next.norms
+
+    def coefficient(f: Polynomial, sg: tuple[list[int], int], k: int) -> Rational:
+        """<f|g> / r*_k with S*g given."""
+        vec, den = sg
+        r = norms[k]
+        return Fraction(
+            sum(map(mul, f.num, vec)) * r.denominator, f.den * den * r.numerator
+        )
+
     alpha, beta, gamma, epsilon = [], [], [], []
     for n in range(pairs + 1):
-        alpha.append(
-            tuple(
-                modified(family.even(n), family_next.odd(k)) / family_next.norms[k]
-                for k in range(n)
-            )
-        )
+        q_even, q_odd = family.even(n), family.odd(n)
+        alpha.append(tuple(coefficient(q_even, next_odd[k], k) for k in range(n)))
         beta.append(
-            tuple(
-                modified(family_next.even(k), family.even(n)) / family_next.norms[k]
-                for k in range(n)
-            )
+            tuple(coefficient(family_next.even(k), even[n], k) for k in range(n))
         )
-        gamma.append(
-            tuple(
-                modified(family.odd(n), family_next.odd(k)) / family_next.norms[k]
-                for k in range(n + 1)
-            )
-        )
+        gamma.append(tuple(coefficient(q_odd, next_odd[k], k) for k in range(n + 1)))
         epsilon.append(
-            tuple(
-                modified(family_next.even(k), family.odd(n)) / family_next.norms[k]
-                for k in range(n)
-            )
+            tuple(coefficient(family_next.even(k), odd[n], k) for k in range(n))
         )
     return GeronimusData(
         lam, tuple(alpha), tuple(beta), tuple(gamma), tuple(epsilon)
@@ -273,15 +292,31 @@ class BandMatrix:
                 if any(v != 0 for v in row[i + 1 :]):
                     raise ValueError("R must be lower triangular")
 
-    def multiply(self, other: "BandMatrix") -> tuple[tuple[Rational, ...], ...]:
-        n = self.size
+    def multiply(
+        self, other: "BandMatrix", window: int | None = None
+    ) -> tuple[tuple[Rational, ...], ...]:
+        """The leading window x window block of self*other (all of it by
+        default).
+
+        Each factor is cleared to one integer matrix over the lcm of its
+        entry denominators; the product runs in ints and forms one
+        ``Fraction`` per output entry.
+        """
+        w = self.size if window is None else window
+        a, a_den = self._integer_rows()
+        b, b_den = other._integer_rows()
+        cols = list(zip(*b))
+        den = a_den * b_den
         return tuple(
-            tuple(
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(n)), Fraction(0))
-                for j in range(n)
-            )
-            for i in range(n)
+            tuple(Fraction(sum(map(mul, a[i], cols[j])), den) for j in range(w))
+            for i in range(w)
         )
+
+    def _integer_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, d) with rows[i][j] = d * self.rows[i][j], d > 0 least."""
+        flat, den = clear_denominators([v for row in self.rows for v in row])
+        n = self.size
+        return [flat[i * n : (i + 1) * n] for i in range(n)], den
 
 
 def _l_matrix(data: ChristoffelData, size: int) -> BandMatrix:
@@ -331,8 +366,8 @@ def build_lax_pair(
     """Banded L/R factors of each chain step, verified against the families.
 
     L rows realize (z - lam) Phi^{t+1} = L^t Phi^t and R rows realize
-    Phi^t = R^t Phi^{t+1}; both are checked by exact evaluation at size+1
-    distinct rational points, enough to pin the polynomial identity.
+    Phi^t = R^t Phi^{t+1}; each row is checked once as an identity of
+    polynomials, its right side one :meth:`Polynomial.combination`.
     """
     if len(datas) != len(families) - 1:
         raise ValueError("need one data pair per chain step")
@@ -343,32 +378,17 @@ def build_lax_pair(
         )
     out = []
     for t, (cdata, gdata) in enumerate(datas):
-        lam = cdata.lam
         lmat = _l_matrix(cdata, size)
         rmat = _r_matrix(gdata, size)
-        cur, nxt = families[t], families[t + 1]
-        samples = sample_points(size + 1, [lam])
-        for z in samples:
-            cur_vals = [p.eval(z) for p in cur.polys[:size]]
-            nxt_vals = [p.eval(z) for p in nxt.polys[:size]]
-            for i in range(size - 1):
-                lhs = (z - lam) * nxt_vals[i]
-                rhs = sum(
-                    (lmat.rows[i][j] * cur_vals[j] for j in range(size)), Fraction(0)
-                )
-                if lhs != rhs:
-                    raise SingularConfiguration(
-                        f"L row {i} fails at step {t}, z={rat_str(z)}"
-                    )
-            for i in range(size):
-                lhs = cur_vals[i]
-                rhs = sum(
-                    (rmat.rows[i][j] * nxt_vals[j] for j in range(size)), Fraction(0)
-                )
-                if lhs != rhs:
-                    raise SingularConfiguration(
-                        f"R row {i} fails at step {t}, z={rat_str(z)}"
-                    )
+        cur, nxt = families[t].polys[:size], families[t + 1].polys[:size]
+        z_minus_lam = Polynomial((-cdata.lam, 1))
+        for i in range(size - 1):
+            rhs = Polynomial.combination(zip(lmat.rows[i], cur))
+            if z_minus_lam * nxt[i] != rhs:
+                raise SingularConfiguration(f"L row {i} fails at step {t}")
+        for i in range(size):
+            if cur[i] != Polynomial.combination(zip(rmat.rows[i], nxt)):
+                raise SingularConfiguration(f"R row {i} fails at step {t}")
         out.append((lmat, rmat))
     return out
 
@@ -378,14 +398,13 @@ def verify_dlax(
 ) -> Report:
     """Check L^t R^t = R^{t+1} L^{t+1} on the truncation-safe window.
 
-    Only the principal (size - 2) block is compared; banded-times-banded
-    truncation can corrupt the trailing rows and columns.
+    Only the principal (size - 2) block is formed and compared;
+    banded-times-banded truncation can corrupt the trailing rows and columns.
     """
     report = Report("dlax")
-    size = l_t.size
-    window = size - 2
-    left = l_t.multiply(r_t)
-    right = r_next.multiply(l_next)
+    window = l_t.size - 2
+    left = l_t.multiply(r_t, window)
+    right = r_next.multiply(l_next, window)
     for i in range(window):
         for j in range(window):
             report.add(
@@ -401,12 +420,8 @@ def kernel(family: SOPFamily, pairs: int, y: RationalLike) -> Polynomial:
     y = rat(y)
     if pairs > family.pairs:
         raise ValueError("kernel order exceeds the family")
-    acc = Polynomial.zero()
-    for k in range(pairs + 1):
-        q_even, q_odd = family.even(k), family.odd(k)
-        term = q_odd.scale(q_even.eval(y)) - q_even.scale(q_odd.eval(y))
-        acc = acc + term.scale(1 / family.norms[k])
-    return acc
+    even_at, odd_at = _values_at(family, y, pairs)
+    return _kernel_sum(family, *_kernel_coeffs(family, even_at, odd_at, pairs, Fraction(1)))
 
 
 def verify_factorization(

@@ -254,3 +254,16 @@ class TestIntegerFormProperties:
         with pytest.raises(NotDivisible) as expected:
             ref_div_by_linear(a, r)
         assert str(caught.value) == str(expected.value)
+
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(coefficients, coeff_lists), max_size=6))
+    def test_combination_is_the_scale_and_add_fold(self, terms):
+        fold = Polynomial.zero()
+        for c, a in terms:
+            fold = fold + Polynomial(a).scale(c)
+        combined = Polynomial.combination((c, Polynomial(a)) for c, a in terms)
+        assert (combined.num, combined.den) == (fold.num, fold.den)
+        # integer and string coefficients are rationals too
+        assert Polynomial.combination(
+            (rat_str(c), Polynomial(a)) for c, a in terms
+        ) == fold

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,42 @@ class TestExitCodes:
                 report.pop("elapsed_ms")
                 outputs.append((report, capsys.readouterr().err))
             assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("field", ["pairs", "steps_s", "steps_t"])
+    def test_grid_config_counts_are_integers(self, grid_file, capsys, field):
+        # the grid was built with pairs = steps = 1, so true and 1.0 equal
+        # the stored count but are not JSON integers
+        data = read(grid_file)
+        assert data["config"][field] == 1
+        for value in (True, 1.0):
+            data["config"][field] = value
+            grid_file.write_text(json.dumps(data))
+            for suite in GRID_SUITES:
+                capsys.readouterr()
+                assert main(["verify", "--suite", suite, "--grid", str(grid_file)]) == 3
+                assert capsys.readouterr().err == (
+                    f"error: bad input ({field} must be an integer, got {value!r})\n"
+                )
+
+    def test_dlax_on_other_moments(self, tmp_path, random_setup, capsys):
+        # L rows depend on the family alone; the R rows come from pairings
+        # on the table, so a table the family was not built from fails one
+        moments, _ = random_setup
+        family, other = tmp_path / "family3.json", tmp_path / "other.json"
+        assert main([
+            "family", "--moments", str(moments), "--pairs", "3", "-o", str(family),
+        ]) == 0
+        assert main([
+            "gen-moments", "--kind", "random", "--max-index", "9",
+            "--seed", "4", "-o", str(other),
+        ]) == 0
+        argv = ["verify", "--suite", "dlax", "--family", str(family),
+                "--lambda", "3", "--lambda", "3"]
+        assert main([*argv, "--moments", str(moments)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--moments", str(other)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"singular configuration: R row \d+ fails at step 0\n", err)
 
     def test_crosscheck_on_corrupt_base_table(self, tmp_path, capsys):
         # s_01 = 0 in the base table makes tau_1 of the (0, 0) table vanish,

@@ -13,7 +13,8 @@ from skewflow.moments import (
     from_random,
 )
 from skewflow.pfaffian import numeric_pfaffian
-from skewflow.sops import skew_product
+from skewflow.sops import build_family, skew_product
+from skewflow.transforms import christoffel, geronimus_coeffs
 
 # Mixed denominators, with zero entries drawn often.
 entries = st.one_of(
@@ -278,3 +279,30 @@ class TestSerialization:
             DiscreteMeasure([1, 2], [1, 0])
         with pytest.raises(ValueError):
             DiscreteMeasure([1, 2], [1])
+
+
+class TestShiftMemo:
+    def test_repeated_shift_is_shared(self):
+        table = from_random(7, 5)
+        once = table.shift(Fraction(1, 2))
+        assert table.shift(Fraction(1, 2)) is once
+        assert table.shift("1/2") is once
+        other = table.shift(3)
+        assert other != once
+        again = table.shift(Fraction(1, 2))
+        assert again == once and again.provenance == once.provenance
+
+    def test_chain_step_pays_one_shift(self, monkeypatch):
+        table = from_random(42, 9)
+        family = build_family(table, 3)
+        real = SkewMoments._from_integers
+        made = []
+
+        def counted(num, den, provenance):
+            made.append(provenance["shifts"])
+            return real(num, den, provenance)
+
+        monkeypatch.setattr(SkewMoments, "_from_integers", staticmethod(counted))
+        nxt, shifted, _ = christoffel(family, table, 3)
+        geronimus_coeffs(nxt, family, table, 3)
+        assert made == [["3/1"]]

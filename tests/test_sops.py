@@ -14,6 +14,7 @@ from skewflow.moments import (
 from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import (
     SOPFamily,
+    _solve,
     build_family,
     oracle_family,
     sop_even,
@@ -220,6 +221,47 @@ class TestFamily:
         assert again.polys == family.polys
         assert again.norms == family.norms
         assert again.gauge == family.gauge
+
+
+def fraction_det(matrix):
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+class TestSolve:
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_solves_systems_that_need_row_swaps(self, data):
+        n = data.draw(st.integers(2, 6))
+        small = st.integers(-9, 9)
+        rows = [data.draw(st.lists(small, min_size=n + 1, max_size=n + 1)) for _ in range(n)]
+        rows[0][0] = 0  # the first pivot needs a swap
+        if data.draw(st.booleans()):
+            rows[1][0] = 0  # then it comes from row 2 or later
+        det = fraction_det([row[:n] for row in rows])
+        assume(det != 0)
+        y, d = _solve(rows)
+        assert d == abs(det)  # the last Bareiss pivot is +-det(A)
+        x = [Fraction(v, d) for v in y]
+        for row in rows:
+            assert sum(a * v for a, v in zip(row, x)) == row[n]
+
+    def test_singular_system_raises(self):
+        with pytest.raises(SingularConfiguration):
+            _solve([[0, 1, 2], [0, 3, 4]])
 
 
 class TestVerifier:

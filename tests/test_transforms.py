@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,41 @@ from skewflow.transforms import (
 )
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+def definitional_band_product(a, b):
+    """The Fraction triple sum (AB)_ij = sum_k a_ik b_kj, read off rows."""
+    n = a.size
+    return tuple(
+        tuple(
+            sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+@st.composite
+def band_matrices(draw, size, kind):
+    """Any L (free on and below the diagonal, unit superdiagonal) or R
+    (free below the diagonal, unit diagonal) of the given size."""
+    rows = []
+    for i in range(size):
+        row = [Fraction(0)] * size
+        for j in range(i + 1 if kind == "L" else i):
+            row[j] = draw(entries)
+        if kind == "R":
+            row[i] = Fraction(1)
+        elif i + 1 < size:
+            row[i + 1] = Fraction(1)
+        rows.append(row)
+    return BandMatrix(size, kind, rows)
 
 
 def random_setup(seed=42, pairs=3, budget=11):
@@ -164,6 +200,38 @@ class TestLaxPair:
         bad = BandMatrix(size, "R", rows)
         report = verify_dlax(factors[0][0], factors[0][1], factors[1][0], bad)
         assert not report.passed
+
+    def test_tampered_l_row_names_row_and_step(self):
+        families, datas = self.chain(steps=2)
+        size = 2 * families[-1].pairs + 2
+        cdata, gdata = datas[1]
+        even = [list(row) for row in cdata.even_coeffs]
+        even[1][0] += 1  # q_0 coefficient of (z - lam) q*_2: L row 2
+        tampered = replace(cdata, even_coeffs=tuple(map(tuple, even)))
+        with pytest.raises(SingularConfiguration, match=r"^L row 2 fails at step 1$"):
+            build_lax_pair(families, [datas[0], (tampered, gdata)], size)
+
+    def test_tampered_r_row_names_row_and_step(self):
+        families, datas = self.chain(steps=2)
+        size = 2 * families[-1].pairs + 2
+        cdata, gdata = datas[0]
+        gamma = [list(row) for row in gdata.gamma]
+        gamma[1][0] += Fraction(1, 2)  # q*_0 coefficient of q_3: R row 3
+        tampered = replace(gdata, gamma=tuple(map(tuple, gamma)))
+        with pytest.raises(SingularConfiguration, match=r"^R row 3 fails at step 0$"):
+            build_lax_pair(families, [(cdata, tampered), datas[1]], size)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_multiply_is_the_definitional_product(self, data):
+        size = data.draw(st.integers(1, 6))
+        kinds = data.draw(st.sampled_from(["LR", "RL", "LL", "RR"]))
+        a = data.draw(band_matrices(size, kinds[0]))
+        b = data.draw(band_matrices(size, kinds[1]))
+        full = definitional_band_product(a, b)
+        assert a.multiply(b) == full
+        window = data.draw(st.integers(0, size))
+        assert a.multiply(b, window) == tuple(row[:window] for row in full[:window])
 
     def test_truncation_guard(self):
         families, datas = self.chain(steps=2)
