@@ -13,6 +13,7 @@ draws from.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -42,6 +43,27 @@ def rat(value: RationalLike) -> Rational:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+# The spelling rat_str writes: ASCII digits, an optional minus, one slash.
+_CANONICAL = re.compile(r"-?[0-9]+/[0-9]+")
+
+
+def rat_parts(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of ``rat(value)`` without building a Fraction.
+
+    A string spelled as :func:`rat_str` writes it with a nonzero denominator
+    costs two ``int()`` calls and one gcd; every other input goes through
+    :func:`rat`, so both accept and reject the same values.
+    """
+    if type(value) is str and _CANONICAL.fullmatch(value):
+        num, _, den = value.partition("/")
+        p, q = int(num), int(den)
+        if q:
+            g = gcd(p, q)
+            return p // g, q // g
+    v = rat(value)
+    return v.numerator, v.denominator
 
 
 def rat_str(value: Rational) -> str:
@@ -302,4 +324,7 @@ class Polynomial:
 
     @staticmethod
     def from_json(data: Sequence[str]) -> "Polynomial":
-        return Polynomial([rat(c) for c in data])
+        parts = [rat_parts(c) for c in data]
+        den = lcm(*(q for _, q in parts))
+        # each p/q is reduced, so gcd(den, *num) = 1 already
+        return Polynomial._reduced([p * (den // q) for p, q in parts], den)

@@ -6,11 +6,14 @@ every moment is rational.  The one-step :meth:`SkewMoments.shift` realizes
 the modified product <(z-c).|(z-c).> and consumes one unit of the index
 budget.
 
-Besides its canonical upper triangle of rationals, every table carries one
-integer form: D, the lcm of the entry denominators, and N = D*S as a full
-skew matrix of Python ints.  Shifts and rescalings are computed on N and
-reduced back to the least common denominator.  Two methods hand it out:
-:meth:`SkewMoments.apply` returns S*g as an integer vector over one
+A table stores one integer form and nothing else: D, the lcm of the entry
+denominators, and N = D*S as a full skew matrix of Python ints, with
+gcd(D, *N) = 1, so the form is canonical.  Loaders and generators build
+it directly (entries parse to (num, den) pairs, ensemble sums run over one
+common denominator), shifts and rescalings are computed on N and reduced
+back to the least common denominator, and :meth:`SkewMoments.entry` forms
+a ``Fraction`` only for the entry asked for.  Two methods hand the form
+out: :meth:`SkewMoments.apply` returns S*g as an integer vector over one
 denominator, which is all a skew product needs, and
 :meth:`SkewMoments.integer_rows` returns the leading rows of N and D for
 the one-pass elimination of :func:`skewflow.pfaffian.prefix_pfaffians`.
@@ -25,7 +28,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Any, Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
+from .algebra import Polynomial, Rational, RationalLike, rat, rat_parts, rat_str
 from .errors import DegreeBudgetExceeded
 from . import pfaffian
 
@@ -51,9 +54,14 @@ class DiscreteMeasure:
 
 
 class SkewMoments:
-    """Immutable table of skew moments for 0 <= i < j <= max_index."""
+    """Immutable table of skew moments for 0 <= i < j <= max_index.
 
-    __slots__ = ("max_index", "_upper", "provenance", "_num", "_den", "_last_shift")
+    Stored as N, a full skew matrix of ints, over D > 0 with
+    gcd(D, *N) = 1: D is the lcm of the entry denominators, so equal tables
+    have equal forms.
+    """
+
+    __slots__ = ("max_index", "provenance", "_num", "_den", "_last_shift")
 
     def __init__(
         self,
@@ -63,18 +71,17 @@ class SkewMoments:
     ):
         if max_index < 0:
             raise ValueError("max_index must be nonnegative")
-        self.max_index = max_index
-        self._upper = tuple(
-            tuple(rat(entries[i][j - i - 1]) for j in range(i + 1, max_index + 1))
+        parts = {
+            (i, j): rat_parts(entries[i][j - i - 1])
             for i in range(max_index + 1)
-        )
-        self.provenance = provenance or {"kind": "unspecified"}
-        den = lcm(*(v.denominator for row in self._upper for v in row))
-        num = [[0] * (max_index + 1) for _ in range(max_index + 1)]
-        for i, row in enumerate(self._upper):
-            for j, v in enumerate(row, i + 1):
-                num[i][j] = v.numerator * (den // v.denominator)
-                num[j][i] = -num[i][j]
+            for j in range(i + 1, max_index + 1)
+        }
+        provenance = provenance or {"kind": "unspecified"}
+        self._set(*_skew_form(max_index + 1, parts), provenance)
+
+    def _set(self, num: list[list[int]], den: int, provenance: dict[str, Any]) -> None:
+        self.max_index = len(num) - 1
+        self.provenance = provenance
         self._num = tuple(map(tuple, num))
         self._den = den
         self._last_shift = None
@@ -90,14 +97,7 @@ class SkewMoments:
             num = [[x // g for x in row] for row in num]
             den //= g
         table = object.__new__(cls)
-        table.max_index = len(num) - 1
-        table._upper = tuple(
-            tuple(Fraction(x, den) for x in row[i + 1 :]) for i, row in enumerate(num)
-        )
-        table.provenance = provenance
-        table._num = tuple(map(tuple, num))
-        table._den = den
-        table._last_shift = None
+        table._set(num, den, provenance)
         return table
 
     def entry(self, i: int, j: int) -> Rational:
@@ -106,11 +106,7 @@ class SkewMoments:
             raise DegreeBudgetExceeded(
                 f"moment index ({i},{j}) outside budget {self.max_index}"
             )
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self._upper[i][j - i - 1]
-        return -self._upper[j][i - j - 1]
+        return Fraction(self._num[i][j], self._den)
 
     def apply(self, g: Polynomial, rows: int) -> tuple[list[int], int]:
         """The first ``rows`` rows of S*g over one denominator: (v, d) with
@@ -137,11 +133,12 @@ class SkewMoments:
         return (
             isinstance(other, SkewMoments)
             and self.max_index == other.max_index
-            and self._upper == other._upper
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.max_index, self._upper))
+        return hash((self.max_index, self._den, self._num))
 
     def shift(self, c: RationalLike) -> "SkewMoments":
         """Moment table of <(z-c).|(z-c).>; budget drops by one.
@@ -187,12 +184,14 @@ class SkewMoments:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:
+        den = self._den
         entries = []
-        for i in range(self.max_index + 1):
+        for i, row in enumerate(self._num):
             for j in range(i + 1, self.max_index + 1):
-                v = self.entry(i, j)
-                if v != 0:
-                    entries.append([i, j, rat_str(v)])
+                c = row[j]
+                if c:
+                    g = gcd(c, den)
+                    entries.append([i, j, f"{c // g}/{den // g}"])
         return {
             "max_index": self.max_index,
             "entries": entries,
@@ -202,37 +201,59 @@ class SkewMoments:
     @staticmethod
     def from_json(data: dict[str, Any]) -> "SkewMoments":
         m = data["max_index"]
-        table = [[Fraction(0)] * (m - i) for i in range(m + 1)]
+        # a JSON true or 1.0 is not an index
+        if type(m) is not int:
+            raise ValueError(f"max_index must be an integer, got {m!r}")
+        parts = {}
         for i, j, v in data["entries"]:
-            if not 0 <= i < j <= m:
+            if not (type(i) is int and type(j) is int and 0 <= i < j <= m):
                 raise ValueError(f"bad entry index ({i},{j})")
-            table[i][j - i - 1] = rat(v)
-        return SkewMoments(m, table, data.get("provenance"))
+            parts[i, j] = rat_parts(v)
+        if m < 0:
+            raise ValueError("max_index must be nonnegative")
+        return SkewMoments._from_integers(
+            *_skew_form(m + 1, parts), data.get("provenance") or {"kind": "unspecified"}
+        )
+
+
+def _skew_form(
+    size: int, parts: dict[tuple[int, int], tuple[int, int]]
+) -> tuple[list[list[int]], int]:
+    """(N, D) for the skew table with s_ij = p/q at parts[i, j] = (p, q)
+    and zero elsewhere above the diagonal: D is the lcm of the q, so the
+    form is canonical when every p/q is in lowest terms."""
+    den = lcm(*(q for _, q in parts.values()))
+    num = [[0] * size for _ in range(size)]
+    for (i, j), (p, q) in parts.items():
+        if p:
+            num[i][j] = v = p * (den // q)
+            num[j][i] = -v
+    return num, den
 
 
 def from_random(seed: int, max_index: int, bound: int = 10) -> SkewMoments:
     """Deterministic random table in generic position.
 
-    If the leading 4x4 Pfaffian vanishes (so downstream denominators would be
-    singular) the draw is retried with an incremented sub-seed; the retry
-    count is recorded in the provenance.
+    Entry s_ij (row by row, i < j) is p/q for the draws p = randint(-bound,
+    bound), then q = randint(1, bound).  If the leading 4x4 Pfaffian
+    vanishes (so downstream denominators would be singular) the draw is
+    retried with an incremented sub-seed; the retry count is recorded in
+    the provenance.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     if bound < 1:
         raise ValueError("bound must be positive")
+    size = max_index + 1
     for attempt in range(1000):
         rng = random.Random(seed * 1000003 + attempt)
-        entries = [
-            [
-                Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-                for _ in range(i + 1, max_index + 1)
-            ]
-            for i in range(max_index + 1)
-        ]
-        table = SkewMoments(
-            max_index,
-            entries,
+        parts = {
+            (i, j): (rng.randint(-bound, bound), rng.randint(1, bound))
+            for i in range(size)
+            for j in range(i + 1, size)
+        }
+        table = SkewMoments._from_integers(
+            *_skew_form(size, parts),
             {"kind": "random", "seed": seed, "bound": bound, "attempt": attempt},
         )
         if max_index < 3:
@@ -242,33 +263,54 @@ def from_random(seed: int, max_index: int, bound: int = 10) -> SkewMoments:
     raise RuntimeError("could not reach generic position")  # pragma: no cover
 
 
+def _integer_measure(measure: DiscreteMeasure) -> tuple[list[int], int, list[int], int]:
+    """(P, qx, W, qw): qx and qw are the lcms of the node and weight
+    denominators, P_k = qx x_k and W_k = qw w_k."""
+    qx = lcm(*(x.denominator for x in measure.nodes))
+    qw = lcm(*(w.denominator for w in measure.weights))
+    nodes = [x.numerator * (qx // x.denominator) for x in measure.nodes]
+    weights = [w.numerator * (qw // w.denominator) for w in measure.weights]
+    return nodes, qx, weights, qw
+
+
+def _measure_provenance(kind: str, measure: DiscreteMeasure) -> dict[str, Any]:
+    return {
+        "kind": kind,
+        "nodes": [rat_str(x) for x in measure.nodes],
+        "weights": [rat_str(w) for w in measure.weights],
+    }
+
+
 def from_discrete_orthogonal(measure: DiscreteMeasure, max_index: int) -> SkewMoments:
     """Orthogonal-ensemble product on a discrete measure.
 
     s_ij = sum_{k,l} sgn(x_k - x_l) x_k^i x_l^j w_k w_l, with sgn(0) = 0.
     The nodes are increasing, so with a_k^i = w_k x_k^i and the prefix sums
     P_k^j = sum_{l<k} a_l^j this is sum_k (a_k^i P_k^j - a_k^j P_k^i):
-    O(K m^2) for K nodes instead of the O(K^2 m^2) pair sum.
+    O(K m^2) for K nodes instead of the O(K^2 m^2) pair sum.  The sum runs
+    in ints on A_k^i = (qw w_k)(qx x_k)^i qx^(m-i) = qw qx^m a_k^i, over
+    the common denominator (qw qx^m)^2.
     """
-    xs, ws = measure.nodes, measure.weights
+    nodes, qx, weights, qw = _integer_measure(measure)
     size = max_index + 1
-    entries = [[Fraction(0)] * (size - i - 1) for i in range(size)]
-    prefix = [Fraction(0)] * size
-    for x, w in zip(xs, ws):
-        a = [w * x**p for p in range(size)]
+    scale = [qx ** (max_index - i) for i in range(size)]
+    num = [[0] * size for _ in range(size)]
+    prefix = [0] * size
+    for x, w in zip(nodes, weights):
+        a = []
+        for qpow in scale:
+            a.append(w * qpow)
+            w *= x
         for i in range(size):
-            row, a_i, p_i = entries[i], a[i], prefix[i]
+            row, a_i, p_i = num[i], a[i], prefix[i]
             for j in range(i + 1, size):
-                row[j - i - 1] += a_i * prefix[j] - a[j] * p_i
+                row[j] += a_i * prefix[j] - a[j] * p_i
         prefix = [p + v for p, v in zip(prefix, a)]
-    return SkewMoments(
-        max_index,
-        entries,
-        {
-            "kind": "orthogonal",
-            "nodes": [rat_str(x) for x in xs],
-            "weights": [rat_str(w) for w in ws],
-        },
+    for i in range(size):
+        for j in range(i + 1, size):
+            num[j][i] = -num[i][j]
+    return SkewMoments._from_integers(
+        num, (qw * qx**max_index) ** 2, _measure_provenance("orthogonal", measure)
     )
 
 
@@ -276,23 +318,23 @@ def from_discrete_symplectic(measure: DiscreteMeasure, max_index: int) -> SkewMo
     """Symplectic-ensemble product on a discrete measure.
 
     s_ij = sum_k (x_k^i (x_k^j)' - (x_k^i)' x_k^j) w_k = (j - i) m_{i+j-1}
-    with power sums m_p = sum_k x_k^p w_k.
+    with power sums m_p = sum_k x_k^p w_k, formed in ints over
+    qw qx^(2m-1) as sum_k (qw w_k)(qx x_k)^p qx^(2m-1-p).
     """
-    xs, ws = measure.nodes, measure.weights
-    msums = [
-        sum((x**p * w for x, w in zip(xs, ws)), Fraction(0))
-        for p in range(2 * max_index)
-    ]
-    entries = [
-        [(j - i) * msums[i + j - 1] for j in range(i + 1, max_index + 1)]
-        for i in range(max_index + 1)
-    ]
-    return SkewMoments(
-        max_index,
-        entries,
-        {
-            "kind": "symplectic",
-            "nodes": [rat_str(x) for x in xs],
-            "weights": [rat_str(w) for w in ws],
-        },
+    nodes, qx, weights, qw = _integer_measure(measure)
+    size = max_index + 1
+    top = max(2 * max_index - 1, 0)
+    msums = [0] * (2 * max_index)
+    for x, w in zip(nodes, weights):
+        for p in range(len(msums)):
+            msums[p] += w
+            w *= x
+    msums = [v * qx ** (top - p) for p, v in enumerate(msums)]
+    num = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            num[i][j] = v = (j - i) * msums[i + j - 1]
+            num[j][i] = -v
+    return SkewMoments._from_integers(
+        num, qw * qx**top, _measure_provenance("symplectic", measure)
     )

@@ -20,6 +20,8 @@ from .report import Report
 
 PFAFFIAN_GAUGE = "pfaffian-alpha-zero"
 COEFF_GAUGE = "z2n-coefficient-zero"
+CHRISTOFFEL_GAUGE = "christoffel-alpha-zero"
+GAUGES = (PFAFFIAN_GAUGE, COEFF_GAUGE, CHRISTOFFEL_GAUGE)
 
 
 def skew_product(moments: SkewMoments, f: Polynomial, g: Polynomial) -> Rational:
@@ -114,11 +116,12 @@ class SOPFamily:
 
     @staticmethod
     def from_json(data: dict[str, Any]) -> "SOPFamily":
-        return SOPFamily(
-            [Polynomial.from_json(p) for p in data["polys"]],
-            [rat(r) for r in data["norms"]],
-            data.get("gauge", PFAFFIAN_GAUGE),
-        )
+        polys = [Polynomial.from_json(p) for p in data["polys"]]
+        norms = [rat(r) for r in data["norms"]]
+        gauge = data.get("gauge", PFAFFIAN_GAUGE)
+        if gauge not in GAUGES:
+            raise ValueError(f"unknown gauge {gauge!r}")
+        return SOPFamily(polys, norms, gauge)
 
 
 def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:

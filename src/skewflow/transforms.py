@@ -23,9 +23,7 @@ from .algebra import Polynomial, Rational, RationalLike, clear_denominators, rat
 from .errors import SingularConfiguration, TruncationTooLarge
 from .moments import SkewMoments
 from .report import Report
-from .sops import SOPFamily, verify_skew_orthogonality
-
-CHRISTOFFEL_GAUGE = "christoffel-alpha-zero"
+from .sops import CHRISTOFFEL_GAUGE, SOPFamily, verify_skew_orthogonality
 
 
 def _values_at(
@@ -436,11 +434,15 @@ def verify_factorization(
     y = rat(y)
     report = Report("kernel", {"provenance": moments.provenance})
     ker = kernel(family, pairs, y)
-    q_star = christoffel_even(family, y, pairs)
     q_even = family.even(pairs)
+    q_even_at = q_even.eval(y)
+    if q_even_at == 0:
+        raise SingularConfiguration(f"q_{2 * pairs}({rat_str(y)}) = 0")
+    # q*_2N of christoffel_even is the same kernel sum, scaled by r_N/q_2N(y)
+    q_star = ker.scale(family.norms[pairs] / q_even_at).div_by_linear(y)
     x_minus_y = Polynomial((-y, 1))
     form_a = (x_minus_y * q_even * q_star).scale(1 / family.norms[pairs])
-    form_b = (x_minus_y * q_star).scale(q_even.eval(y) / family.norms[pairs])
+    form_b = (x_minus_y * q_star).scale(q_even_at / family.norms[pairs])
     a_match = form_a == ker
     b_match = form_b == ker
     verdict_a = "match" if a_match else "no-match"

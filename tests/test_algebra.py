@@ -4,7 +4,14 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewflow.algebra import Polynomial, clear_denominators, rat, rat_str, sample_points
+from skewflow.algebra import (
+    Polynomial,
+    clear_denominators,
+    rat,
+    rat_parts,
+    rat_str,
+    sample_points,
+)
 from skewflow.errors import NotDivisible
 
 
@@ -170,6 +177,52 @@ class TestRat:
             Polynomial([1, 0.5])
 
 
+def outcome(parse, value):
+    """The pair a parser returns for value, or the type of what it raises."""
+    try:
+        v = parse(value)
+    except Exception as exc:  # compared by type below
+        return type(exc)
+    return (v.numerator, v.denominator) if isinstance(v, Fraction) else v
+
+
+# Canonical "p/q" spellings (zero denominators included), the other
+# spellings Fraction(str) accepts or rejects, and every non-string kind.
+spellings = st.one_of(
+    st.builds(
+        lambda p, q: f"{p}/{q}",
+        st.integers(-(10**30), 10**30),
+        st.integers(0, 10**30),
+    ),
+    st.sampled_from([
+        "+3/4", " 3/4", "3/4 ", "3/4\n", "1_0/3", "1.5", "-2e3", "1/0", "-0/5",
+        "007/010", "3", "-3", "", "/", "3/", "/4", "3//4", "--3/4", "nan",
+        "inf", "\u0663/\u0664", "\uff13/\uff14", "1/\u0664", "1" * 5000 + "/3",
+    ]),
+    st.text(alphabet="0123456789-+/ ._e\u0663", max_size=8),
+    st.integers(-(10**30), 10**30),
+    st.fractions(),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.none(),
+)
+
+
+class TestRatParts:
+    @settings(max_examples=300)
+    @given(spellings)
+    def test_agrees_with_rat(self, value):
+        assert outcome(rat_parts, value) == outcome(rat, value)
+
+    def test_canonical_spellings(self):
+        assert rat_parts("2/4") == (1, 2)
+        assert rat_parts("-6/3") == (-2, 1)
+        assert rat_parts("-0/7") == (0, 1)
+        for value in ("1/0", "+1/0", True, 0.5):
+            with pytest.raises(ValueError):
+                rat_parts(value)
+
+
 class TestClearDenominators:
     def test_least_common_denominator(self):
         values = [Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5)]
@@ -219,6 +272,17 @@ class TestIntegerFormProperties:
         assert f.leading == (ref[-1] if ref else 0)
         assert f.degree == len(ref) - 1
         assert f.to_json() == [rat_str(c) for c in ref]
+
+    @settings(max_examples=80)
+    @given(coeff_lists, st.integers(1, 12))
+    def test_from_json_reads_any_spelling(self, a, k):
+        # "p/q" with a common factor k, or a JSON integer, reads as p/q
+        spelled = [
+            c.numerator if c.denominator == 1 and k % 2 else
+            f"{k * c.numerator}/{k * c.denominator}"
+            for c in a
+        ]
+        assert Polynomial.from_json(spelled) == Polynomial(a)
 
     @settings(max_examples=80)
     @given(coeff_lists, coeff_lists, coefficients.filter(lambda c: c != 0))

@@ -1,14 +1,17 @@
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewflow import cli
 from skewflow.algebra import Polynomial
 from skewflow.cli import main
 from skewflow.report import Report
-from skewflow.sops import SOPFamily
+from skewflow.sops import GAUGES, SOPFamily
 
 GRID_SUITES = ("dckp", "slax", "dpfl", "edckp", "edlax", "edpfl", "crosscheck")
 
@@ -419,6 +422,24 @@ class TestExitCodes:
         assert err == f"error: suite {suite} evaluated no check on this input\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("gauge", [5, "nope", None, True])
+    def test_unknown_gauge(self, tmp_path, random_setup, capsys, gauge):
+        moments, family = random_setup
+        data = read(family)
+        tampered = tmp_path / "tampered.json"
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "orthogonality", "--family", str(tampered),
+                "--moments", str(moments), "-o", str(out)]
+        for label in GAUGES:
+            tampered.write_text(json.dumps({**data, "gauge": label}))
+            assert main(argv) == 0
+        out.unlink()
+        tampered.write_text(json.dumps({**data, "gauge": gauge}))
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: bad input (unknown gauge {gauge!r})\n"
+        assert not out.exists()
+
     def test_unknown_suite(self, random_setup):
         moments, family = random_setup
         assert main([
@@ -469,3 +490,108 @@ class TestDeterminism:
                 "--seed", "11", "-o", str(out),
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# -- loader fuzzing ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def loader_files(tmp_path_factory):
+    """A moments, family and grid file as the CLI writes them."""
+    root = tmp_path_factory.mktemp("loaders")
+    files = {name: root / f"{name}.json" for name in ("moments", "family", "grid")}
+    assert main(["gen-moments", "--kind", "random", "--max-index", "8",
+                 "--seed", "7", "-o", str(files["moments"])]) == 0
+    assert main(["family", "--moments", str(files["moments"]), "--pairs", "1",
+                 "-o", str(files["family"])]) == 0
+    assert main(["grid", "--moments", str(files["moments"]), "--mu", "1/2",
+                 "--lambda", "3", "--pairs", "1", "--steps-s", "1",
+                 "--steps-t", "1", "-o", str(files["grid"])]) == 0
+    return root, files
+
+
+def json_paths(node, prefix=()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+def retyped(value):
+    """Values of other JSON kinds standing in for value."""
+    if isinstance(value, list):
+        return [{str(i): v for i, v in enumerate(value)}, value[:-1], value * 2]
+    if isinstance(value, dict):
+        return [list(value.values()), list(value)]
+    if isinstance(value, str):
+        p, _, q = value.partition("/")
+        if p.lstrip("-").isdigit() and q.isdigit():
+            # the same value respelled, its integer part, its negative
+            p, q = int(p), int(q)
+            return [f"{2 * p}/{2 * q}", p, f"{-p}/{q}", "1/0", "x"]
+        return [0, "1/0", "x"]
+    if isinstance(value, bool) or value is None:
+        return [0, "1/1"]
+    if isinstance(value, int):
+        return [str(value), value + 1, value - 1, -1, 0, float(value)]
+    return [str(value)]
+
+
+@st.composite
+def tampered_text(draw, data):
+    """The file's JSON text, truncated, or with one value deleted or
+    replaced by a value of another kind, a bool or null."""
+    text = json.dumps(data)
+    if draw(st.integers(0, 9)) == 0:
+        return text[: draw(st.integers(0, len(text) - 1))]
+    path = draw(st.sampled_from(list(json_paths(data))))
+    data = json.loads(text)
+    if not path:
+        return json.dumps(draw(st.sampled_from([[data], "x", 7, True, None])))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    new = draw(st.sampled_from(["delete", True, False, None, *retyped(value)]))
+    if new == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return json.dumps(data)
+
+
+def loading_command(kind, files, target, out):
+    """A verify command that reads target in place of files[kind]."""
+    f = {**{name: str(path) for name, path in files.items()}, kind: str(target)}
+    if kind == "grid":
+        return ["verify", "--suite", "dckp", "--grid", f["grid"], "-o", out]
+    return ["verify", "--suite", "orthogonality", "--family", f["family"],
+            "--moments", f["moments"], "-o", out]
+
+
+class TestLoaderFuzz:
+    """Every tampered file ends in a report or one error line, never a
+    traceback: exit 0 or 1 with a report, 2 or 3 with one line."""
+
+    @pytest.mark.parametrize("kind", ["moments", "family", "grid"])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_tampered_file(self, loader_files, kind, data):
+        root, files = loader_files
+        target, out = root / f"tampered-{kind}.json", root / "report.json"
+        target.write_text(data.draw(tampered_text(read(files[kind]))))
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(loading_command(kind, files, target, str(out)))
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            assert out.exists()
+        else:
+            assert len(lines) == 1 and not out.exists(), lines
+            if code == 3:
+                assert lines[0].startswith("error:"), lines

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewflow.algebra import Polynomial
+from skewflow.algebra import Polynomial, rat_str
 from skewflow.errors import DegreeBudgetExceeded
 from skewflow.moments import (
     DiscreteMeasure,
@@ -59,6 +61,94 @@ def pair_sum_table(measure, max_index):
         for i in range(max_index + 1)
     ]
     return SkewMoments(max_index, rows)
+
+
+# -- definitional Fraction generators ----------------------------------
+# The per-entry Fraction loops that the integer generators replaced, kept
+# as oracles: each reads like its formula and builds its table from
+# Fraction entries through the constructor.
+
+
+def fraction_random(seed, max_index, bound=10):
+    for attempt in range(1000):
+        rng = random.Random(seed * 1000003 + attempt)
+        entries = [
+            [
+                Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                for _ in range(i + 1, max_index + 1)
+            ]
+            for i in range(max_index + 1)
+        ]
+        table = SkewMoments(
+            max_index,
+            entries,
+            {"kind": "random", "seed": seed, "bound": bound, "attempt": attempt},
+        )
+        if max_index < 3 or numeric_pfaffian(table, range(4)) != 0:
+            return table
+    raise AssertionError("no generic draw")
+
+
+def measure_provenance(kind, measure):
+    return {
+        "kind": kind,
+        "nodes": [rat_str(x) for x in measure.nodes],
+        "weights": [rat_str(w) for w in measure.weights],
+    }
+
+
+def fraction_orthogonal(measure, max_index):
+    """Prefix sums over the nodes in Fractions: a_k^i = w_k x_k^i."""
+    size = max_index + 1
+    entries = [[Fraction(0)] * (size - i - 1) for i in range(size)]
+    prefix = [Fraction(0)] * size
+    for x, w in zip(measure.nodes, measure.weights):
+        a = [w * x**p for p in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                entries[i][j - i - 1] += a[i] * prefix[j] - a[j] * prefix[i]
+        prefix = [p + v for p, v in zip(prefix, a)]
+    return SkewMoments(max_index, entries, measure_provenance("orthogonal", measure))
+
+
+def fraction_symplectic(measure, max_index):
+    """s_ij = (j - i) m_{i+j-1} with Fraction power sums m_p."""
+    msums = [
+        sum((x**p * w for x, w in zip(measure.nodes, measure.weights)), Fraction(0))
+        for p in range(2 * max_index)
+    ]
+    entries = [
+        [(j - i) * msums[i + j - 1] for j in range(i + 1, max_index + 1)]
+        for i in range(max_index + 1)
+    ]
+    return SkewMoments(max_index, entries, measure_provenance("symplectic", measure))
+
+
+def entries_of(table):
+    m = table.max_index
+    return [[table.entry(i, j) for j in range(m + 1)] for i in range(m + 1)]
+
+
+def from_entries(max_index, value):
+    """Table with s_ij = value(i, j) above the diagonal."""
+    return SkewMoments(
+        max_index,
+        [[value(i, j) for j in range(i + 1, max_index + 1)] for i in range(max_index + 1)],
+    )
+
+
+def respelled(table, k):
+    """to_json of the table with every entry p/q written as "kp/kq", zero
+    entries included."""
+    data = table.to_json()
+    m = table.max_index
+    data["entries"] = [
+        [i, j, f"{k * v.numerator}/{k * v.denominator}"]
+        for i in range(m + 1)
+        for j in range(i + 1, m + 1)
+        for v in [table.entry(i, j)]
+    ]
+    return data
 
 
 @st.composite
@@ -306,3 +396,93 @@ class TestShiftMemo:
         nxt, shifted, _ = christoffel(family, table, 3)
         geronimus_coeffs(nxt, family, table, 3)
         assert made == [["3/1"]]
+
+
+class TestGeneratorOracles:
+    @settings(max_examples=40)
+    @given(measures(), st.integers(1, 8))
+    def test_orthogonal(self, measure, max_index):
+        table = from_discrete_orthogonal(measure, max_index)
+        oracle = fraction_orthogonal(measure, max_index)
+        assert table == oracle and table.provenance == oracle.provenance
+
+    @settings(max_examples=40)
+    @given(measures(), st.integers(0, 8))
+    def test_symplectic(self, measure, max_index):
+        table = from_discrete_symplectic(measure, max_index)
+        oracle = fraction_symplectic(measure, max_index)
+        assert table == oracle and table.provenance == oracle.provenance
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 10**6), st.integers(1, 11), st.integers(1, 12))
+    def test_random(self, seed, max_index, bound):
+        table = from_random(seed, max_index, bound)
+        oracle = fraction_random(seed, max_index, bound)
+        assert table == oracle and table.provenance == oracle.provenance
+
+    def test_retried_draw(self):
+        # with bound 1, seed 6 draws a vanishing leading 4x4 Pfaffian twice
+        table = from_random(6, 5, 1)
+        assert table.provenance["attempt"] == 2
+        assert table == fraction_random(6, 5, 1)
+
+
+class TestCanonicalForm:
+    """Equality and hashing read the integer form; it must be canonical."""
+
+    @settings(max_examples=60)
+    @given(tables())
+    def test_least_denominator(self, table):
+        size = table.max_index + 1
+        rows, den = table.integer_rows(size)
+        values = [v for row in entries_of(table) for v in row]
+        assert den == lcm(*(v.denominator for v in values))
+        assert gcd(den, *(x for row in rows for x in row)) == 1
+        assert all(type(x) is int for row in rows for x in row)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_equal_and_hash_equal_exactly_when_entries_equal(self, data):
+        a = data.draw(tables())
+        m = a.max_index
+        i = data.draw(st.integers(0, m - 1))
+        j = data.draw(st.integers(i + 1, m))
+        v = data.draw(entries)
+        b = from_entries(m, lambda x, y: v if (x, y) == (i, j) else a.entry(x, y))
+        same = v == a.entry(i, j)
+        assert (a == b) == same == (entries_of(a) == entries_of(b))
+        if same:
+            assert hash(a) == hash(b)
+
+    @settings(max_examples=60)
+    @given(tables(), st.integers(1, 12))
+    def test_from_json_of_any_spelling(self, table, k):
+        again = SkewMoments.from_json(respelled(table, k))
+        assert again == table and hash(again) == hash(table)
+
+    @settings(max_examples=60)
+    @given(tables())
+    def test_json_round_trip(self, table):
+        again = SkewMoments.from_json(table.to_json())
+        assert again == table and hash(again) == hash(table)
+        assert again.provenance == table.provenance
+
+    @settings(max_examples=60)
+    @given(tables(), params)
+    def test_shift_equals_its_entries(self, table, c):
+        def shifted(i, j):
+            s = table.entry
+            return s(i + 1, j + 1) - c * (s(i + 1, j) + s(i, j + 1)) + c * c * s(i, j)
+
+        derived = table.shift(c)
+        expected = from_entries(table.max_index - 1, shifted)
+        assert derived == expected and hash(derived) == hash(expected)
+
+    @settings(max_examples=60)
+    @given(tables(), params.filter(lambda c: c != 0))
+    def test_scale_equals_its_entries(self, table, c):
+        derived = table.scale(c)
+        expected = from_entries(table.max_index, lambda i, j: c * table.entry(i, j))
+        assert derived == expected and hash(derived) == hash(expected)
+        back = derived.scale(1 / c)
+        assert back == table and hash(back) == hash(table)
