@@ -31,7 +31,9 @@ def rat(value: RationalLike) -> Rational:
     A string with a zero denominator raises ValueError, like any other
     malformed rational.  Floats and bools raise ValueError too: a float is
     not an exact rational (0.1 would become 3602879701896397/2**55), and a
-    JSON true/false is not a number.
+    JSON true/false is not a number.  So does a string with an exponent
+    ("1e3"): its cost grows with the exponent, not with the text, and
+    "1e10000000" would take seconds to expand.
     """
     if isinstance(value, Fraction):
         return value
@@ -39,6 +41,8 @@ def rat(value: RationalLike) -> Rational:
         raise ValueError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent spelling not accepted: {value[:40]!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:

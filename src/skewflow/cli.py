@@ -108,6 +108,8 @@ def _read_json(path: str) -> Any:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except RecursionError:
+        raise UsageError(f"cannot read {path}: JSON nested too deeply") from None
 
 
 def _emit(payload: Any, path: str | None) -> None:

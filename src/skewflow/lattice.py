@@ -22,10 +22,15 @@ with it.
 
 Ratios of these produce the even-degree lattice polynomials q_{2n} =
 tauhat_n/tau_n, the coefficient fields of the contiguous relations, and the
-phi polynomials of the extended (vector) theory.  Every verifier in this
-module checks its identities by exact rational arithmetic, and each
-relation in z (bilinear or contiguous) once, as an identity of
-polynomials; a failed identity is reported, never raised.
+phi polynomials of the extended (vector) theory.  The scalar and 2x2 matrix
+systems share their formulas: :func:`_ratios` writes each coefficient once
+(tau over tau for the scalar field; tau over sigma and sigma over tau for
+the upper and lower matrix entries), and :func:`_additive` and
+``_PRODUCTS`` write each nonlinear relation once, for dpfl's scalar and
+edpfl's antidiagonal products.  Every verifier checks its identities by
+exact rational arithmetic, and each relation in z (bilinear or contiguous)
+once, as an identity of polynomials; a failed identity is reported, never
+raised.
 """
 
 from __future__ import annotations
@@ -454,30 +459,39 @@ class CoefficientField:
         self.d = d
 
 
+def _ratios(grid: TauGrid, x, y, k: Rational) -> tuple[dict, dict, dict, dict]:
+    """The A, B, C, D tau-ratios with numerators from lattice function x,
+    denominators from y and constant k; an entry whose denominator
+    vanishes is left out.
+
+        A = k x_{n+1} x_{n-1}^{s+1,t+1} / (y_n^{s+1,t} y_n^{s,t+1})      (n >= 1)
+        B = k x_n x_n^{s+1,t+1} / (y_n^{s+1,t} y_n^{s,t+1})
+        C = x_{n+1}^{s+1,t} x_n^{s,t+1} / (k y_{n+1} y_n^{s+1,t+1})
+        D = x_{n+1}^{s,t+1} x_n^{s+1,t} / (k y_{n+1} y_n^{s+1,t+1})
+
+    (unmarked sites are (s, t)).
+    """
+    c = grid.config
+    a, b, cc, d = {}, {}, {}, {}
+    for s, t in grid.interior_sites():
+        for n in range(c.pairs + 1):
+            key = (n, s, t)
+            down = y(n, s + 1, t) * y(n, s, t + 1)
+            if down != 0:
+                if n >= 1:
+                    a[key] = k * x(n + 1, s, t) * x(n - 1, s + 1, t + 1) / down
+                b[key] = k * x(n, s, t) * x(n, s + 1, t + 1) / down
+            up = k * y(n + 1, s, t) * y(n, s + 1, t + 1)
+            if up != 0:
+                cc[key] = x(n + 1, s + 1, t) * x(n, s, t + 1) / up
+                d[key] = x(n + 1, s, t + 1) * x(n, s + 1, t) / up
+    return a, b, cc, d
+
+
 def coefficient_field(grid: TauGrid) -> CoefficientField:
     """Tau-ratio coefficients of the scalar contiguous relations."""
     c = grid.config
-    ml = c.mu - c.lam
-    a: dict[tuple[int, int, int], Rational] = {}
-    b: dict[tuple[int, int, int], Rational] = {}
-    cc: dict[tuple[int, int, int], Rational] = {}
-    d: dict[tuple[int, int, int], Rational] = {}
-    for s, t in grid.interior_sites():
-        for n in range(c.pairs + 1):
-            down = grid.tau(n, s + 1, t) * grid.tau(n, s, t + 1)
-            up = grid.tau(n + 1, s, t) * grid.tau(n, s + 1, t + 1)
-            if n >= 1:
-                a[(n, s, t)] = (
-                    ml * grid.tau(n + 1, s, t) * grid.tau(n - 1, s + 1, t + 1) / down
-                )
-            b[(n, s, t)] = ml * grid.tau(n, s, t) * grid.tau(n, s + 1, t + 1) / down
-            cc[(n, s, t)] = (
-                grid.tau(n + 1, s + 1, t) * grid.tau(n, s, t + 1) / (ml * up)
-            )
-            d[(n, s, t)] = (
-                grid.tau(n + 1, s, t + 1) * grid.tau(n, s + 1, t) / (ml * up)
-            )
-    return CoefficientField(c, a, b, cc, d)
+    return CoefficientField(c, *_ratios(grid, grid.tau, grid.tau, c.mu - c.lam))
 
 
 # -- bilinear systems ---------------------------------------------------
@@ -523,6 +537,17 @@ def verify_dckp(grid: TauGrid) -> Report:
     return report
 
 
+def _sample_points(config: LatticeConfig, samples: Sequence[RationalLike]) -> list[str]:
+    """The sample points of a slax/edlax report, as recorded: distinct, at
+    least 2*pairs+3 of them; ValueError otherwise."""
+    pts = [rat(x) for x in samples]
+    if len(set(pts)) != len(pts):
+        raise ValueError("sample points must be distinct")
+    if len(pts) < 2 * config.pairs + 3:
+        raise ValueError(f"need at least {2 * config.pairs + 3} sample points")
+    return [rat_str(x) for x in pts]
+
+
 def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     """Both scalar contiguous relations, each checked once as an identity
     of polynomials in z.
@@ -533,17 +558,12 @@ def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     sample count, so a check at the sample points gives the same verdict.
     """
     c = grid.config
-    pts = [rat(x) for x in samples]
-    if len(set(pts)) != len(pts):
-        raise ValueError("sample points must be distinct")
-    if len(pts) < 2 * c.pairs + 3:
-        raise ValueError(f"need at least {2 * c.pairs + 3} sample points")
-    field = coefficient_field(grid)
-    z_mu, z_lam, z_both = _z_factors(c)
     report = Report(
         "slax",
-        {"samples": [rat_str(x) for x in pts], "provenance": grid.base.provenance},
+        {"samples": _sample_points(c, samples), "provenance": grid.base.provenance},
     )
+    field = coefficient_field(grid)
+    z_mu, z_lam, z_both = _z_factors(c)
     for s, t in grid.interior_sites():
         for n in range(c.pairs + 1):
             q_st = grid.q_even(n, s, t)
@@ -566,49 +586,77 @@ def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     return report
 
 
+def _additive(field: CoefficientField, n: int, s: int, t: int) -> bool:
+    """The additive balance at (n, s, t); KeyError where an entry is missing."""
+    a, b, cc, d = field.a, field.b, field.c, field.d
+    return (
+        a[(n, s + 1, t + 1)] - a[(n + 1, s, t)] + b[(n + 1, s, t)] - b[(n, s + 1, t + 1)]
+        == cc[(n, s, t + 1)] - cc[(n, s + 1, t)] + d[(n, s + 1, t)] - d[(n, s, t + 1)]
+    )
+
+
+def _additive_sites(config: LatticeConfig) -> Iterator[tuple[int, int, int]]:
+    for s in range(config.steps_s - 1):
+        for t in range(config.steps_t - 1):
+            for n in range(1, config.pairs):
+                yield n, s, t
+
+
+# The product relations lhs * x = r1 * r2 of the nonlinear systems.  A row
+# holds the relation's id; the step (ds, dt) of its stencil, which drops
+# the last ds values of s and dt of t; how many top values of n it drops;
+# and its factors (lhs, x, r1, r2) at (n, s, t), first with the
+# scalar-system ("pattern") indices, then with the printed ones (None
+# where the two coincide).
+_PRODUCTS = (
+    ("product-ac", (1, 0), 0,
+     lambda f, n, s, t: (f.a[n, s + 1, t], f.c[n - 1, s + 1, t], f.a[n, s, t], f.c[n, s, t]),
+     lambda f, n, s, t: (f.a[n, s + 1, t], f.c[n - 1, s + 1, t], f.a[n, s, t], f.c[n, s + 1, t])),
+    ("product-ad", (0, 1), 0,
+     lambda f, n, s, t: (f.a[n, s, t + 1], f.d[n - 1, s, t + 1], f.a[n, s, t], f.d[n, s, t]),
+     None),
+    ("product-bd", (1, 0), 1,
+     lambda f, n, s, t: (f.b[n, s + 1, t], f.d[n, s + 1, t], f.b[n + 1, s, t], f.d[n, s, t]),
+     None),
+    ("product-bc", (0, 1), 1,
+     lambda f, n, s, t: (f.b[n, s, t + 1], f.c[n, s, t + 1], f.b[n + 1, s, t], f.c[n, s, t]),
+     lambda f, n, s, t: (f.b[n, s, t + 1], f.d[n, s, t + 1], f.b[n + 1, s, t], f.d[n, s, t])),
+)
+
+
+def _instances(field: CoefficientField, factors, step: tuple[int, int], top: int) -> list:
+    """The factors of each instance of a product relation whose
+    coefficients all exist."""
+    c = field.config
+    out = []
+    for s in range(c.steps_s - step[0]):
+        for t in range(c.steps_t - step[1]):
+            for n in range(1, c.pairs + 1 - top):
+                try:
+                    out.append(factors(field, n, s, t))
+                except KeyError:
+                    pass
+    return out
+
+
 def verify_dpfl(field: CoefficientField) -> Report:
-    """The scalar nonlinear system: additive balance plus four products."""
+    """The scalar nonlinear system: additive balance plus four products.
+
+    The products are checked site by site, first the two whose stencil
+    steps in s (ac, bd), then the two stepping in t (ad, bc).
+    """
     c = field.config
     report = Report("dpfl", {})
-    a, b, cc, d = field.a, field.b, field.c, field.d
-    for s in range(c.steps_s - 1):
-        for t in range(c.steps_t - 1):
-            for n in range(1, c.pairs):
-                report.add(
-                    f"additive:n={n},s={s},t={t}",
-                    a[(n, s + 1, t + 1)] - a[(n + 1, s, t)]
-                    + b[(n + 1, s, t)] - b[(n, s + 1, t + 1)]
-                    == cc[(n, s, t + 1)] - cc[(n, s + 1, t)]
-                    + d[(n, s + 1, t)] - d[(n, s, t + 1)],
-                )
-    for s in range(c.steps_s - 1):
-        for t in range(c.steps_t):
-            for n in range(1, c.pairs + 1):
-                report.add(
-                    f"product-ac:n={n},s={s},t={t}",
-                    a[(n, s + 1, t)] * cc[(n - 1, s + 1, t)]
-                    == a[(n, s, t)] * cc[(n, s, t)],
-                )
-            for n in range(1, c.pairs):
-                report.add(
-                    f"product-bd:n={n},s={s},t={t}",
-                    b[(n, s + 1, t)] * d[(n, s + 1, t)]
-                    == b[(n + 1, s, t)] * d[(n, s, t)],
-                )
-    for s in range(c.steps_s):
-        for t in range(c.steps_t - 1):
-            for n in range(1, c.pairs + 1):
-                report.add(
-                    f"product-ad:n={n},s={s},t={t}",
-                    a[(n, s, t + 1)] * d[(n - 1, s, t + 1)]
-                    == a[(n, s, t)] * d[(n, s, t)],
-                )
-            for n in range(1, c.pairs):
-                report.add(
-                    f"product-bc:n={n},s={s},t={t}",
-                    b[(n, s, t + 1)] * cc[(n, s, t + 1)]
-                    == b[(n + 1, s, t)] * cc[(n, s, t)],
-                )
+    for n, s, t in _additive_sites(c):
+        report.add(f"additive:n={n},s={s},t={t}", _additive(field, n, s, t))
+    for step in ((1, 0), (0, 1)):
+        rows = [row for row in _PRODUCTS if row[1] == step]
+        for s in range(c.steps_s - step[0]):
+            for t in range(c.steps_t - step[1]):
+                for rel_id, _, top, factors, _ in rows:
+                    for n in range(1, c.pairs + 1 - top):
+                        lhs, x, r1, r2 = factors(field, n, s, t)
+                        report.add(f"{rel_id}:n={n},s={s},t={t}", lhs * x == r1 * r2)
     return report
 
 
@@ -640,7 +688,9 @@ class AntiDiagonal:
 
 
 def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
-    """Matrix coefficients per interior site.
+    """Matrix coefficients per interior site: the scalar tau-ratios with
+    lambda - mu for mu - lambda, sigma in the denominators of the upper
+    entries and in the numerators of the lower ones.
 
     An entry is omitted (not stored) wherever a sigma in its denominator
     vanishes; the verifiers skip relation instances that need missing
@@ -649,55 +699,10 @@ def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
     """
     c = grid.config
     lm = c.lam - c.mu
-    a: dict[tuple[int, int, int], AntiDiagonal] = {}
-    b: dict[tuple[int, int, int], AntiDiagonal] = {}
-    cc: dict[tuple[int, int, int], AntiDiagonal] = {}
-    d: dict[tuple[int, int, int], AntiDiagonal] = {}
-
-    def store(target, key, up_num, up_den, low_num, low_den):
-        if up_den != 0 and low_den != 0:
-            target[key] = AntiDiagonal(up_num / up_den, low_num / low_den)
-
-    for s, t in grid.interior_sites():
-        for n in range(c.pairs + 1):
-            tdown = grid.tau(n, s + 1, t) * grid.tau(n, s, t + 1)
-            sdown = grid.sigma(n, s + 1, t) * grid.sigma(n, s, t + 1)
-            tup = grid.tau(n + 1, s, t) * grid.tau(n, s + 1, t + 1)
-            sup = grid.sigma(n + 1, s, t) * grid.sigma(n, s + 1, t + 1)
-            if n >= 1:
-                store(
-                    a,
-                    (n, s, t),
-                    lm * grid.tau(n + 1, s, t) * grid.tau(n - 1, s + 1, t + 1),
-                    sdown,
-                    lm * grid.sigma(n + 1, s, t) * grid.sigma(n - 1, s + 1, t + 1),
-                    tdown,
-                )
-            store(
-                b,
-                (n, s, t),
-                lm * grid.tau(n, s, t) * grid.tau(n, s + 1, t + 1),
-                sdown,
-                lm * grid.sigma(n, s, t) * grid.sigma(n, s + 1, t + 1),
-                tdown,
-            )
-            store(
-                cc,
-                (n, s, t),
-                grid.tau(n + 1, s + 1, t) * grid.tau(n, s, t + 1),
-                lm * sup,
-                grid.sigma(n + 1, s + 1, t) * grid.sigma(n, s, t + 1),
-                lm * tup,
-            )
-            store(
-                d,
-                (n, s, t),
-                grid.tau(n + 1, s, t + 1) * grid.tau(n, s + 1, t),
-                lm * sup,
-                grid.sigma(n + 1, s, t + 1) * grid.sigma(n, s + 1, t),
-                lm * tup,
-            )
-    return CoefficientField(c, a, b, cc, d)
+    upper = _ratios(grid, grid.tau, grid.sigma, lm)
+    lower = _ratios(grid, grid.sigma, grid.tau, lm)
+    both = ({k: AntiDiagonal(u[k], w[k]) for k in u if k in w} for u, w in zip(upper, lower))
+    return CoefficientField(c, *both)
 
 
 def verify_edckp(grid: TauGrid) -> Report:
@@ -741,17 +746,12 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     required at every site but the origin.
     """
     c = grid.config
-    pts = [rat(x) for x in samples]
-    if len(set(pts)) != len(pts):
-        raise ValueError("sample points must be distinct")
-    if len(pts) < 2 * c.pairs + 3:
-        raise ValueError(f"need at least {2 * c.pairs + 3} sample points")
-    field = matrix_coefficient_field(grid)
-    z_mu, z_lam, z_both = _z_factors(c)
     report = Report(
         "edlax",
-        {"samples": [rat_str(x) for x in pts], "provenance": grid.base.provenance},
+        {"samples": _sample_points(c, samples), "provenance": grid.base.provenance},
     )
+    field = matrix_coefficient_field(grid)
+    z_mu, z_lam, z_both = _z_factors(c)
     # (phi_2n, phi_2n+1) at every site, phi_2n None where sigma_n vanishes
     phi = {
         (n, s, t): (
@@ -851,125 +851,25 @@ def verify_edpfl(field: CoefficientField) -> Report:
     """
     c = field.config
     report = Report("edpfl", {})
-    a, b, cc, d = field.a, field.b, field.c, field.d
-    for s in range(c.steps_s - 1):
-        for t in range(c.steps_t - 1):
-            for n in range(1, c.pairs):
-                try:
-                    ok = (
-                        a[(n, s + 1, t + 1)] - a[(n + 1, s, t)]
-                        + b[(n + 1, s, t)] - b[(n, s + 1, t + 1)]
-                        == cc[(n, s, t + 1)] - cc[(n, s + 1, t)]
-                        + d[(n, s + 1, t)] - d[(n, s, t + 1)]
-                    )
-                except KeyError:
-                    report.skip(
-                        f"additive:n={n},s={s},t={t}",
-                        "coefficient undefined (sigma vanishes)",
-                    )
-                    continue
-                report.add(f"additive:n={n},s={s},t={t}", ok)
-
-    def verdicts(instances) -> tuple[dict[str, bool], dict[str, int]]:
-        out = {}
-        counts = {}
-        for name in _EDPFL_VARIANTS:
-            insts = list(instances(name))
-            counts[name] = len(insts)
-            out[name] = all(
-                lhs.times(x) == y.times(z) for lhs, x, y, z in insts
+    for n, s, t in _additive_sites(c):
+        tag = f"additive:n={n},s={s},t={t}"
+        try:
+            report.add(tag, _additive(field, n, s, t))
+        except KeyError:
+            report.skip(tag, "coefficient undefined (sigma vanishes)")
+    for rel_id, step, top, pattern, printed in _PRODUCTS:
+        at_pattern = _instances(field, pattern, step, top)
+        at_printed = at_pattern if printed is None else _instances(field, printed, step, top)
+        if not at_pattern:
+            report.skip(rel_id, "no admissible pattern-swapped instance" if at_printed
+                        else "every instance touches a singular site")
+            continue
+        holds = {}
+        for name, insts in (("pattern", at_pattern), ("printed", at_printed)):
+            holds[name] = all(lhs.times(x) == r1.times(r2) for lhs, x, r1, r2 in insts)
+            holds[f"{name}-swapped"] = all(
+                lhs.times(x) == r2.times(r1) for lhs, x, r1, r2 in insts
             )
-        return out, counts
-
-    def sites_st():
-        return [
-            (n, s, t)
-            for s in range(c.steps_s - 1)
-            for t in range(c.steps_t)
-            for n in range(1, c.pairs + 1)
-        ]
-
-    def sites_ts():
-        return [
-            (n, s, t)
-            for s in range(c.steps_s)
-            for t in range(c.steps_t - 1)
-            for n in range(1, c.pairs + 1)
-        ]
-
-    def add_relation(rel_id: str, instances) -> None:
-        table, counts = verdicts(instances)
-        if max(counts.values()) == 0:
-            report.skip(rel_id, "every instance touches a singular site")
-            return
-        if counts["pattern-swapped"] == 0:
-            report.skip(rel_id, "no admissible pattern-swapped instance")
-            return
-        detail = " ".join(f"{k}={'pass' if v else 'fail'}" for k, v in table.items())
-        report.add(rel_id, table["pattern-swapped"], detail)
-
-    # A-C relation; "printed" shifts the right C to (s+1, t).
-    def inst_ac(variant):
-        for n, s, t in sites_st():
-            try:
-                lhs, x = a[(n, s + 1, t)], cc[(n - 1, s + 1, t)]
-                rc = cc[(n, s + 1, t)] if "printed" in variant else cc[(n, s, t)]
-                ra = a[(n, s, t)]
-            except KeyError:
-                continue
-            if "swapped" in variant:
-                yield lhs, x, rc, ra
-            else:
-                yield lhs, x, ra, rc
-
-    add_relation("product-ac", inst_ac)
-
-    # A-D relation; printed and pattern indices coincide here.
-    def inst_ad(variant):
-        for n, s, t in sites_ts():
-            try:
-                lhs, x = a[(n, s, t + 1)], d[(n - 1, s, t + 1)]
-                ra, rd = a[(n, s, t)], d[(n, s, t)]
-            except KeyError:
-                continue
-            if "swapped" in variant:
-                yield lhs, x, rd, ra
-            else:
-                yield lhs, x, ra, rd
-
-    add_relation("product-ad", inst_ad)
-
-    def inst_bd(variant):
-        for s in range(c.steps_s - 1):
-            for t in range(c.steps_t):
-                for n in range(1, c.pairs):
-                    try:
-                        lhs, x = b[(n, s + 1, t)], d[(n, s + 1, t)]
-                        rb, rd = b[(n + 1, s, t)], d[(n, s, t)]
-                    except KeyError:
-                        continue
-                    if "swapped" in variant:
-                        yield lhs, x, rd, rb
-                    else:
-                        yield lhs, x, rb, rd
-
-    add_relation("product-bd", inst_bd)
-
-    # B-C relation; "printed" replaces both C factors by D.
-    def inst_bc(variant):
-        for s in range(c.steps_s):
-            for t in range(c.steps_t - 1):
-                for n in range(1, c.pairs):
-                    left = d if "printed" in variant else cc
-                    try:
-                        lhs, x = b[(n, s, t + 1)], left[(n, s, t + 1)]
-                        rb, rl = b[(n + 1, s, t)], left[(n, s, t)]
-                    except KeyError:
-                        continue
-                    if "swapped" in variant:
-                        yield lhs, x, rl, rb
-                    else:
-                        yield lhs, x, rb, rl
-
-    add_relation("product-bc", inst_bc)
+        detail = " ".join(f"{k}={'pass' if holds[k] else 'fail'}" for k in _EDPFL_VARIANTS)
+        report.add(rel_id, holds["pattern-swapped"], detail)
     return report

@@ -239,7 +239,9 @@ def verify_geronimus(
     data: GeronimusData,
 ) -> Report:
     """Check that the contiguous relations of ``data`` rebuild every member
-    of ``family`` from ``family_next``, exactly.
+    of ``family`` from ``family_next``, exactly: member i is row i of the R
+    factor applied to ``family_next``, the identity Phi^t = R^t Phi^{t+1}
+    that :func:`build_lax_pair` also checks.
 
     ``moments`` is the untransformed table; the report records its provenance.
     """
@@ -247,17 +249,11 @@ def verify_geronimus(
         "geronimus",
         {"lambda": rat_str(data.lam), "provenance": moments.provenance},
     )
-    for n in range(family_next.pairs + 1):
-        even_sum = family_next.even(n)
-        odd_sum = family_next.odd(n)
-        for k in range(n):
-            even_sum = even_sum + family_next.even(k).scale(data.alpha[n][k])
-            even_sum = even_sum + family_next.odd(k).scale(data.beta[n][k])
-            odd_sum = odd_sum + family_next.odd(k).scale(data.epsilon[n][k])
-        for k in range(n + 1):
-            odd_sum = odd_sum + family_next.even(k).scale(data.gamma[n][k])
-        report.add(f"reconstruct-even:{n}", even_sum == family.even(n))
-        report.add(f"reconstruct-odd:{n}", odd_sum == family.odd(n))
+    rows = _r_matrix(data, len(family_next.polys)).rows
+    for i, row in enumerate(rows):
+        rebuilt = Polynomial.combination(zip(row, family_next.polys))
+        kind = "odd" if i % 2 else "even"
+        report.add(f"reconstruct-{kind}:{i // 2}", rebuilt == family.polys[i])
     return report
 
 

@@ -176,6 +176,12 @@ class TestRat:
         with pytest.raises(ValueError):
             Polynomial([1, 0.5])
 
+    def test_rejects_exponent_spellings(self):
+        # Fraction("1e10000000") would expand 10**10000000 before any check
+        for value in ("1e10000000", "-2e3", "1E5", "1.5e-3", "3/4e2"):
+            with pytest.raises(ValueError, match="exponent spelling"):
+                rat(value)
+
 
 def outcome(parse, value):
     """The pair a parser returns for value, or the type of what it raises."""
@@ -198,6 +204,7 @@ spellings = st.one_of(
         "+3/4", " 3/4", "3/4 ", "3/4\n", "1_0/3", "1.5", "-2e3", "1/0", "-0/5",
         "007/010", "3", "-3", "", "/", "3/", "/4", "3//4", "--3/4", "nan",
         "inf", "\u0663/\u0664", "\uff13/\uff14", "1/\u0664", "1" * 5000 + "/3",
+        "1E5", "1e10000000",
     ]),
     st.text(alphabet="0123456789-+/ ._e\u0663", max_size=8),
     st.integers(-(10**30), 10**30),

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -595,3 +596,37 @@ class TestLoaderFuzz:
             assert len(lines) == 1 and not out.exists(), lines
             if code == 3:
                 assert lines[0].startswith("error:"), lines
+
+    @pytest.mark.parametrize("kind", ["moments", "family", "grid"])
+    def test_deeply_nested_json(self, loader_files, kind):
+        # json recurses once per level; 100,000 levels exceed the stack limit
+        root, files = loader_files
+        target, out = root / f"nested-{kind}.json", root / "report.json"
+        target.write_text("[" * 100_000 + "]" * 100_000)
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(loading_command(kind, files, target, str(out)))
+        assert code == 3 and not out.exists()
+        assert err.getvalue().splitlines() == [
+            f"error: cannot read {target}: JSON nested too deeply"
+        ]
+
+    def test_exponent_spelled_rational_exits_at_once(self, loader_files):
+        # Fraction would expand 10**10000000 (seconds of CPU) before the
+        # value reached any check; rat refuses the spelling up front
+        root, files = loader_files
+        data = read(files["moments"])
+        data["entries"][0][2] = "1e10000000"
+        target = root / "exponent-moments.json"
+        target.write_text(json.dumps(data))
+        err = io.StringIO()
+        started = time.monotonic()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["family", "--moments", str(target), "--pairs", "1"])
+        elapsed = time.monotonic() - started
+        assert code == 3
+        assert err.getvalue().splitlines() == [
+            "error: bad input (exponent spelling not accepted: '1e10000000')"
+        ]
+        assert elapsed < 5

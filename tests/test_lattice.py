@@ -1,7 +1,9 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial, rat, rat_str
 from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
@@ -312,6 +314,24 @@ class TestAntiDiagonal:
         assert out[1] == Polynomial.one().scale(Fraction(-3))
 
 
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def random_grids(draw):
+    """A grid over a drawn table, box and (mu, lambda); no vanishing tau."""
+    mu, lam = draw(st.lists(small, min_size=2, max_size=2, unique=True))
+    config = LatticeConfig(
+        mu, lam, draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    )
+    m = config.required_budget
+    table = SkewMoments(m, [[draw(small) for _ in range(i + 1, m + 1)] for i in range(m + 1)])
+    try:
+        return build_grid(table, config)
+    except SingularConfiguration:
+        assume(False)
+
+
 class TestMatrixField:
     def test_degenerate_matches_scalar(self):
         degen = GRID.degenerate()
@@ -326,6 +346,17 @@ class TestMatrixField:
         assert entry.upper == entry.lower == -scalar.b[(n, s, t)]
         entry = matrix.c[(n, s, t)]
         assert entry.upper == entry.lower == -scalar.c[(n, s, t)]
+
+    @settings(max_examples=30)
+    @given(random_grids())
+    def test_degenerate_entries_are_minus_the_scalar_ones(self, grid):
+        scalar = coefficient_field(grid)
+        matrix = matrix_coefficient_field(grid.degenerate())
+        for letter in "abcd":
+            want, got = getattr(scalar, letter), getattr(matrix, letter)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key].upper == got[key].lower == -value
 
 
 class TestExtendedSystems:
@@ -458,3 +489,84 @@ class TestSamplePoints:
         pts = sample_points(9, [MU, LAM])
         assert len(pts) == len(set(pts)) == 9
         assert MU not in pts and LAM not in pts
+
+
+# -- golden output ------------------------------------------------------
+
+
+def field_json(field):
+    """Every coefficient of a scalar or matrix field, keys in sorted order."""
+    def value(v):
+        if isinstance(v, AntiDiagonal):
+            return [rat_str(v.upper), rat_str(v.lower)]
+        return rat_str(v)
+
+    stores = (field.a, field.b, field.c, field.d)
+    return {
+        name: [[list(key), value(store[key])] for key in sorted(store)]
+        for name, store in zip("abcd", stores)
+    }
+
+
+def lattice_digest(grid):
+    """sha256 of both coefficient fields and the dpfl, edpfl, slax and edlax
+    reports of a grid, each report without its elapsed_ms."""
+    samples = samples_for(grid)
+    reports = [
+        verify_dpfl(coefficient_field(grid)),
+        verify_edpfl(matrix_coefficient_field(grid)),
+        verify_slax(grid, samples),
+        verify_edlax(grid, samples),
+    ]
+    payload = {
+        "field": field_json(coefficient_field(grid)),
+        "matrix_field": field_json(matrix_coefficient_field(grid)),
+        "reports": [
+            {k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports
+        ],
+    }
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_grid(seed, mu, lam, pairs, steps_s, steps_t):
+    config = LatticeConfig(rat(mu), rat(lam), pairs, steps_s, steps_t)
+    return build_grid(from_random(seed, config.required_budget), config)
+
+
+# Boxes past the pairs=1, 2x2 one the benchmark pins: there the additive,
+# product-bd and product-bc relations have instances.  lambda = -mu makes
+# sigma_0 vanish on the diagonal s = t, so the matrix field omits entries
+# and edlax skips stencils.
+GOLDEN = {
+    "pairs2-3x3": (
+        (3, "1/2", "3", 2, 3, 3), False,
+        "869e0d0205256ec761b089c9c669daa553dcc592c7edde5b72d82921a591d8bb",
+    ),
+    "pairs2-3x3-degenerate": (
+        (3, "1/2", "3", 2, 3, 3), True,
+        "67c9c89016fee0be05d98d2f30c618f5e66e4edf1e4a6cfaf56e4d4f31778a9f",
+    ),
+    "pairs3-3x2": (
+        (5, "-2", "1/3", 3, 3, 2), False,
+        "5d4bd1d5c625f3fdceb82fbe3353e03be7bf24a7673e82f3f7d3c06dd4c0aa44",
+    ),
+    "pairs3-3x2-degenerate": (
+        (5, "-2", "1/3", 3, 3, 2), True,
+        "aa6e41c44324ab7c641af3cef17cbc0327d316e50135bc9f89f27e5317884a53",
+    ),
+    "pairs2-3x3-lambda-minus-mu": (
+        (7, "1", "-1", 2, 3, 3), False,
+        "7bfaff47ffdfc74516dc7d81879addd201c80b91554b8a30b6890615bb7fca36",
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_fields_and_reports_are_unchanged(self, name):
+        args, degenerate, digest = GOLDEN[name]
+        grid = golden_grid(*args)
+        if degenerate:
+            grid = grid.degenerate()
+        assert lattice_digest(grid) == digest

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from skewflow.algebra import Polynomial
 from skewflow.errors import SingularConfiguration, TruncationTooLarge
 from skewflow.moments import DiscreteMeasure, from_discrete_symplectic, from_random
-from skewflow.sops import build_family, skew_product, verify_skew_orthogonality
+from skewflow.sops import SOPFamily, build_family, skew_product, verify_skew_orthogonality
 from skewflow.transforms import (
     BandMatrix,
     build_lax_pair,
@@ -137,6 +137,21 @@ class TestGeronimus:
         transformed, _, _ = christoffel(family, table, lam)
         data = geronimus_coeffs(transformed, family, table, lam)
         assert verify_geronimus(transformed, family, table, data).passed
+
+    @pytest.mark.parametrize("member", range(6))
+    def test_tampered_member_fails_only_its_check(self, member):
+        # pairs=3 transforms to pairs=2, whose six members rebuild q_0..q_5
+        table, family = random_setup()
+        lam = Fraction(3)
+        transformed, _, _ = christoffel(family, table, lam)
+        data = geronimus_coeffs(transformed, family, table, lam)
+        polys = list(family.polys)
+        polys[member] = polys[member] + Polynomial.monomial(member // 2).scale(Fraction(2, 7))
+        tampered = SOPFamily(polys, family.norms, family.gauge)
+        report = verify_geronimus(transformed, tampered, table, data)
+        kind = "odd" if member % 2 else "even"
+        assert [c.id for c in report.failures] == [f"reconstruct-{kind}:{member // 2}"]
+        assert len(report.checks) == 6
 
     def test_modified_product_matches_shifted_table(self):
         table, family = random_setup(seed=13)
