@@ -32,8 +32,10 @@ def rat(value: RationalLike) -> Rational:
     malformed rational.  Floats and bools raise ValueError too: a float is
     not an exact rational (0.1 would become 3602879701896397/2**55), and a
     JSON true/false is not a number.  So does a string with an exponent
-    ("1e3"): its cost grows with the exponent, not with the text, and
-    "1e10000000" would take seconds to expand.
+    ("1e3") or a decimal point ("0.5"): ``Fraction`` expands 10**k for k
+    exponent or fraction digits before any digit limit applies, so
+    "1e10000000" would take seconds and a million-digit decimal costs
+    time quadratic in its length.
     """
     if isinstance(value, Fraction):
         return value
@@ -41,8 +43,11 @@ def rat(value: RationalLike) -> Rational:
         raise ValueError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        raise ValueError(f"exponent spelling not accepted: {value[:40]!r}")
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent spelling not accepted: {value[:40]!r}")
+        if "." in value:
+            raise ValueError(f"decimal spelling not accepted: {value[:40]!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -27,6 +27,7 @@ from .algebra import rat, rat_str
 from .errors import SkewflowError, SingularConfiguration, DegreeBudgetExceeded
 from .lattice import LatticeConfig, TauGrid
 from .moments import (
+    MAX_INDEX,
     DiscreteMeasure,
     SkewMoments,
     from_discrete_orthogonal,
@@ -181,6 +182,8 @@ def _lam_values(args, minimum: int = 1) -> list[Fraction]:
 def _cmd_gen_moments(args) -> int:
     if args.max_index < 1:
         raise UsageError("--max-index must be at least 1")
+    if args.max_index > MAX_INDEX:
+        raise UsageError(f"--max-index must be at most {MAX_INDEX}")
     if args.kind == "random":
         table = from_random(args.seed, args.max_index, args.bound)
     else:

@@ -27,10 +27,11 @@ systems share their formulas: :func:`_ratios` writes each coefficient once
 (tau over tau for the scalar field; tau over sigma and sigma over tau for
 the upper and lower matrix entries), and :func:`_additive` and
 ``_PRODUCTS`` write each nonlinear relation once, for dpfl's scalar and
-edpfl's antidiagonal products.  Every verifier checks its identities by
-exact rational arithmetic, and each relation in z (bilinear or contiguous)
-once, as an identity of polynomials; a failed identity is reported, never
-raised.
+edpfl's antidiagonal products; :func:`_contiguous` checks the contiguous
+relations of slax and edlax in one loop.  Every verifier checks its
+identities by exact rational arithmetic, and each relation in z (bilinear
+or contiguous) once, as an identity of polynomials; a failed identity is
+reported, never raised.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
 from .pfaffian import LAMBDA, MU, ZVAR, bordered_pfaffians, prefix_pfaffians
 from .report import Report
-from .sops import skew_product
+from .sops import skew_pairings
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,10 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     against bordered Pfaffians over the (s, t) table.
 
     Twelve identities: one per quantity (tau, tauhat, sigma, sighat) and
-    step direction (s+1, t+1, and the diagonal s+1,t+1).  The sigma and
+    step direction (s+1, t+1, and the diagonal s+1,t+1), all by one rule:
+    the stepped value times the step's factor is the bordered Pfaffian.
+    The factors are 1, 1 and -lm for a scalar and -(z-mu), -(z-lam) and
+    -lm(z-mu)(z-lam) for a polynomial, lm = lambda - mu.  The sigma and
     sighat identities carry a one-step bookkeeping term (mu, lambda, or
     mu+lambda times the stepped tau) on top of the plain Pfaffian.  All
     twelve Pfaffians share the leading block 0..2n-1 and are read off one
@@ -353,32 +357,36 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     offset = s * mu + t * lam
     z_mu, z_lam, z_both = _z_factors(c)
     i0, i1, i2, i3 = range(2 * n, 2 * n + 4)
-    try:
+    # Per quantity: the stepped value, its factors for the steps s+1, t+1
+    # and s+1,t+1, and the tails of its bordered Pfaffians for those steps.
+    scalar = (1, 1, -lm)
+    poly = (-z_mu, -z_lam, z_both.scale(-lm))
+    quantities = (
+        ("tau", grid.tau, scalar, ([i0, MU], [i0, LAMBDA], [i0, i1, MU, LAMBDA])),
         (
-            tau_s, tau_t, tau_st,
-            hat_s, hat_t, hat_st,
-            sig_s, sig_t, sig_st,
-            shat_s, shat_t, shat_st,
-        ) = bordered_pfaffians(
-            grid.moments(s, t),
-            n,
-            mu,
-            lam,
-            [
-                [i0, MU],
-                [i0, LAMBDA],
-                [i0, i1, MU, LAMBDA],
-                [i0, i1, MU, ZVAR],
-                [i0, i1, LAMBDA, ZVAR],
-                [i0, i1, i2, MU, LAMBDA, ZVAR],
-                [i1, MU],
-                [i1, LAMBDA],
-                [i0, i2, MU, LAMBDA],
-                [i0, i2, MU, ZVAR],
-                [i0, i2, LAMBDA, ZVAR],
-                [i0, i1, i3, MU, LAMBDA, ZVAR],
-            ],
-        )
+            "tauhat",
+            grid.tau_hat,
+            poly,
+            ([i0, i1, MU, ZVAR], [i0, i1, LAMBDA, ZVAR], [i0, i1, i2, MU, LAMBDA, ZVAR]),
+        ),
+        # sigma and sighat first subtract the base site's (s*mu + t*lam)
+        # bookkeeping from the stepped site's, leaving a one-step term.
+        (
+            "sigma",
+            lambda *k: grid.sigma(*k) - offset * grid.tau(*k),
+            scalar,
+            ([i1, MU], [i1, LAMBDA], [i0, i2, MU, LAMBDA]),
+        ),
+        (
+            "sighat",
+            lambda *k: grid.sigma_hat(*k) - grid.tau_hat(*k).scale(offset),
+            poly,
+            ([i0, i2, MU, ZVAR], [i0, i2, LAMBDA, ZVAR], [i0, i1, i3, MU, LAMBDA, ZVAR]),
+        ),
+    )
+    every_tail = [tail for *_, tails in quantities for tail in tails]
+    try:
+        pfaffians = iter(bordered_pfaffians(grid.moments(s, t), n, mu, lam, every_tail))
     except SingularConfiguration as exc:
         raise SingularConfiguration(f"{exc} at site ({s},{t})") from None
 
@@ -386,56 +394,13 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
         "crosscheck",
         {"n": n, "s": s, "t": t, "provenance": grid.base.provenance},
     )
-    report.add("tau:s+1", grid.tau(n, s + 1, t) == tau_s.coefficient(0))
-    report.add("tau:t+1", grid.tau(n, s, t + 1) == tau_t.coefficient(0))
-    report.add(
-        "tau:s+1,t+1",
-        lm * grid.tau(n, s + 1, t + 1) == -tau_st.coefficient(0),
-    )
-    report.add("tauhat:s+1", grid.tau_hat(n, s + 1, t) * z_mu == -hat_s)
-    report.add("tauhat:t+1", grid.tau_hat(n, s, t + 1) * z_lam == -hat_t)
-    report.add(
-        "tauhat:s+1,t+1",
-        grid.tau_hat(n, s + 1, t + 1) * z_both.scale(lm) == -hat_st,
-    )
-    # sigma identities: subtract the stepped site's own (s*mu + t*lam)
-    # bookkeeping down to the base site's, leaving a one-step term.
-    report.add(
-        "sigma:s+1",
-        grid.sigma(n, s + 1, t) - offset * grid.tau(n, s + 1, t)
-        == sig_s.coefficient(0),
-    )
-    report.add(
-        "sigma:t+1",
-        grid.sigma(n, s, t + 1) - offset * grid.tau(n, s, t + 1)
-        == sig_t.coefficient(0),
-    )
-    report.add(
-        "sigma:s+1,t+1",
-        lm * (grid.sigma(n, s + 1, t + 1) - offset * grid.tau(n, s + 1, t + 1))
-        == -sig_st.coefficient(0),
-    )
-    report.add(
-        "sighat:s+1",
-        (grid.sigma_hat(n, s + 1, t) - grid.tau_hat(n, s + 1, t).scale(offset))
-        * z_mu
-        == -shat_s,
-    )
-    report.add(
-        "sighat:t+1",
-        (grid.sigma_hat(n, s, t + 1) - grid.tau_hat(n, s, t + 1).scale(offset))
-        * z_lam
-        == -shat_t,
-    )
-    report.add(
-        "sighat:s+1,t+1",
-        (
-            grid.sigma_hat(n, s + 1, t + 1)
-            - grid.tau_hat(n, s + 1, t + 1).scale(offset)
-        )
-        * z_both.scale(lm)
-        == -shat_st,
-    )
+    steps = (("s+1", s + 1, t), ("t+1", s, t + 1), ("s+1,t+1", s + 1, t + 1))
+    for name, value, factors, tails in quantities:
+        for (label, s1, t1), factor, tail in zip(steps, factors, tails):
+            pf = next(pfaffians)
+            if tail[-1] is not ZVAR:  # a bordered Pfaffian without z is a number
+                pf = pf.coefficient(0)
+            report.add(f"{name}:{label}", value(n, s1, t1) * factor == pf)
     return report
 
 
@@ -548,9 +513,53 @@ def _sample_points(config: LatticeConfig, samples: Sequence[RationalLike]) -> li
     return [rat_str(x) for x in pts]
 
 
+def _contiguous(
+    report: Report, name: str, grid: TauGrid, field: CoefficientField, vec: dict, act
+) -> None:
+    """Both contiguous relations at every interior site, each checked once
+    as an identity of polynomial vectors in z:
+
+        (z-lam) v_n^{s,t+1} - (z-mu) v_n^{s+1,t}
+            = -B v_n + (z-mu)(z-lam) A v_{n-1}^{s+1,t+1}        (A for n >= 1)
+        (z-mu)(z-lam) v_n^{s+1,t+1} - v_{n+1}
+            = (z-lam) C v_n^{s,t+1} - (z-mu) D v_n^{s+1,t}
+
+    (unmarked sites are (s, t)).  ``vec`` maps (n, s, t) to the value
+    vector there, None where it is undefined, and ``act(k, v)`` is the
+    vector coefficient k makes of v.  An instance that needs an undefined
+    vector or a coefficient the field omits is recorded as skipped.
+    """
+    z_mu, z_lam, z_both = _z_factors(grid.config)
+    for s, t in grid.interior_sites():
+        for n in range(grid.config.pairs + 1):
+            key, tag = (n, s, t), f"n={n},s={s},t={t}"
+            here, v_s, v_t = vec[key], vec[n, s + 1, t], vec[n, s, t + 1]
+            prev = vec[n - 1, s + 1, t + 1] if n >= 1 else None
+            if (
+                None in (here, v_s, v_t)
+                or key not in field.b
+                or (n >= 1 and (prev is None or key not in field.a))
+            ):
+                report.skip(f"{name}1:{tag}", "sigma vanishes inside the stencil")
+            else:
+                lhs = [z_lam * u - z_mu * v for u, v in zip(v_t, v_s)]
+                rhs = [-x for x in act(field.b[key], here)]
+                if n >= 1:
+                    rhs = [x + z_both * y for x, y in zip(rhs, act(field.a[key], prev))]
+                report.add(f"{name}1:{tag}", lhs == rhs)
+            diag, up = vec[n, s + 1, t + 1], vec[n + 1, s, t]
+            if None in (diag, up, v_t, v_s) or key not in field.c or key not in field.d:
+                report.skip(f"{name}2:{tag}", "sigma vanishes inside the stencil")
+            else:
+                lhs = [z_both * u - v for u, v in zip(diag, up)]
+                cterm, dterm = act(field.c[key], v_t), act(field.d[key], v_s)
+                rhs = [z_lam * x - z_mu * y for x, y in zip(cterm, dterm)]
+                report.add(f"{name}2:{tag}", lhs == rhs)
+
+
 def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     """Both scalar contiguous relations, each checked once as an identity
-    of polynomials in z.
+    of polynomials in z (:func:`_contiguous` on the vectors (q_2n,)).
 
     ``samples`` is validated (distinct points, at least 2*pairs+3 of them)
     and recorded in the report.  On a grid built by :func:`build_grid` both
@@ -562,27 +571,16 @@ def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         "slax",
         {"samples": _sample_points(c, samples), "provenance": grid.base.provenance},
     )
-    field = coefficient_field(grid)
-    z_mu, z_lam, z_both = _z_factors(c)
-    for s, t in grid.interior_sites():
-        for n in range(c.pairs + 1):
-            q_st = grid.q_even(n, s, t)
-            q_s1 = grid.q_even(n, s + 1, t)
-            q_t1 = grid.q_even(n, s, t + 1)
-            q_d = grid.q_even(n, s + 1, t + 1)
-            q_up = grid.q_even(n + 1, s, t)
-            lhs1 = z_lam * q_t1 - z_mu * q_s1
-            rhs1 = q_st.scale(field.b[(n, s, t)])
-            if n >= 1:
-                rhs1 -= (z_both * grid.q_even(n - 1, s + 1, t + 1)).scale(
-                    field.a[(n, s, t)]
-                )
-            report.add(f"slax1:n={n},s={s},t={t}", lhs1 == rhs1)
-            lhs2 = z_both * q_d - q_up
-            rhs2 = (z_mu * q_s1).scale(field.d[(n, s, t)]) - (z_lam * q_t1).scale(
-                field.c[(n, s, t)]
-            )
-            report.add(f"slax2:n={n},s={s},t={t}", lhs2 == rhs2)
+    q = {
+        (n, s, t): (grid.q_even(n, s, t),)
+        for s, t in grid.sites()
+        for n in range(c.pairs + 2)
+    }
+    # The scalar field's constant is mu - lambda, the matrix field's
+    # lambda - mu, so a scalar coefficient acts with its sign flipped.
+    _contiguous(
+        report, "slax", grid, coefficient_field(grid), q, lambda k, v: (v[0].scale(-k),)
+    )
     return report
 
 
@@ -750,8 +748,6 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         "edlax",
         {"samples": _sample_points(c, samples), "provenance": grid.base.provenance},
     )
-    field = matrix_coefficient_field(grid)
-    z_mu, z_lam, z_both = _z_factors(c)
     # (phi_2n, phi_2n+1) at every site, phi_2n None where sigma_n vanishes
     phi = {
         (n, s, t): (
@@ -761,55 +757,24 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         for s, t in grid.sites()
         for n in range(c.pairs + 2)
     }
-    for s, t in grid.interior_sites():
-        for n in range(c.pairs + 1):
-            tag = f"n={n},s={s},t={t}"
-            phi_st = phi[(n, s, t)]
-            phi_s1 = phi[(n, s + 1, t)]
-            phi_t1 = phi[(n, s, t + 1)]
-            phi_d = phi[(n, s + 1, t + 1)]
-            phi_up = phi[(n + 1, s, t)]
-            phi_prev = phi[(n - 1, s + 1, t + 1)] if n >= 1 else None
-            if (
-                None in (phi_st[0], phi_s1[0], phi_t1[0])
-                or (n, s, t) not in field.b
-                or (n >= 1 and (phi_prev[0] is None or (n, s, t) not in field.a))
-            ):
-                report.skip(f"edlax1:{tag}", "sigma vanishes inside the stencil")
-            else:
-                lhs = tuple(z_lam * u - z_mu * v for u, v in zip(phi_t1, phi_s1))
-                rhs = tuple(-x for x in field.b[(n, s, t)].apply(phi_st))
-                if n >= 1:
-                    extra = field.a[(n, s, t)].apply(phi_prev)
-                    rhs = tuple(x + z_both * y for x, y in zip(rhs, extra))
-                report.add(f"edlax1:{tag}", lhs == rhs)
-            if (
-                None in (phi_d[0], phi_up[0], phi_t1[0], phi_s1[0])
-                or (n, s, t) not in field.c
-                or (n, s, t) not in field.d
-            ):
-                report.skip(f"edlax2:{tag}", "sigma vanishes inside the stencil")
-            else:
-                lhs = tuple(z_both * u - v for u, v in zip(phi_d, phi_up))
-                cterm = field.c[(n, s, t)].apply(phi_t1)
-                dterm = field.d[(n, s, t)].apply(phi_s1)
-                rhs = tuple(z_lam * x - z_mu * y for x, y in zip(cterm, dterm))
-                report.add(f"edlax2:{tag}", lhs == rhs)
+    vec = {key: None if pair[0] is None else pair for key, pair in phi.items()}
+    _contiguous(
+        report, "edlax", grid, matrix_coefficient_field(grid), vec, AntiDiagonal.apply
+    )
     for s, t in grid.sites():
-        table = grid.moments(s, t)
         phis = [p for n in range(c.pairs + 1) for p in phi[(n, s, t)]]
+        pairings = skew_pairings(grid.moments(s, t), phis)
         for u in range(len(phis)):
             for v in range(u + 1, len(phis)):
                 tag = f"phi-orthogonality:<phi{u}|phi{v}>:s={s},t={t}"
-                if phis[u] is None or phis[v] is None:
+                if (u, v) not in pairings:
                     report.skip(tag, "phi undefined (sigma vanishes)")
                     continue
-                value = skew_product(table, phis[u], phis[v])
                 if u % 2 == 0 and v == u + 1:
                     expected = grid.tau(u // 2 + 1, s, t) / grid.sigma(u // 2, s, t)
                 else:
                     expected = Fraction(0)
-                report.add(tag, value == expected)
+                report.add(tag, pairings[u, v] == expected)
         monic = [
             n
             for n in range(c.pairs + 1)

@@ -53,6 +53,12 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", ws)
 
 
+# The largest max_index of a table read from a file or generated from the
+# command line.  A table allocates (max_index + 1)^2 ints before any entry
+# is checked, so a larger index is refused first.
+MAX_INDEX = 1000
+
+
 class SkewMoments:
     """Immutable table of skew moments for 0 <= i < j <= max_index.
 
@@ -204,6 +210,8 @@ class SkewMoments:
         # a JSON true or 1.0 is not an index
         if type(m) is not int:
             raise ValueError(f"max_index must be an integer, got {m!r}")
+        if m > MAX_INDEX:
+            raise ValueError(f"max_index {m} exceeds the limit {MAX_INDEX}")
         parts = {}
         for i, j, v in data["entries"]:
             if not (type(i) is int and type(j) is int and 0 <= i < j <= m):

@@ -24,17 +24,35 @@ CHRISTOFFEL_GAUGE = "christoffel-alpha-zero"
 GAUGES = (PFAFFIAN_GAUGE, COEFF_GAUGE, CHRISTOFFEL_GAUGE)
 
 
+def skew_pairings(
+    moments: SkewMoments, polys: Sequence[Polynomial | None]
+) -> dict[tuple[int, int], Rational]:
+    """<p_a|p_b> for every a < b where neither member is None.
+
+    S*p_b is formed once per member, on the rows the earlier members reach;
+    each pairing is then one integer dot product with the numerators of p_a.
+    """
+    out: dict[tuple[int, int], Rational] = {}
+    earlier: list[tuple[int, Polynomial]] = []
+    rows = 0
+    for b, g in enumerate(polys):
+        if g is None:
+            continue
+        sg, sg_den = moments.apply(g, rows)
+        for a, f in earlier:
+            out[a, b] = Fraction(sum(map(mul, f.num, sg)), f.den * sg_den)
+        earlier.append((b, g))
+        rows = max(rows, len(g.num))
+    return out
+
+
 def skew_product(moments: SkewMoments, f: Polynomial, g: Polynomial) -> Rational:
     """<f|g> = sum_ij f_i g_j s_ij; bilinear and skew.
 
     Evaluated in integers: the numerators of f dotted with the table's
-    S*g, divided once at the end.
+    S*g, divided once at the end; DegreeBudgetExceeded where f or g
+    exceeds the table.
     """
-    if f.degree > moments.max_index or g.degree > moments.max_index:
-        raise DegreeBudgetExceeded(
-            f"skew product needs degree <= {moments.max_index}, "
-            f"got {f.degree} and {g.degree}"
-        )
     sg, sg_den = moments.apply(g, len(f.num))
     return Fraction(sum(map(mul, f.num, sg)), f.den * sg_den)
 
@@ -217,21 +235,14 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
 
 
 def verify_skew_orthogonality(family: SOPFamily, moments: SkewMoments) -> Report:
-    """Check every pairing <q_a|q_b> against the defining pattern.
-
-    S*q_b is formed once per member; each pairing is then one integer dot
-    product with the numerators of q_a.
-    """
+    """Check every pairing <q_a|q_b> against the defining pattern."""
     report = Report("orthogonality", {"provenance": moments.provenance})
     count = 2 * family.pairs + 2
-    # S*q_b restricted to the rows 0..b-1 that every q_a, a < b, reaches
-    applied = [moments.apply(p, b) for b, p in enumerate(family.polys)]
+    pairings = skew_pairings(moments, family.polys)
     for a in range(count):
-        q_a = family.polys[a]
         for b in range(a + 1, count):
-            sq, sq_den = applied[b]
-            value = Fraction(sum(map(mul, q_a.num, sq)), q_a.den * sq_den)
-            if a % 2 == 0 and b % 2 == 1 and b == a + 1:
+            value = pairings[a, b]
+            if a % 2 == 0 and b == a + 1:
                 expected = family.norms[a // 2]
             else:
                 expected = Fraction(0)

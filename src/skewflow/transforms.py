@@ -76,18 +76,6 @@ class ChristoffelData:
     odd_shift: tuple[Rational, ...]
 
 
-def christoffel_even(family: SOPFamily, lam: RationalLike, n: int) -> Polynomial:
-    """Transformed even member q*_2n from the kernel-sum formula."""
-    lam = rat(lam)
-    if n > family.pairs:
-        raise ValueError(f"q*_{2 * n} needs pair index {n} in the family")
-    even_at, odd_at = _values_at(family, lam, n)
-    if even_at[n] == 0:
-        raise SingularConfiguration(f"q_{2 * n}({rat_str(lam)}) = 0")
-    a, b = _kernel_coeffs(family, even_at, odd_at, n, family.norms[n] / even_at[n])
-    return _kernel_sum(family, a, b).div_by_linear(lam)
-
-
 def christoffel(
     family: SOPFamily, moments: SkewMoments, lam: RationalLike
 ) -> tuple[SOPFamily, SkewMoments, ChristoffelData]:
@@ -412,6 +400,8 @@ def verify_dlax(
 def kernel(family: SOPFamily, pairs: int, y: RationalLike) -> Polynomial:
     """Skew Christoffel-Darboux kernel I_N(x, y) as a polynomial in x."""
     y = rat(y)
+    if pairs < 0:
+        raise ValueError(f"kernel order must be nonnegative, got {pairs}")
     if pairs > family.pairs:
         raise ValueError("kernel order exceeds the family")
     even_at, odd_at = _values_at(family, y, pairs)
@@ -434,7 +424,8 @@ def verify_factorization(
     q_even_at = q_even.eval(y)
     if q_even_at == 0:
         raise SingularConfiguration(f"q_{2 * pairs}({rat_str(y)}) = 0")
-    # q*_2N of christoffel_even is the same kernel sum, scaled by r_N/q_2N(y)
+    # q*_2N of a Christoffel step at y is the same kernel sum, scaled by
+    # r_N/q_2N(y) and divided by x - y
     q_star = ker.scale(family.norms[pairs] / q_even_at).div_by_linear(y)
     x_minus_y = Polynomial((-y, 1))
     form_a = (x_minus_y * q_even * q_star).scale(1 / family.norms[pairs])

@@ -4,6 +4,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from skewflow import algebra
 from skewflow.algebra import (
     Polynomial,
     clear_denominators,
@@ -181,6 +182,19 @@ class TestRat:
         for value in ("1e10000000", "-2e3", "1E5", "1.5e-3", "3/4e2"):
             with pytest.raises(ValueError, match="exponent spelling"):
                 rat(value)
+
+    def test_rejects_decimal_spellings_before_fraction(self, monkeypatch):
+        # Fraction("0.<10**6 digits>1") builds 10**(10**6) before int()'s
+        # digit limit applies
+        class NoFraction(Fraction):
+            def __new__(cls, *args):
+                raise AssertionError("Fraction built from a decimal spelling")
+
+        monkeypatch.setattr(algebra, "Fraction", NoFraction)
+        for value in ("0." + "0" * 10**6 + "1", "1.5", "-.5", "3/4."):
+            for parse in (rat, rat_parts):
+                with pytest.raises(ValueError, match="decimal spelling"):
+                    parse(value)
 
 
 def outcome(parse, value):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from skewflow import cli
 from skewflow.algebra import Polynomial
 from skewflow.cli import main
+from skewflow.moments import MAX_INDEX
 from skewflow.report import Report
 from skewflow.sops import GAUGES, SOPFamily
 
@@ -199,6 +200,36 @@ class TestExitCodes:
             "verify", "--suite", "dlax", "--family", str(family),
             "--moments", str(moments), "--lambda", "3", "--lambda", "4",
         ]) == 3
+
+    def test_negative_kernel_order(self, random_setup, capsys):
+        moments, family = random_setup
+        capsys.readouterr()
+        assert main([
+            "verify", "--suite", "kernel", "--family", str(family),
+            "--moments", str(moments), "--y", "2", "--pairs", "-1",
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: bad input (kernel order must be nonnegative, got -1)"
+        ]
+
+    def test_max_index_over_the_limit(self, tmp_path, monkeypatch, capsys):
+        # the (max_index + 1)^2 table must be refused before it is allocated
+        def no_table(*args):
+            raise AssertionError("table allocated")
+
+        monkeypatch.setattr("skewflow.moments._skew_form", no_table)
+        monkeypatch.setattr(cli, "from_random", no_table)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"max_index": 10**6, "entries": []}))
+        capsys.readouterr()
+        assert main(["family", "--moments", str(big), "--pairs", "1"]) == 3
+        assert main(["gen-moments", "--kind", "random", "--max-index", "1000000"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad input (max_index 1000000 exceeds the limit {MAX_INDEX})",
+            f"error: --max-index must be at most {MAX_INDEX}",
+        ]
 
     def test_singular_family(self, tmp_path, sym_moments):
         # the two-node symplectic table has rank four, so a third pair
@@ -630,3 +661,24 @@ class TestLoaderFuzz:
             "error: bad input (exponent spelling not accepted: '1e10000000')"
         ]
         assert elapsed < 5
+
+    def test_long_decimal_rational_exits_before_fraction(self, loader_files, monkeypatch):
+        # Fraction("0.<10**6 digits>") costs time quadratic in the digits
+        class NoFraction(Fraction):
+            def __new__(cls, *args):
+                raise AssertionError("Fraction built from a decimal spelling")
+
+        monkeypatch.setattr("skewflow.algebra.Fraction", NoFraction)
+        root, files = loader_files
+        data = read(files["moments"])
+        data["entries"][0][2] = "0." + "0" * 10**6 + "1"
+        target = root / "decimal-moments.json"
+        target.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["family", "--moments", str(target), "--pairs", "1"])
+        assert code == 3
+        assert err.getvalue().splitlines() == [
+            "error: bad input (decimal spelling not accepted: "
+            f"{data['entries'][0][2][:40]!r})"
+        ]

@@ -374,6 +374,22 @@ class TestExtendedSystems:
         assert skipped
         assert all("sigma" in c.detail or "phi" in c.detail for c in skipped)
 
+    @settings(max_examples=30)
+    @given(random_grids())
+    def test_degenerate_edlax_verdicts_are_the_slax_ones(self, grid):
+        # sigma := tau makes phi_2n = phi_2n+1 = q_2n and every matrix
+        # coefficient minus the scalar one on both entries
+        for built in (grid, BROKEN):
+            samples = samples_for(built)
+            slax = verify_slax(built, samples).checks
+            edlax = verify_edlax(built.degenerate(), samples).checks
+            assert [
+                (c.id.replace("edlax", "slax"), c.status)
+                for c in edlax
+                if c.id.startswith("edlax")
+            ] == [(c.id, c.status) for c in slax]
+            assert all(c.status != "skip" for c in slax)
+
     def test_edlax_fails_where_tau_hat_is_perturbed(self):
         report = verify_edlax(BROKEN, samples_for(BROKEN))
         assert [c.id for c in report.failures] == [
@@ -529,6 +545,20 @@ def lattice_digest(grid):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def identity_digest(grid):
+    """sha256 of the crosscheck report of every stencil and the dckp and
+    edckp reports of a grid, each report without its elapsed_ms."""
+    c = grid.config
+    reports = [
+        crosscheck_single_step(grid, n, s, t)
+        for n in range(c.pairs + 1)
+        for s, t in grid.interior_sites()
+    ]
+    reports += [verify_dckp(grid), verify_edckp(grid)]
+    payload = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def golden_grid(seed, mu, lam, pairs, steps_s, steps_t):
     config = LatticeConfig(rat(mu), rat(lam), pairs, steps_s, steps_t)
     return build_grid(from_random(seed, config.required_budget), config)
@@ -562,6 +592,22 @@ GOLDEN = {
 }
 
 
+# identity_digest of the GOLDEN boxes: crosscheck (every stencil), dckp
+# and edckp.  On a degenerate grid the sigma crosschecks fail.
+IDENTITY_DIGESTS = {
+    "pairs2-3x3":
+        "81cb98c3822ef91437d9370cf25cca6233c79921f61952795b04818d0af0a890",
+    "pairs2-3x3-degenerate":
+        "01839b1213fe4af55f8b709554360f147abe41bf7ec55ff1de62095873bd47d8",
+    "pairs3-3x2":
+        "7fa7e7d1bd5a6667b57243d8ad2af92fb30b6bdbefa194cc1356cc2a2c1d0fdd",
+    "pairs3-3x2-degenerate":
+        "48f0190c0e7db6c49dc629f84bdfebc689c634ab867c78eecde89dde7f180da1",
+    "pairs2-3x3-lambda-minus-mu":
+        "5dcbbe9398246b529cee5b00b86b53d937893bfb4504164ac58a639102bd2dc8",
+}
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_fields_and_reports_are_unchanged(self, name):
@@ -570,3 +616,11 @@ class TestGoldenOutput:
         if degenerate:
             grid = grid.degenerate()
         assert lattice_digest(grid) == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_crosscheck_and_bilinear_reports_are_unchanged(self, name):
+        args, degenerate, _ = GOLDEN[name]
+        grid = golden_grid(*args)
+        if degenerate:
+            grid = grid.degenerate()
+        assert identity_digest(grid) == IDENTITY_DIGESTS[name]

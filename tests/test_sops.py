@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -296,3 +298,30 @@ class TestVerifier:
         report = verify_skew_orthogonality(family, SYMPLECTIC)
         assert report.passed
         assert len(report.checks) == 1
+
+
+def orthogonality_digest():
+    """sha256 of verify_skew_orthogonality on from_random families: each
+    against its own table, its oracle twin, a table it does not belong to,
+    and with one member perturbed; reports without elapsed_ms."""
+    reports = []
+    for seed, pairs in ((1, 1), (2, 2), (3, 3)):
+        table = from_random(seed, 2 * pairs + 3)
+        family = build_family(table, pairs)
+        polys = list(family.polys)
+        polys[2] = polys[2] + Polynomial.monomial(1)
+        reports += [
+            verify_skew_orthogonality(family, table),
+            verify_skew_orthogonality(oracle_family(table, pairs), table),
+            verify_skew_orthogonality(family, from_random(seed + 10, 2 * pairs + 3)),
+            verify_skew_orthogonality(SOPFamily(polys, family.norms), table),
+        ]
+    payload = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenOutput:
+    def test_orthogonality_reports_are_unchanged(self):
+        assert orthogonality_digest() == (
+            "138050b7dc72d6194ab945dd2f4641b6d33978b9e1d8d28e4ad41bee78bc457b"
+        )

@@ -12,7 +12,6 @@ from skewflow.transforms import (
     BandMatrix,
     build_lax_pair,
     christoffel,
-    christoffel_even,
     geronimus_coeffs,
     kernel,
     verify_dlax,
@@ -65,8 +64,9 @@ def random_setup(seed=42, pairs=3, budget=11):
 
 class TestChristoffel:
     def test_even_base_is_one(self):
-        _, family = random_setup()
-        assert christoffel_even(family, Fraction(3), 0) == Polynomial.one()
+        table, family = random_setup()
+        transformed, _, _ = christoffel(family, table, Fraction(3))
+        assert transformed.even(0) == Polynomial.one()
 
     def test_symplectic_norm_ratio(self):
         family = build_family(SYMPLECTIC, 1)
@@ -265,6 +265,14 @@ class TestKernel:
         y = Fraction(7, 2)
         expected = Polynomial([-y / family.norms[0], 1 / family.norms[0]])
         assert kernel(family, 0, y) == expected
+
+    def test_negative_order_rejected(self):
+        # family.even(-1) would wrap round to the last member
+        family = build_family(SYMPLECTIC, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel(family, -1, Fraction(3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_factorization(family, SYMPLECTIC, -1, Fraction(3))
 
     def test_symplectic_factorization_verdict(self):
         family = build_family(SYMPLECTIC, 1)
