@@ -2,20 +2,20 @@
 
 Every Pfaffian the library computes comes from fraction-free skew
 elimination in Python integers (:func:`_step`), O(m^3) integer operations
-after the row denominators are cleared.  :func:`pfaffian` runs it with
-pivoting on a numeric matrix.  :func:`augmented_pfaffian` builds the matrix
-for an index list: mu and lambda are numeric border rows, and z is carried
-through the same elimination as a last border column of integer
-polynomials, so a z-bearing list costs one elimination.
-:func:`prefix_pfaffians` runs it once without pivoting on a table's integer
-form and reads every leading and z-bordered Pfaffian of the lattice off
-that single pass.  :func:`bordered_pfaffians` eliminates a table's leading
-block 0..2n-1 once and reads every Pfaffian of that block bordered by a
-short tail (indices 2n..2n+3, mu, lambda, z) off the reduced block, by
-Tanner's Pfaffian form of Sylvester's identity: one small elimination per
-tail.  The memoized recursive expansion :func:`pfaffian_expand` is an
-independent algorithm kept as the test oracle; nothing in the library
-calls it.
+after the row denominators are cleared.  :func:`prefix_pfaffians` runs it
+once without pivoting on a table's integer form and reads every leading and
+z-bordered Pfaffian of an SOP family or a lattice site off that single pass.
+:func:`bordered_pfaffians` eliminates a table's leading block 0..2n-1 once
+and reads every Pfaffian of that block bordered by a short tail (indices
+2n..2n+3, mu, lambda, z) off the reduced block, by Tanner's Pfaffian form of
+Sylvester's identity: one small elimination per tail.  The general entry
+points serve only the random-table draw check and the cross-checks:
+:func:`pfaffian` runs the elimination with pivoting on a numeric matrix, and
+:func:`augmented_pfaffian` builds the matrix for an index list, with mu and
+lambda as numeric border rows and z as a last border column of integer
+polynomials carried through the same elimination.  The memoized recursive
+expansion :func:`pfaffian_expand` is an independent algorithm kept as the
+test oracle; nothing in the library calls it.
 """
 
 from __future__ import annotations

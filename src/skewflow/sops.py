@@ -1,9 +1,9 @@
 """Skew orthogonal polynomial families built from moment tables.
 
-Even-degree members come from the Pfaffian quotient Pf(0..2n, z)/Pf(0..2n-1),
-odd-degree members from Pf(0..2n-1, 2n+1, z)/Pf(0..2n-1); the family records
-its odd-degree gauge.  :func:`oracle_family` rebuilds the same family by an
-independent exact linear solve so the two constructions can cross-validate.
+With tau_n = Pf(0..2n-1), q_2n = Pf(0..2n, z)/tau_n and q_2n+1 =
+Pf(0..2n-1, 2n+1, z)/tau_n.  :func:`build_family` reads every member off one
+elimination; :func:`sop_even`/:func:`sop_odd` (one member by itself) and
+:func:`oracle_family` (an independent exact linear solve) cross-check it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Sequence
 from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
-from .pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
+from .pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian, prefix_pfaffians
 from .report import Report
 
 PFAFFIAN_GAUGE = "pfaffian-alpha-zero"
@@ -67,7 +67,7 @@ def _denominator(moments: SkewMoments, n: int) -> Rational:
 
 
 def sop_even(moments: SkewMoments, n: int) -> Polynomial:
-    """Monic even SOP q_2n = Pf(0..2n, z)/Pf(0..2n-1)."""
+    """Monic even SOP q_2n = Pf(0..2n, z)/Pf(0..2n-1); per-member cross-check."""
     if 2 * n > moments.max_index:
         raise DegreeBudgetExceeded(f"q_{2 * n} needs max_index >= {2 * n}")
     tau = _denominator(moments, n)
@@ -76,7 +76,8 @@ def sop_even(moments: SkewMoments, n: int) -> Polynomial:
 
 
 def sop_odd(moments: SkewMoments, n: int) -> Polynomial:
-    """Monic odd SOP q_{2n+1} = Pf(0..2n-1, 2n+1, z)/Pf(0..2n-1), alpha_n = 0."""
+    """Monic odd SOP q_{2n+1} = Pf(0..2n-1, 2n+1, z)/Pf(0..2n-1), alpha_n = 0;
+    per-member cross-check."""
     if 2 * n + 1 > moments.max_index:
         raise DegreeBudgetExceeded(f"q_{2 * n + 1} needs max_index >= {2 * n + 1}")
     tau = _denominator(moments, n)
@@ -143,10 +144,10 @@ class SOPFamily:
 
 
 def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
-    """Family q_0..q_{2*pairs+1} via the Pfaffian formulas.
-
-    Raises only when the family does not exist (a vanishing tau or r_n);
-    :func:`verify_skew_orthogonality` is the check of the result.
+    """Family q_0..q_{2*pairs+1}: numerators and taus from one
+    :func:`prefix_pfaffians` pass.  Raises only when the family does not
+    exist; as r_n = tau_{n+1}/tau_n, a vanishing tau_{n+1} shows up as the
+    vanishing r_n, checked before the pass steps on (and divides by it).
     """
     if 2 * pairs + 1 > moments.max_index:
         raise DegreeBudgetExceeded(
@@ -154,9 +155,8 @@ def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
         )
     polys: list[Polynomial] = []
     norms: list[Rational] = []
-    for n in range(pairs + 1):
-        polys.append(sop_even(moments, n))
-        polys.append(sop_odd(moments, n))
+    for n, (tau, _, even, odd) in enumerate(prefix_pfaffians(moments, pairs - 1)):
+        polys += [even.scale(1 / tau), odd.scale(1 / tau)]
         norms.append(skew_product(moments, polys[-2], polys[-1]))
         if norms[-1] == 0:
             raise SingularConfiguration(f"normalization r_{n} vanishes")

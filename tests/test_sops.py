@@ -10,6 +10,7 @@ from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
 from skewflow.moments import (
     DiscreteMeasure,
     SkewMoments,
+    from_discrete_orthogonal,
     from_discrete_symplectic,
     from_random,
 )
@@ -39,6 +40,21 @@ entries = st.one_of(
 def tables(draw, min_index=0, max_index=8):
     m = draw(st.integers(min_index, max_index))
     rows = [[draw(entries) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
+    return SkewMoments(m, rows)
+
+
+@st.composite
+def tables_with_a_zero_row(draw, min_index=0, max_index=8):
+    """A table from :func:`tables`, often with every s_kj of one index k
+    zero, so that every tau_n with 2n > k vanishes."""
+    table = draw(tables(min_index, max_index))
+    m = table.max_index
+    rows = [[table.entry(i, j) for j in range(i + 1, m + 1)] for i in range(m + 1)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, m))
+        for i in range(k):
+            rows[i][k - i - 1] = Fraction(0)
+        rows[k] = [Fraction(0)] * (m - k)
     return SkewMoments(m, rows)
 
 
@@ -225,6 +241,48 @@ class TestFamily:
         assert again.gauge == family.gauge
 
 
+def per_member_family(table, pairs):
+    """The family member by member: sop_even and sop_odd, each with its own
+    eliminations, and r_n from skew_product."""
+    polys, norms = [], []
+    for n in range(pairs + 1):
+        polys += [sop_even(table, n), sop_odd(table, n)]
+        norms.append(skew_product(table, polys[-2], polys[-1]))
+        if norms[-1] == 0:
+            raise SingularConfiguration(f"normalization r_{n} vanishes")
+    return SOPFamily(polys, norms)
+
+
+def outcome(build, *args):
+    """build(*args).to_json(), or the type and message of what it raised."""
+    try:
+        return build(*args).to_json()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestSinglePass:
+    @settings(max_examples=120)
+    @given(st.data())
+    def test_build_family_is_the_per_member_construction(self, data):
+        pairs = data.draw(st.integers(0, 4))
+        table = data.draw(tables_with_a_zero_row(2 * pairs + 1, 2 * pairs + 2))
+        assert outcome(build_family, table, pairs) == outcome(
+            per_member_family, table, pairs
+        )
+
+    @settings(max_examples=80)
+    @given(tables_with_a_zero_row(1, 9))
+    def test_a_vanishing_tau_is_a_vanishing_norm(self, table):
+        # r_n * tau_n = tau_{n+1}: a vanishing tau_{n+1} surfaces as r_n = 0
+        for n in range((table.max_index - 1) // 2 + 1):
+            tau = numeric_pfaffian(table, range(2 * n))
+            if tau == 0:
+                break
+            r = skew_product(table, sop_even(table, n), sop_odd(table, n))
+            assert r * tau == numeric_pfaffian(table, range(2 * n + 2))
+
+
 def fraction_det(matrix):
     """Determinant by Fraction Gaussian elimination with row swaps."""
     a = [[Fraction(x) for x in row] for row in matrix]
@@ -300,6 +358,10 @@ class TestVerifier:
         assert len(report.checks) == 1
 
 
+def digest(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def orthogonality_digest():
     """sha256 of verify_skew_orthogonality on from_random families: each
     against its own table, its oracle twin, a table it does not belong to,
@@ -317,10 +379,90 @@ def orthogonality_digest():
             verify_skew_orthogonality(SOPFamily(polys, family.norms), table),
         ]
     payload = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return digest(payload)
+
+
+def family_digest():
+    """sha256 of build_family on from_random seeds 1-6 at pairs 0-4 and on
+    the acceptance symplectic and orthogonal measures at pairs 0-4."""
+    tables = [from_random(seed, 9) for seed in range(1, 7)]
+    tables.append(
+        from_discrete_symplectic(DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1]), 9)
+    )
+    tables.append(
+        from_discrete_orthogonal(
+            DiscreteMeasure(
+                [-6, -5, -4, -2, -1, 1, 2, 4, 5, 6], [1, 1, 1, 2, 1, 1, 2, 1, 1, 1]
+            ),
+            9,
+        )
+    )
+    return digest([outcome(build_family, t, p) for t in tables for p in range(5)])
+
+
+def sparse_table(max_index, nonzero):
+    """Table whose entries s_ij, i < j, are nonzero[i, j] or 0."""
+    return SkewMoments(
+        max_index,
+        [
+            [nonzero.get((i, j), 0) for j in range(i + 1, max_index + 1)]
+            for i in range(max_index + 1)
+        ],
+    )
+
+
+def singular_tables():
+    full = {
+        (i, j): Fraction(i + 2 * j + 1, j - i + 1)
+        for i in range(6)
+        for j in range(i + 1, 6)
+    }
+    # tau_1 = s_01 = 0
+    yield sparse_table(5, {k: v for k, v in full.items() if k != (0, 1)})
+    # tau_2 = s01*s23 - s02*s13 + s03*s12 = 1 - 1 + 0 = 0, tau_1 = 1
+    yield sparse_table(
+        5,
+        {(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1,
+         (2, 4): 1, (3, 4): 1, (3, 5): 2, (4, 5): 3},
+    )
+    # index 3 pairs with nothing: tau_2 = 0, tau_1 != 0
+    yield sparse_table(5, {k: v for k, v in full.items() if 3 not in k})
+    # index 0 pairs with nothing: tau_1 = tau_2 = 0
+    yield sparse_table(5, {k: v for k, v in full.items() if 0 not in k})
+    # index 5 pairs with nothing: only tau_3 = 0
+    yield sparse_table(5, {k: v for k, v in full.items() if 5 not in k})
+    # a random table with s_01 zeroed
+    table = from_random(5, 5)
+    yield sparse_table(
+        5,
+        {
+            (i, j): table.entry(i, j)
+            for i in range(6)
+            for j in range(i + 1, 6)
+            if (i, j) != (0, 1)
+        },
+    )
+
+
+def singular_digest():
+    """sha256 of build_family's exact outcome at pairs 0-2 on tables where
+    some tau_n vanishes: a family or a SingularConfiguration message."""
+    return digest(
+        [outcome(build_family, t, p) for t in singular_tables() for p in range(3)]
+    )
 
 
 class TestGoldenOutput:
+    def test_families_are_unchanged(self):
+        assert family_digest() == (
+            "2308e2176d607927ae30f04351cc579b9ca2f98e9f071b0f6c1b1f86d9814b33"
+        )
+
+    def test_singular_messages_are_unchanged(self):
+        assert singular_digest() == (
+            "72f56a72e625be3e512c8820cbabe059818991490d0b1d6a95a100aa9085d309"
+        )
+
     def test_orthogonality_reports_are_unchanged(self):
         assert orthogonality_digest() == (
             "138050b7dc72d6194ab945dd2f4641b6d33978b9e1d8d28e4ad41bee78bc457b"
