@@ -239,21 +239,19 @@ class TestExitCodes:
         ]) == 2
 
     @pytest.mark.parametrize(
-        "entries, pairs, norm",
+        "entries, norm",
         [
             # s_01 = 0, so tau_1 = r_0 = 0
-            ([[0, 2, "1"], [0, 3, "2/3"], [1, 2, "-1"], [2, 3, "1"]], 1, 0),
+            ([[0, 2, "1"], [0, 3, "2/3"], [1, 2, "-1"], [2, 3, "1"]], 0),
             # tau_1 = s_01 = 1 but tau_2 = s01*s23 - s02*s13 + s03*s12 = 0
-            ([[0, 1, "1"], [0, 2, "1"], [1, 2, "1"], [1, 3, "1"], [2, 3, "1"]], 1, 1),
+            ([[0, 1, "1"], [0, 2, "1"], [1, 2, "1"], [1, 3, "1"], [2, 3, "1"]], 1),
         ],
     )
-    def test_vanishing_tau_is_a_vanishing_norm(
-        self, tmp_path, capsys, entries, pairs, norm
-    ):
+    def test_vanishing_tau_is_a_vanishing_norm(self, tmp_path, capsys, entries, norm):
         table = tmp_path / "m.json"
         table.write_text(json.dumps({"max_index": 3, "entries": entries}))
         capsys.readouterr()
-        assert main(["family", "--moments", str(table), "--pairs", str(pairs)]) == 2
+        assert main(["family", "--moments", str(table), "--pairs", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
