@@ -170,9 +170,6 @@ class Polynomial:
 
     # -- inspection ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

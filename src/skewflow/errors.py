@@ -17,9 +17,5 @@ class DegreeBudgetExceeded(SkewflowError):
     """An operation needs moment indices beyond the table's budget."""
 
 
-class IndexOutOfBudget(SkewflowError):
-    """A monomial Pfaffian index exceeds the moment table."""
-
-
 class TruncationTooLarge(SkewflowError):
     """A finite Lax-matrix truncation exceeds the verifiable window."""

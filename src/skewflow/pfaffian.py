@@ -27,7 +27,7 @@ from math import lcm, prod
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol, Sequence, Union
 
 from .algebra import Polynomial, Rational, RationalLike, rat
-from .errors import IndexOutOfBudget, SingularConfiguration
+from .errors import DegreeBudgetExceeded, SingularConfiguration
 
 if TYPE_CHECKING:
     from .moments import SkewMoments
@@ -266,7 +266,7 @@ def numeric_pfaffian(moments: MomentTable, indices: Sequence[int]) -> Rational:
     """Pfaffian of the skew matrix picked out by an ordered monomial index list."""
     for i in indices:
         if i > moments.max_index:
-            raise IndexOutOfBudget(
+            raise DegreeBudgetExceeded(
                 f"moment index {i} exceeds table budget {moments.max_index}"
             )
     if len(indices) % 2 != 0:
@@ -302,7 +302,7 @@ def augmented_pfaffian(
         raise ValueError("each special index may appear at most once")
     for i in idx:
         if isinstance(i, int) and i > moments.max_index:
-            raise IndexOutOfBudget(
+            raise DegreeBudgetExceeded(
                 f"moment index {i} exceeds table budget {moments.max_index}"
             )
 

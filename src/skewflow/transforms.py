@@ -1,15 +1,20 @@
 """Skew-Christoffel transformation, its Geronimus-type inverse, the banded
 Lax pair of the iterated chain, and the skew Christoffel-Darboux kernel.
 
-The transformation maps SOPs for <.|.> to SOPs for <(z-lambda).|(z-lambda).>
-by an explicit sum (even degree) and an explicit two-term division (odd
-degree); both numerators vanish at lambda, so the division is exact.
+The transformation maps SOPs for <.|.> to SOPs for <(z-lambda).|(z-lambda).>.
+A step and its inverse are the two factors of the discrete Lax pair, and
+each stores its factor's rows: row i of :class:`ChristoffelData` writes
+(z - lambda) q*_i in the pre-transform family (an L row), row i of
+:class:`GeronimusData` writes q_i in the transformed family (an R row).
+A transformed member is its L row's sum divided by z - lambda; the sum
+vanishes at lambda, so the division is exact.
 
-Polynomial work runs on the integer forms underneath: a kernel sum is one
-:meth:`Polynomial.combination` over one denominator, a Geronimus pairing
-is one integer dot product with S*g, a Lax-pair row is checked as one
-polynomial identity, and an L*R product multiplies two integer matrices.
-``Fraction`` arithmetic is left for the scalar coefficients of a step.
+Polynomial work runs on the integer forms underneath: an L row's sum is
+one :meth:`Polynomial.combination` over one denominator, an R entry is one
+integer dot product with S*q* on the shifted table, a Lax-pair row is
+checked as one polynomial identity, and an L*R product multiplies two
+integer matrices.  ``Fraction`` arithmetic is left for the scalar
+coefficients of a step.
 """
 
 from __future__ import annotations
@@ -36,44 +41,36 @@ def _values_at(
     )
 
 
-def _kernel_coeffs(
+def _kernel_row(
     family: SOPFamily,
     even_at: Sequence[Rational],
     odd_at: Sequence[Rational],
     n: int,
     factor: Rational,
-) -> tuple[list[Rational], list[Rational]]:
-    """(a, b) with factor * sum_{k<=n} (q_2k(y) q_{2k+1} - q_{2k+1}(y) q_2k) / r_k
-    = sum_{k<=n} a_k q_2k + b_k q_{2k+1}, given the values at y."""
-    a, b = [], []
+) -> tuple[Rational, ...]:
+    """The coefficients of factor * sum_{k<=n} (q_2k(y) q_{2k+1} -
+    q_{2k+1}(y) q_2k) / r_k in the family, given the values at y."""
+    row = [Fraction(0)] * len(family.polys)
     for k in range(n + 1):
         c = factor / family.norms[k]
-        a.append(-c * odd_at[k])
-        b.append(c * even_at[k])
-    return a, b
-
-
-def _kernel_sum(family: SOPFamily, a: Sequence[Rational], b: Sequence[Rational]) -> Polynomial:
-    """sum_k a_k q_2k + b_k q_{2k+1}, reduced once."""
-    polys = family.polys
-    return Polynomial.combination([*zip(a, polys[0::2]), *zip(b, polys[1::2])])
+        row[2 * k] = -c * odd_at[k]
+        row[2 * k + 1] = c * even_at[k]
+    return tuple(row)
 
 
 @dataclass(frozen=True)
 class ChristoffelData:
-    """Coefficient tables of one transformation step at parameter lam.
+    """The L factor of one transformation step at parameter lam.
 
-    even_coeffs[n][k] multiplies q_2k in the banded relation
-    (z - lam) q*_2n = q_{2n+1} + sum_k even_coeffs[n][k] q_2k
-                              + sum_{k<n} odd_coeffs[n][k] q_{2k+1};
-    odd_shift[n] multiplies q_2n in (z - lam) q*_{2n+1} = q_{2n+2}
-                              + odd_shift[n] q_2n.
+    Row i writes (z - lam) q*_i = sum_j rows[i][j] q_j in the pre-transform
+    family q_0..q_{2N+1}: row 2n is the kernel sum of order n scaled by
+    r_n/q_2n(lam), row 2n+1 is q_{2n+2} - (q_{2n+2}(lam)/q_2n(lam)) q_2n.
+    Row 2N, the kernel sum of order N, has no member in the transformed
+    family, which is one pair shorter; the rows stop there.
     """
 
     lam: Rational
-    even_coeffs: tuple[tuple[Rational, ...], ...]
-    odd_coeffs: tuple[tuple[Rational, ...], ...]
-    odd_shift: tuple[Rational, ...]
+    rows: tuple[tuple[Rational, ...], ...]
 
 
 def christoffel(
@@ -82,9 +79,8 @@ def christoffel(
     """One skew-Christoffel step at lam.
 
     Returns the transformed family (one pair shorter, alpha_n = 0 gauge),
-    the shifted moment table, and the banded coefficient tables of the step.
-    The kernel sum of q*_2n is the L row (z - lam) q*_2n of the step, so
-    both are read off one set of coefficients.
+    the shifted moment table, and the L rows of the step; each transformed
+    member is read off its own row.
     """
     lam = rat(lam)
     if family.pairs < 1:
@@ -95,50 +91,36 @@ def christoffel(
             raise SingularConfiguration(
                 f"q_{2 * n}({rat_str(lam)}) = 0: lambda outside the admissible set"
             )
-    norms = family.norms
-    polys: list[Polynomial] = []
-    new_norms: list[Rational] = []
-    even_coeffs = []
-    odd_coeffs = []
-    odd_shift = []
+    ratios = [even_at[n + 1] / even_at[n] for n in range(family.pairs)]
+    rows = []
     for n in range(family.pairs + 1):
-        # b[n] = (r_n / q_2n(lam)) q_2n(lam) / r_n = 1: the q_{2n+1} term
-        a, b = _kernel_coeffs(family, even_at, odd_at, n, norms[n] / even_at[n])
-        even_coeffs.append(tuple(a))
-        odd_coeffs.append(tuple(b[:n]))
-        if n == family.pairs:
-            break
-        ratio = even_at[n + 1] / even_at[n]
-        odd_shift.append(-ratio)
-        polys.append(_kernel_sum(family, a, b).div_by_linear(lam))
-        odd_num = Polynomial.combination(
-            ((1, family.even(n + 1)), (-ratio, family.even(n)))
-        )
-        polys.append(odd_num.div_by_linear(lam))
-        r_star = ratio * norms[n]
-        if r_star == 0:
-            raise SingularConfiguration(f"transformed normalization r*_{n} vanishes")
-        new_norms.append(r_star)
-    transformed = SOPFamily(polys, new_norms, CHRISTOFFEL_GAUGE)
-    data = ChristoffelData(lam, tuple(even_coeffs), tuple(odd_coeffs), tuple(odd_shift))
-    return transformed, moments.shift(lam), data
+        # the q_{2n+1} entry is (r_n / q_2n(lam)) q_2n(lam) / r_n = 1
+        rows.append(_kernel_row(family, even_at, odd_at, n, family.norms[n] / even_at[n]))
+        if n < family.pairs:
+            odd = [Fraction(0)] * len(family.polys)
+            odd[2 * n], odd[2 * n + 2] = -ratios[n], Fraction(1)
+            rows.append(tuple(odd))
+    polys = [
+        Polynomial.combination(zip(row, family.polys)).div_by_linear(lam)
+        for row in rows[:-1]
+    ]
+    # r*_n = (q_{2n+2}(lam)/q_2n(lam)) r_n, a product of two nonzero values
+    norms = [ratio * r for ratio, r in zip(ratios, family.norms)]
+    transformed = SOPFamily(polys, norms, CHRISTOFFEL_GAUGE)
+    return transformed, moments.shift(lam), ChristoffelData(lam, tuple(rows))
 
 
 @dataclass(frozen=True)
 class GeronimusData:
-    """Contiguous-relation coefficients expressing old SOPs in new ones.
+    """The R factor of one transformation step at parameter lam.
 
-    q_2n^t     = q_2n^{t+1} + sum_{k<n} alpha[n][k] q_2k^{t+1}
-                            + sum_{k<n} beta[n][k] q_{2k+1}^{t+1}
-    q_{2n+1}^t = q_{2n+1}^{t+1} + sum_{k<=n} gamma[n][k] q_2k^{t+1}
-                            + sum_{k<n} epsilon[n][k] q_{2k+1}^{t+1}
+    Row i writes the pre-transform member q_i = sum_j rows[i][j] q*_j in
+    the transformed family q*_0..q*_{2N+1}: unit lower triangular, with
+    rows[i][i] = 1 and every entry to its right 0.
     """
 
     lam: Rational
-    alpha: tuple[tuple[Rational, ...], ...]
-    beta: tuple[tuple[Rational, ...], ...]
-    gamma: tuple[tuple[Rational, ...], ...]
-    epsilon: tuple[tuple[Rational, ...], ...]
+    rows: tuple[tuple[Rational, ...], ...]
 
 
 def geronimus_coeffs(
@@ -147,47 +129,35 @@ def geronimus_coeffs(
     moments: SkewMoments,
     lam: RationalLike,
 ) -> GeronimusData:
-    """Expansion coefficients of the pre-transform family in the transformed one.
+    """The R rows expressing the pre-transform family in the transformed one.
 
-    Each coefficient is a modified-product pairing divided by the transformed
-    normalization; the pairing is a skew product on the table shifted once
-    by lam, since <f|g> there equals <(z-lam)f|(z-lam)g> on the base table.
-    S*g on that table is formed once per right-hand member, so each pairing
-    is one integer dot product with the numerators of f.
-    :func:`verify_geronimus` checks that the coefficients reconstruct the family.
+    Pairing q_i = sum_m R[i][m] q*_m with q*_{j^1} leaves the one term
+    m = j, since <q*_2k|q*_2k+1> = r*_k = -<q*_2k+1|q*_2k>.  So one rule
+    gives every entry below the diagonal:
+    R[i][j] = (-1)^j <q_i|q*_{j^1}>* / r*_{j//2}, where <.|.>* is the skew
+    product on the table shifted once by lam, which equals
+    <(z-lam).|(z-lam).> on the base table.  S*q*_j on that table is formed
+    once per transformed member, so each entry is one integer dot product
+    with the numerators of q_i.
+    :func:`verify_geronimus` checks that the rows reconstruct the family.
     """
     lam = rat(lam)
     shifted = moments.shift(lam)
-    pairs = family_next.pairs
-    rows = 2 * pairs + 2  # every left-hand member has degree <= 2*pairs+1
-
-    next_odd = [shifted.apply(family_next.odd(k), rows) for k in range(pairs + 1)]
-    even = [shifted.apply(family.even(n), rows) for n in range(pairs + 1)]
-    odd = [shifted.apply(family.odd(n), rows) for n in range(pairs + 1)]
-    norms = family_next.norms
-
-    def coefficient(f: Polynomial, sg: tuple[list[int], int], k: int) -> Rational:
-        """<f|g> / r*_k with S*g given."""
-        vec, den = sg
-        r = norms[k]
-        return Fraction(
-            sum(map(mul, f.num, vec)) * r.denominator, f.den * den * r.numerator
-        )
-
-    alpha, beta, gamma, epsilon = [], [], [], []
-    for n in range(pairs + 1):
-        q_even, q_odd = family.even(n), family.odd(n)
-        alpha.append(tuple(coefficient(q_even, next_odd[k], k) for k in range(n)))
-        beta.append(
-            tuple(coefficient(family_next.even(k), even[n], k) for k in range(n))
-        )
-        gamma.append(tuple(coefficient(q_odd, next_odd[k], k) for k in range(n + 1)))
-        epsilon.append(
-            tuple(coefficient(family_next.even(k), odd[n], k) for k in range(n))
-        )
-    return GeronimusData(
-        lam, tuple(alpha), tuple(beta), tuple(gamma), tuple(epsilon)
-    )
+    size = len(family_next.polys)  # every left-hand member has degree < size
+    # column j: S*q*_{j^1} with the factor (-1)^j / r*_{j//2} as a ratio of ints
+    paired = []
+    for j in range(size):
+        vec, den = shifted.apply(family_next.polys[j ^ 1], size)
+        r = family_next.norms[j // 2]
+        paired.append((vec, (-1) ** j * r.denominator, den * r.numerator))
+    rows = []
+    for i, f in enumerate(family.polys[:size]):
+        below = [
+            Fraction(sum(map(mul, f.num, vec)) * num, f.den * den)
+            for vec, num, den in paired[:i]
+        ]
+        rows.append(tuple(below + [Fraction(1)] + [Fraction(0)] * (size - i - 1)))
+    return GeronimusData(lam, tuple(rows))
 
 
 def verify_christoffel(
@@ -226,10 +196,10 @@ def verify_geronimus(
     moments: SkewMoments,
     data: GeronimusData,
 ) -> Report:
-    """Check that the contiguous relations of ``data`` rebuild every member
-    of ``family`` from ``family_next``, exactly: member i is row i of the R
-    factor applied to ``family_next``, the identity Phi^t = R^t Phi^{t+1}
-    that :func:`build_lax_pair` also checks.
+    """Check that the R rows of ``data`` rebuild every member of ``family``
+    from ``family_next``, exactly: member i is row i applied to
+    ``family_next``, the identity Phi^t = R^t Phi^{t+1} that
+    :func:`build_lax_pair` also checks.
 
     ``moments`` is the untransformed table; the report records its provenance.
     """
@@ -237,8 +207,7 @@ def verify_geronimus(
         "geronimus",
         {"lambda": rat_str(data.lam), "provenance": moments.provenance},
     )
-    rows = _r_matrix(data, len(family_next.polys)).rows
-    for i, row in enumerate(rows):
+    for i, row in enumerate(data.rows):
         rebuilt = Polynomial.combination(zip(row, family_next.polys))
         kind = "odd" if i % 2 else "even"
         report.add(f"reconstruct-{kind}:{i // 2}", rebuilt == family.polys[i])
@@ -301,45 +270,6 @@ class BandMatrix:
         return [flat[i * n : (i + 1) * n] for i in range(n)], den
 
 
-def _l_matrix(data: ChristoffelData, size: int) -> BandMatrix:
-    rows = []
-    for i in range(size):
-        row = [Fraction(0)] * size
-        n = i // 2
-        if i % 2 == 0:
-            for k in range(n + 1):
-                if 2 * k < size:
-                    row[2 * k] = data.even_coeffs[n][k]
-            for k in range(n):
-                if 2 * k + 1 < size:
-                    row[2 * k + 1] = data.odd_coeffs[n][k]
-        else:
-            row[2 * n] = data.odd_shift[n]
-        if i + 1 < size:
-            row[i + 1] = Fraction(1)
-        rows.append(row)
-    return BandMatrix(size, "L", rows)
-
-
-def _r_matrix(data: GeronimusData, size: int) -> BandMatrix:
-    rows = []
-    for i in range(size):
-        row = [Fraction(0)] * size
-        n = i // 2
-        if i % 2 == 0:
-            for k in range(n):
-                row[2 * k] = data.alpha[n][k]
-                row[2 * k + 1] = data.beta[n][k]
-        else:
-            for k in range(n + 1):
-                row[2 * k] = data.gamma[n][k]
-            for k in range(n):
-                row[2 * k + 1] = data.epsilon[n][k]
-        row[i] = Fraction(1)
-        rows.append(row)
-    return BandMatrix(size, "R", rows)
-
-
 def build_lax_pair(
     families: Sequence[SOPFamily],
     datas: Sequence[tuple[ChristoffelData, GeronimusData]],
@@ -347,6 +277,7 @@ def build_lax_pair(
 ) -> list[tuple[BandMatrix, BandMatrix]]:
     """Banded L/R factors of each chain step, verified against the families.
 
+    Each factor is the leading size x size block of its step's rows.
     L rows realize (z - lam) Phi^{t+1} = L^t Phi^t and R rows realize
     Phi^t = R^t Phi^{t+1}; each row is checked once as an identity of
     polynomials, its right side one :meth:`Polynomial.combination`.
@@ -360,8 +291,8 @@ def build_lax_pair(
         )
     out = []
     for t, (cdata, gdata) in enumerate(datas):
-        lmat = _l_matrix(cdata, size)
-        rmat = _r_matrix(gdata, size)
+        lmat = BandMatrix(size, "L", [row[:size] for row in cdata.rows[:size]])
+        rmat = BandMatrix(size, "R", [row[:size] for row in gdata.rows[:size]])
         cur, nxt = families[t].polys[:size], families[t + 1].polys[:size]
         z_minus_lam = Polynomial((-cdata.lam, 1))
         for i in range(size - 1):
@@ -404,8 +335,8 @@ def kernel(family: SOPFamily, pairs: int, y: RationalLike) -> Polynomial:
         raise ValueError(f"kernel order must be nonnegative, got {pairs}")
     if pairs > family.pairs:
         raise ValueError("kernel order exceeds the family")
-    even_at, odd_at = _values_at(family, y, pairs)
-    return _kernel_sum(family, *_kernel_coeffs(family, even_at, odd_at, pairs, Fraction(1)))
+    row = _kernel_row(family, *_values_at(family, y, pairs), pairs, Fraction(1))
+    return Polynomial.combination(zip(row, family.polys))
 
 
 def verify_factorization(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial
-from skewflow.errors import IndexOutOfBudget, SingularConfiguration
+from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
 from skewflow.moments import DiscreteMeasure, SkewMoments, from_discrete_symplectic
 from skewflow.pfaffian import (
     LAMBDA,
@@ -179,7 +179,7 @@ class TestIndexedPfaffians:
         assert numeric_pfaffian(Scaled(), idx) == c * numeric_pfaffian(table, idx)
 
     def test_budget_enforced(self):
-        with pytest.raises(IndexOutOfBudget):
+        with pytest.raises(DegreeBudgetExceeded):
             numeric_pfaffian(_table(size=5), [0, 1, 2, 6])
 
 

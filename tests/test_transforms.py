@@ -1,13 +1,22 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewflow.algebra import Polynomial
+from skewflow.algebra import Polynomial, rat_str
+from skewflow.cli import main
 from skewflow.errors import SingularConfiguration, TruncationTooLarge
 from skewflow.moments import DiscreteMeasure, from_discrete_symplectic, from_random
-from skewflow.sops import SOPFamily, build_family, skew_product, verify_skew_orthogonality
+from skewflow.sops import (
+    SOPFamily,
+    build_family,
+    skew_product,
+    sop_even,
+    verify_skew_orthogonality,
+)
 from skewflow.transforms import (
     BandMatrix,
     build_lax_pair,
@@ -55,6 +64,44 @@ def band_matrices(draw, size, kind):
             row[i + 1] = Fraction(1)
         rows.append(row)
     return BandMatrix(size, kind, rows)
+
+
+@st.composite
+def admissible_steps(draw):
+    """A from_random table, its family of 1-3 pairs and a lambda at which
+    no even member vanishes."""
+    pairs = draw(st.integers(1, 3))
+    table = from_random(draw(st.integers(0, 10**6)), 2 * pairs + 2)
+    try:
+        family = build_family(table, pairs)
+    except SingularConfiguration:
+        assume(False)
+    lam = draw(st.fractions(min_value=-9, max_value=9, max_denominator=5))
+    assume(all(family.even(n).eval(lam) != 0 for n in range(pairs + 1)))
+    return table, family, lam
+
+
+def paper_r_rows(transformed, family, shifted):
+    """The R rows from the paper's four contiguous relations, each
+    coefficient a skew product on the shifted table over r*_k:
+    q_2n     = q*_2n     + sum_{k<n} alpha_nk q*_2k + beta_nk q*_{2k+1}
+    q_{2n+1} = q*_{2n+1} + sum_{k<=n} gamma_nk q*_2k + sum_{k<n} epsilon_nk q*_{2k+1}
+    """
+    size = len(transformed.polys)
+    rows = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+
+    def coeff(f, g, k):
+        return skew_product(shifted, f, g) / transformed.norms[k]
+
+    for n in range(transformed.pairs + 1):
+        q_even, q_odd = family.even(n), family.odd(n)
+        for k in range(n):
+            rows[2 * n][2 * k] = coeff(q_even, transformed.odd(k), k)
+            rows[2 * n][2 * k + 1] = coeff(transformed.even(k), q_even, k)
+            rows[2 * n + 1][2 * k + 1] = coeff(transformed.even(k), q_odd, k)
+        for k in range(n + 1):
+            rows[2 * n + 1][2 * k] = coeff(q_odd, transformed.odd(k), k)
+    return tuple(map(tuple, rows))
 
 
 def random_setup(seed=42, pairs=3, budget=11):
@@ -109,34 +156,36 @@ class TestGeronimus:
         lam = Fraction(3)
         transformed, _, _ = christoffel(family, table, lam)
         data = geronimus_coeffs(transformed, family, table, lam)
-        for n in range(transformed.pairs + 1):
-            even_sum = transformed.even(n)
-            odd_sum = transformed.odd(n)
-            for k in range(n):
-                even_sum = even_sum + transformed.even(k).scale(data.alpha[n][k])
-                even_sum = even_sum + transformed.odd(k).scale(data.beta[n][k])
-                odd_sum = odd_sum + transformed.odd(k).scale(data.epsilon[n][k])
-            for k in range(n + 1):
-                odd_sum = odd_sum + transformed.even(k).scale(data.gamma[n][k])
-            assert even_sum == family.even(n)
-            assert odd_sum == family.odd(n)
+        assert len(data.rows) == len(transformed.polys)
+        for i, row in enumerate(data.rows):
+            rebuilt = Polynomial.zero()
+            for coeff, member in zip(row, transformed.polys):
+                rebuilt = rebuilt + member.scale(coeff)
+            assert rebuilt == family.polys[i]
 
     @settings(max_examples=25)
-    @given(
-        st.integers(0, 10**6),
-        st.integers(1, 3),
-        st.fractions(min_value=-9, max_value=9, max_denominator=5),
-    )
-    def test_christoffel_then_geronimus_reconstructs(self, seed, pairs, lam):
-        table = from_random(seed, 2 * pairs + 2)
-        try:
-            family = build_family(table, pairs)
-        except SingularConfiguration:
-            assume(False)
-        assume(all(family.even(n).eval(lam) != 0 for n in range(pairs + 1)))
+    @given(admissible_steps())
+    def test_christoffel_then_geronimus_reconstructs(self, step):
+        table, family, lam = step
         transformed, _, _ = christoffel(family, table, lam)
         data = geronimus_coeffs(transformed, family, table, lam)
         assert verify_geronimus(transformed, family, table, data).passed
+
+    @settings(max_examples=25)
+    @given(admissible_steps())
+    def test_step_rows_are_the_paper_formulas(self, step):
+        table, family, lam = step
+        transformed, shifted, cdata = christoffel(family, table, lam)
+        gdata = geronimus_coeffs(transformed, family, table, lam)
+        assert gdata.rows == paper_r_rows(transformed, family, shifted)
+        # row 2N is the kernel row of q*_2N, the monic even SOP of the
+        # shifted table, which the shorter transformed family leaves out
+        members = [*transformed.polys, sop_even(shifted, family.pairs)]
+        assert len(cdata.rows) == len(members) == 2 * family.pairs + 1
+        z_minus_lam = Polynomial([-lam, 1])
+        for row, member in zip(cdata.rows, members):
+            assert len(row) == len(family.polys)
+            assert z_minus_lam * member == Polynomial.combination(zip(row, family.polys))
 
     @pytest.mark.parametrize("member", range(6))
     def test_tampered_member_fails_only_its_check(self, member):
@@ -184,7 +233,7 @@ class TestLaxPair:
         lam = Fraction(3)
         _, _, data = christoffel(family, table, lam)
         # (z - lam) q*_0 = q_1 + A_00 q_0 forces A_00 = -lam
-        assert data.even_coeffs[0][0] == -lam
+        assert data.rows[0][0] == -lam
 
     def test_lax_equation_on_window(self):
         families, datas = self.chain()
@@ -220,9 +269,9 @@ class TestLaxPair:
         families, datas = self.chain(steps=2)
         size = 2 * families[-1].pairs + 2
         cdata, gdata = datas[1]
-        even = [list(row) for row in cdata.even_coeffs]
-        even[1][0] += 1  # q_0 coefficient of (z - lam) q*_2: L row 2
-        tampered = replace(cdata, even_coeffs=tuple(map(tuple, even)))
+        rows = [list(row) for row in cdata.rows]
+        rows[2][0] += 1  # q_0 coefficient of (z - lam) q*_2: L row 2
+        tampered = replace(cdata, rows=tuple(map(tuple, rows)))
         with pytest.raises(SingularConfiguration, match=r"^L row 2 fails at step 1$"):
             build_lax_pair(families, [datas[0], (tampered, gdata)], size)
 
@@ -230,9 +279,9 @@ class TestLaxPair:
         families, datas = self.chain(steps=2)
         size = 2 * families[-1].pairs + 2
         cdata, gdata = datas[0]
-        gamma = [list(row) for row in gdata.gamma]
-        gamma[1][0] += Fraction(1, 2)  # q*_0 coefficient of q_3: R row 3
-        tampered = replace(gdata, gamma=tuple(map(tuple, gamma)))
+        rows = [list(row) for row in gdata.rows]
+        rows[3][0] += Fraction(1, 2)  # q*_0 coefficient of q_3: R row 3
+        tampered = replace(gdata, rows=tuple(map(tuple, rows)))
         with pytest.raises(SingularConfiguration, match=r"^R row 3 fails at step 0$"):
             build_lax_pair(families, [(cdata, tampered), datas[1]], size)
 
@@ -288,3 +337,64 @@ class TestKernel:
             assert report.passed
             verdict = next(c for c in report.checks if c.id == "exactly-one-form")
             assert "a=False b=True" in verdict.detail
+
+
+GOLDEN_TABLES = [
+    *(from_random(seed, 12) for seed in range(1, 5)),
+    from_discrete_symplectic(DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1]), 12),
+]
+
+
+def lax_rows(table, lam, steps):
+    """The L/R rows of build_lax_pair on a pairs=3 chain at one lambda."""
+    families, datas, moments = [build_family(table, 3)], [], table
+    for _ in range(steps):
+        nxt, shifted, cdata = christoffel(families[-1], moments, lam)
+        datas.append((cdata, geronimus_coeffs(nxt, families[-1], moments, lam)))
+        families.append(nxt)
+        moments = shifted
+    factors = build_lax_pair(families, datas, 2 * families[-1].pairs + 2)
+    return [[[rat_str(v) for v in row] for row in m.rows] for pair in factors for m in pair]
+
+
+def data_out(tmp_path, table, lams):
+    """The bytes ``transform --data-out`` writes for a pairs=3 family."""
+    moments, family, data = (tmp_path / n for n in ("m.json", "f.json", "d.json"))
+    moments.write_text(json.dumps(table.to_json()))
+    family.write_text(json.dumps(build_family(table, 3).to_json()))
+    code = main([
+        "transform", "--family", str(family), "--moments", str(moments),
+        *(f"--lambda={lam}" for lam in lams), "-o", str(tmp_path / "out.json"), "--data-out", str(data),
+    ])
+    return [code, data.read_text() if code == 0 else None]
+
+
+def outcome(build, *args):
+    """build(*args), or the type and message of what it raised."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestGoldenOutput:
+    def test_lax_rows_are_unchanged(self):
+        payload = [
+            outcome(lax_rows, table, lam, steps)
+            for table in GOLDEN_TABLES
+            for lam in (Fraction(3), Fraction(-1, 2))
+            for steps in (1, 2)
+        ]
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == (
+            "798818ce47ef2966cb93c8f68dc5166128f685a6e5de1a588e10d9f96ed106d6"
+        )
+
+    def test_transform_data_out_is_unchanged(self, tmp_path):
+        payload = [
+            data_out(tmp_path, table, lams)
+            for table in GOLDEN_TABLES
+            for lams in (["3"], ["3", "-1/2", "5/3"])
+        ]
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == (
+            "0bb97bc40698a1bdc1a2ff658e42801b1d5fdb9a6fd03585264b926eaf8e6e7c"
+        )
