@@ -6,9 +6,9 @@ fixed command line (elapsed_ms in verification reports is the only field
 that varies between runs).
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 singular
-configuration, 3 usage or input error.  A suite that evaluates no check
-on its input (none at all, or every one skipped) is an input error: it
-writes no report and exits 3.
+configuration, 3 usage or input error, an unwritable output path included.
+A suite that evaluates no check on its input (none at all, or every one
+skipped) is an input error: it writes no report and exits 3.
 """
 
 from __future__ import annotations
@@ -117,9 +117,12 @@ def _emit(payload: Any, path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if path is None:
         print(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _rat_list(spec: str) -> list[Fraction]:
@@ -350,13 +353,9 @@ SUITES = {
 }
 
 
-def run_suite(args) -> Report:
-    return SUITES[args.suite](args)
-
-
 def _cmd_verify(args) -> int:
     started = time.monotonic()
-    report = run_suite(args)
+    report = SUITES[args.suite](args)
     if all(c.status == "skip" for c in report.checks):
         raise UsageError(f"suite {report.suite} evaluated no check on this input")
     report.elapsed_ms = (time.monotonic() - started) * 1000.0

@@ -668,9 +668,7 @@ class AntiDiagonal:
     upper: Rational  # row 0, column 1
     lower: Rational  # row 1, column 0
 
-    def rows(self) -> list[list[Rational]]:
-        return [[Fraction(0), self.upper], [self.lower, Fraction(0)]]
-
+    # the edpfl additive balance (:func:`_additive`) adds and subtracts entries
     def __add__(self, other: "AntiDiagonal") -> "AntiDiagonal":
         return AntiDiagonal(self.upper + other.upper, self.lower + other.lower)
 

@@ -15,8 +15,8 @@ back to the least common denominator, and :meth:`SkewMoments.entry` forms
 a ``Fraction`` only for the entry asked for.  Two methods hand the form
 out: :meth:`SkewMoments.apply` returns S*g as an integer vector over one
 denominator, which is all a skew product needs, and
-:meth:`SkewMoments.integer_rows` returns the leading rows of N and D for
-the one-pass elimination of :func:`skewflow.pfaffian.prefix_pfaffians`.
+:meth:`SkewMoments.integer_rows` returns the leading rows of N and D, from
+which :mod:`skewflow.pfaffian` reads every Pfaffian of the table.
 """
 
 from __future__ import annotations

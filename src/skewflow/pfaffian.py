@@ -1,21 +1,20 @@
 """Exact Pfaffians of skew-symmetric rational matrices.
 
-Every Pfaffian the library computes comes from fraction-free skew
-elimination in Python integers (:func:`_step`), O(m^3) integer operations
-after the row denominators are cleared.  :func:`prefix_pfaffians` runs it
-once without pivoting on a table's integer form and reads every leading and
-z-bordered Pfaffian of an SOP family or a lattice site off that single pass.
-:func:`bordered_pfaffians` eliminates a table's leading block 0..2n-1 once
-and reads every Pfaffian of that block bordered by a short tail (indices
-2n..2n+3, mu, lambda, z) off the reduced block, by Tanner's Pfaffian form of
-Sylvester's identity: one small elimination per tail.  The general entry
-points serve only the random-table draw check and the cross-checks:
-:func:`pfaffian` runs the elimination with pivoting on a numeric matrix, and
-:func:`augmented_pfaffian` builds the matrix for an index list, with mu and
-lambda as numeric border rows and z as a last border column of integer
-polynomials carried through the same elimination.  The memoized recursive
-expansion :func:`pfaffian_expand` is an independent algorithm kept as the
-test oracle; nothing in the library calls it.
+Every Pfaffian comes from fraction-free skew elimination in Python integers
+(:func:`_step`), O(m^3) integer operations.  Every Pfaffian of a moment
+table is read off one integer store (:func:`_store`: N = D*S, optional mu
+and lambda border rows, a z border column of integer polynomials).
+:func:`prefix_pfaffians` eliminates it once without pivoting and reads
+every leading and z-bordered Pfaffian of an SOP family or a lattice site
+off that pass.  :func:`bordered_pfaffians` eliminates a leading block
+0..2n-1 once and reads the Pfaffian of that block bordered by any tail of
+indices, mu, lambda and z off the reduced block, by Tanner's Pfaffian form
+of Sylvester's identity; :func:`augmented_pfaffian` is that read with an
+empty leading block.  :func:`pfaffian` eliminates a bare rational
+:class:`SkewMatrix` with pivoting; :func:`numeric_pfaffian` applies it to
+an index slice of N.  The memoized recursive expansion
+:func:`pfaffian_expand` is an independent algorithm kept as the test
+oracle; nothing in the library calls it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Sequence, Union
 
 from .algebra import Polynomial, Rational, RationalLike, rat
 from .errors import DegreeBudgetExceeded, SingularConfiguration
@@ -82,39 +81,17 @@ class SkewMatrix:
         m = self.dimension
         return [[self.entry(i, j) for j in range(m)] for i in range(m)]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SkewMatrix)
-            and self.dimension == other.dimension
-            and self._upper == other._upper
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, self._upper))
-
 
 def pfaffian(matrix: SkewMatrix) -> Rational:
     """Pfaffian by fraction-free skew elimination in integers.
 
     Row and column i are first scaled by D_i, the lcm of the denominators of
     A_ij for j > i; the result is an integer matrix B = D*A*D with
-    Pf(B) = det(D)*Pf(A).  :func:`_eliminate` then reduces B to its last
-    pivot, which is Pf(B).  Dimension 0 gives 1.
+    Pf(B) = det(D)*Pf(A), stored as its upper triangle (only a[i][j] with
+    j > i is ever read or written).  :func:`_eliminate` then reduces B to
+    its last pivot, which is Pf(B).  Dimension 0 gives 1.
     """
-    a, scale = _integer_rows(matrix._upper)
-    sign, pivot = _eliminate(a)
-    return Fraction(sign * pivot, prod(scale))
-
-
-def _integer_rows(
-    upper: Sequence[Sequence[Rational]],
-) -> tuple[list[list[int]], list[int]]:
-    """Upper-triangle store of B = D*A*D and the row scales D_i.
-
-    ``upper[i]`` holds A_ij for j > i; D_i clears its denominators, so every
-    D_i*A_ij*D_j with i < j is an integer.  Only a[i][j] with j > i is ever
-    read or written.
-    """
+    upper = matrix._upper
     scale = [lcm(*(q.denominator for q in row)) for row in upper]
     a = [
         [0] * (i + 1)
@@ -124,7 +101,8 @@ def _integer_rows(
         ]
         for i, row in enumerate(upper)
     ]
-    return a, scale
+    sign, pivot = _eliminate(a)
+    return Fraction(sign * pivot, prod(scale))
 
 
 def _step(
@@ -254,29 +232,34 @@ def pfaffian_expand(matrix: SkewMatrix) -> Rational:
     return rec(tuple(range(matrix.dimension)))
 
 
-class MomentTable(Protocol):
-    """Anything exposing skew moments s_{ij}; satisfied by SkewMoments."""
-
-    max_index: int
-
-    def entry(self, i: int, j: int) -> Rational: ...
-
-
-def numeric_pfaffian(moments: MomentTable, indices: Sequence[int]) -> Rational:
-    """Pfaffian of the skew matrix picked out by an ordered monomial index list."""
-    for i in indices:
-        if i > moments.max_index:
+def _check_budget(moments: SkewMoments, ints: Collection[int]) -> None:
+    """Raise DegreeBudgetExceeded for a moment index outside 0..max_index."""
+    if ints:
+        low, high = min(ints), max(ints)
+        if low < 0 or high > moments.max_index:
             raise DegreeBudgetExceeded(
-                f"moment index {i} exceeds table budget {moments.max_index}"
+                f"moment index {low if low < 0 else high} outside table budget "
+                f"{moments.max_index}"
             )
-    if len(indices) % 2 != 0:
+
+
+def numeric_pfaffian(moments: SkewMoments, indices: Sequence[int]) -> Rational:
+    """Pfaffian of the skew matrix picked out by an ordered monomial index list.
+
+    The entries are the index slice of N = D*S, so :func:`pfaffian` returns
+    D^(k/2) times the value for a list of length k.
+    """
+    idx = list(indices)
+    _check_budget(moments, idx)
+    if len(idx) % 2 != 0:
         raise ValueError("index list must have even length")
-    idx = tuple(indices)
-    return pfaffian(SkewMatrix(len(idx), lambda u, v: moments.entry(idx[u], idx[v])))
+    rows, d = moments.integer_rows(max(idx, default=-1) + 1)
+    value = pfaffian(SkewMatrix(len(idx), lambda u, v: rows[idx[u]][idx[v]]))
+    return value / d ** (len(idx) // 2)
 
 
 def augmented_pfaffian(
-    moments: MomentTable,
+    moments: SkewMoments,
     indices: Sequence[AugmentedIndex],
     mu: RationalLike = 0,
     lam: RationalLike = 0,
@@ -288,50 +271,44 @@ def augmented_pfaffian(
     is a Polynomial in z (constant when z is absent).  Each special symbol
     may appear at most once.
 
-    mu and lambda are numeric border rows.  Without z the matrix goes to
-    :func:`pfaffian`; with z, z is moved to the end and carried as a border
-    column of integer polynomials through one :func:`_eliminate`, whose
-    pivots come from the numeric columns only.
+    This is :func:`bordered_pfaffians` with an empty leading block and the
+    whole list as its one tail, z moved to the end (a sign flip when that
+    passes an odd number of indices).
     """
-    border = {MU: rat(mu), LAMBDA: rat(lam)}
     idx = list(indices)
     if len(idx) % 2 != 0:
         raise ValueError("index list must have even length")
     specials = [i for i in idx if isinstance(i, Special)]
     if len(specials) != len(set(specials)):
         raise ValueError("each special index may appear at most once")
-    for i in idx:
-        if isinstance(i, int) and i > moments.max_index:
-            raise DegreeBudgetExceeded(
-                f"moment index {i} exceeds table budget {moments.max_index}"
-            )
+    if not idx:
+        return Polynomial.one()
+    # moving z to the end passes every index after it
+    sign = (-1) ** (len(idx) - 1 - idx.index(ZVAR)) if ZVAR in specials else 1
+    idx.sort(key=lambda x: x is ZVAR)
+    return bordered_pfaffians(moments, 0, mu, lam, [idx])[0].scale(sign)
 
-    def element(x: AugmentedIndex, y: AugmentedIndex) -> RationalLike:
-        if isinstance(x, Special):
-            return 0 if isinstance(y, Special) else -(border[x] ** y)
-        if isinstance(y, Special):
-            return border[y] ** x
-        return moments.entry(x, y)
 
-    items = [i for i in idx if i is not ZVAR]
-    upper = [[element(x, y) for y in items[a + 1 :]] for a, x in enumerate(items)]
-    if ZVAR not in specials:
-        return Polynomial.constant(
-            pfaffian(SkewMatrix(len(items), lambda u, v: upper[u][v - u - 1]))
-        )
-    # z becomes the last index, a border column of int polynomials: row r
-    # scaled by D_r reads D_r*z^i for a moment index i, 0 for mu and lambda
-    a, scale = _integer_rows(upper)
-    size = max((i for i in items if not isinstance(i, Special)), default=-1) + 1
-    zc = [[0] * size for _ in items]
-    for r, i in enumerate(items):
-        if not isinstance(i, Special):
-            zc[r][i] = scale[r]
-    sign, _ = _eliminate(a, zc)
-    # moving z from its position to the end passes every index after it
-    if (len(idx) - 1 - idx.index(ZVAR)) % 2:
-        sign = -sign
-    return Polynomial._reduced([sign * c for c in zc[-1]], prod(scale))
+def _store(
+    moments: SkewMoments, size: int, border: Sequence[Rational] = ()
+) -> tuple[list[list[int]], int, list[list[int]]]:
+    """The integer store that :func:`prefix_pfaffians` and
+    :func:`bordered_pfaffians` eliminate: (a, D, zc).
+
+    ``a`` is N = D*S on the indices 0..size-1, followed by one border row
+    per x = p/q in ``border`` whose entry at index i is D*q^(size-1)*x^i,
+    and zc is the z column: row i < size starts as D*z^i, a border row as 0.
+    """
+    a, d = moments.integer_rows(size)
+    for x in border:
+        p, q = x.numerator, x.denominator
+        for i, row in enumerate(a):
+            row.append(d * p**i * q ** (size - 1 - i))
+    a += [[0] * (size + len(border)) for _ in border]
+    zc = [[0] * size for _ in a]
+    for i in range(size):
+        zc[i][i] = d
+    return a, d, zc
 
 
 def prefix_pfaffians(
@@ -352,11 +329,7 @@ def prefix_pfaffians(
     z-bordered Pfaffians.  Step n divides by D^n*tau_n, so the pass stops
     after yielding a vanishing tau_n.
     """
-    size = 2 * pairs + 4
-    a, d = moments.integer_rows(size)
-    zc = [[0] * size for _ in range(size)]
-    for i in range(size):
-        zc[i][i] = d
+    a, d, zc = _store(moments, 2 * pairs + 4)
     pivot, dn = 1, 1  # pivot after n steps, and D^n
     for n in range(pairs + 2):
         core = Fraction(a[2 * n - 2][2 * n], dn) if n else Fraction(0)
@@ -381,47 +354,49 @@ def bordered_pfaffians(
 ) -> list[Polynomial]:
     """Pf(0..2n-1, *tail) for each tail, from one elimination of 0..2n-1.
 
-    A tail is a nonempty list of even length whose entries come from
-    2n..2n+3, MU and LAMBDA, with ZVAR allowed as its last entry; each
-    value equals ``augmented_pfaffian(moments, [*range(2n), *tail], mu,
-    lam)``.
+    A tail is a nonempty list of even length of moment indices in
+    0..max_index (repeats allowed), MU and LAMBDA, with ZVAR allowed as its
+    last entry; the element rules are those of :func:`augmented_pfaffian`,
+    which is this read with n = 0.  A moment index outside the table raises
+    DegreeBudgetExceeded.
 
-    The integer form N = D*S on the indices 0..2n+3 is bordered by a mu
-    and a lambda row, whose entry at index i is D*q^(2n+3)*x^i for x = p/q,
-    and by a z column whose row i starts as D*z^i.  That is the augmented
-    matrix with every index scaled by sqrt(D), and mu and lambda further
-    by their q^(2n+3).  n :func:`_step`s without pivoting leave
-    P = Pf(0..2n-1) as the last pivot and the bordered minor
-    Pf(0..2n-1, i, j) in every later entry (i, j).  By Tanner's identity
-    the Pfaffian of that reduced block restricted to a tail of length 2h
-    is P^(h-1) * Pf(0..2n-1, *tail); :func:`_eliminate` computes it, and
-    dividing by P^(h-1) and the scales gives the value.
+    The store (:func:`_store`) is N = D*S on the indices 0..size-1, with
+    size = max(2n, largest tail index + 1, 1), bordered by a mu and a
+    lambda row and a z column: the augmented matrix with every index scaled
+    by sqrt(D), and mu and lambda further by q^(size-1) for x = p/q.
+    n :func:`_step`s without pivoting leave P = Pf(0..2n-1) as the last
+    pivot and the bordered minor Pf(0..2n-1, i, j) in every later entry
+    (i, j).  By Tanner's identity the Pfaffian of that reduced block
+    restricted to a tail of length 2h is P^(h-1) * Pf(0..2n-1, *tail);
+    :func:`_eliminate` computes it, and dividing by P^(h-1) and the scales
+    gives the value.  A tail that repeats an index of 0..2n-1 gives 0.
 
     Raises SingularConfiguration naming tau_k when a leading Pfaffian
     Pf(0..2k-1), 1 <= k <= n, vanishes.
     """
-    size = 2 * n + 4
-    a, d = moments.integer_rows(size)
+    ints = {x for tail in tails for x in tail if type(x) is int}
+    _check_budget(moments, ints)
+    size = max(2 * n, max(ints, default=-1) + 1, 1)
     border = [rat(mu), rat(lam)]
-    for i, row in enumerate(a):
-        row += [d * x.numerator**i * x.denominator ** (size - 1 - i) for x in border]
-    a += [[0] * (size + 2), [0] * (size + 2)]
-    zc = [[0] * size for _ in a]
-    for i in range(size):
-        zc[i][i] = d
+    a, d, zc = _store(moments, size, border)
     pivot = 1
     for k in range(n):
         pivot = _step(a, 2 * k, pivot, zc)
         if not pivot:
             raise SingularConfiguration(f"tau_{k + 1} vanishes")
-    index: dict[AugmentedIndex, int] = {i: i for i in range(2 * n, size)}
+    index = {i: i for i in ints}
     index.update({MU: size, LAMBDA: size + 1})
+    # a tail index below 2n repeats a leading index: that Pfaffian is 0
+    repeats = min(ints, default=size) < 2 * n
     values = []
     for tail in tails:
         if not tail or len(tail) % 2:
             raise ValueError("a tail must have even, nonzero length")
         with_z = tail[-1] is ZVAR
         rows = [index[x] for x in (tail[:-1] if with_z else tail)]
+        if repeats and min(rows) < 2 * n:
+            values.append(Polynomial.zero())
+            continue
         block = [
             [0] * (r + 1) + [a[u][v] if u < v else -a[v][u] for v in rows[r + 1 :]]
             for r, u in enumerate(rows)

@@ -342,11 +342,19 @@ def kernel(family: SOPFamily, pairs: int, y: RationalLike) -> Polynomial:
 def verify_factorization(
     family: SOPFamily, moments: SkewMoments, pairs: int, y: RationalLike
 ) -> Report:
-    """Compare the kernel sum against both candidate factorized forms.
+    """Check the kernel sum against both candidate factorized forms.
 
-    Form (a) pairs the two even SOPs in the same variable x; form (b) pairs
-    the transformed SOP at x with the original evaluated at y.  The report
-    records which candidate matches; nothing is assumed in advance.
+    Write q*_2N = r_N I_N(x, y) / (q_2N(y) (x - y)).  Form (a) pairs q*_2N
+    with the even SOP in the same variable x:
+    (x-y) q_2N(x) q*_2N(x) / r_N = I_N(x, y).  Form (b) pairs it with the
+    original at y, (x-y) q*_2N(x) q_2N(y) / r_N = I_N(x, y), which the
+    paper proves with q*_2N the monic even SOP of the table shifted by y;
+    so (b) matches when q*_2N is that SOP for ``moments``: degree 2N,
+    leading coefficient 1, and <(z-y) z^j | (z-y) q*_2N> = 0 for j < 2N.
+    (z-y) q*_2N is a multiple of I_N, so the last condition reads
+    (S I_N)_{j+1} = y (S I_N)_j, from one :meth:`SkewMoments.apply`.
+    The report records which candidate matches; nothing is assumed in
+    advance.
     """
     y = rat(y)
     report = Report("kernel", {"provenance": moments.provenance})
@@ -360,9 +368,14 @@ def verify_factorization(
     q_star = ker.scale(family.norms[pairs] / q_even_at).div_by_linear(y)
     x_minus_y = Polynomial((-y, 1))
     form_a = (x_minus_y * q_even * q_star).scale(1 / family.norms[pairs])
-    form_b = (x_minus_y * q_star).scale(q_even_at / family.norms[pairs])
     a_match = form_a == ker
-    b_match = form_b == ker
+    v, _ = moments.apply(ker, 2 * pairs + 1)
+    p, q = y.numerator, y.denominator
+    b_match = (
+        q_star.degree == 2 * pairs
+        and q_star.leading == 1
+        and all(v[j + 1] * q == p * v[j] for j in range(2 * pairs))
+    )
     verdict_a = "match" if a_match else "no-match"
     verdict_b = "match" if b_match else "no-match"
     report.add(

@@ -214,6 +214,88 @@ class TestExitCodes:
             "error: bad input (kernel order must be nonnegative, got -1)"
         ]
 
+    # q_2 + 7 on a pairs=2 family; every norm times 7 and q_3 + 5 on a
+    # pairs=3 one.  Each still has a kernel that vanishes at x = y.
+    @pytest.mark.parametrize(
+        "budget, pairs, member, shift, factor",
+        [(10, 2, 2, 7, 1), (9, 3, 3, 5, 7)],
+    )
+    def test_corrupted_family_fails_kernel(
+        self, tmp_path, capsys, budget, pairs, member, shift, factor
+    ):
+        moments, family = tmp_path / "m.json", tmp_path / "f.json"
+        assert main([
+            "gen-moments", "--kind", "random", "--max-index", str(budget),
+            "--seed", "3", "-o", str(moments),
+        ]) == 0
+        assert main([
+            "family", "--moments", str(moments), "--pairs", str(pairs), "-o", str(family),
+        ]) == 0
+        data = read(family)
+        coeffs = data["polys"][member]
+        coeffs[0] = str(Fraction(coeffs[0]) + shift)
+        data["norms"] = [str(Fraction(r) * factor) for r in data["norms"]]
+        family.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([
+            "verify", "--suite", "kernel", "--family", str(family),
+            "--moments", str(moments), "--y", "2", "--y", "1/3",
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        # both y values fail; the first failure is named
+        assert err[0].endswith(
+            "failures=2 status=fail first=y=2/1:exactly-one-form a=False b=False"
+        )
+
+    def test_kernel_on_a_table_too_small(self, tmp_path, random_setup, capsys):
+        # the pairs=2 kernel has degree 5; a max_index 4 table cannot pair it
+        _, family = random_setup
+        small = tmp_path / "small.json"
+        assert main([
+            "gen-moments", "--kind", "random", "--max-index", "4", "-o", str(small),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "verify", "--suite", "kernel", "--family", str(family),
+            "--moments", str(small), "--y", "2",
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("family", "-o"),
+            ("transform", "-o"),
+            ("transform", "--moments-out"),
+            ("transform", "--data-out"),
+            ("verify", "-o"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output(self, tmp_path, random_setup, capsys, command, flag, target):
+        moments, family = random_setup
+        path = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+        argv = {
+            "family": ["family", "--moments", str(moments), "--pairs", "1"],
+            "transform": [
+                "transform", "--family", str(family), "--moments", str(moments),
+                "--lambda", "3",
+            ],
+            "verify": [
+                "verify", "--suite", "orthogonality", "--family", str(family),
+                "--moments", str(moments),
+            ],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, flag, str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {path}: ")
+
     def test_max_index_over_the_limit(self, tmp_path, monkeypatch, capsys):
         # the (max_index + 1)^2 table must be refused before it is allocated
         def no_table(*args):

@@ -290,10 +290,6 @@ class TestScalarSystems:
 
 
 class TestAntiDiagonal:
-    def test_rows(self):
-        m = AntiDiagonal(Fraction(2), Fraction(-3))
-        assert m.rows() == [[0, 2], [-3, 0]]
-
     def test_arithmetic(self):
         m = AntiDiagonal(Fraction(2), Fraction(-3))
         k = AntiDiagonal(Fraction(1), Fraction(5))

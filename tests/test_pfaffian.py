@@ -1,11 +1,20 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skewflow.algebra import Polynomial
+from skewflow.algebra import Polynomial, rat_str
 from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
-from skewflow.moments import DiscreteMeasure, SkewMoments, from_discrete_symplectic
+from skewflow.moments import (
+    DiscreteMeasure,
+    SkewMoments,
+    from_discrete_orthogonal,
+    from_discrete_symplectic,
+    from_random,
+)
 from skewflow.pfaffian import (
     LAMBDA,
     MU,
@@ -164,23 +173,29 @@ class TestIndexedPfaffians:
         # scaling row and column k of the underlying matrix scales Pf by c
         table = _table()
         idx = list(range(6))
-
-        class Scaled:
-            max_index = table.max_index
-
-            def entry(self, i, j):
-                v = table.entry(i, j)
-                if i == k:
-                    v *= c
-                if j == k:
-                    v *= c
-                return v
-
-        assert numeric_pfaffian(Scaled(), idx) == c * numeric_pfaffian(table, idx)
+        m = table.max_index
+        scaled = SkewMoments(
+            m,
+            [
+                [table.entry(i, j) * (c if k in (i, j) else 1) for j in range(i + 1, m + 1)]
+                for i in range(m + 1)
+            ],
+        )
+        assert numeric_pfaffian(scaled, idx) == c * numeric_pfaffian(table, idx)
 
     def test_budget_enforced(self):
         with pytest.raises(DegreeBudgetExceeded):
             numeric_pfaffian(_table(size=5), [0, 1, 2, 6])
+        with pytest.raises(DegreeBudgetExceeded):
+            numeric_pfaffian(_table(size=5), [-1, 0])
+
+    @pytest.mark.parametrize(
+        "items", [[0, -1], [-1, ZVAR], [MU, -2], [0, 1, 2, 6], [6, ZVAR], [LAMBDA, 6]]
+    )
+    def test_augmented_budget_enforced(self, items):
+        # a negative index or one past max_index is outside the table
+        with pytest.raises(DegreeBudgetExceeded):
+            augmented_pfaffian(_table(size=5), items, Fraction(1, 2), Fraction(3))
 
 
 def _permutation_sign(perm):
@@ -332,18 +347,23 @@ class TestPrefixPass:
 @st.composite
 def bordered_cases(draw):
     """A table with mixed denominators, n in 0..3, distinct mu and lambda,
-    and one to four tails of distinct entries from 2n..2n+3, mu, lambda in
-    any order, half of them with a trailing z."""
+    and one to four tails of moment indices (repeats allowed) with any
+    subset of mu and lambda, in any order, half of them with a trailing z.
+    Most tails draw their indices from 2n..max_index; one in four from the
+    whole table, so that it may repeat an index of the leading block."""
     n = draw(st.integers(0, 3))
     table = draw(moment_tables(2 * n + 3 + draw(st.integers(0, 2))))
     mu, lam = draw(st.lists(rationals, min_size=2, max_size=2, unique=True))
-    pool = [*range(2 * n, 2 * n + 4), MU, LAMBDA]
     tails = []
     for _ in range(draw(st.integers(1, 4))):
         with_z = draw(st.booleans())
-        size = draw(st.sampled_from([k for k in range(1, 7) if (k + with_z) % 2 == 0]))
-        tail = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
-        tails.append(tail + [ZVAR] * with_z)
+        specials = sorted(draw(st.sets(st.sampled_from([MU, LAMBDA]))), key=lambda x: x.value)
+        # the tail before z has even length, the whole tail at least two
+        sizes = [k for k in range(7) if (k + len(specials) + with_z) % 2 == 0]
+        size = draw(st.sampled_from([k for k in sizes if k + len(specials)]))
+        low = 0 if draw(st.integers(0, 3)) == 0 else 2 * n
+        ints = draw(st.lists(st.integers(low, table.max_index), min_size=size, max_size=size))
+        tails.append(draw(st.permutations(ints + specials)) + [ZVAR] * with_z)
     return table, n, mu, lam, tails
 
 
@@ -364,3 +384,58 @@ class TestBorderedPass:
         assert bordered_pfaffians(table, n, mu, lam, tails) == [
             augmented_pfaffian(table, [*range(2 * n), *tail], mu, lam) for tail in tails
         ]
+
+
+def golden_tables():
+    """Four tables with max_index 9: two random, the acceptance symplectic
+    measure, and an orthogonal one with every entry of row 3 set to 0."""
+    orthogonal = from_discrete_orthogonal(
+        DiscreteMeasure([-6, -5, -4, -2, -1, 1, 2, 4, 5, 6], [1, 1, 1, 2, 1, 1, 2, 1, 1, 1]), 9
+    )
+    return [
+        from_random(5, 9, 6),
+        from_random(8, 9),
+        from_discrete_symplectic(DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1]), 9),
+        SkewMoments(
+            9,
+            [
+                [0 if 3 in (i, j) else orthogonal.entry(i, j) for j in range(i + 1, 10)]
+                for i in range(10)
+            ],
+        ),
+    ]
+
+
+def golden_index_lists():
+    """60 index lists of length 0..10 over 0..9, with repeated indices and
+    any subset of mu, lambda and z in any position."""
+    rng = random.Random(15)
+    lists = []
+    for _ in range(60):
+        specials = [x for x in (MU, LAMBDA, ZVAR) if rng.random() < 0.5]
+        count = rng.choice([k for k in range(9) if (k + len(specials)) % 2 == 0])
+        items = [rng.randrange(10) for _ in range(count)] + specials
+        rng.shuffle(items)
+        lists.append(items)
+    return lists
+
+
+def pfaffian_digest():
+    """sha256 of augmented_pfaffian on every golden table, index list and
+    (mu, lambda), and of numeric_pfaffian on the moment indices of each list
+    (the first index dropped when their count is odd)."""
+    params = ((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(-2, 3)), (Fraction(5, 4),) * 2)
+    payload = []
+    for table in golden_tables():
+        for items in golden_index_lists():
+            ints = [i for i in items if isinstance(i, int)]
+            payload.append(rat_str(numeric_pfaffian(table, ints[len(ints) % 2 :])))
+            payload += [augmented_pfaffian(table, items, mu, lam).to_json() for mu, lam in params]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+class TestGoldenOutput:
+    def test_pfaffian_values_are_unchanged(self):
+        assert pfaffian_digest() == (
+            "407c6b36e5dcf5a04444338df058f40eb12bb836b6a4d842d7ea3973e707b365"
+        )

@@ -8,8 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial, rat_str
 from skewflow.cli import main
-from skewflow.errors import SingularConfiguration, TruncationTooLarge
-from skewflow.moments import DiscreteMeasure, from_discrete_symplectic, from_random
+from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration, TruncationTooLarge
+from skewflow.moments import (
+    DiscreteMeasure,
+    from_discrete_orthogonal,
+    from_discrete_symplectic,
+    from_random,
+)
 from skewflow.sops import (
     SOPFamily,
     build_family,
@@ -338,6 +343,35 @@ class TestKernel:
             verdict = next(c for c in report.checks if c.id == "exactly-one-form")
             assert "a=False b=True" in verdict.detail
 
+    # the corrupted families of the kernel suite's CLI tests: q_2 + 7 on a
+    # pairs=2 family, and every norm times 7 with q_3 + 5 on a pairs=3 one
+    @pytest.mark.parametrize(
+        "budget, pairs, member, shift, factor",
+        [(10, 2, 2, 7, 1), (9, 3, 3, 5, 7)],
+    )
+    def test_corrupted_family_fails(self, budget, pairs, member, shift, factor):
+        table = from_random(3, budget)
+        family = corrupted(build_family(table, pairs), member, shift, factor)
+        for y in (Fraction(2), Fraction(1, 3)):
+            report = verify_factorization(family, table, pairs, y)
+            assert not report.passed
+            verdict = next(c for c in report.checks if c.id == "exactly-one-form")
+            assert verdict.detail == "a=False b=False"
+
+    def test_table_too_small_for_the_kernel(self):
+        # I_2 has degree 5, one past a max_index 4 table
+        family = build_family(from_random(3, 10), 2)
+        with pytest.raises(DegreeBudgetExceeded):
+            verify_factorization(family, from_random(3, 4), 2, Fraction(2))
+
+
+def corrupted(family, member, shift, factor):
+    """The family with ``shift`` added to member ``member`` and every norm
+    multiplied by ``factor``."""
+    polys = list(family.polys)
+    polys[member] = polys[member] + Polynomial.constant(shift)
+    return SOPFamily(polys, [r * factor for r in family.norms], family.gauge)
+
 
 GOLDEN_TABLES = [
     *(from_random(seed, 12) for seed in range(1, 5)),
@@ -377,7 +411,41 @@ def outcome(build, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def kernel_tables():
+    """from_random seeds 1-6 and the acceptance symplectic and orthogonal
+    measures, max_index 12."""
+    return [
+        *(from_random(seed, 12) for seed in range(1, 7)),
+        from_discrete_symplectic(DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1]), 12),
+        from_discrete_orthogonal(
+            DiscreteMeasure(
+                [-6, -5, -4, -2, -1, 1, 2, 4, 5, 6], [1, 1, 1, 2, 1, 1, 2, 1, 1, 1]
+            ),
+            12,
+        ),
+    ]
+
+
+def kernel_report(family, table, pairs, y):
+    """verify_factorization's report without its timing."""
+    report = verify_factorization(family, table, pairs, y).to_json()
+    return {k: v for k, v in report.items() if k != "elapsed_ms"}
+
+
 class TestGoldenOutput:
+    def test_kernel_reports_are_unchanged(self):
+        payload = []
+        for table in kernel_tables():
+            family = build_family(table, 4)
+            payload += [
+                outcome(kernel_report, family, table, pairs, y)
+                for pairs in range(5)
+                for y in (Fraction(2), Fraction(-1, 3), Fraction(5, 7))
+            ]
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == (
+            "151a384405f9aeb3c963ff065d6d9d5ce0509a58ac03c27d1b7c574a0e7a11d9"
+        )
+
     def test_lax_rows_are_unchanged(self):
         payload = [
             outcome(lax_rows, table, lam, steps)
