@@ -58,6 +58,12 @@ class DiscreteMeasure:
 # is checked, so a larger index is refused first.
 MAX_INDEX = 1000
 
+# The largest bits(D) * (max_index + 1)^2 of a table built from entries,
+# D the lcm of their denominators: about the size of the integer form N,
+# which MAX_INDEX alone does not bound (pairwise coprime denominators make
+# D grow with every entry).  A table past it is refused before N is built.
+MAX_FORM_BITS = 1 << 28
+
 
 class SkewMoments:
     """Immutable table of skew moments for 0 <= i < j <= max_index.
@@ -229,8 +235,19 @@ def _skew_form(
 ) -> tuple[list[list[int]], int]:
     """(N, D) for the skew table with s_ij = p/q at parts[i, j] = (p, q)
     and zero elsewhere above the diagonal: D is the lcm of the q, so the
-    form is canonical when every p/q is in lowest terms."""
-    den = lcm(*(q for _, q in parts.values()))
+    form is canonical when every p/q is in lowest terms.  The lcm is taken
+    ``size`` entries at a time and stops once D passes the bits that
+    :data:`MAX_FORM_BITS` allows."""
+    qs = [q for _, q in parts.values()]
+    max_bits = MAX_FORM_BITS // (size * size)
+    den = 1
+    for k in range(0, len(qs), size):
+        den = lcm(den, *qs[k : k + size])
+        if den.bit_length() > max_bits:
+            raise ValueError(
+                "integer form too large: bits(lcm of the entry denominators)"
+                " * (max_index + 1)^2 exceeds the limit 2^28"
+            )
     num = [[0] * size for _ in range(size)]
     for (i, j), (p, q) in parts.items():
         if p:

@@ -352,9 +352,12 @@ def verify_factorization(
     so (b) matches when q*_2N is that SOP for ``moments``: degree 2N,
     leading coefficient 1, and <(z-y) z^j | (z-y) q*_2N> = 0 for j < 2N.
     (z-y) q*_2N is a multiple of I_N, so the last condition reads
-    (S I_N)_{j+1} = y (S I_N)_j, from one :meth:`SkewMoments.apply`.
-    The report records which candidate matches; nothing is assumed in
-    advance.
+    (S I_N)_{j+1} = y (S I_N)_j.  Those conditions do not see the scale
+    of I_N, so (b) also requires the reproducing property at p = 1,
+    <1 | I_N(., y)> = (S I_N)_0 = 1: a family whose norms are all
+    multiplied by one factor scales I_N and fails it.  Both read off one
+    :meth:`SkewMoments.apply`.  The report records which candidate
+    matches; nothing is assumed in advance.
     """
     y = rat(y)
     report = Report("kernel", {"provenance": moments.provenance})
@@ -369,11 +372,12 @@ def verify_factorization(
     x_minus_y = Polynomial((-y, 1))
     form_a = (x_minus_y * q_even * q_star).scale(1 / family.norms[pairs])
     a_match = form_a == ker
-    v, _ = moments.apply(ker, 2 * pairs + 1)
+    v, den = moments.apply(ker, 2 * pairs + 1)
     p, q = y.numerator, y.denominator
     b_match = (
         q_star.degree == 2 * pairs
         and q_star.leading == 1
+        and v[0] == den
         and all(v[j + 1] * q == p * v[j] for j in range(2 * pairs))
     )
     verdict_a = "match" if a_match else "no-match"

@@ -14,6 +14,7 @@ from skewflow.algebra import (
     sample_points,
 )
 from skewflow.errors import NotDivisible
+from strategies import entries, fractions
 
 
 def P(*coeffs):
@@ -70,16 +71,10 @@ def ref_div_by_linear(a, root):
     return trim(quotient)
 
 
-# Mixed denominators, zeros drawn often, negative values included.
-coefficients = st.one_of(
-    st.just(Fraction(0)),
-    st.integers(-9, 9).map(Fraction),
-    st.fractions(min_value=-50, max_value=50, max_denominator=60),
-)
-coeff_lists = st.lists(coefficients, max_size=7)  # the empty list is zero
+coeff_lists = st.lists(entries, max_size=7)  # the empty list is zero
 points = st.one_of(
     st.integers(-5, 5).map(Fraction),
-    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    fractions(-6, 6, 12),
 )
 
 
@@ -277,7 +272,7 @@ class TestIntegerFormProperties:
         assert list((f * g).coeffs) == ref_mul(a, b)
 
     @settings(max_examples=80)
-    @given(coeff_lists, coefficients, points)
+    @given(coeff_lists, entries, points)
     def test_scale_and_eval(self, a, c, x):
         f = Polynomial(a)
         assert list(f.scale(c).coeffs) == trim(c * v for v in a)
@@ -306,7 +301,7 @@ class TestIntegerFormProperties:
         assert Polynomial.from_json(spelled) == Polynomial(a)
 
     @settings(max_examples=80)
-    @given(coeff_lists, coeff_lists, coefficients.filter(lambda c: c != 0))
+    @given(coeff_lists, coeff_lists, entries.filter(lambda c: c != 0))
     def test_form_is_canonical(self, a, b, c):
         f = Polynomial(a)
         assert f.den > 0 and gcd(f.den, *f.num) == 1
@@ -341,7 +336,7 @@ class TestIntegerFormProperties:
         assert str(caught.value) == str(expected.value)
 
     @settings(max_examples=80)
-    @given(st.lists(st.tuples(coefficients, coeff_lists), max_size=6))
+    @given(st.lists(st.tuples(entries, coeff_lists), max_size=6))
     def test_combination_is_the_scale_and_add_fold(self, terms):
         fold = Polynomial.zero()
         for c, a in terms:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -215,10 +216,11 @@ class TestExitCodes:
         ]
 
     # q_2 + 7 on a pairs=2 family; every norm times 7 and q_3 + 5 on a
-    # pairs=3 one.  Each still has a kernel that vanishes at x = y.
+    # pairs=3 one; every norm times 7 alone.  Each still has a kernel that
+    # vanishes at x = y.
     @pytest.mark.parametrize(
         "budget, pairs, member, shift, factor",
-        [(10, 2, 2, 7, 1), (9, 3, 3, 5, 7)],
+        [(10, 2, 2, 7, 1), (9, 3, 3, 5, 7), (9, 3, 3, 0, 7)],
     )
     def test_corrupted_family_fails_kernel(
         self, tmp_path, capsys, budget, pairs, member, shift, factor
@@ -311,6 +313,35 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"error: bad input (max_index 1000000 exceeds the limit {MAX_INDEX})",
             f"error: --max-index must be at most {MAX_INDEX}",
+        ]
+
+    # 1/q entries with distinct random 100-bit q, and gen-moments at a
+    # 10**30 bound: small inputs whose integer form, over the lcm of every
+    # denominator, would cost tens of seconds and hundreds of MB
+    @pytest.mark.parametrize("source", ["file", "random"])
+    def test_integer_form_over_the_limit(self, tmp_path, capsys, source):
+        if source == "file":
+            rng, m = random.Random(1), 60
+            entries = [
+                [i, j, f"1/{rng.getrandbits(100) | 1 << 99}"]
+                for i in range(m + 1)
+                for j in range(i + 1, m + 1)
+            ]
+            moments = tmp_path / "coprime.json"
+            moments.write_text(json.dumps({"max_index": m, "entries": entries}))
+            argv = ["family", "--moments", str(moments), "--pairs", "1"]
+        else:
+            argv = [
+                "gen-moments", "--kind", "random", "--max-index", "60",
+                "--bound", str(10**30), "-o", str(tmp_path / "m.json"),
+            ]
+        capsys.readouterr()
+        started = time.monotonic()
+        assert main(argv) == 3
+        assert time.monotonic() - started < 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad input (integer form too large: bits(lcm of the entry"
+            " denominators) * (max_index + 1)^2 exceeds the limit 2^28)"
         ]
 
     def test_singular_family(self, tmp_path, sym_moments):

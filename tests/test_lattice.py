@@ -32,6 +32,7 @@ from skewflow.moments import (
 )
 from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import skew_product, sop_even, sop_odd
+from strategies import fractions
 
 MU, LAM = Fraction(1, 2), Fraction(3)
 
@@ -181,9 +182,7 @@ class TestGrid:
         n = data.draw(st.integers(0, CONFIG.pairs + 1))
         s = data.draw(st.integers(0, CONFIG.steps_s))
         t = data.draw(st.integers(0, CONFIG.steps_t))
-        delta = data.draw(
-            st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
-        )
+        delta = data.draw(fractions(-5, 5, 7).filter(bool))
         payload = GRID.to_json()
         if field.endswith("_hat"):
             entry = payload[field][n][s][t]
@@ -310,18 +309,16 @@ class TestAntiDiagonal:
         assert out[1] == Polynomial.one().scale(Fraction(-3))
 
 
-small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-
-
 @st.composite
 def random_grids(draw):
     """A grid over a drawn table, box and (mu, lambda); no vanishing tau."""
-    mu, lam = draw(st.lists(small, min_size=2, max_size=2, unique=True))
+    mu, lam = draw(st.lists(fractions(-4, 4, 5), min_size=2, max_size=2, unique=True))
     config = LatticeConfig(
         mu, lam, draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
     )
     m = config.required_budget
-    table = SkewMoments(m, [[draw(small) for _ in range(i + 1, m + 1)] for i in range(m + 1)])
+    rows = [[draw(fractions(-4, 4, 5)) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
+    table = SkewMoments(m, rows)
     try:
         return build_grid(table, config)
     except SingularConfiguration:

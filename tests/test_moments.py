@@ -17,29 +17,13 @@ from skewflow.moments import (
 from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import build_family, skew_product
 from skewflow.transforms import christoffel, geronimus_coeffs
+from strategies import entries, fractions, polynomials, tables
 
-# Mixed denominators, with zero entries drawn often.
-entries = st.one_of(
-    st.just(Fraction(0)),
-    st.integers(-9, 9).map(Fraction),
-    st.fractions(min_value=-50, max_value=50, max_denominator=60),
-)
 # Shift parameters: negative values and large denominators included.
 params = st.one_of(
     st.integers(-7, 7).map(Fraction),
-    st.fractions(min_value=-5, max_value=5, max_denominator=10**9),
+    fractions(-5, 5, 10**9),
 )
-
-
-@st.composite
-def tables(draw, min_index=1, max_index=7):
-    m = draw(st.integers(min_index, max_index))
-    rows = [[draw(entries) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
-    return SkewMoments(m, rows)
-
-
-def polynomials(max_degree):
-    return st.lists(entries, max_size=max_degree + 1).map(Polynomial)
 
 
 def pair_sum_table(measure, max_index):
@@ -156,13 +140,13 @@ def measures(draw):
     """Increasing nodes, negative and fractional, with positive weights."""
     nodes = draw(
         st.lists(
-            st.fractions(min_value=-6, max_value=6, max_denominator=7),
+            fractions(-6, 6, 7),
             min_size=1, max_size=6, unique=True,
         )
     )
     weights = draw(
         st.lists(
-            st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9),
+            fractions(Fraction(1, 9), 5, 9),
             min_size=len(nodes), max_size=len(nodes),
         )
     )
@@ -185,6 +169,20 @@ class TestRandom:
         table = from_random(42, 9)
         assert numeric_pfaffian(table, range(4)) != 0
         assert "attempt" in table.provenance
+
+
+class TestIntegerFormLimit:
+    def test_limit_is_bits_of_d_times_size_squared(self, monkeypatch):
+        # D = lcm(3, 4, 2) = 12 has 4 bits; max_index 3 gives 4^2 entries
+        entries = [[Fraction(1, 3), Fraction(1, 4), 0], [0, 0], [Fraction(1, 2)], []]
+        monkeypatch.setattr("skewflow.moments.MAX_FORM_BITS", 4 * 16)
+        table = SkewMoments(3, entries)
+        assert SkewMoments.from_json(table.to_json()) == table
+        monkeypatch.setattr("skewflow.moments.MAX_FORM_BITS", 4 * 16 - 1)
+        with pytest.raises(ValueError, match="integer form too large"):
+            SkewMoments(3, entries)
+        with pytest.raises(ValueError, match="integer form too large"):
+            SkewMoments.from_json(table.to_json())
 
 
 class TestOrthogonalEnsemble:
@@ -309,7 +307,7 @@ class TestShiftProperties:
     @settings(max_examples=60)
     @given(st.data())
     def test_pairing_on_shift_is_modified_pairing(self, data):
-        table = data.draw(tables())
+        table = data.draw(tables(1, 7))
         c = data.draw(params)
         f = data.draw(polynomials(table.max_index - 1))
         g = data.draw(polynomials(table.max_index - 1))
@@ -319,7 +317,7 @@ class TestShiftProperties:
         )
 
     @settings(max_examples=40)
-    @given(tables(min_index=2), params, params)
+    @given(tables(2, 7), params, params)
     def test_shifts_commute(self, table, mu, lam):
         assert table.shift(mu).shift(lam) == table.shift(lam).shift(mu)
 
@@ -328,7 +326,7 @@ class TestShiftProperties:
     def test_integer_form_is_canonical(self, data):
         # A shifted or scaled table and the same entries read back through
         # the constructor must give the same S*g, denominator included.
-        table = data.draw(tables())
+        table = data.draw(tables(1, 7))
         c = data.draw(params.filter(lambda c: c != 0))
         for derived in (table.shift(c), table.scale(c)):
             again = SkewMoments.from_json(derived.to_json())
@@ -338,7 +336,7 @@ class TestShiftProperties:
             assert again.apply(g, rows) == derived.apply(g, rows)
 
     @settings(max_examples=40)
-    @given(tables(), params.filter(lambda c: c != 0))
+    @given(tables(1, 7), params.filter(lambda c: c != 0))
     def test_scale_is_entrywise(self, table, c):
         scaled = table.scale(c)
         for i in range(table.max_index + 1):
@@ -431,7 +429,7 @@ class TestCanonicalForm:
     """Equality and hashing read the integer form; it must be canonical."""
 
     @settings(max_examples=60)
-    @given(tables())
+    @given(tables(1, 7))
     def test_least_denominator(self, table):
         size = table.max_index + 1
         rows, den = table.integer_rows(size)
@@ -443,7 +441,7 @@ class TestCanonicalForm:
     @settings(max_examples=60)
     @given(st.data())
     def test_equal_and_hash_equal_exactly_when_entries_equal(self, data):
-        a = data.draw(tables())
+        a = data.draw(tables(1, 7))
         m = a.max_index
         i = data.draw(st.integers(0, m - 1))
         j = data.draw(st.integers(i + 1, m))
@@ -455,20 +453,20 @@ class TestCanonicalForm:
             assert hash(a) == hash(b)
 
     @settings(max_examples=60)
-    @given(tables(), st.integers(1, 12))
+    @given(tables(1, 7), st.integers(1, 12))
     def test_from_json_of_any_spelling(self, table, k):
         again = SkewMoments.from_json(respelled(table, k))
         assert again == table and hash(again) == hash(table)
 
     @settings(max_examples=60)
-    @given(tables())
+    @given(tables(1, 7))
     def test_json_round_trip(self, table):
         again = SkewMoments.from_json(table.to_json())
         assert again == table and hash(again) == hash(table)
         assert again.provenance == table.provenance
 
     @settings(max_examples=60)
-    @given(tables(), params)
+    @given(tables(1, 7), params)
     def test_shift_equals_its_entries(self, table, c):
         def shifted(i, j):
             s = table.entry
@@ -479,7 +477,7 @@ class TestCanonicalForm:
         assert derived == expected and hash(derived) == hash(expected)
 
     @settings(max_examples=60)
-    @given(tables(), params.filter(lambda c: c != 0))
+    @given(tables(1, 7), params.filter(lambda c: c != 0))
     def test_scale_equals_its_entries(self, table, c):
         derived = table.scale(c)
         expected = from_entries(table.max_index, lambda i, j: c * table.entry(i, j))

@@ -27,10 +27,7 @@ from skewflow.pfaffian import (
     pfaffian_expand,
     prefix_pfaffians,
 )
-
-rationals = st.fractions(
-    min_value=-10, max_value=10, max_denominator=6
-)
+from strategies import fractions
 
 
 def skew_from_upper(dim, values):
@@ -46,7 +43,7 @@ def skew_from_upper(dim, values):
 
 def skew_matrices(dim):
     count = dim * (dim - 1) // 2
-    return st.lists(rationals, min_size=count, max_size=count).map(
+    return st.lists(fractions(-10, 10, 6), min_size=count, max_size=count).map(
         lambda vals: skew_from_upper(dim, vals)
     )
 
@@ -57,7 +54,7 @@ def sparse_skew_matrices(draw, max_dim=10):
     and whole zero rows, so that pivot swaps and early exits are exercised."""
     dim = draw(st.sampled_from(range(0, max_dim + 1, 2)))
     zero_rows = draw(st.sets(st.integers(0, dim - 1), max_size=1)) if dim else set()
-    entry = st.one_of(st.just(Fraction(0)), rationals)
+    entry = st.one_of(st.just(Fraction(0)), fractions(-10, 10, 6))
     rows = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -123,7 +120,8 @@ class TestCrossChecks:
             lambda d: st.tuples(
                 skew_matrices(d),
                 st.lists(
-                    st.lists(rationals, min_size=d, max_size=d), min_size=d, max_size=d
+                    st.lists(fractions(-10, 10, 6), min_size=d, max_size=d),
+                    min_size=d, max_size=d,
                 ),
             )
         )
@@ -168,7 +166,7 @@ class TestIndexedPfaffians:
         assert numeric_pfaffian(table, [0, 1, 2, 2]) == 0
 
     @settings(max_examples=25)
-    @given(rationals.filter(lambda c: c != 0), st.integers(0, 5))
+    @given(fractions(-10, 10, 6).filter(lambda c: c != 0), st.integers(0, 5))
     def test_row_scaling(self, c, k):
         # scaling row and column k of the underlying matrix scales Pf by c
         table = _table()
@@ -254,7 +252,7 @@ def moment_tables(draw, max_index, zero_row=None):
     """Tables with mixed denominators; every entry of row ``zero_row`` is 0."""
     rows = [
         [
-            Fraction(0) if zero_row in (i, j) else draw(rationals)
+            Fraction(0) if zero_row in (i, j) else draw(fractions(-10, 10, 6))
             for j in range(i + 1, max_index + 1)
         ]
         for i in range(max_index + 1)
@@ -278,7 +276,7 @@ def augmented_cases(draw):
     ints = draw(st.lists(st.integers(0, 7), min_size=count, max_size=count, unique=unique))
     items = draw(st.permutations(ints + sorted(specials, key=lambda x: x.value)))
     table = draw(moment_tables(7, draw(st.none() | st.sampled_from(ints))))
-    value = st.just(Fraction(0)) | rationals
+    value = st.just(Fraction(0)) | fractions(-10, 10, 6)
     return table, items, draw(value), draw(value)
 
 
@@ -353,7 +351,7 @@ def bordered_cases(draw):
     whole table, so that it may repeat an index of the leading block."""
     n = draw(st.integers(0, 3))
     table = draw(moment_tables(2 * n + 3 + draw(st.integers(0, 2))))
-    mu, lam = draw(st.lists(rationals, min_size=2, max_size=2, unique=True))
+    mu, lam = draw(st.lists(fractions(-10, 10, 6), min_size=2, max_size=2, unique=True))
     tails = []
     for _ in range(draw(st.integers(1, 4))):
         with_z = draw(st.booleans())

@@ -25,26 +25,13 @@ from skewflow.sops import (
     skew_product,
     verify_skew_orthogonality,
 )
+from strategies import entries, fractions, polynomials, tables
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
 
-# Mixed denominators, with zero entries drawn often.
-entries = st.one_of(
-    st.just(Fraction(0)),
-    st.integers(-9, 9).map(Fraction),
-    st.fractions(min_value=-50, max_value=50, max_denominator=60),
-)
-
 
 @st.composite
-def tables(draw, min_index=0, max_index=8):
-    m = draw(st.integers(min_index, max_index))
-    rows = [[draw(entries) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
-    return SkewMoments(m, rows)
-
-
-@st.composite
-def tables_with_a_zero_row(draw, min_index=0, max_index=8):
+def tables_with_a_zero_row(draw, min_index, max_index):
     """A table from :func:`tables`, often with every s_kj of one index k
     zero, so that every tau_n with 2n > k vanishes."""
     table = draw(tables(min_index, max_index))
@@ -56,10 +43,6 @@ def tables_with_a_zero_row(draw, min_index=0, max_index=8):
             rows[i][k - i - 1] = Fraction(0)
         rows[k] = [Fraction(0)] * (m - k)
     return SkewMoments(m, rows)
-
-
-def polynomials(max_degree):
-    return st.lists(entries, max_size=max_degree + 1).map(Polynomial)
 
 
 def definitional_product(table, f, g):
@@ -79,7 +62,7 @@ def arbitrary_families(draw, max_pairs=3):
     nonzero = st.builds(
         lambda sign, v: sign * v,
         st.sampled_from([1, -1]),
-        st.fractions(min_value=Fraction(1, 60), max_value=50, max_denominator=60),
+        fractions(Fraction(1, 60), 50, 60),
     )
     polys = [
         Polynomial(draw(st.lists(entries, min_size=n, max_size=n)) + [draw(nonzero)])
@@ -119,7 +102,7 @@ class TestSkewProduct:
     @settings(max_examples=80)
     @given(st.data())
     def test_matches_definitional_sum(self, data):
-        table = data.draw(tables())
+        table = data.draw(tables(0, 8))
         f = data.draw(polynomials(table.max_index))
         g = data.draw(polynomials(table.max_index))
         assert skew_product(table, f, g) == definitional_product(table, f, g)

@@ -32,14 +32,9 @@ from skewflow.transforms import (
     verify_factorization,
     verify_geronimus,
 )
+from strategies import entries, fractions
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
-
-entries = st.one_of(
-    st.just(Fraction(0)),
-    st.integers(-9, 9).map(Fraction),
-    st.fractions(min_value=-50, max_value=50, max_denominator=60),
-)
 
 
 def definitional_band_product(a, b):
@@ -81,7 +76,7 @@ def admissible_steps(draw):
         family = build_family(table, pairs)
     except SingularConfiguration:
         assume(False)
-    lam = draw(st.fractions(min_value=-9, max_value=9, max_denominator=5))
+    lam = draw(fractions(-9, 9, 5))
     assume(all(family.even(n).eval(lam) != 0 for n in range(pairs + 1)))
     return table, family, lam
 
@@ -344,10 +339,11 @@ class TestKernel:
             assert "a=False b=True" in verdict.detail
 
     # the corrupted families of the kernel suite's CLI tests: q_2 + 7 on a
-    # pairs=2 family, and every norm times 7 with q_3 + 5 on a pairs=3 one
+    # pairs=2 family, every norm times 7 with q_3 + 5 on a pairs=3 one, and
+    # every norm times 7 alone, which scales I_N and nothing else
     @pytest.mark.parametrize(
         "budget, pairs, member, shift, factor",
-        [(10, 2, 2, 7, 1), (9, 3, 3, 5, 7)],
+        [(10, 2, 2, 7, 1), (9, 3, 3, 5, 7), (9, 3, 3, 0, 7)],
     )
     def test_corrupted_family_fails(self, budget, pairs, member, shift, factor):
         table = from_random(3, budget)
