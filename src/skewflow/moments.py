@@ -62,6 +62,8 @@ MAX_INDEX = 1000
 # D the lcm of their denominators: about the size of the integer form N,
 # which MAX_INDEX alone does not bound (pairwise coprime denominators make
 # D grow with every entry).  A table past it is refused before N is built.
+# The ensemble generators bound bits(D) and the bits of every entry of N
+# instead, estimated from the measure, and refuse before their sum.
 MAX_FORM_BITS = 1 << 28
 
 
@@ -288,14 +290,33 @@ def from_random(seed: int, max_index: int, bound: int = 10) -> SkewMoments:
     raise RuntimeError("could not reach generic position")  # pragma: no cover
 
 
-def _integer_measure(measure: DiscreteMeasure) -> tuple[list[int], int, list[int], int]:
-    """(P, qx, W, qw): qx and qw are the lcms of the node and weight
-    denominators, P_k = qx x_k and W_k = qw w_k."""
+def _integer_measure(
+    measure: DiscreteMeasure, power: int
+) -> tuple[list[int], int, list[int], int, int]:
+    """(P, qx, W, qw, bits): qx and qw are the lcms of the node and weight
+    denominators, P_k = qx x_k and W_k = qw w_k, and 2^bits exceeds every
+    |W_k P_k^p qx^(power-p)| with 0 <= p <= power and qw qx^power, as
+    bits(ab) <= bits(a) + bits(b)."""
     qx = lcm(*(x.denominator for x in measure.nodes))
     qw = lcm(*(w.denominator for w in measure.weights))
     nodes = [x.numerator * (qx // x.denominator) for x in measure.nodes]
     weights = [w.numerator * (qw // w.denominator) for w in measure.weights]
-    return nodes, qx, weights, qw
+    bx = qx.bit_length()
+    bits = max(
+        qw.bit_length() + power * bx,
+        *(w.bit_length() + power * max(x.bit_length(), bx) for x, w in zip(nodes, weights)),
+    )
+    return nodes, qx, weights, qw, bits
+
+
+def _check_form_bits(bits: int, size: int) -> None:
+    """Refuse an ensemble table whose D or an entry of N may reach 2^bits
+    when bits * size^2 passes :data:`MAX_FORM_BITS`."""
+    if bits * size * size > MAX_FORM_BITS:
+        raise ValueError(
+            "integer form too large: estimated bits of its largest integer"
+            " * (max_index + 1)^2 exceeds the limit 2^28"
+        )
 
 
 def _measure_provenance(kind: str, measure: DiscreteMeasure) -> dict[str, Any]:
@@ -314,10 +335,14 @@ def from_discrete_orthogonal(measure: DiscreteMeasure, max_index: int) -> SkewMo
     P_k^j = sum_{l<k} a_l^j this is sum_k (a_k^i P_k^j - a_k^j P_k^i):
     O(K m^2) for K nodes instead of the O(K^2 m^2) pair sum.  The sum runs
     in ints on A_k^i = (qw w_k)(qx x_k)^i qx^(m-i) = qw qx^m a_k^i, over
-    the common denominator (qw qx^m)^2.
+    the common denominator (qw qx^m)^2.  With |A_k^i| < 2^b each prefix
+    sum is below K 2^b, so an entry, K differences of two products, is
+    below 2^(2b + 2 bits(K) + 1); past :data:`MAX_FORM_BITS` the measure
+    is refused before the sum.
     """
-    nodes, qx, weights, qw = _integer_measure(measure)
+    nodes, qx, weights, qw, bits = _integer_measure(measure, max_index)
     size = max_index + 1
+    _check_form_bits(2 * bits + 2 * len(nodes).bit_length() + 1, size)
     scale = [qx ** (max_index - i) for i in range(size)]
     num = [[0] * size for _ in range(size)]
     prefix = [0] * size
@@ -344,11 +369,15 @@ def from_discrete_symplectic(measure: DiscreteMeasure, max_index: int) -> SkewMo
 
     s_ij = sum_k (x_k^i (x_k^j)' - (x_k^i)' x_k^j) w_k = (j - i) m_{i+j-1}
     with power sums m_p = sum_k x_k^p w_k, formed in ints over
-    qw qx^(2m-1) as sum_k (qw w_k)(qx x_k)^p qx^(2m-1-p).
+    qw qx^(2m-1) as sum_k (qw w_k)(qx x_k)^p qx^(2m-1-p).  Each of the K
+    terms is below 2^b and j - i <= m, so an entry is below
+    2^(b + bits(K) + bits(m)); past :data:`MAX_FORM_BITS` the measure is
+    refused before the sums.
     """
-    nodes, qx, weights, qw = _integer_measure(measure)
-    size = max_index + 1
     top = max(2 * max_index - 1, 0)
+    nodes, qx, weights, qw, bits = _integer_measure(measure, top)
+    size = max_index + 1
+    _check_form_bits(bits + len(nodes).bit_length() + max_index.bit_length(), size)
     msums = [0] * (2 * max_index)
     for x, w in zip(nodes, weights):
         for p in range(len(msums)):

@@ -10,11 +10,13 @@ off that pass.  :func:`bordered_pfaffians` eliminates a leading block
 0..2n-1 once and reads the Pfaffian of that block bordered by any tail of
 indices, mu, lambda and z off the reduced block, by Tanner's Pfaffian form
 of Sylvester's identity; :func:`augmented_pfaffian` is that read with an
-empty leading block.  :func:`pfaffian` eliminates a bare rational
-:class:`SkewMatrix` with pivoting; :func:`numeric_pfaffian` applies it to
-an index slice of N.  The memoized recursive expansion
-:func:`pfaffian_expand` is an independent algorithm kept as the test
-oracle; nothing in the library calls it.
+empty leading block, and serves only the tests (the per-member SOP
+formula, and the reference for reads with a leading block).
+:func:`pfaffian` eliminates a bare rational :class:`SkewMatrix` with
+pivoting; :func:`numeric_pfaffian` applies it to an index slice of N, and
+outside the tests answers only the random table's draw check.  The
+memoized recursive expansion :func:`pfaffian_expand` is an independent
+algorithm kept as the test oracle; nothing in the library calls it.
 """
 
 from __future__ import annotations

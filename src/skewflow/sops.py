@@ -2,8 +2,9 @@
 
 With tau_n = Pf(0..2n-1), q_2n = Pf(0..2n, z)/tau_n and q_2n+1 =
 Pf(0..2n-1, 2n+1, z)/tau_n.  :func:`build_family` reads every member off one
-elimination; :func:`sop_even`/:func:`sop_odd` (one member by itself) and
-:func:`oracle_family` (an independent exact linear solve) cross-check it.
+elimination, and :func:`oracle_family` (an independent exact linear solve)
+cross-checks it.  The tests evaluate each member's formula by itself too,
+with :func:`skewflow.pfaffian.augmented_pfaffian`; nothing here calls it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any, Sequence
 from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
-from .pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian, prefix_pfaffians
+from .pfaffian import prefix_pfaffians
 from .report import Report
 
 PFAFFIAN_GAUGE = "pfaffian-alpha-zero"
@@ -55,34 +56,6 @@ def skew_product(moments: SkewMoments, f: Polynomial, g: Polynomial) -> Rational
     """
     sg, sg_den = moments.apply(g, len(f.num))
     return Fraction(sum(map(mul, f.num, sg)), f.den * sg_den)
-
-
-def _denominator(moments: SkewMoments, n: int) -> Rational:
-    tau = numeric_pfaffian(moments, range(2 * n))
-    if tau == 0:
-        raise SingularConfiguration(
-            f"denominator Pfaffian Pf(0..{2 * n - 1}) vanishes at n={n}"
-        )
-    return tau
-
-
-def sop_even(moments: SkewMoments, n: int) -> Polynomial:
-    """Monic even SOP q_2n = Pf(0..2n, z)/Pf(0..2n-1); per-member cross-check."""
-    if 2 * n > moments.max_index:
-        raise DegreeBudgetExceeded(f"q_{2 * n} needs max_index >= {2 * n}")
-    tau = _denominator(moments, n)
-    numerator = augmented_pfaffian(moments, list(range(2 * n + 1)) + [ZVAR])
-    return numerator.scale(1 / tau)
-
-
-def sop_odd(moments: SkewMoments, n: int) -> Polynomial:
-    """Monic odd SOP q_{2n+1} = Pf(0..2n-1, 2n+1, z)/Pf(0..2n-1), alpha_n = 0;
-    per-member cross-check."""
-    if 2 * n + 1 > moments.max_index:
-        raise DegreeBudgetExceeded(f"q_{2 * n + 1} needs max_index >= {2 * n + 1}")
-    tau = _denominator(moments, n)
-    numerator = augmented_pfaffian(moments, list(range(2 * n)) + [2 * n + 1, ZVAR])
-    return numerator.scale(1 / tau)
 
 
 class SOPFamily:

@@ -26,7 +26,6 @@ from skewflow.lattice import (
     verify_edpfl,
 )
 from skewflow.moments import (
-    DiscreteMeasure,
     SkewMoments,
     from_discrete_orthogonal,
     from_discrete_symplectic,
@@ -47,6 +46,7 @@ from skewflow.transforms import (
     verify_factorization,
     verify_geronimus,
 )
+from oracles import ORTH_MEASURE, SYM_MEASURE, determinant
 
 DURATIONS = {}
 _criterion_start = [0.0]
@@ -79,11 +79,6 @@ def admissible(family, lam):
 
 SEEDS = list(range(1, 21))
 BOX_SEEDS = list(range(1, 11))
-SYM_MEASURE = DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1])
-ORTH_MEASURE = DiscreteMeasure(
-    [-6, -5, -4, -2, -1, 1, 2, 4, 5, 6],
-    [1, 1, 1, 2, 1, 1, 2, 1, 1, 1],
-)
 BOX_CONFIG = LatticeConfig(Fraction(1, 2), Fraction(3), 3, 2, 2)
 
 
@@ -116,28 +111,8 @@ def test_criterion_01_pfaffian():
                 m = SkewMatrix.from_rows(rows)
                 pf = pfaffian(m)
                 assert pf == pfaffian_expand(m)
-                assert pf * pf == _determinant(rows)
+                assert pf * pf == determinant(rows)
         assert elapsed_now() < 30
-
-
-def _determinant(rows):
-    a = [row[:] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def _family_tables():

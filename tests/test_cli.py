@@ -344,6 +344,33 @@ class TestExitCodes:
             " denominators) * (max_index + 1)^2 exceeds the limit 2^28)"
         ]
 
+    # ensemble tables that took seconds and wrote tens of MB, or built the
+    # whole table and then failed on Python's int-to-string digit limit
+    @pytest.mark.parametrize(
+        "kind, nodes, max_index",
+        [
+            ("orthogonal", "1/99999999999999999,2", 140),
+            ("orthogonal", "1/99999999999999999,2", 200),
+            ("orthogonal", f"1,{10**40}", 100),
+            ("orthogonal", f"1,{10**40}", 160),
+            ("symplectic", f"1,{10**40}", 160),
+        ],
+    )
+    def test_ensemble_form_over_the_limit(self, tmp_path, capsys, kind, nodes, max_index):
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        started = time.monotonic()
+        assert main([
+            "gen-moments", "--kind", kind, f"--nodes={nodes}", "--weights=1,1",
+            "--max-index", str(max_index), "-o", str(out),
+        ]) == 3
+        assert time.monotonic() - started < 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad input (integer form too large: estimated bits of its"
+            " largest integer * (max_index + 1)^2 exceeds the limit 2^28)"
+        ]
+        assert not out.exists()
+
     def test_singular_family(self, tmp_path, sym_moments):
         # the two-node symplectic table has rank four, so a third pair
         # cannot exist

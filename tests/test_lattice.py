@@ -31,7 +31,8 @@ from skewflow.moments import (
     from_random,
 )
 from skewflow.pfaffian import numeric_pfaffian
-from skewflow.sops import skew_product, sop_even, sop_odd
+from skewflow.sops import skew_product
+from oracles import sop_even, sop_odd
 from strategies import fractions
 
 MU, LAM = Fraction(1, 2), Fraction(3)

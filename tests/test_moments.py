@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial, rat_str
 from skewflow.errors import DegreeBudgetExceeded
@@ -17,6 +18,7 @@ from skewflow.moments import (
 from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import build_family, skew_product
 from skewflow.transforms import christoffel, geronimus_coeffs
+from oracles import ORTH_MEASURE, SYM_MEASURE
 from strategies import entries, fractions, polynomials, tables
 
 # Shift parameters: negative values and large denominators included.
@@ -184,6 +186,26 @@ class TestIntegerFormLimit:
         with pytest.raises(ValueError, match="integer form too large"):
             SkewMoments.from_json(table.to_json())
 
+    # the acceptance measures at max_index 14 give D = 1 and entries of up
+    # to 72 bits: the estimate must bound the entries, not only D
+    @settings(max_examples=60)
+    @given(
+        measures(),
+        st.integers(0, 9),
+        st.sampled_from([from_discrete_orthogonal, from_discrete_symplectic]),
+    )
+    @example(ORTH_MEASURE, 14, from_discrete_orthogonal)
+    @example(SYM_MEASURE, 14, from_discrete_symplectic)
+    def test_generator_estimate_bounds_its_form(self, measure, max_index, generate):
+        # refused under any limit below the bits * (max_index + 1)^2 of
+        # the table it makes, so its estimate is at least those bits
+        size = max_index + 1
+        rows, den = generate(measure, max_index).integer_rows(size)
+        bits = max(den.bit_length(), *(x.bit_length() for row in rows for x in row))
+        with mock.patch("skewflow.moments.MAX_FORM_BITS", bits * size * size - 1):
+            with pytest.raises(ValueError, match="integer form too large"):
+                generate(measure, max_index)
+
 
 class TestOrthogonalEnsemble:
     def test_single_node_degenerates(self):
@@ -212,8 +234,7 @@ class TestOrthogonalEnsemble:
         "measure, max_index",
         [
             # the acceptance battery's measure
-            (DiscreteMeasure([-6, -5, -4, -2, -1, 1, 2, 4, 5, 6],
-                             [1, 1, 1, 2, 1, 1, 2, 1, 1, 1]), 9),
+            (ORTH_MEASURE, 9),
             # the size of a scripted CLI session: 8 nodes, max-index 10
             (DiscreteMeasure([-9, -7, -4, -1, 2, 3, 6, 8], [1, 3, 2, 1, 2, 3, 1, 2]), 10),
         ],

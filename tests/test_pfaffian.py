@@ -27,6 +27,7 @@ from skewflow.pfaffian import (
     pfaffian_expand,
     prefix_pfaffians,
 )
+from oracles import ORTH_MEASURE, SYM_MEASURE, determinant
 from strategies import fractions
 
 
@@ -61,27 +62,6 @@ def sparse_skew_matrices(draw, max_dim=10):
             v = Fraction(0) if {i, j} & zero_rows else draw(entry)
             rows[i][j], rows[j][i] = v, -v
     return SkewMatrix.from_rows(rows)
-
-
-def exact_determinant(rows):
-    """Fraction Gaussian elimination; independent of the Pfaffian code."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 class TestBaseCases:
@@ -138,12 +118,12 @@ class TestCrossChecks:
 
         b_t = [list(col) for col in zip(*b)]
         congruent = SkewMatrix.from_rows(times(times(b, a.to_rows()), b_t))
-        assert pfaffian(congruent) == exact_determinant(b) * pfaffian(a)
+        assert pfaffian(congruent) == determinant(b) * pfaffian(a)
 
     @settings(max_examples=20)
     @given(skew_matrices(8))
     def test_square_is_determinant(self, m):
-        assert pfaffian(m) ** 2 == exact_determinant(m.to_rows())
+        assert pfaffian(m) ** 2 == determinant(m.to_rows())
 
 
 def _table(seed=5, size=9):
@@ -387,13 +367,11 @@ class TestBorderedPass:
 def golden_tables():
     """Four tables with max_index 9: two random, the acceptance symplectic
     measure, and an orthogonal one with every entry of row 3 set to 0."""
-    orthogonal = from_discrete_orthogonal(
-        DiscreteMeasure([-6, -5, -4, -2, -1, 1, 2, 4, 5, 6], [1, 1, 1, 2, 1, 1, 2, 1, 1, 1]), 9
-    )
+    orthogonal = from_discrete_orthogonal(ORTH_MEASURE, 9)
     return [
         from_random(5, 9, 6),
         from_random(8, 9),
-        from_discrete_symplectic(DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1]), 9),
+        from_discrete_symplectic(SYM_MEASURE, 9),
         SkewMoments(
             9,
             [

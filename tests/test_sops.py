@@ -20,11 +20,10 @@ from skewflow.sops import (
     _solve,
     build_family,
     oracle_family,
-    sop_even,
-    sop_odd,
     skew_product,
     verify_skew_orthogonality,
 )
+from oracles import ORTH_MEASURE, SYM_MEASURE, determinant, sop_even, sop_odd
 from strategies import entries, fractions, polynomials, tables
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
@@ -266,24 +265,6 @@ class TestSinglePass:
             assert r * tau == numeric_pfaffian(table, range(2 * n + 2))
 
 
-def fraction_det(matrix):
-    """Determinant by Fraction Gaussian elimination with row swaps."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    n, det = len(a), Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
-
-
 class TestSolve:
     @settings(max_examples=80)
     @given(st.data())
@@ -294,7 +275,7 @@ class TestSolve:
         rows[0][0] = 0  # the first pivot needs a swap
         if data.draw(st.booleans()):
             rows[1][0] = 0  # then it comes from row 2 or later
-        det = fraction_det([row[:n] for row in rows])
+        det = determinant([row[:n] for row in rows])
         assume(det != 0)
         y, d = _solve(rows)
         assert d == abs(det)  # the last Bareiss pivot is +-det(A)
@@ -369,17 +350,8 @@ def family_digest():
     """sha256 of build_family on from_random seeds 1-6 at pairs 0-4 and on
     the acceptance symplectic and orthogonal measures at pairs 0-4."""
     tables = [from_random(seed, 9) for seed in range(1, 7)]
-    tables.append(
-        from_discrete_symplectic(DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1]), 9)
-    )
-    tables.append(
-        from_discrete_orthogonal(
-            DiscreteMeasure(
-                [-6, -5, -4, -2, -1, 1, 2, 4, 5, 6], [1, 1, 1, 2, 1, 1, 2, 1, 1, 1]
-            ),
-            9,
-        )
-    )
+    tables.append(from_discrete_symplectic(SYM_MEASURE, 9))
+    tables.append(from_discrete_orthogonal(ORTH_MEASURE, 9))
     return digest([outcome(build_family, t, p) for t in tables for p in range(5)])
 
 

@@ -15,11 +15,11 @@ from skewflow.moments import (
     from_discrete_symplectic,
     from_random,
 )
+from skewflow.pfaffian import MU, ZVAR, bordered_pfaffians, numeric_pfaffian
 from skewflow.sops import (
     SOPFamily,
     build_family,
     skew_product,
-    sop_even,
     verify_skew_orthogonality,
 )
 from skewflow.transforms import (
@@ -32,7 +32,8 @@ from skewflow.transforms import (
     verify_factorization,
     verify_geronimus,
 )
-from strategies import entries, fractions
+from oracles import ORTH_MEASURE, SYM_MEASURE, sop_even
+from strategies import entries, fractions, tables
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
 
@@ -303,6 +304,25 @@ class TestLaxPair:
             build_lax_pair(families, datas, 2 * families[-1].pairs + 4)
 
 
+class TestBandMatrix:
+    @pytest.mark.parametrize(
+        "kind, rows, message",
+        [
+            ("U", [[1]], "kind must be 'L' or 'R'"),
+            ("L", [[0, 1], [0]], "rows must be square"),
+            ("L", [[0, 2], [0, 0]], "L superdiagonal must be 1"),
+            ("L", [[0, 1, 3], [0, 0, 1], [0, 0, 0]], "L has entries above the superdiagonal"),
+            ("R", [[1, 0], [0, 2]], "R diagonal must be 1"),
+            ("R", [[1, 5], [0, 1]], "R must be lower triangular"),
+        ],
+        ids=["kind", "square", "l-superdiagonal", "l-above", "r-diagonal", "r-above"],
+    )
+    def test_structure_is_checked(self, kind, rows, message):
+        with pytest.raises(ValueError) as err:
+            BandMatrix(len(rows), kind, rows)
+        assert str(err.value) == message
+
+
 class TestKernel:
     def test_antisymmetry_at_coincidence(self):
         family = build_family(SYMPLECTIC, 1)
@@ -354,6 +374,22 @@ class TestKernel:
             verdict = next(c for c in report.checks if c.id == "exactly-one-form")
             assert verdict.detail == "a=False b=False"
 
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_kernel_is_the_one_border_pfaffian(self, data):
+        # I_N(x, y) = -Pf(0..2N+1, y, z) / tau_{N+1}: one border row at y
+        pairs = data.draw(st.integers(0, 3))
+        table = data.draw(tables(2 * pairs + 1, 2 * pairs + 2))
+        try:
+            family = build_family(table, pairs)
+        except SingularConfiguration:
+            assume(False)
+        order = data.draw(st.integers(0, pairs))
+        y = data.draw(st.one_of(st.integers(-5, 5).map(Fraction), fractions(-5, 5, 9)))
+        tau = numeric_pfaffian(table, range(2 * order + 2))
+        (bordered,) = bordered_pfaffians(table, order + 1, y, 0, [[MU, ZVAR]])
+        assert kernel(family, order, y) == bordered.scale(-1 / tau)
+
     def test_table_too_small_for_the_kernel(self):
         # I_2 has degree 5, one past a max_index 4 table
         family = build_family(from_random(3, 10), 2)
@@ -371,7 +407,7 @@ def corrupted(family, member, shift, factor):
 
 GOLDEN_TABLES = [
     *(from_random(seed, 12) for seed in range(1, 5)),
-    from_discrete_symplectic(DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1]), 12),
+    from_discrete_symplectic(SYM_MEASURE, 12),
 ]
 
 
@@ -412,13 +448,8 @@ def kernel_tables():
     measures, max_index 12."""
     return [
         *(from_random(seed, 12) for seed in range(1, 7)),
-        from_discrete_symplectic(DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1]), 12),
-        from_discrete_orthogonal(
-            DiscreteMeasure(
-                [-6, -5, -4, -2, -1, 1, 2, 4, 5, 6], [1, 1, 1, 2, 1, 1, 2, 1, 1, 1]
-            ),
-            12,
-        ),
+        from_discrete_symplectic(SYM_MEASURE, 12),
+        from_discrete_orthogonal(ORTH_MEASURE, 12),
     ]
 
 
