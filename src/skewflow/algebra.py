@@ -6,9 +6,7 @@ sites read like the rest of the library.  A polynomial stores one integer
 form: a dense tuple of int numerators, constant term first with no
 trailing zero, over one positive denominator coprime to them all.  Its
 arithmetic, evaluation and exact division run in Python ints, and a
-``Fraction`` is built only for a value handed out.  The module also
-holds the deterministic sample-point pool that every pointwise verifier
-draws from.
+``Fraction`` is built only for a value handed out.
 """
 
 from __future__ import annotations
@@ -84,28 +82,6 @@ def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
     """Integers a and the least d > 0 with values[k] = a[k]/d."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def sample_points(
-    count: int, exclude: Sequence[RationalLike] = ()
-) -> list[Rational]:
-    """Deterministic rational sample pool for pointwise verifications."""
-    banned = {rat(x) for x in exclude}
-    pool: list[Rational] = [
-        Fraction(0),
-        Fraction(1),
-        Fraction(-1),
-        Fraction(2),
-        Fraction(-2),
-        Fraction(1, 2),
-        Fraction(-1, 3),
-    ]
-    odd = 3
-    while len(pool) < count + len(banned):
-        pool.append(Fraction(odd))
-        odd += 2
-    out = [x for x in pool if x not in banned]
-    return out[:count]
 
 
 class Polynomial:
@@ -329,7 +305,11 @@ class Polynomial:
         return out
 
     @staticmethod
-    def from_json(data: Sequence[str]) -> "Polynomial":
+    def from_json(data: list[str]) -> "Polynomial":
+        """The polynomial a :meth:`to_json` list describes; ValueError for
+        anything but a list of rationals."""
+        if not isinstance(data, list):
+            raise ValueError(f"a polynomial must be a list of coefficients, got {data!r:.40}")
         parts = [rat_parts(c) for c in data]
         den = lcm(*(q for _, q in parts))
         # each p/q is reduced, so gcd(den, *num) = 1 already

@@ -41,7 +41,6 @@ from fractions import Fraction
 from typing import Any, Iterator, Sequence
 
 from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
-from .algebra import sample_points  # noqa: F401  (public as lattice.sample_points)
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
 from .pfaffian import LAMBDA, MU, ZVAR, bordered_pfaffians, prefix_pfaffians
@@ -120,24 +119,21 @@ class TauGrid:
         self._sighat = sighat
 
     # -- accessors ----------------------------------------------------
-
-    def _key(self, n: int, s: int, t: int) -> tuple[int, int, int]:
-        c = self.config
-        if not (0 <= n <= c.pairs + 1 and 0 <= s <= c.steps_s and 0 <= t <= c.steps_t):
-            raise IndexError(f"lattice point (n={n}, s={s}, t={t}) outside grid")
-        return (n, s, t)
+    # The four stores hold exactly the points 0 <= n <= pairs+1,
+    # 0 <= s <= steps_s, 0 <= t <= steps_t, so a read outside the grid
+    # raises KeyError naming the point.
 
     def tau(self, n: int, s: int, t: int) -> Rational:
-        return self._tau[self._key(n, s, t)]
+        return self._tau[n, s, t]
 
     def sigma(self, n: int, s: int, t: int) -> Rational:
-        return self._sigma[self._key(n, s, t)]
+        return self._sigma[n, s, t]
 
     def tau_hat(self, n: int, s: int, t: int) -> Polynomial:
-        return self._tauhat[self._key(n, s, t)]
+        return self._tauhat[n, s, t]
 
     def sigma_hat(self, n: int, s: int, t: int) -> Polynomial:
-        return self._sighat[self._key(n, s, t)]
+        return self._sighat[n, s, t]
 
     def moments(self, s: int, t: int) -> SkewMoments:
         return self.tables[(s, t)]
@@ -162,12 +158,6 @@ class TauGrid:
     def sites(self) -> Iterator[tuple[int, int]]:
         for s in range(self.config.steps_s + 1):
             for t in range(self.config.steps_t + 1):
-                yield (s, t)
-
-    def interior_sites(self) -> Iterator[tuple[int, int]]:
-        """Sites whose (s+1, t+1) neighbours are still inside the box."""
-        for s in range(self.config.steps_s):
-            for t in range(self.config.steps_t):
                 yield (s, t)
 
     def degenerate(self) -> "TauGrid":
@@ -247,9 +237,7 @@ def _same_value(entry: Any, canonical: str | list[str]) -> bool:
         return True
     try:
         if isinstance(canonical, list):
-            return isinstance(entry, list) and (
-                Polynomial.from_json(entry) == Polynomial.from_json(canonical)
-            )
+            return Polynomial.from_json(entry) == Polynomial.from_json(canonical)
         return rat(entry) == rat(canonical)
     except (TypeError, ValueError):
         return False
@@ -318,6 +306,17 @@ def build_grid(moments: SkewMoments, config: LatticeConfig) -> TauGrid:
             sigma[(n, s, t)] = core + offset * value
             sighat[(n, s, t)] = core_hat + hat.scale(offset)
     return TauGrid(config, moments, tables, tau, sigma, tauhat, sighat)
+
+
+def _sites(
+    config: LatticeConfig, ds: int, dt: int, ns: Sequence[int]
+) -> Iterator[tuple[int, int, int]]:
+    """The (n, s, t) of a stencil that steps ds + 1 in s and dt + 1 in t:
+    s < steps_s - ds, t < steps_t - dt and n in ``ns``, n varying fastest."""
+    for s in range(config.steps_s - ds):
+        for t in range(config.steps_t - dt):
+            for n in ns:
+                yield n, s, t
 
 
 def _z_factors(
@@ -436,20 +435,18 @@ def _ratios(grid: TauGrid, x, y, k: Rational) -> tuple[dict, dict, dict, dict]:
 
     (unmarked sites are (s, t)).
     """
-    c = grid.config
     a, b, cc, d = {}, {}, {}, {}
-    for s, t in grid.interior_sites():
-        for n in range(c.pairs + 1):
-            key = (n, s, t)
-            down = y(n, s + 1, t) * y(n, s, t + 1)
-            if down != 0:
-                if n >= 1:
-                    a[key] = k * x(n + 1, s, t) * x(n - 1, s + 1, t + 1) / down
-                b[key] = k * x(n, s, t) * x(n, s + 1, t + 1) / down
-            up = k * y(n + 1, s, t) * y(n, s + 1, t + 1)
-            if up != 0:
-                cc[key] = x(n + 1, s + 1, t) * x(n, s, t + 1) / up
-                d[key] = x(n + 1, s, t + 1) * x(n, s + 1, t) / up
+    for key in _sites(grid.config, 0, 0, range(grid.config.pairs + 1)):
+        n, s, t = key
+        down = y(n, s + 1, t) * y(n, s, t + 1)
+        if down != 0:
+            if n >= 1:
+                a[key] = k * x(n + 1, s, t) * x(n - 1, s + 1, t + 1) / down
+            b[key] = k * x(n, s, t) * x(n, s + 1, t + 1) / down
+        up = k * y(n + 1, s, t) * y(n, s + 1, t + 1)
+        if up != 0:
+            cc[key] = x(n + 1, s + 1, t) * x(n, s, t + 1) / up
+            d[key] = x(n + 1, s, t + 1) * x(n, s + 1, t) / up
     return a, b, cc, d
 
 
@@ -493,13 +490,34 @@ def verify_dckp(grid: TauGrid) -> Report:
     z = _z_factors(c)
     tau = (grid.tau, grid.tau_hat, grid.tau, grid.tau_hat)
     report = Report("dckp", {"provenance": grid.base.provenance})
-    for s, t in grid.interior_sites():
-        for n in range(c.pairs + 1):
-            tag = f"n={n},s={s},t={t}"
-            report.add(f"dckp1:{tag}", _bilinear(tau, n, n + 1, s, t, lm, z))
-            if n >= 1:
-                report.add(f"dckp2:{tag}", _bilinear(tau, n, n, s, t, lm, z))
+    for n, s, t in _sites(c, 0, 0, range(c.pairs + 1)):
+        tag = f"n={n},s={s},t={t}"
+        report.add(f"dckp1:{tag}", _bilinear(tau, n, n + 1, s, t, lm, z))
+        if n >= 1:
+            report.add(f"dckp2:{tag}", _bilinear(tau, n, n, s, t, lm, z))
     return report
+
+
+def sample_points(
+    count: int, exclude: Sequence[RationalLike] = ()
+) -> list[Rational]:
+    """Deterministic rational sample pool for pointwise verifications."""
+    banned = {rat(x) for x in exclude}
+    pool: list[Rational] = [
+        Fraction(0),
+        Fraction(1),
+        Fraction(-1),
+        Fraction(2),
+        Fraction(-2),
+        Fraction(1, 2),
+        Fraction(-1, 3),
+    ]
+    odd = 3
+    while len(pool) < count + len(banned):
+        pool.append(Fraction(odd))
+        odd += 2
+    out = [x for x in pool if x not in banned]
+    return out[:count]
 
 
 def _sample_points(config: LatticeConfig, samples: Sequence[RationalLike]) -> list[str]:
@@ -525,36 +543,37 @@ def _contiguous(
             = (z-lam) C v_n^{s,t+1} - (z-mu) D v_n^{s+1,t}
 
     (unmarked sites are (s, t)).  ``vec`` maps (n, s, t) to the value
-    vector there, None where it is undefined, and ``act(k, v)`` is the
-    vector coefficient k makes of v.  An instance that needs an undefined
-    vector or a coefficient the field omits is recorded as skipped.
+    vector there, undefined where its first component is None, and
+    ``act(k, v)`` is the vector coefficient k makes of v.  An instance that
+    needs an undefined vector or a coefficient the field omits is recorded
+    as skipped.
     """
     z_mu, z_lam, z_both = _z_factors(grid.config)
-    for s, t in grid.interior_sites():
-        for n in range(grid.config.pairs + 1):
-            key, tag = (n, s, t), f"n={n},s={s},t={t}"
-            here, v_s, v_t = vec[key], vec[n, s + 1, t], vec[n, s, t + 1]
-            prev = vec[n - 1, s + 1, t + 1] if n >= 1 else None
-            if (
-                None in (here, v_s, v_t)
-                or key not in field.b
-                or (n >= 1 and (prev is None or key not in field.a))
-            ):
-                report.skip(f"{name}1:{tag}", "sigma vanishes inside the stencil")
-            else:
-                lhs = [z_lam * u - z_mu * v for u, v in zip(v_t, v_s)]
-                rhs = [-x for x in act(field.b[key], here)]
-                if n >= 1:
-                    rhs = [x + z_both * y for x, y in zip(rhs, act(field.a[key], prev))]
-                report.add(f"{name}1:{tag}", lhs == rhs)
-            diag, up = vec[n, s + 1, t + 1], vec[n + 1, s, t]
-            if None in (diag, up, v_t, v_s) or key not in field.c or key not in field.d:
-                report.skip(f"{name}2:{tag}", "sigma vanishes inside the stencil")
-            else:
-                lhs = [z_both * u - v for u, v in zip(diag, up)]
-                cterm, dterm = act(field.c[key], v_t), act(field.d[key], v_s)
-                rhs = [z_lam * x - z_mu * y for x, y in zip(cterm, dterm)]
-                report.add(f"{name}2:{tag}", lhs == rhs)
+    for key in _sites(grid.config, 0, 0, range(grid.config.pairs + 1)):
+        n, s, t = key
+        tag = f"n={n},s={s},t={t}"
+        here, v_s, v_t = vec[key], vec[n, s + 1, t], vec[n, s, t + 1]
+        prev = vec[n - 1, s + 1, t + 1] if n >= 1 else None
+        if (
+            None in (here[0], v_s[0], v_t[0])
+            or key not in field.b
+            or (n >= 1 and (prev[0] is None or key not in field.a))
+        ):
+            report.skip(f"{name}1:{tag}", "sigma vanishes inside the stencil")
+        else:
+            lhs = [z_lam * u - z_mu * v for u, v in zip(v_t, v_s)]
+            rhs = [-x for x in act(field.b[key], here)]
+            if n >= 1:
+                rhs = [x + z_both * y for x, y in zip(rhs, act(field.a[key], prev))]
+            report.add(f"{name}1:{tag}", lhs == rhs)
+        diag, up = vec[n, s + 1, t + 1], vec[n + 1, s, t]
+        if None in (diag[0], up[0], v_t[0], v_s[0]) or key not in field.c or key not in field.d:
+            report.skip(f"{name}2:{tag}", "sigma vanishes inside the stencil")
+        else:
+            lhs = [z_both * u - v for u, v in zip(diag, up)]
+            cterm, dterm = act(field.c[key], v_t), act(field.d[key], v_s)
+            rhs = [z_lam * x - z_mu * y for x, y in zip(cterm, dterm)]
+            report.add(f"{name}2:{tag}", lhs == rhs)
 
 
 def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
@@ -593,13 +612,6 @@ def _additive(field: CoefficientField, n: int, s: int, t: int) -> bool:
     )
 
 
-def _additive_sites(config: LatticeConfig) -> Iterator[tuple[int, int, int]]:
-    for s in range(config.steps_s - 1):
-        for t in range(config.steps_t - 1):
-            for n in range(1, config.pairs):
-                yield n, s, t
-
-
 # The product relations lhs * x = r1 * r2 of the nonlinear systems.  A row
 # holds the relation's id; the step (ds, dt) of its stencil, which drops
 # the last ds values of s and dt of t; how many top values of n it drops;
@@ -625,15 +637,12 @@ _PRODUCTS = (
 def _instances(field: CoefficientField, factors, step: tuple[int, int], top: int) -> list:
     """The factors of each instance of a product relation whose
     coefficients all exist."""
-    c = field.config
     out = []
-    for s in range(c.steps_s - step[0]):
-        for t in range(c.steps_t - step[1]):
-            for n in range(1, c.pairs + 1 - top):
-                try:
-                    out.append(factors(field, n, s, t))
-                except KeyError:
-                    pass
+    for n, s, t in _sites(field.config, *step, range(1, field.config.pairs + 1 - top)):
+        try:
+            out.append(factors(field, n, s, t))
+        except KeyError:
+            pass
     return out
 
 
@@ -645,7 +654,7 @@ def verify_dpfl(field: CoefficientField) -> Report:
     """
     c = field.config
     report = Report("dpfl", {})
-    for n, s, t in _additive_sites(c):
+    for n, s, t in _sites(c, 1, 1, range(1, c.pairs)):
         report.add(f"additive:n={n},s={s},t={t}", _additive(field, n, s, t))
     for step in ((1, 0), (0, 1)):
         rows = [row for row in _PRODUCTS if row[1] == step]
@@ -709,14 +718,13 @@ def verify_edckp(grid: TauGrid) -> Report:
     sig_tau = (grid.sigma, grid.sigma_hat, grid.tau, grid.tau_hat)
     tau_sig = (grid.tau, grid.tau_hat, grid.sigma, grid.sigma_hat)
     report = Report("edckp", {"provenance": grid.base.provenance})
-    for s, t in grid.interior_sites():
-        for n in range(c.pairs + 1):
-            tag = f"n={n},s={s},t={t}"
-            if n >= 1:
-                report.add(f"edckp1:{tag}", _bilinear(sig_tau, n, n, s, t, lm, z))
-                report.add(f"edckp2:{tag}", _bilinear(tau_sig, n, n, s, t, lm, z))
-            report.add(f"edckp3:{tag}", _bilinear(sig_tau, n, n + 1, s, t, lm, z))
-            report.add(f"edckp4:{tag}", _bilinear(tau_sig, n, n + 1, s, t, lm, z))
+    for n, s, t in _sites(c, 0, 0, range(c.pairs + 1)):
+        tag = f"n={n},s={s},t={t}"
+        if n >= 1:
+            report.add(f"edckp1:{tag}", _bilinear(sig_tau, n, n, s, t, lm, z))
+            report.add(f"edckp2:{tag}", _bilinear(tau_sig, n, n, s, t, lm, z))
+        report.add(f"edckp3:{tag}", _bilinear(sig_tau, n, n + 1, s, t, lm, z))
+        report.add(f"edckp4:{tag}", _bilinear(tau_sig, n, n + 1, s, t, lm, z))
     return report
 
 
@@ -755,9 +763,8 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         for s, t in grid.sites()
         for n in range(c.pairs + 2)
     }
-    vec = {key: None if pair[0] is None else pair for key, pair in phi.items()}
     _contiguous(
-        report, "edlax", grid, matrix_coefficient_field(grid), vec, AntiDiagonal.apply
+        report, "edlax", grid, matrix_coefficient_field(grid), phi, AntiDiagonal.apply
     )
     for s, t in grid.sites():
         phis = [p for n in range(c.pairs + 1) for p in phi[(n, s, t)]]
@@ -814,7 +821,7 @@ def verify_edpfl(field: CoefficientField) -> Report:
     """
     c = field.config
     report = Report("edpfl", {})
-    for n, s, t in _additive_sites(c):
+    for n, s, t in _sites(c, 1, 1, range(1, c.pairs)):
         tag = f"additive:n={n},s={s},t={t}"
         try:
             report.add(tag, _additive(field, n, s, t))

@@ -220,11 +220,14 @@ class SkewMoments:
             raise ValueError(f"max_index must be an integer, got {m!r}")
         if m > MAX_INDEX:
             raise ValueError(f"max_index {m} exceeds the limit {MAX_INDEX}")
+        entries = data["entries"]
         parts = {}
-        for i, j, v in data["entries"]:
+        for i, j, v in entries:
             if not (type(i) is int and type(j) is int and 0 <= i < j <= m):
                 raise ValueError(f"bad entry index ({i},{j})")
             parts[i, j] = rat_parts(v)
+        if len(parts) != len(entries):
+            raise ValueError("duplicate entry: an index pair (i, j) is given more than once")
         if m < 0:
             raise ValueError("max_index must be nonnegative")
         return SkewMoments._from_integers(
@@ -239,17 +242,12 @@ def _skew_form(
     and zero elsewhere above the diagonal: D is the lcm of the q, so the
     form is canonical when every p/q is in lowest terms.  The lcm is taken
     ``size`` entries at a time and stops once D passes the bits that
-    :data:`MAX_FORM_BITS` allows."""
+    :func:`_check_form_bits` allows."""
     qs = [q for _, q in parts.values()]
-    max_bits = MAX_FORM_BITS // (size * size)
     den = 1
     for k in range(0, len(qs), size):
         den = lcm(den, *qs[k : k + size])
-        if den.bit_length() > max_bits:
-            raise ValueError(
-                "integer form too large: bits(lcm of the entry denominators)"
-                " * (max_index + 1)^2 exceeds the limit 2^28"
-            )
+        _check_form_bits(den.bit_length(), size, "bits(lcm of the entry denominators)")
     num = [[0] * size for _ in range(size)]
     for (i, j), (p, q) in parts.items():
         if p:
@@ -309,13 +307,15 @@ def _integer_measure(
     return nodes, qx, weights, qw, bits
 
 
-def _check_form_bits(bits: int, size: int) -> None:
-    """Refuse an ensemble table whose D or an entry of N may reach 2^bits
-    when bits * size^2 passes :data:`MAX_FORM_BITS`."""
+def _check_form_bits(
+    bits: int, size: int, what: str = "estimated bits of its largest integer"
+) -> None:
+    """Refuse a table of ``size`` indices whose D or an entry of N may reach
+    2^bits when bits * size^2 passes :data:`MAX_FORM_BITS`; ``what`` names
+    the bits in the message (by default an ensemble generator's estimate)."""
     if bits * size * size > MAX_FORM_BITS:
         raise ValueError(
-            "integer form too large: estimated bits of its largest integer"
-            " * (max_index + 1)^2 exceeds the limit 2^28"
+            f"integer form too large: {what} * (max_index + 1)^2 exceeds the limit 2^28"
         )
 
 

@@ -152,24 +152,25 @@ def _eliminate(
 
     The pivot of step k is the nonzero entry of row k of least absolute
     value, taken from the numeric columns only; each exchange that brings
-    it next to row k flips the sign.  A zero row gives 0, unless a z column
-    is carried: then the row may still pair with z, so a later row with a
-    nonzero numeric entry is exchanged into place k (one more sign flip),
-    and 0 comes only when no later row has one.
+    it next to row k flips the sign.  A row with no nonzero numeric entry
+    is exchanged for the first later row that has one (one more sign
+    flip), since with a z column it may still pair with z; 0 comes only
+    when no later row has one, that is, when the numeric block left is
+    zero.  Without z such a row makes the Pfaffian 0 anyway, and the
+    exchange only defers that verdict to a later step.
     """
     m = len(a)
     sign = 1
     prev = 1
     for k in range(0, m - 1, 2):
         best = _pivot_column(a[k], k)
-        if best < 0 and zc is not None:
-            u = next((u for u in range(k + 1, m) if any(a[u][u + 1 :])), -1)
-            if u >= 0:
-                _swap(a, zc, k, k, u)
-                sign = -sign
-                best = _pivot_column(a[k], k)
         if best < 0:
-            return 0, prev
+            u = next((u for u in range(k + 1, m) if any(a[u][u + 1 :])), -1)
+            if u < 0:
+                return 0, prev
+            _swap(a, zc, k, k, u)
+            sign = -sign
+            best = _pivot_column(a[k], k)
         if best != k + 1:
             _swap(a, zc, k, k + 1, best)
             sign = -sign

@@ -108,12 +108,21 @@ class SOPFamily:
 
     @staticmethod
     def from_json(data: dict[str, Any]) -> "SOPFamily":
-        polys = [Polynomial.from_json(p) for p in data["polys"]]
-        norms = [rat(r) for r in data["norms"]]
+        """The family a :meth:`to_json` payload describes: ``polys`` a list
+        of coefficient lists, ``norms`` a list and ``pairs`` the JSON
+        integer len(polys)/2 - 1; ValueError otherwise."""
+        polys, norms, pairs = data["polys"], data["norms"], data["pairs"]
+        if not isinstance(norms, list):
+            raise ValueError("a family's norms must be a list")
+        members = [Polynomial.from_json(p) for p in polys]
+        values = [rat(r) for r in norms]
         gauge = data.get("gauge", PFAFFIAN_GAUGE)
         if gauge not in GAUGES:
             raise ValueError(f"unknown gauge {gauge!r}")
-        return SOPFamily(polys, norms, gauge)
+        family = SOPFamily(members, values, gauge)
+        if type(pairs) is not int or pairs != family.pairs:
+            raise ValueError(f"pairs {pairs!r} does not match {len(polys)} polys")
+        return family
 
 
 def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:

@@ -11,9 +11,9 @@ from skewflow.algebra import (
     rat,
     rat_parts,
     rat_str,
-    sample_points,
 )
 from skewflow.errors import NotDivisible
+from skewflow.lattice import sample_points
 from strategies import entries, fractions
 
 

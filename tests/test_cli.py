@@ -632,6 +632,46 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: bad input (unknown gauge {gauge!r})\n"
         assert not out.exists()
 
+    def test_duplicate_moment_entry(self, tmp_path, capsys):
+        # a later [i, j, v] used to overwrite an earlier one: s_01 = 5 loaded
+        moments = tmp_path / "m.json"
+        assert main(["gen-moments", "--kind", "random", "--max-index", "8",
+                     "-o", str(moments)]) == 0
+        data = read(moments)
+        data["entries"].append([0, 1, "5/1"])
+        moments.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["family", "--moments", str(moments), "--pairs", "1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad input (duplicate entry: an index pair (i, j) is given"
+            " more than once)"
+        ]
+
+    # a string used to load as its characters ("01" as 0 + z), and pairs
+    # was never read
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            ({"pairs": 0, "polys": ["1", "01"], "norms": ["1"]},
+             "a polynomial must be a list of coefficients, got '1'"),
+            ({"pairs": 0, "polys": [["1"], ["0", "1"]], "norms": "1"},
+             "a family's norms must be a list"),
+            ({"pairs": 7}, "pairs 7 does not match 6 polys"),
+            ({"pairs": True}, "pairs True does not match 6 polys"),
+        ],
+        ids=["string-members", "string-norms", "pairs-mismatch", "pairs-bool"],
+    )
+    def test_family_fields_are_read_as_written(
+        self, tmp_path, random_setup, capsys, tamper, message
+    ):
+        moments, family = random_setup
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps({**read(family), **tamper}))
+        capsys.readouterr()
+        assert main(["verify", "--suite", "orthogonality", "--family", str(tampered),
+                     "--moments", str(moments)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: bad input ({message})"]
+
     def test_unknown_suite(self, random_setup):
         moments, family = random_setup
         assert main([

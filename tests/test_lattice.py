@@ -108,6 +108,15 @@ class TestGrid:
         for s, t in GRID.sites():
             assert GRID.tau(0, s, t) == 1
 
+    def test_read_outside_the_grid_names_the_point(self):
+        c = CONFIG
+        with pytest.raises(KeyError) as excinfo:
+            GRID.tau(c.pairs + 2, 0, 0)
+        assert excinfo.value.args == ((c.pairs + 2, 0, 0),)
+        with pytest.raises(KeyError) as excinfo:
+            GRID.sigma_hat(0, c.steps_s + 1, 0)
+        assert excinfo.value.args == ((0, c.steps_s + 1, 0),)
+
     def test_sigma_zero_is_offset(self):
         for s, t in GRID.sites():
             assert GRID.sigma(0, s, t) == s * MU + t * LAM
@@ -546,7 +555,8 @@ def identity_digest(grid):
     reports = [
         crosscheck_single_step(grid, n, s, t)
         for n in range(c.pairs + 1)
-        for s, t in grid.interior_sites()
+        for s in range(c.steps_s)
+        for t in range(c.steps_t)
     ]
     reports += [verify_dckp(grid), verify_edckp(grid)]
     payload = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
