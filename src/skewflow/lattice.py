@@ -208,13 +208,12 @@ class TauGrid:
     @staticmethod
     def from_json(data: dict[str, Any]) -> "TauGrid":
         """The grid :func:`build_grid` rebuilds from the file's ``config`` and
-        ``base_moments``, once the four stored fields are found to agree with it.
+        ``base_moments``, once each of the four stored fields is found equal,
+        as a JSON value, to the field :meth:`to_json` writes for it.
 
-        A field written by :meth:`to_json` matches as strings, without parsing
-        a coefficient.  Otherwise each stored entry must equal the rebuilt
-        value (any exact spelling: ``"2/4"``, a JSON integer); the first entry
-        that is missing, extra, malformed or different raises ValueError
-        naming its field and site.
+        A field that differs raises ValueError naming the field and the site
+        of its first entry that is missing, extra or different; another
+        spelling of the same value (``"2/4"``, a JSON integer) differs.
         """
         grid = build_grid(
             SkewMoments.from_json(data["base_moments"]),
@@ -222,46 +221,32 @@ class TauGrid:
         )
         for name, rebuilt in grid._fields().items():
             stored = data[name]
-            site = None if stored == rebuilt else _first_mismatch(stored, rebuilt)
-            if site is not None:
+            if stored != rebuilt:
                 raise ValueError(
                     f"grid field {name!r} differs from the grid rebuilt from config "
-                    "and base_moments at n={}, s={}, t={}".format(*site)
+                    "and base_moments at n={}, s={}, t={}".format(
+                        *_first_mismatch(stored, rebuilt)
+                    )
                 )
         return grid
 
 
-def _same_value(entry: Any, canonical: str | list[str]) -> bool:
-    """Whether a stored grid entry spells the value of a canonical one."""
-    if entry == canonical:
-        return True
-    try:
-        if isinstance(canonical, list):
-            return Polynomial.from_json(entry) == Polynomial.from_json(canonical)
-        return rat(entry) == rat(canonical)
-    except (TypeError, ValueError):
-        return False
-
-
 def _first_mismatch(
-    stored: Any, rebuilt: list, site: tuple[int, ...] = ()
-) -> tuple[int, ...] | None:
-    """Site (n, s, t) of the first entry of a stored field that is missing,
-    extra, malformed or unequal to the rebuilt one, in to_json order."""
-    if len(site) == 3:
-        return None if _same_value(stored, rebuilt) else site
-    rest = (0,) * (2 - len(site))
-    if not isinstance(stored, list):
-        return site + (0,) + rest
-    for i, canonical in enumerate(rebuilt):
-        if i == len(stored):
-            return site + (i,) + rest
-        found = _first_mismatch(stored[i], canonical, site + (i,))
-        if found is not None:
-            return found
-    if len(stored) > len(rebuilt):
-        return site + (len(rebuilt),) + rest
-    return None
+    stored: Any, rebuilt: Any, site: tuple[int, ...] = ()
+) -> tuple[int, ...]:
+    """Site (n, s, t) of the first entry, in to_json order, where a stored
+    field differs from the rebuilt one; called only on a field that differs.
+
+    It descends into the first child that differs, down to depth 3 or a
+    stored non-list; where the common prefix agrees the site is the length
+    of the shorter list.  Levels not reached read as 0.
+    """
+    if len(site) < 3 and isinstance(stored, list):
+        for i, (entry, canonical) in enumerate(zip(stored, rebuilt)):
+            if entry != canonical:
+                return _first_mismatch(entry, canonical, site + (i,))
+        site += (min(len(stored), len(rebuilt)),)
+    return (site + (0, 0, 0))[:3]
 
 
 def _shift_tables(
@@ -746,8 +731,9 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     Relation instances touching a site where some needed sigma vanishes are
     recorded as skipped.  sigma_0 = (s*mu + t*lam) * tau_0 vanishes by
     construction at the origin and wherever s*mu + t*lam = 0, so phi_0 is
-    only required to exist away from those sites; every other phi_2n is
-    required at every site but the origin.
+    only required to exist away from those sites.  At the origin sigma_1 is
+    the bare moment s_02, which may be zero, so phi_2 is not required there;
+    every other phi_2n is required at every site.
     """
     c = grid.config
     report = Report(
@@ -786,16 +772,13 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
             if phis[2 * n] is not None
             and phis[2 * n].coefficient(2 * n) == 1
         ]
+        # phi_0 is exempt where s*mu + t*lam = 0, and phi_2 at the origin,
+        # where sigma_1 is the bare moment s_02 (see the docstring)
+        higher = phis[4::2] if (s, t) == (0, 0) else phis[2::2]
         report.add(
             f"phi-even-defined:s={s},t={t}",
-            # sigma_0 = (s*mu + t*lam) * tau_0 vanishes where s*mu + t*lam = 0.
-            # The origin stays wholly exempt: there sigma_1 is the bare moment
-            # s_02, which some tables have zero.
-            (s, t) == (0, 0)
-            or (
-                all(p is not None for p in phis[2::2])
-                and (phis[0] is not None or s * c.mu + t * c.lam == 0)
-            ),
+            all(p is not None for p in higher)
+            and (phis[0] is not None or s * c.mu + t * c.lam == 0),
             f"monic even indices: {monic}",
         )
     return report

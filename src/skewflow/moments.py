@@ -220,6 +220,15 @@ class SkewMoments:
             raise ValueError(f"max_index must be an integer, got {m!r}")
         if m > MAX_INDEX:
             raise ValueError(f"max_index {m} exceeds the limit {MAX_INDEX}")
+        if m < 0:
+            raise ValueError("max_index must be nonnegative")
+        provenance = data.get("provenance")
+        if provenance is not None:
+            if not isinstance(provenance, dict):
+                raise ValueError(f"provenance must be a JSON object, got {provenance!r}")
+            shifts = provenance.get("shifts", [])
+            if not isinstance(shifts, list):
+                raise ValueError(f"provenance shifts must be a list, got {shifts!r}")
         entries = data["entries"]
         parts = {}
         for i, j, v in entries:
@@ -228,10 +237,8 @@ class SkewMoments:
             parts[i, j] = rat_parts(v)
         if len(parts) != len(entries):
             raise ValueError("duplicate entry: an index pair (i, j) is given more than once")
-        if m < 0:
-            raise ValueError("max_index must be nonnegative")
         return SkewMoments._from_integers(
-            *_skew_form(m + 1, parts), data.get("provenance") or {"kind": "unspecified"}
+            *_skew_form(m + 1, parts), provenance or {"kind": "unspecified"}
         )
 
 

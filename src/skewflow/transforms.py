@@ -218,15 +218,16 @@ class BandMatrix:
     """Finite truncation of the lower-banded Lax factors.
 
     kind "L": lower Hessenberg with unit superdiagonal; kind "R": unit
-    lower triangular.
+    lower triangular.  The size is the number of rows, and every row must
+    have that many entries.
     """
 
     __slots__ = ("size", "kind", "rows")
 
-    def __init__(self, size: int, kind: str, rows: Sequence[Sequence[RationalLike]]):
+    def __init__(self, kind: str, rows: Sequence[Sequence[RationalLike]]):
         if kind not in ("L", "R"):
             raise ValueError("kind must be 'L' or 'R'")
-        self.size = size
+        size = self.size = len(rows)
         self.kind = kind
         self.rows = tuple(tuple(rat(v) for v in row) for row in rows)
         for i, row in enumerate(self.rows):
@@ -291,8 +292,8 @@ def build_lax_pair(
         )
     out = []
     for t, (cdata, gdata) in enumerate(datas):
-        lmat = BandMatrix(size, "L", [row[:size] for row in cdata.rows[:size]])
-        rmat = BandMatrix(size, "R", [row[:size] for row in gdata.rows[:size]])
+        lmat = BandMatrix("L", [row[:size] for row in cdata.rows[:size]])
+        rmat = BandMatrix("R", [row[:size] for row in gdata.rows[:size]])
         cur, nxt = families[t].polys[:size], families[t + 1].polys[:size]
         z_minus_lam = Polynomial((-cdata.lam, 1))
         for i in range(size - 1):

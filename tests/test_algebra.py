@@ -13,7 +13,6 @@ from skewflow.algebra import (
     rat_str,
 )
 from skewflow.errors import NotDivisible
-from skewflow.lattice import sample_points
 from strategies import entries, fractions
 
 
@@ -248,14 +247,6 @@ class TestClearDenominators:
 
     def test_empty(self):
         assert clear_denominators([]) == ([], 1)
-
-
-class TestSamplePoints:
-    def test_distinct_and_excluding(self):
-        pts = sample_points(12, [Fraction(1, 2), Fraction(3)])
-        assert len(pts) == 12 == len(set(pts))
-        assert Fraction(1, 2) not in pts and Fraction(3) not in pts
-        assert sample_points(3) == [Fraction(0), Fraction(1), Fraction(-1)]
 
 
 class TestIntegerFormProperties:

@@ -499,7 +499,8 @@ class TestExitCodes:
 
     def test_equal_spellings_of_grid_values(self, tmp_path, capsys):
         # every "p/q" written as "2p/2q", and every tau equal to 1 as the
-        # JSON integer 1: the same values, so the same reports
+        # JSON integer 1: the same values, but not the fields to_json writes,
+        # so the file is refused at its first entry
         moments, canonical = tmp_path / "m.json", tmp_path / "g.json"
         assert main([
             "gen-moments", "--kind", "random", "--max-index", "10",
@@ -527,16 +528,13 @@ class TestExitCodes:
         respelled = tmp_path / "respelled.json"
         respelled.write_text(json.dumps(data))
         for suite in GRID_SUITES:
-            outputs = []
-            for grid in (canonical, respelled):
-                out = tmp_path / f"{suite}-{grid.stem}.json"
-                capsys.readouterr()
-                assert main(["verify", "--suite", suite, "--grid", str(grid),
-                             "-o", str(out)]) == 0
-                report = read(out)
-                report.pop("elapsed_ms")
-                outputs.append((report, capsys.readouterr().err))
-            assert outputs[0] == outputs[1]
+            assert main(["verify", "--suite", suite, "--grid", str(canonical)]) == 0
+            capsys.readouterr()
+            assert main(["verify", "--suite", suite, "--grid", str(respelled)]) == 3
+            assert capsys.readouterr().err == (
+                "error: bad input (grid field 'tau' differs from the grid rebuilt "
+                "from config and base_moments at n=0, s=0, t=0)\n"
+            )
 
     @pytest.mark.parametrize("field", ["pairs", "steps_s", "steps_t"])
     def test_grid_config_counts_are_integers(self, grid_file, capsys, field):
@@ -645,6 +643,47 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: bad input (duplicate entry: an index pair (i, j) is given"
             " more than once)"
+        ]
+
+    # a string of shifts was extended as its characters, and an int
+    # provenance loaded for family but crashed transform and grid
+    @pytest.mark.parametrize(
+        "provenance, command, message",
+        [
+            ({"shifts": "ab"}, "transform",
+             "provenance shifts must be a list, got 'ab'"),
+            (5, "family", "provenance must be a JSON object, got 5"),
+            (5, "transform", "provenance must be a JSON object, got 5"),
+            (5, "grid", "provenance must be a JSON object, got 5"),
+        ],
+        ids=["string-shifts", "int-family", "int-transform", "int-grid"],
+    )
+    def test_provenance_is_read_as_written(
+        self, tmp_path, random_setup, capsys, provenance, command, message
+    ):
+        moments, family = random_setup
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps({**read(moments), "provenance": provenance}))
+        argv = {
+            "family": ["family", "--pairs", "2"],
+            "transform": ["transform", "--family", str(family), "--lambda", "5",
+                          "--moments-out", str(tmp_path / "out.json")],
+            "grid": ["grid", "--mu", "1/2", "--lambda", "3", "--pairs", "1",
+                     "--steps-s", "1", "--steps-t", "1"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--moments", str(tampered)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: bad input ({message})"]
+        assert not (tmp_path / "out.json").exists()
+
+    def test_negative_max_index_before_entries(self, tmp_path, capsys):
+        # the entry loop used to run first and name the entry, not the index
+        moments = tmp_path / "m.json"
+        moments.write_text(json.dumps({"max_index": -1, "entries": [[0, 1, "1/1"]]}))
+        capsys.readouterr()
+        assert main(["family", "--moments", str(moments), "--pairs", "0"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad input (max_index must be nonnegative)"
         ]
 
     # a string used to load as its characters ("01" as 0 + z), and pairs

@@ -446,6 +446,25 @@ class TestExtendedSystems:
         failed = [c.id for c in report.checks if c.status == "fail"]
         assert failed == ["phi-even-defined:s=1,t=1"]
 
+    def test_edlax_requires_phi_four_at_the_origin(self):
+        # only phi_0 and phi_2 are exempt at the origin; a vanishing sigma_2
+        # there used to skip every relation that reads it, without a failure
+        config = LatticeConfig(1, -1, 2, 1, 1)
+        built = build_grid(from_random(7, config.required_budget), config)
+        grid = TauGrid(
+            built.config,
+            built.base,
+            built.tables,
+            built._tau,
+            {**built._sigma, (2, 0, 0): Fraction(0)},
+            built._tauhat,
+            built._sighat,
+        )
+        assert verify_edlax(built, samples_for(built)).passed
+        report = verify_edlax(grid, samples_for(grid))
+        failed = [c.id for c in report.checks if c.status == "fail"]
+        assert failed == ["phi-even-defined:s=0,t=0"]
+
     def test_phi_orthogonality_direct(self):
         s, t = 0, 1
         table = GRID.moments(s, t)
@@ -508,6 +527,12 @@ class TestSamplePoints:
         pts = sample_points(9, [MU, LAM])
         assert len(pts) == len(set(pts)) == 9
         assert MU not in pts and LAM not in pts
+
+    def test_distinct_and_excluding(self):
+        pts = sample_points(12, [Fraction(1, 2), Fraction(3)])
+        assert len(pts) == 12 == len(set(pts))
+        assert Fraction(1, 2) not in pts and Fraction(3) not in pts
+        assert sample_points(3) == [Fraction(0), Fraction(1), Fraction(-1)]
 
 
 # -- golden output ------------------------------------------------------

@@ -64,7 +64,7 @@ def band_matrices(draw, size, kind):
         elif i + 1 < size:
             row[i + 1] = Fraction(1)
         rows.append(row)
-    return BandMatrix(size, kind, rows)
+    return BandMatrix(kind, rows)
 
 
 @st.composite
@@ -262,7 +262,7 @@ class TestLaxPair:
         factors = build_lax_pair(families, datas, size)
         rows = [list(r) for r in factors[1][1].rows]
         rows[1][0] += 1
-        bad = BandMatrix(size, "R", rows)
+        bad = BandMatrix("R", rows)
         report = verify_dlax(factors[0][0], factors[0][1], factors[1][0], bad)
         assert not report.passed
 
@@ -310,16 +310,17 @@ class TestBandMatrix:
         [
             ("U", [[1]], "kind must be 'L' or 'R'"),
             ("L", [[0, 1], [0]], "rows must be square"),
+            ("R", [[1, 0, 0]], "rows must be square"),
             ("L", [[0, 2], [0, 0]], "L superdiagonal must be 1"),
             ("L", [[0, 1, 3], [0, 0, 1], [0, 0, 0]], "L has entries above the superdiagonal"),
             ("R", [[1, 0], [0, 2]], "R diagonal must be 1"),
             ("R", [[1, 5], [0, 1]], "R must be lower triangular"),
         ],
-        ids=["kind", "square", "l-superdiagonal", "l-above", "r-diagonal", "r-above"],
+        ids=["kind", "square", "row-count", "l-superdiagonal", "l-above", "r-diagonal", "r-above"],
     )
     def test_structure_is_checked(self, kind, rows, message):
         with pytest.raises(ValueError) as err:
-            BandMatrix(len(rows), kind, rows)
+            BandMatrix(kind, rows)
         assert str(err.value) == message
 
 
