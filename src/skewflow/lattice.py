@@ -11,7 +11,8 @@ Pfaffian-valued lattice functions
     sighat_n = Pf(0..2n-1, 2n+1, z) + (s*mu + t*lam) * tauhat_n
 
 :func:`build_grid` reads all four off one prefix elimination of each site's
-table (:func:`skewflow.pfaffian.prefix_pfaffians`), and
+table (:func:`skewflow.pfaffian.prefix_pfaffians`), which adds the offset
+s*mu + t*lam to sigma and sighat in its integers, and
 :func:`crosscheck_single_step` reads its twelve bordered Pfaffians off one
 elimination of the shared leading block
 (:func:`skewflow.pfaffian.bordered_pfaffians`).  The four functions are
@@ -25,13 +26,15 @@ tauhat_n/tau_n, the coefficient fields of the contiguous relations, and the
 phi polynomials of the extended (vector) theory.  The scalar and 2x2 matrix
 systems share their formulas: :func:`_ratios` writes each coefficient once
 (tau over tau for the scalar field; tau over sigma and sigma over tau for
-the upper and lower matrix entries), and :func:`_additive` and
-``_PRODUCTS`` write each nonlinear relation once, for dpfl's scalar and
-edpfl's antidiagonal products; :func:`_contiguous` checks the contiguous
-relations of slax and edlax in one loop.  Every verifier checks its
-identities by exact rational arithmetic, and each relation in z (bilinear
-or contiguous) once, as an identity of polynomials; a failed identity is
-reported, never raised.
+the upper and lower matrix entries) as one integer quotient, each field is
+built once per grid and shared by every verifier that reads it
+(:func:`coefficient_field`, :func:`matrix_coefficient_field`), and
+:func:`_additive` and ``_PRODUCTS`` write each nonlinear relation once, for
+dpfl's scalar and edpfl's antidiagonal products; :func:`_contiguous` checks
+the contiguous relations of slax and edlax in one loop.  Every verifier
+checks its identities by exact rational arithmetic, and each relation in z
+(bilinear or contiguous) once, as an identity of polynomials; a failed
+identity is reported, never raised.
 """
 
 from __future__ import annotations
@@ -96,9 +99,18 @@ class LatticeConfig:
 
 
 class TauGrid:
-    """Exact tau/sigma data for n = 0..pairs+1 over the (s, t) box."""
+    """Exact tau/sigma data for n = 0..pairs+1 over the (s, t) box.
 
-    __slots__ = ("config", "base", "tables", "_tau", "_sigma", "_tauhat", "_sighat")
+    The two coefficient fields are built from the grid's values on first
+    use and kept in the private ``_scalar_field`` and ``_matrix_field``
+    slots (see :func:`coefficient_field`); a grid's values are not
+    modified after construction.
+    """
+
+    __slots__ = (
+        "config", "base", "tables", "_tau", "_sigma", "_tauhat", "_sighat",
+        "_scalar_field", "_matrix_field",
+    )
 
     def __init__(
         self,
@@ -117,6 +129,8 @@ class TauGrid:
         self._sigma = sigma
         self._tauhat = tauhat
         self._sighat = sighat
+        self._scalar_field = None
+        self._matrix_field = None
 
     # -- accessors ----------------------------------------------------
     # The four stores hold exactly the points 0 <= n <= pairs+1,
@@ -266,7 +280,8 @@ def build_grid(moments: SkewMoments, config: LatticeConfig) -> TauGrid:
     """Populate the full box; raises on the first vanishing tau.
 
     Each site's four functions come from one :func:`prefix_pfaffians` pass
-    over its table.
+    over its table, which also adds the site's offset s*mu + t*lam in its
+    integers, so each value is reduced once.
     """
     if moments.max_index < config.required_budget:
         raise DegreeBudgetExceeded(
@@ -280,16 +295,16 @@ def build_grid(moments: SkewMoments, config: LatticeConfig) -> TauGrid:
     sighat: dict[tuple[int, int, int], Polynomial] = {}
     for (s, t), table in tables.items():
         offset = s * config.mu + t * config.lam
-        values = prefix_pfaffians(table, config.pairs)
-        for n, (value, core, hat, core_hat) in enumerate(values):
+        values = prefix_pfaffians(table, config.pairs, offset)
+        for n, (value, sig, hat, sig_hat) in enumerate(values):
             if value == 0:
                 raise SingularConfiguration(
                     f"tau_{n} vanishes at site ({s},{t})"
                 )
             tau[(n, s, t)] = value
             tauhat[(n, s, t)] = hat
-            sigma[(n, s, t)] = core + offset * value
-            sighat[(n, s, t)] = core_hat + hat.scale(offset)
+            sigma[(n, s, t)] = sig
+            sighat[(n, s, t)] = sig_hat
     return TauGrid(config, moments, tables, tau, sigma, tauhat, sighat)
 
 
@@ -408,37 +423,60 @@ class CoefficientField:
         self.d = d
 
 
-def _ratios(grid: TauGrid, x, y, k: Rational) -> tuple[dict, dict, dict, dict]:
-    """The A, B, C, D tau-ratios with numerators from lattice function x,
-    denominators from y and constant k; an entry whose denominator
-    vanishes is left out.
+def _ratios(
+    config: LatticeConfig, x: dict, y: dict, k: Rational
+) -> tuple[dict, dict, dict, dict]:
+    """The A, B, C, D tau-ratios with numerators from the lattice function
+    stored in x, denominators from the one in y and constant k; an entry
+    whose denominator vanishes is left out.
 
         A = k x_{n+1} x_{n-1}^{s+1,t+1} / (y_n^{s+1,t} y_n^{s,t+1})      (n >= 1)
         B = k x_n x_n^{s+1,t+1} / (y_n^{s+1,t} y_n^{s,t+1})
         C = x_{n+1}^{s+1,t} x_n^{s,t+1} / (k y_{n+1} y_n^{s+1,t+1})
         D = x_{n+1}^{s,t+1} x_n^{s+1,t} / (k y_{n+1} y_n^{s+1,t+1})
 
-    (unmarked sites are (s, t)).
+    (unmarked sites are (s, t)).  Each entry is one integer quotient of
+    the numerators and denominators of its five factors, reduced by one
+    gcd.
     """
+    parts = {key: (v.numerator, v.denominator) for key, v in x.items()}
+    ys = {key: (v.numerator, v.denominator) for key, v in y.items()}
+
+    def ratio(top: int, bottom: int, u: tuple[int, int], v: tuple[int, int]) -> Rational:
+        return Fraction(top * u[0] * v[0], bottom * u[1] * v[1])
+
+    kp, kq = k.numerator, k.denominator
     a, b, cc, d = {}, {}, {}, {}
-    for key in _sites(grid.config, 0, 0, range(grid.config.pairs + 1)):
+    for key in _sites(config, 0, 0, range(config.pairs + 1)):
         n, s, t = key
-        down = y(n, s + 1, t) * y(n, s, t + 1)
-        if down != 0:
+        # k / (y_n^{s+1,t} y_n^{s,t+1}) = top / bottom
+        (p1, q1), (p2, q2) = ys[n, s + 1, t], ys[n, s, t + 1]
+        if p1 and p2:
+            top, bottom = kp * q1 * q2, kq * p1 * p2
             if n >= 1:
-                a[key] = k * x(n + 1, s, t) * x(n - 1, s + 1, t + 1) / down
-            b[key] = k * x(n, s, t) * x(n, s + 1, t + 1) / down
-        up = k * y(n + 1, s, t) * y(n, s + 1, t + 1)
-        if up != 0:
-            cc[key] = x(n + 1, s + 1, t) * x(n, s, t + 1) / up
-            d[key] = x(n + 1, s, t + 1) * x(n, s + 1, t) / up
+                a[key] = ratio(top, bottom, parts[n + 1, s, t], parts[n - 1, s + 1, t + 1])
+            b[key] = ratio(top, bottom, parts[n, s, t], parts[n, s + 1, t + 1])
+        # 1 / (k y_{n+1} y_n^{s+1,t+1}) = top / bottom
+        (p1, q1), (p2, q2) = ys[n + 1, s, t], ys[n, s + 1, t + 1]
+        if p1 and p2:
+            top, bottom = kq * q1 * q2, kp * p1 * p2
+            cc[key] = ratio(top, bottom, parts[n + 1, s + 1, t], parts[n, s, t + 1])
+            d[key] = ratio(top, bottom, parts[n + 1, s, t + 1], parts[n, s + 1, t])
     return a, b, cc, d
 
 
 def coefficient_field(grid: TauGrid) -> CoefficientField:
-    """Tau-ratio coefficients of the scalar contiguous relations."""
-    c = grid.config
-    return CoefficientField(c, *_ratios(grid, grid.tau, grid.tau, c.mu - c.lam))
+    """Tau-ratio coefficients of the scalar contiguous relations.
+
+    Built on the first call for a grid and kept on it, so every later call
+    (:func:`verify_slax` makes one) returns the same object.  The field is
+    shared by every caller and must not be modified.
+    """
+    if grid._scalar_field is None:
+        c = grid.config
+        ratios = _ratios(c, grid._tau, grid._tau, c.mu - c.lam)
+        grid._scalar_field = CoefficientField(c, *ratios)
+    return grid._scalar_field
 
 
 # -- bilinear systems ---------------------------------------------------
@@ -686,13 +724,20 @@ def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
     vanishes; the verifiers skip relation instances that need missing
     entries.  The origin always has sigma_0 = 0, and random tables can put
     further accidental zeros on the grid.
+
+    Like :func:`coefficient_field`, built once per grid (:func:`verify_edlax`
+    reads the same object) and shared: it must not be modified.
     """
-    c = grid.config
-    lm = c.lam - c.mu
-    upper = _ratios(grid, grid.tau, grid.sigma, lm)
-    lower = _ratios(grid, grid.sigma, grid.tau, lm)
-    both = ({k: AntiDiagonal(u[k], w[k]) for k in u if k in w} for u, w in zip(upper, lower))
-    return CoefficientField(c, *both)
+    if grid._matrix_field is None:
+        c = grid.config
+        lm = c.lam - c.mu
+        upper = _ratios(c, grid._tau, grid._sigma, lm)
+        lower = _ratios(c, grid._sigma, grid._tau, lm)
+        both = (
+            {k: AntiDiagonal(u[k], w[k]) for k in u if k in w} for u, w in zip(upper, lower)
+        )
+        grid._matrix_field = CoefficientField(c, *both)
+    return grid._matrix_field
 
 
 def verify_edckp(grid: TauGrid) -> Report:

@@ -315,13 +315,16 @@ def _store(
 
 
 def prefix_pfaffians(
-    moments: SkewMoments, pairs: int
+    moments: SkewMoments, pairs: int, offset: Rational = Fraction(0)
 ) -> Iterator[tuple[Rational, Rational, Polynomial, Polynomial]]:
     """Every leading and z-bordered Pfaffian of a table from one pass.
 
-    Yields, for n = 0..pairs+1 in turn,
+    Yields, for n = 0..pairs+1 in turn, (tau_n, sigma_n, tauhat_n, sighat_n):
 
-        (Pf(0..2n-1), Pf(0..2n-2, 2n), Pf(0..2n, z), Pf(0..2n-1, 2n+1, z))
+        tau_n    = Pf(0..2n-1)
+        sigma_n  = Pf(0..2n-2, 2n) + offset * tau_n
+        tauhat_n = Pf(0..2n, z)
+        sighat_n = Pf(0..2n-1, 2n+1, z) + offset * tauhat_n
 
     with Pf(0..-2, 0) = 0 at n = 0.  The pass is :func:`_step` without
     pivoting on N = D*S over the indices 0..2*pairs+3, with z as a border
@@ -329,18 +332,24 @@ def prefix_pfaffians(
     2n is D^n times that of S, so after n steps the pivot is D^n*tau_n,
     entry (2n-2, 2n) still holds D^n times the sigma core from step n-1,
     and the z entries of rows 2n and 2n+1 are D^(n+1) times the two
-    z-bordered Pfaffians.  Step n divides by D^n*tau_n, so the pass stops
-    after yielding a vanishing tau_n.
+    z-bordered Pfaffians.  With offset = p/q each sigma is therefore
+    (q*core + p*pivot) / (q*D^n), and each sighat the same combination of
+    the two z rows over q*D^(n+1): one reduction per value.  Step n divides
+    by D^n*tau_n, so the pass stops after yielding a vanishing tau_n.
     """
     a, d, zc = _store(moments, 2 * pairs + 4)
+    p, q = offset.numerator, offset.denominator
     pivot, dn = 1, 1  # pivot after n steps, and D^n
     for n in range(pairs + 2):
-        core = Fraction(a[2 * n - 2][2 * n], dn) if n else Fraction(0)
+        core = a[2 * n - 2][2 * n] if n else 0
+        hat = zc[2 * n]
+        # _reduced strips trailing zeros in place, so the z rows are copied
+        core_hat = [q * c + p * h for c, h in zip(zc[2 * n + 1], hat)] if p else zc[2 * n + 1][:]
         yield (
             Fraction(pivot, dn),
-            core,
-            Polynomial._reduced(zc[2 * n][:], dn * d),
-            Polynomial._reduced(zc[2 * n + 1][:], dn * d),
+            Fraction(q * core + p * pivot, q * dn),
+            Polynomial._reduced(hat[:], dn * d),
+            Polynomial._reduced(core_hat, q * dn * d),
         )
         if not pivot or n > pairs:
             return

@@ -3,10 +3,11 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial, rat, rat_str
 from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
+from skewflow import lattice
 from skewflow.lattice import (
     AntiDiagonal,
     CoefficientField,
@@ -30,7 +31,7 @@ from skewflow.moments import (
     from_discrete_symplectic,
     from_random,
 )
-from skewflow.pfaffian import numeric_pfaffian
+from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
 from skewflow.sops import skew_product
 from oracles import sop_even, sop_odd
 from strategies import fractions
@@ -61,6 +62,22 @@ def with_hats(grid, tauhat=(), sighat=()):
         {**grid._tauhat, **dict(tauhat)},
         {**grid._sighat, **dict(sighat)},
     )
+
+
+@st.composite
+def random_grids(draw):
+    """A grid over a drawn table, box and (mu, lambda); no vanishing tau."""
+    mu, lam = draw(st.lists(fractions(-4, 4, 5), min_size=2, max_size=2, unique=True))
+    config = LatticeConfig(
+        mu, lam, draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    )
+    m = config.required_budget
+    rows = [[draw(fractions(-4, 4, 5)) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
+    table = SkewMoments(m, rows)
+    try:
+        return build_grid(table, config)
+    except SingularConfiguration:
+        assume(False)
 
 
 # tau_hat_1 at the centre (1, 1) of the box, off by z in one coefficient
@@ -120,6 +137,23 @@ class TestGrid:
     def test_sigma_zero_is_offset(self):
         for s, t in GRID.sites():
             assert GRID.sigma(0, s, t) == s * MU + t * LAM
+
+    @settings(max_examples=30)
+    @given(random_grids())
+    def test_sigma_is_core_plus_offset_tau(self, grid):
+        # sigma_n = Pf(0..2n-2, 2n) + (s*mu + t*lam) tau_n and sighat_n the
+        # same with z, from the oracles on each site's table, at every n
+        c = grid.config
+        for s, t in grid.sites():
+            table = grid.moments(s, t)
+            offset = s * c.mu + t * c.lam
+            for n in range(c.pairs + 2):
+                tau = numeric_pfaffian(table, range(2 * n))
+                core = numeric_pfaffian(table, [*range(2 * n - 1), 2 * n]) if n else 0
+                assert grid.sigma(n, s, t) == core + offset * tau
+                hat = augmented_pfaffian(table, [*range(2 * n + 1), ZVAR])
+                core_hat = augmented_pfaffian(table, [*range(2 * n), 2 * n + 1, ZVAR])
+                assert grid.sigma_hat(n, s, t) == core_hat + hat.scale(offset)
 
     def test_symplectic_sigma_one(self):
         assert SYM_GRID.sigma(1, 0, 0) == 6
@@ -241,29 +275,124 @@ class TestCrosscheck:
         }
 
 
+def printed_ratios(grid, x, y, k):
+    """The A, B, C, D entries of a field by the printed formulas, in
+    Fraction arithmetic on the grid accessors x (numerators) and y
+    (denominators); an entry whose denominator vanishes is left out."""
+    c = grid.config
+    a, b, cc, d = {}, {}, {}, {}
+    for s in range(c.steps_s):
+        for t in range(c.steps_t):
+            for n in range(c.pairs + 1):
+                key = (n, s, t)
+                down = y(n, s + 1, t) * y(n, s, t + 1)
+                if down != 0:
+                    if n >= 1:
+                        a[key] = k * x(n + 1, s, t) * x(n - 1, s + 1, t + 1) / down
+                    b[key] = k * x(n, s, t) * x(n, s + 1, t + 1) / down
+                up = k * y(n + 1, s, t) * y(n, s + 1, t + 1)
+                if up != 0:
+                    cc[key] = x(n + 1, s + 1, t) * x(n, s, t + 1) / up
+                    d[key] = x(n + 1, s, t + 1) * x(n, s + 1, t) / up
+    return a, b, cc, d
+
+
+def assert_fields_are_printed(grid):
+    """Both coefficient fields of a grid equal the printed formulas on its
+    own values: the scalar field tau over tau with mu - lambda, each matrix
+    entry present where both its upper (tau over sigma) and lower (sigma
+    over tau) ratio exist, with lambda - mu."""
+    c = grid.config
+    scalar = coefficient_field(grid)
+    want = printed_ratios(grid, grid.tau, grid.tau, c.mu - c.lam)
+    assert (scalar.a, scalar.b, scalar.c, scalar.d) == want
+    matrix = matrix_coefficient_field(grid)
+    upper = printed_ratios(grid, grid.tau, grid.sigma, c.lam - c.mu)
+    lower = printed_ratios(grid, grid.sigma, grid.tau, c.lam - c.mu)
+    for got, up, low in zip((matrix.a, matrix.b, matrix.c, matrix.d), upper, lower):
+        assert got.keys() == up.keys() & low.keys()
+        for key, entry in got.items():
+            assert (entry.upper, entry.lower) == (up[key], low[key])
+
+
+# lambda = -mu puts sigma_0 = 0 on the diagonal s = t, so the upper entries
+# with such a sigma in their denominator are left out
+MINUS_CONFIG = LatticeConfig(1, -1, 1, 2, 2)
+MINUS_GRID = build_grid(from_random(7, MINUS_CONFIG.required_budget), MINUS_CONFIG)
+
+
+def sigma_zeroed(grid, key):
+    """Copy of a grid, built by hand, with sigma set to 0 at one point."""
+    return TauGrid(
+        grid.config,
+        grid.base,
+        grid.tables,
+        grid._tau,
+        {**grid._sigma, key: Fraction(0)},
+        grid._tauhat,
+        grid._sighat,
+    )
+
+
+def without_elapsed(report):
+    return {k: v for k, v in report.to_json().items() if k != "elapsed_ms"}
+
+
 class TestCoefficientField:
     def test_b_zero(self):
         field = coefficient_field(GRID)
         assert field.b[(0, 0, 0)] == MU - LAM
 
-    def test_definitions(self):
-        field = coefficient_field(GRID)
-        n, s, t = 1, 1, 0
-        ml = MU - LAM
-        down = GRID.tau(n, s + 1, t) * GRID.tau(n, s, t + 1)
-        up = GRID.tau(n + 1, s, t) * GRID.tau(n, s + 1, t + 1)
-        assert field.a[(n, s, t)] == ml * GRID.tau(n + 1, s, t) * GRID.tau(
-            n - 1, s + 1, t + 1
-        ) / down
-        assert field.b[(n, s, t)] == ml * GRID.tau(n, s, t) * GRID.tau(
-            n, s + 1, t + 1
-        ) / down
-        assert field.c[(n, s, t)] == GRID.tau(n + 1, s + 1, t) * GRID.tau(
-            n, s, t + 1
-        ) / (ml * up)
-        assert field.d[(n, s, t)] == GRID.tau(n + 1, s, t + 1) * GRID.tau(
-            n, s + 1, t
-        ) / (ml * up)
+    @settings(max_examples=30)
+    @example(MINUS_GRID)
+    @given(random_grids())
+    def test_definitions(self, grid):
+        assert_fields_are_printed(grid)
+
+    def test_minus_grid_leaves_entries_out(self):
+        matrix = matrix_coefficient_field(MINUS_GRID)
+        sites = set(coefficient_field(MINUS_GRID).b)
+        assert sites - set(matrix.b)
+
+    def test_built_once_per_grid(self, monkeypatch):
+        calls = []
+        ratios = lattice._ratios
+        monkeypatch.setattr(lattice, "_ratios", lambda *args: calls.append(1) or ratios(*args))
+        grid = build_grid(GRID.base, CONFIG)
+        assert coefficient_field(grid) is coefficient_field(grid)
+        assert matrix_coefficient_field(grid) is matrix_coefficient_field(grid)
+        samples = samples_for(grid)
+        verify_slax(grid, samples)
+        verify_edlax(grid, samples)
+        verify_dpfl(coefficient_field(grid))
+        verify_edpfl(matrix_coefficient_field(grid))
+        # one call for the scalar field, two (upper, lower) for the matrix one
+        assert len(calls) == 3
+
+    def test_lax_reports_do_not_depend_on_who_builds_the_field(self):
+        first, later = build_grid(GRID.base, CONFIG), build_grid(GRID.base, CONFIG)
+        coefficient_field(first)
+        matrix_coefficient_field(first)
+        samples = samples_for(GRID)
+        for verify in (verify_slax, verify_edlax):
+            assert without_elapsed(verify(first, samples)) == without_elapsed(
+                verify(later, samples)
+            )
+
+    def test_each_grid_builds_its_own_fields(self):
+        # grids that share GRID's config, built and by hand; a field kept
+        # per config would hand GRID's field to all of them
+        grids = [
+            GRID,
+            GRID.degenerate(),
+            BROKEN,
+            build_grid(from_random(43, CONFIG.required_budget), CONFIG),
+            sigma_zeroed(GRID, (1, 1, 1)),
+        ]
+        for build in (coefficient_field, matrix_coefficient_field):
+            assert len({id(build(grid)) for grid in grids}) == len(grids)
+        for grid in grids:
+            assert_fields_are_printed(grid)
 
 
 class TestScalarSystems:
@@ -317,22 +446,6 @@ class TestAntiDiagonal:
         out = m.apply(vec)
         assert out[0] == Polynomial.variable().scale(Fraction(2))
         assert out[1] == Polynomial.one().scale(Fraction(-3))
-
-
-@st.composite
-def random_grids(draw):
-    """A grid over a drawn table, box and (mu, lambda); no vanishing tau."""
-    mu, lam = draw(st.lists(fractions(-4, 4, 5), min_size=2, max_size=2, unique=True))
-    config = LatticeConfig(
-        mu, lam, draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    )
-    m = config.required_budget
-    rows = [[draw(fractions(-4, 4, 5)) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
-    table = SkewMoments(m, rows)
-    try:
-        return build_grid(table, config)
-    except SingularConfiguration:
-        assume(False)
 
 
 class TestMatrixField:
@@ -422,8 +535,7 @@ class TestExtendedSystems:
 
     def test_edlax_phi_zero_exempt_where_offset_vanishes(self):
         # lam = -mu: sigma_0 = (s*mu + t*lam)*tau_0 vanishes at (1,1) and (2,2)
-        config = LatticeConfig(1, -1, 1, 2, 2)
-        grid = build_grid(from_random(7, config.required_budget), config)
+        grid = MINUS_GRID
         assert grid.sigma(0, 1, 1) == 0 == grid.sigma(0, 2, 2)
         report = verify_edlax(grid, samples_for(grid))
         assert report.passed
@@ -431,17 +543,7 @@ class TestExtendedSystems:
         assert len(defined) == 9 and all(c.status == "pass" for c in defined)
 
     def test_edlax_requires_higher_phi_even_where_phi_zero_exempt(self):
-        config = LatticeConfig(1, -1, 1, 2, 2)
-        built = build_grid(from_random(7, config.required_budget), config)
-        grid = TauGrid(
-            built.config,
-            built.base,
-            built.tables,
-            built._tau,
-            {**built._sigma, (1, 1, 1): Fraction(0)},
-            built._tauhat,
-            built._sighat,
-        )
+        grid = sigma_zeroed(MINUS_GRID, (1, 1, 1))
         report = verify_edlax(grid, samples_for(grid))
         failed = [c.id for c in report.checks if c.status == "fail"]
         assert failed == ["phi-even-defined:s=1,t=1"]
@@ -451,15 +553,7 @@ class TestExtendedSystems:
         # there used to skip every relation that reads it, without a failure
         config = LatticeConfig(1, -1, 2, 1, 1)
         built = build_grid(from_random(7, config.required_budget), config)
-        grid = TauGrid(
-            built.config,
-            built.base,
-            built.tables,
-            built._tau,
-            {**built._sigma, (2, 0, 0): Fraction(0)},
-            built._tauhat,
-            built._sighat,
-        )
+        grid = sigma_zeroed(built, (2, 0, 0))
         assert verify_edlax(built, samples_for(built)).passed
         report = verify_edlax(grid, samples_for(grid))
         failed = [c.id for c in report.checks if c.status == "fail"]
@@ -523,15 +617,11 @@ class TestExtendedSystems:
 
 
 class TestSamplePoints:
-    def test_distinct_and_exclude(self):
-        pts = sample_points(9, [MU, LAM])
-        assert len(pts) == len(set(pts)) == 9
-        assert MU not in pts and LAM not in pts
-
     def test_distinct_and_excluding(self):
-        pts = sample_points(12, [Fraction(1, 2), Fraction(3)])
-        assert len(pts) == 12 == len(set(pts))
-        assert Fraction(1, 2) not in pts and Fraction(3) not in pts
+        for count in (9, 12):
+            pts = sample_points(count, [MU, LAM])
+            assert len(pts) == count == len(set(pts))
+            assert MU not in pts and LAM not in pts
         assert sample_points(3) == [Fraction(0), Fraction(1), Fraction(-1)]
 
 
@@ -565,9 +655,7 @@ def lattice_digest(grid):
     payload = {
         "field": field_json(coefficient_field(grid)),
         "matrix_field": field_json(matrix_coefficient_field(grid)),
-        "reports": [
-            {k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports
-        ],
+        "reports": [without_elapsed(r) for r in reports],
     }
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -584,7 +672,7 @@ def identity_digest(grid):
         for t in range(c.steps_t)
     ]
     reports += [verify_dckp(grid), verify_edckp(grid)]
-    payload = [{k: v for k, v in r.to_json().items() if k != "elapsed_ms"} for r in reports]
+    payload = [without_elapsed(r) for r in reports]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
