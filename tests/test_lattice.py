@@ -617,11 +617,15 @@ class TestExtendedSystems:
 
 
 class TestSamplePoints:
+    def test_distinct_and_exclude(self):
+        pts = sample_points(9, [MU, LAM])
+        assert len(pts) == len(set(pts)) == 9
+        assert MU not in pts and LAM not in pts
+
     def test_distinct_and_excluding(self):
-        for count in (9, 12):
-            pts = sample_points(count, [MU, LAM])
-            assert len(pts) == count == len(set(pts))
-            assert MU not in pts and LAM not in pts
+        pts = sample_points(12, [Fraction(1, 2), Fraction(3)])
+        assert len(pts) == 12 == len(set(pts))
+        assert Fraction(1, 2) not in pts and Fraction(3) not in pts
         assert sample_points(3) == [Fraction(0), Fraction(1), Fraction(-1)]
 
 
