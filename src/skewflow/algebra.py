@@ -84,6 +84,17 @@ def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer coefficient lists,
+    constant first."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, c in enumerate(y, i):
+                out[j] += a * c
+    return out
+
+
 class Polynomial:
     """Dense univariate polynomial over exact rationals.
 
@@ -212,13 +223,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self.num or not other.num:
             return Polynomial()
-        b = other.num
-        out = [0] * (len(self.num) + len(b) - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, c in enumerate(b, i):
-                    out[j] += a * c
-        return Polynomial._reduced(out, self.den * other.den)
+        return Polynomial._reduced(convolve(self.num, other.num), self.den * other.den)
 
     def scale(self, c: RationalLike) -> "Polynomial":
         c = rat(c)

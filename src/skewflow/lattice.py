@@ -12,14 +12,15 @@ Pfaffian-valued lattice functions
 
 :func:`build_grid` reads all four off one prefix elimination of each site's
 table (:func:`skewflow.pfaffian.prefix_pfaffians`), which adds the offset
-s*mu + t*lam to sigma and sighat in its integers, and
+s*mu + t*lam to sigma and sighat in its integers.
 :func:`crosscheck_single_step` reads its twelve bordered Pfaffians off one
-elimination of the shared leading block
-(:func:`skewflow.pfaffian.bordered_pfaffians`).  The four functions are
-determined by the base table and the box, so a grid file is not parsed:
-:meth:`TauGrid.from_json` rebuilds the grid with :func:`build_grid` from the
-file's ``config`` and ``base_moments`` and only compares the stored fields
-with it.
+bordered prefix pass per site (:func:`skewflow.pfaffian.prefix_tails`, mu
+and lambda as border rows), made on the first stencil at the site and kept
+on the grid for every n, and compares each in integers.  The four
+functions are determined by the base table and the box, so a grid file is
+not parsed: :meth:`TauGrid.from_json` rebuilds the grid with
+:func:`build_grid` from the file's ``config`` and ``base_moments`` and only
+compares the stored fields with it.
 
 Ratios of these produce the even-degree lattice polynomials q_{2n} =
 tauhat_n/tau_n, the coefficient fields of the contiguous relations, and the
@@ -41,12 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Any, Iterator, Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
+from .algebra import Polynomial, Rational, RationalLike, convolve, rat, rat_str
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
-from .pfaffian import LAMBDA, MU, ZVAR, bordered_pfaffians, prefix_pfaffians
+from .pfaffian import LAMBDA, MU, ZVAR, prefix_pfaffians, prefix_tails
 from .report import Report
 from .sops import skew_pairings
 
@@ -103,13 +105,15 @@ class TauGrid:
 
     The two coefficient fields are built from the grid's values on first
     use and kept in the private ``_scalar_field`` and ``_matrix_field``
-    slots (see :func:`coefficient_field`); a grid's values are not
-    modified after construction.
+    slots (see :func:`coefficient_field`), and so are each site's
+    crosscheck Pfaffians, in ``_crosscheck`` (see
+    :func:`crosscheck_single_step`); every grid starts with none.  A grid's
+    values are not modified after construction.
     """
 
     __slots__ = (
         "config", "base", "tables", "_tau", "_sigma", "_tauhat", "_sighat",
-        "_scalar_field", "_matrix_field",
+        "_scalar_field", "_matrix_field", "_crosscheck",
     )
 
     def __init__(
@@ -131,6 +135,7 @@ class TauGrid:
         self._sighat = sighat
         self._scalar_field = None
         self._matrix_field = None
+        self._crosscheck: dict[tuple[int, int], list] = {}
 
     # -- accessors ----------------------------------------------------
     # The four stores hold exactly the points 0 <= n <= pairs+1,
@@ -331,6 +336,31 @@ def _z_factors(
 # -- single-step Pfaffian crosschecks ----------------------------------
 
 
+# The tails of the twelve crosscheck Pfaffians Pf(0..2n-1, *tail), in
+# report order: per quantity (tau, tauhat, sigma, sighat), the steps s+1,
+# t+1 and s+1,t+1.  An int r stands for the moment index 2n + r.
+_TAILS = (
+    (0, MU), (0, LAMBDA), (0, 1, MU, LAMBDA),
+    (0, 1, MU, ZVAR), (0, 1, LAMBDA, ZVAR), (0, 1, 2, MU, LAMBDA, ZVAR),
+    (1, MU), (1, LAMBDA), (0, 2, MU, LAMBDA),
+    (0, 2, MU, ZVAR), (0, 2, LAMBDA, ZVAR), (0, 1, 3, MU, LAMBDA, ZVAR),
+)
+_STEPS = (("s+1", 1, 0), ("t+1", 0, 1), ("s+1,t+1", 1, 1))
+
+
+def _form(v: Rational | Polynomial) -> tuple[Sequence[int], int]:
+    """A value as integer coefficients, constant first, over one denominator."""
+    if isinstance(v, Polynomial):
+        return v.num, v.den
+    return [v.numerator], v.denominator
+
+
+def _same(x: Sequence[int], xd: int, y: Sequence[int], yd: int) -> bool:
+    """x/xd == y/yd for integer coefficient lists and nonzero xd, yd."""
+    pad = len(y) - len(x)
+    return [u * yd for u in x] + [0] * pad == [v * xd for v in y] + [0] * -pad
+
+
 def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     """Compare shift-based lattice values at the three neighbours of (s, t)
     against bordered Pfaffians over the (s, t) table.
@@ -341,65 +371,62 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     The factors are 1, 1 and -lm for a scalar and -(z-mu), -(z-lam) and
     -lm(z-mu)(z-lam) for a polynomial, lm = lambda - mu.  The sigma and
     sighat identities carry a one-step bookkeeping term (mu, lambda, or
-    mu+lambda times the stepped tau) on top of the plain Pfaffian.  All
-    twelve Pfaffians share the leading block 0..2n-1 and are read off one
-    elimination of it (:func:`skewflow.pfaffian.bordered_pfaffians`).  A
-    vanishing leading Pfaffian of the table, which :func:`build_grid` (and
-    so :meth:`TauGrid.from_json`) rules out, raises SingularConfiguration
-    naming it and the site on a grid assembled by hand.
+    mu+lambda times the stepped tau) on top of the plain Pfaffian.  Each
+    identity is checked as one integer cross-multiplication: the value's
+    and the factor's numerators times the Pfaffian's denominator against
+    the Pfaffian's numerator times theirs.
+
+    The Pfaffians of every n at a site are read off one bordered prefix
+    pass over its table (:func:`skewflow.pfaffian.prefix_tails`), made by
+    the first stencil there that needs it and kept on the grid.  A
+    vanishing leading Pfaffian tau_k of the table, k <= n, which
+    :func:`build_grid` (and so :meth:`TauGrid.from_json`) rules out, raises
+    SingularConfiguration naming it and the site on a grid assembled by
+    hand.
     """
     c = grid.config
     if not (0 <= n <= c.pairs and 0 <= s < c.steps_s and 0 <= t < c.steps_t):
         raise IndexError(f"crosscheck stencil at (n={n}, s={s}, t={t}) leaves the box")
-    mu, lam = c.mu, c.lam
-    lm = lam - mu
-    offset = s * mu + t * lam
-    z_mu, z_lam, z_both = _z_factors(c)
-    i0, i1, i2, i3 = range(2 * n, 2 * n + 4)
-    # Per quantity: the stepped value, its factors for the steps s+1, t+1
-    # and s+1,t+1, and the tails of its bordered Pfaffians for those steps.
-    scalar = (1, 1, -lm)
-    poly = (-z_mu, -z_lam, z_both.scale(-lm))
-    quantities = (
-        ("tau", grid.tau, scalar, ([i0, MU], [i0, LAMBDA], [i0, i1, MU, LAMBDA])),
-        (
-            "tauhat",
-            grid.tau_hat,
-            poly,
-            ([i0, i1, MU, ZVAR], [i0, i1, LAMBDA, ZVAR], [i0, i1, i2, MU, LAMBDA, ZVAR]),
-        ),
-        # sigma and sighat first subtract the base site's (s*mu + t*lam)
-        # bookkeeping from the stepped site's, leaving a one-step term.
-        (
-            "sigma",
-            lambda *k: grid.sigma(*k) - offset * grid.tau(*k),
-            scalar,
-            ([i1, MU], [i1, LAMBDA], [i0, i2, MU, LAMBDA]),
-        ),
-        (
-            "sighat",
-            lambda *k: grid.sigma_hat(*k) - grid.tau_hat(*k).scale(offset),
-            poly,
-            ([i0, i2, MU, ZVAR], [i0, i2, LAMBDA, ZVAR], [i0, i1, i3, MU, LAMBDA, ZVAR]),
-        ),
+    pfaffians = grid._crosscheck.get((s, t))
+    if pfaffians is None:
+        pfaffians = prefix_tails(grid.moments(s, t), c.pairs, c.mu, c.lam, _TAILS)
+        grid._crosscheck[s, t] = pfaffians
+    if n >= len(pfaffians):
+        raise SingularConfiguration(f"tau_{len(pfaffians)} vanishes at site ({s},{t})")
+    pm, qm = c.mu.numerator, c.mu.denominator
+    pl, ql = c.lam.numerator, c.lam.denominator
+    # lm and the offset over qm*ql; a form need not be reduced to compare
+    lp, lq = pl * qm - pm * ql, qm * ql
+    op, oq = s * pm * ql + t * pl * qm, lq
+    # (numerator, denominator) of the factors of the steps s+1, t+1, s+1,t+1
+    scalar = (([1], 1), ([1], 1), ([-lp], lq))
+    poly = (
+        ([pm, -qm], qm),
+        ([pl, -ql], ql),
+        ([-lp * pm * pl, lp * (pm * ql + pl * qm), -lp * qm * ql], lq * qm * ql),
     )
-    every_tail = [tail for *_, tails in quantities for tail in tails]
-    try:
-        pfaffians = iter(bordered_pfaffians(grid.moments(s, t), n, mu, lam, every_tail))
-    except SingularConfiguration as exc:
-        raise SingularConfiguration(f"{exc} at site ({s},{t})") from None
-
+    # sigma and sighat first subtract the base site's offset s*mu + t*lam
+    # times the stepped tau or tauhat, leaving a one-step term.
+    quantities = (
+        ("tau", grid._tau, None, scalar),
+        ("tauhat", grid._tauhat, None, poly),
+        ("sigma", grid._sigma, grid._tau, scalar),
+        ("sighat", grid._sighat, grid._tauhat, poly),
+    )
     report = Report(
         "crosscheck",
         {"n": n, "s": s, "t": t, "provenance": grid.base.provenance},
     )
-    steps = (("s+1", s + 1, t), ("t+1", s, t + 1), ("s+1,t+1", s + 1, t + 1))
-    for name, value, factors, tails in quantities:
-        for (label, s1, t1), factor, tail in zip(steps, factors, tails):
-            pf = next(pfaffians)
-            if tail[-1] is not ZVAR:  # a bordered Pfaffian without z is a number
-                pf = pf.coefficient(0)
-            report.add(f"{name}:{label}", value(n, s1, t1) * factor == pf)
+    for q, (name, store, bookkept, factors) in enumerate(quantities):
+        tails = pfaffians[n][3 * q : 3 * q + 3]
+        for (label, ds, dt), (f, fd), (pf, pd) in zip(_STEPS, factors, tails):
+            k = (n, s + ds, t + dt)
+            v, vd = _form(store[k])
+            if bookkept is not None and op:
+                w, wd = _form(bookkept[k])
+                v = [oq * wd * x - op * vd * y for x, y in zip_longest(v, w, fillvalue=0)]
+                vd *= oq * wd
+            report.add(f"{name}:{label}", _same(convolve(v, f), vd * fd, pf, pd))
     return report
 
 

@@ -3,15 +3,21 @@
 Every Pfaffian comes from fraction-free skew elimination in Python integers
 (:func:`_step`), O(m^3) integer operations.  Every Pfaffian of a moment
 table is read off one integer store (:func:`_store`: N = D*S, optional mu
-and lambda border rows, a z border column of integer polynomials).
-:func:`prefix_pfaffians` eliminates it once without pivoting and reads
-every leading and z-bordered Pfaffian of an SOP family or a lattice site
-off that pass.  :func:`bordered_pfaffians` eliminates a leading block
+and lambda border rows, a z border column of integer polynomials).  One
+routine, :func:`_prefix_pass`, eliminates a store once without pivoting,
+and after n steps every later entry (i, j) is the bordered minor
+Pf(0..2n-1, i, j), by Tanner's Pfaffian form of Sylvester's identity.
+:func:`prefix_pfaffians` runs it with no border rows and reads every
+leading and z-bordered Pfaffian of an SOP family or a lattice site off it;
+:func:`prefix_tails` runs it with mu and lambda border rows and reads the
+lattice crosscheck's short tails Pf(0..2n-1, tail) for every n off it, each
+in closed form.  :func:`bordered_pfaffians` eliminates a leading block
 0..2n-1 once and reads the Pfaffian of that block bordered by any tail of
-indices, mu, lambda and z off the reduced block, by Tanner's Pfaffian form
-of Sylvester's identity; :func:`augmented_pfaffian` is that read with an
-empty leading block, and serves only the tests (the per-member SOP
-formula, and the reference for reads with a leading block).
+indices, mu, lambda and z off the reduced block, with pivoting; it serves
+only :func:`augmented_pfaffian`, which is that read with an empty leading
+block, and the tests.  :func:`augmented_pfaffian` in turn serves only the
+tests (the per-member SOP formula, and the reference for reads with a
+leading block).
 :func:`pfaffian` eliminates a bare rational :class:`SkewMatrix` with
 pivoting; :func:`numeric_pfaffian` applies it to an index slice of N, and
 outside the tests answers only the random table's draw check.  The
@@ -25,6 +31,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Sequence, Union
 
 from .algebra import Polynomial, Rational, RationalLike, rat
@@ -295,7 +302,7 @@ def augmented_pfaffian(
 def _store(
     moments: SkewMoments, size: int, border: Sequence[Rational] = ()
 ) -> tuple[list[list[int]], int, list[list[int]]]:
-    """The integer store that :func:`prefix_pfaffians` and
+    """The integer store that :func:`_prefix_pass` and
     :func:`bordered_pfaffians` eliminate: (a, D, zc).
 
     ``a`` is N = D*S on the indices 0..size-1, followed by one border row
@@ -314,6 +321,29 @@ def _store(
     return a, d, zc
 
 
+def _prefix_pass(
+    store: tuple[list[list[int]], int, list[list[int]]], steps: int
+) -> Iterator[tuple[int, int]]:
+    """Eliminate a :func:`_store` in place, one :func:`_step` at a time,
+    without pivoting.
+
+    Yields (pivot, D^n) after n = 0..steps steps: the pivot is the scaled
+    leading Pfaffian Pf(0..2n-1) of the store, D^n*tau_n (1 at n = 0), and
+    by Tanner's identity every later entry (i, j), z entries included, is
+    the bordered minor Pf(0..2n-1, i, j) of the store.  Step n divides by
+    the pivot, so the pass stops after yielding a vanishing one.
+    """
+    a, d, zc = store
+    pivot, dn = 1, 1
+    for n in range(steps):
+        yield pivot, dn
+        if not pivot:
+            return
+        pivot = _step(a, 2 * n, pivot, zc)
+        dn *= d
+    yield pivot, dn
+
+
 def prefix_pfaffians(
     moments: SkewMoments, pairs: int, offset: Rational = Fraction(0)
 ) -> Iterator[tuple[Rational, Rational, Polynomial, Polynomial]]:
@@ -326,21 +356,20 @@ def prefix_pfaffians(
         tauhat_n = Pf(0..2n, z)
         sighat_n = Pf(0..2n-1, 2n+1, z) + offset * tauhat_n
 
-    with Pf(0..-2, 0) = 0 at n = 0.  The pass is :func:`_step` without
-    pivoting on N = D*S over the indices 0..2*pairs+3, with z as a border
-    column whose row i starts as D*z^i.  A bordered minor of N of dimension
-    2n is D^n times that of S, so after n steps the pivot is D^n*tau_n,
-    entry (2n-2, 2n) still holds D^n times the sigma core from step n-1,
-    and the z entries of rows 2n and 2n+1 are D^(n+1) times the two
-    z-bordered Pfaffians.  With offset = p/q each sigma is therefore
+    with Pf(0..-2, 0) = 0 at n = 0.  The pass (:func:`_prefix_pass`) runs
+    on N = D*S over the indices 0..2*pairs+3, with no border rows and z as
+    a border column whose row i starts as D*z^i.  A bordered minor of N of
+    dimension 2n is D^n times that of S, so after n steps the pivot is
+    D^n*tau_n, entry (2n-2, 2n) still holds D^n times the sigma core from
+    step n-1, and the z entries of rows 2n and 2n+1 are D^(n+1) times the
+    two z-bordered Pfaffians.  With offset = p/q each sigma is therefore
     (q*core + p*pivot) / (q*D^n), and each sighat the same combination of
-    the two z rows over q*D^(n+1): one reduction per value.  Step n divides
-    by D^n*tau_n, so the pass stops after yielding a vanishing tau_n.
+    the two z rows over q*D^(n+1): one reduction per value.  The pass stops
+    after yielding a vanishing tau_n.
     """
-    a, d, zc = _store(moments, 2 * pairs + 4)
+    a, d, zc = store = _store(moments, 2 * pairs + 4)
     p, q = offset.numerator, offset.denominator
-    pivot, dn = 1, 1  # pivot after n steps, and D^n
-    for n in range(pairs + 2):
+    for n, (pivot, dn) in enumerate(_prefix_pass(store, pairs + 1)):
         core = a[2 * n - 2][2 * n] if n else 0
         hat = zc[2 * n]
         # _reduced strips trailing zeros in place, so the z rows are copied
@@ -351,10 +380,105 @@ def prefix_pfaffians(
             Polynomial._reduced(hat[:], dn * d),
             Polynomial._reduced(core_hat, q * dn * d),
         )
-        if not pivot or n > pairs:
-            return
-        pivot = _step(a, 2 * n, pivot, zc)
-        dn *= d
+
+
+def prefix_tails(
+    moments: SkewMoments,
+    pairs: int,
+    mu: Rational,
+    lam: Rational,
+    tails: Sequence[Sequence[AugmentedIndex]],
+) -> list[list[tuple[list[int], int]]]:
+    """Pf(0..2n-1, *tail at 2n) for every tail and n = 0..pairs, off one
+    bordered prefix pass.
+
+    A tail lists, in this order, ascending offsets r >= 0 that stand for
+    the moment indices 2n + r, then MU and/or LAMBDA, then optionally ZVAR;
+    its length is even.  Element (n, k) of the result is the Pfaffian for
+    tails[k] at n as (num, den): num holds the integer coefficients of z,
+    constant first (one entry for a tail without z), over den, a nonzero
+    integer that may be negative.  The list stops before the first n >= 1
+    whose tau_n = Pf(0..2n-1) vanishes, so it has that n entries; else
+    pairs + 1.
+
+    The store (:func:`_store`) covers the indices 0..size-1 up to the
+    largest offset at n = pairs, with a mu and a lambda border row, which
+    the tails name by position (MU, LAMBDA), and a z column.  After n steps
+    of :func:`_prefix_pass` with pivot P = D^n*tau_n, Tanner's identity
+    makes the Pfaffian of the reduced store on a tail of length 2h equal to
+    P^(h-1) times the Pfaffian of the store bordered by it, which is
+    D^(n+h) * q^(size-1) (once per border row x = p/q present) times the
+    Pfaffian of the table.  That reduced Pfaffian is read in closed form
+    (:func:`_tail`), and den is the product of those factors.
+    """
+    offsets = [x for tail in tails for x in tail if type(x) is int]
+    size = 2 * pairs + 1 + max(offsets, default=-1)
+    a, d, zc = store = _store(moments, size, (mu, lam))
+    qm, ql = mu.denominator ** (size - 1), lam.denominator ** (size - 1)
+    scales = (1, qm, ql, qm * ql)  # by the border rows present: 1 mu, 2 lambda
+    shapes = []
+    for tail in tails:
+        ints, rows, present = [], [], 0
+        for x in tail:
+            if type(x) is int:
+                ints.append(x)
+            elif x is MU:
+                rows.append(size)
+                present |= 1
+            elif x is LAMBDA:
+                rows.append(size + 1)
+                present |= 2
+        shapes.append((ints, rows, tail[-1] is ZVAR, len(tail) // 2 - 1, scales[present]))
+    top = max((shape[3] for shape in shapes), default=0)
+    out = []
+    for n, (pivot, dn) in enumerate(_prefix_pass(store, pairs)):
+        if not pivot:
+            break
+        dens = [dn * d]  # D^(n+h) * pivot^(h-1) for h = 1, 2, ...
+        for _ in range(top):
+            dens.append(dens[-1] * d * pivot)
+        out.append([
+            (_tail(a, zc, [2 * n + r for r in ints] + rows, with_z), dens[h] * scale)
+            for ints, rows, with_z, h, scale in shapes
+        ])
+    return out
+
+
+def _tail(
+    a: list[list[int]], zc: list[list[int]], rows: list[int], with_z: bool
+) -> list[int]:
+    """Pf of the store ``a`` on the ascending ``rows``, followed by z when
+    ``with_z``, as z coefficients, constant first.
+
+    With z it is the expansion along z, sum_k (-1)^k zc[rows[k]] times the
+    Pfaffian of the other rows (:func:`_minor`); without it, one value.
+    """
+    if not with_z:
+        return [_minor(a, rows)]
+    cs, zs = [], []
+    for k, r in enumerate(rows):
+        c = _minor(a, rows[:k] + rows[k + 1 :])
+        cs.append(-c if k % 2 else c)
+        zs.append(zc[r])
+    return [sum(map(mul, cs, column)) for column in zip(*zs)]
+
+
+def _minor(a: list[list[int]], rows: list[int]) -> int:
+    """Pf of the upper-triangle store ``a`` on the ascending ``rows``: 1, 3
+    or 15 products for 2, 4 or 6 rows, by expansion along the first."""
+    if len(rows) == 2:
+        return a[rows[0]][rows[1]]
+    if len(rows) == 4:
+        i, j, k, m = rows
+        return a[i][j] * a[k][m] - a[i][k] * a[j][m] + a[i][m] * a[j][k]
+    if not rows:
+        return 1
+    u = rows[0]
+    total = 0
+    for k in range(1, len(rows)):
+        term = a[u][rows[k]] * _minor(a, rows[1:k] + rows[k + 1 :])
+        total += term if k % 2 else -term
+    return total
 
 
 def bordered_pfaffians(
@@ -384,7 +508,9 @@ def bordered_pfaffians(
     gives the value.  A tail that repeats an index of 0..2n-1 gives 0.
 
     Raises SingularConfiguration naming tau_k when a leading Pfaffian
-    Pf(0..2k-1), 1 <= k <= n, vanishes.
+    Pf(0..2k-1), 1 <= k <= n, vanishes.  Outside :func:`augmented_pfaffian`
+    only the tests call it; the lattice crosscheck reads its tails off
+    :func:`prefix_tails`.
     """
     ints = {x for tail in tails for x in tail if type(x) is int}
     _check_budget(moments, ints)

@@ -3,8 +3,10 @@ import io
 import json
 import random
 import re
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -921,3 +923,28 @@ class TestLoaderFuzz:
             "error: bad input (decimal spelling not accepted: "
             f"{data['entries'][0][2][:40]!r})"
         ]
+
+
+def readme_commands():
+    """The arguments of every ``skewflow`` command in the README's code
+    blocks, in the order they appear, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("skewflow "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_session_runs(tmp_path, monkeypatch, capsys):
+    # every step exits 0; a vacuous report (dlax with an empty window, say)
+    # would exit 3
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "gen-moments", "family", "verify", "transform", "verify", "grid", "verify",
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert "suite=dlax checks=4 failures=0 status=pass" in capsys.readouterr().err

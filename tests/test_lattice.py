@@ -51,14 +51,14 @@ def samples_for(grid):
     return sample_points(2 * grid.config.pairs + 3, [grid.config.mu, grid.config.lam])
 
 
-def with_hats(grid, tauhat=(), sighat=()):
-    """Copy of a grid with some tau_hat/sigma_hat polynomials replaced."""
+def with_values(grid, tau=(), sigma=(), tauhat=(), sighat=()):
+    """Copy of a grid with some of its values replaced."""
     return TauGrid(
         grid.config,
         grid.base,
         grid.tables,
-        grid._tau,
-        grid._sigma,
+        {**grid._tau, **dict(tau)},
+        {**grid._sigma, **dict(sigma)},
         {**grid._tauhat, **dict(tauhat)},
         {**grid._sighat, **dict(sighat)},
     )
@@ -81,7 +81,7 @@ def random_grids(draw):
 
 
 # tau_hat_1 at the centre (1, 1) of the box, off by z in one coefficient
-BROKEN = with_hats(GRID, tauhat={(1, 1, 1): GRID.tau_hat(1, 1, 1) + Polynomial.monomial(1)})
+BROKEN = with_values(GRID, tauhat={(1, 1, 1): GRID.tau_hat(1, 1, 1) + Polynomial.monomial(1)})
 # the relations of slax (and, as edlax, of the vector system) whose stencil
 # reads tau_hat_1 at (1, 1)
 BROKEN_LAX = [
@@ -242,6 +242,18 @@ class TestGrid:
         )
 
 
+def crosscheck_failures(grid):
+    """The failing check ids of every crosscheck stencil that has one."""
+    box = grid.config
+    failed = {
+        (n, s, t): [c.id for c in crosscheck_single_step(grid, n, s, t).failures]
+        for n in range(box.pairs + 1)
+        for s in range(box.steps_s)
+        for t in range(box.steps_t)
+    }
+    return {k: v for k, v in failed.items() if v}
+
+
 class TestCrosscheck:
     def test_random_grid_all_sites(self):
         for n in range(CONFIG.pairs + 1):
@@ -261,18 +273,63 @@ class TestCrosscheck:
                 crosscheck_single_step(GRID, n, s, t)
 
     def test_perturbed_tau_hat_fails(self):
-        failed = {
-            (n, s, t): [c.id for c in crosscheck_single_step(BROKEN, n, s, t).failures]
-            for n in range(CONFIG.pairs + 1)
-            for s in range(CONFIG.steps_s)
-            for t in range(CONFIG.steps_t)
-        }
         # sighat:s+1,t+1 reads tau_hat_1(1, 1) times the origin's offset, 0
-        assert {k: v for k, v in failed.items() if v} == {
+        assert crosscheck_failures(BROKEN) == {
             (1, 0, 0): ["tauhat:s+1,t+1"],
             (1, 0, 1): ["tauhat:s+1", "sighat:s+1"],
             (1, 1, 0): ["tauhat:t+1", "sighat:t+1"],
         }
+
+    def test_perturbed_tau_fails(self):
+        grid = with_values(GRID, tau={(1, 1, 1): GRID.tau(1, 1, 1) + 1})
+        # as for tau_hat: the sigma checks read tau_1(1, 1) times the base
+        # site's offset, which is 0 at the origin
+        assert crosscheck_failures(grid) == {
+            (1, 0, 0): ["tau:s+1,t+1"],
+            (1, 0, 1): ["tau:s+1", "sigma:s+1"],
+            (1, 1, 0): ["tau:t+1", "sigma:t+1"],
+        }
+
+    def test_perturbed_sigma_fails(self):
+        grid = with_values(GRID, sigma={(1, 1, 1): GRID.sigma(1, 1, 1) + 1})
+        assert crosscheck_failures(grid) == {
+            (1, 0, 0): ["sigma:s+1,t+1"],
+            (1, 0, 1): ["sigma:s+1"],
+            (1, 1, 0): ["sigma:t+1"],
+        }
+
+    def test_perturbed_sigma_hat_fails(self):
+        key = (1, 1, 1)
+        grid = with_values(GRID, sighat={key: GRID.sigma_hat(*key) + Polynomial.monomial(1)})
+        assert crosscheck_failures(grid) == {
+            (1, 0, 0): ["sighat:s+1,t+1"],
+            (1, 0, 1): ["sighat:s+1"],
+            (1, 1, 0): ["sighat:t+1"],
+        }
+
+    def test_vanishing_tau_raises_from_its_stencil_on(self):
+        # the (0, 0) table with s_23 chosen so that tau_2 = Pf(0..3) = 0
+        base = GRID.moments(0, 0)
+        m, e = base.max_index, base.entry
+        s23 = (e(0, 2) * e(1, 3) - e(0, 3) * e(1, 2)) / e(0, 1)
+        rows = [
+            [s23 if (i, j) == (2, 3) else e(i, j) for j in range(i + 1, m + 1)]
+            for i in range(m + 1)
+        ]
+        table = SkewMoments(m, rows)
+        assert numeric_pfaffian(table, range(2)) != 0
+        assert numeric_pfaffian(table, range(4)) == 0
+        grid = TauGrid(
+            CONFIG, GRID.base, {**GRID.tables, (0, 0): table},
+            GRID._tau, GRID._sigma, GRID._tauhat, GRID._sighat,
+        )
+        for n in (2, 0, 1, 2):
+            if n < 2:
+                assert len(crosscheck_single_step(grid, n, 0, 0).checks) == 12
+                continue
+            with pytest.raises(SingularConfiguration) as err:
+                crosscheck_single_step(grid, n, 0, 0)
+            assert str(err.value) == "tau_2 vanishes at site (0,0)"
 
 
 def printed_ratios(grid, x, y, k):
@@ -527,7 +584,7 @@ class TestExtendedSystems:
             bump = bump * Polynomial((-p, 1))
         bump = bump.scale(Fraction(5, 3) * GRID.tau(pairs + 1, 0, 0))
         key = (pairs + 1, 0, 0)
-        tampered = with_hats(GRID, sighat={key: GRID.sigma_hat(*key) + bump})
+        tampered = with_values(GRID, sighat={key: GRID.sigma_hat(*key) + bump})
         tag = f"edlax2:n={pairs},s=0,t=0"
         assert next(c for c in verify_edlax(GRID, samples).checks if c.id == tag).status == "pass"
         report = verify_edlax(tampered, samples)

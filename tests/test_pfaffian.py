@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -26,9 +27,11 @@ from skewflow.pfaffian import (
     pfaffian,
     pfaffian_expand,
     prefix_pfaffians,
+    prefix_tails,
 )
+from skewflow import lattice
 from oracles import ORTH_MEASURE, SYM_MEASURE, determinant
-from strategies import fractions
+from strategies import fractions, tables
 
 
 def skew_from_upper(dim, values):
@@ -362,6 +365,53 @@ class TestBorderedPass:
         assert bordered_pfaffians(table, n, mu, lam, tails) == [
             augmented_pfaffian(table, [*range(2 * n), *tail], mu, lam) for tail in tails
         ]
+
+
+# The tail shapes prefix_tails reads: ascending offsets from 2n, then mu
+# and/or lambda, then z, of length 2, 4 or 6.
+TAIL_SHAPES = [
+    (*offsets, *border, *z)
+    for border in ((), (MU,), (LAMBDA,), (MU, LAMBDA))
+    for z in ((), (ZVAR,))
+    for k in range(4)
+    for offsets in itertools.combinations(range(4), k)
+    if len(offsets) + len(border) + len(z) in (2, 4, 6)
+]
+
+
+@st.composite
+def prefix_tail_cases(draw):
+    """pairs 0..3, a table reaching index 2*pairs+3 or a little beyond,
+    two distinct border points (zero, negative and non-integer ones
+    included), the crosscheck's twelve tails and up to four more shapes."""
+    pairs = draw(st.integers(0, 3))
+    table = draw(tables(2 * pairs + 3, 2 * pairs + 5))
+    point = st.one_of(st.just(Fraction(0)), fractions(-10, 10, 6))
+    mu, lam = draw(st.lists(point, min_size=2, max_size=2, unique=True))
+    extra = draw(st.lists(st.sampled_from(TAIL_SHAPES), max_size=4))
+    return table, pairs, mu, lam, [*lattice._TAILS, *extra]
+
+
+class TestBorderedPrefixPass:
+    @settings(max_examples=60)
+    @given(prefix_tail_cases())
+    @example((from_random(3, 9), 3, Fraction(0), Fraction(-5, 2), list(lattice._TAILS)))
+    @example((_zero_row_table(2), 2, Fraction(-1, 3), Fraction(0), TAIL_SHAPES))
+    def test_reads_match_bordered_pfaffians(self, case):
+        table, pairs, mu, lam, tails = case
+        values = prefix_tails(table, pairs, mu, lam, tails)
+        for n, row in enumerate(values):
+            at_n = [[2 * n + x if type(x) is int else x for x in tail] for tail in tails]
+            for (num, den), expected in zip(row, bordered_pfaffians(table, n, mu, lam, at_n)):
+                if den < 0:
+                    num, den = [-c for c in num], -den
+                read = Polynomial._reduced(list(num), den)
+                assert (read.num, read.den) == (expected.num, expected.den)
+        # the reads stop at the first vanishing tau_n, n <= pairs
+        if len(values) <= pairs:
+            with pytest.raises(SingularConfiguration) as err:
+                bordered_pfaffians(table, len(values), mu, lam, [[MU, LAMBDA]])
+            assert str(err.value) == f"tau_{len(values)} vanishes"
 
 
 def golden_tables():
