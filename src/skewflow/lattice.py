@@ -33,9 +33,12 @@ built once per grid and shared by every verifier that reads it
 :func:`_additive` and ``_PRODUCTS`` write each nonlinear relation once, for
 dpfl's scalar and edpfl's antidiagonal products; :func:`_contiguous` checks
 the contiguous relations of slax and edlax in one loop.  Every verifier
-checks its identities by exact rational arithmetic, and each relation in z
-(bilinear or contiguous) once, as an identity of polynomials; a failed
-identity is reported, never raised.
+checks its identities exactly.  Each relation in z (bilinear, contiguous or
+crosscheck) is checked once, as one integer identity: a sum of terms, each
+an integer scalar times a value's integer coefficients times a fixed factor
+1, z-mu, z-lam or (z-mu)(z-lam), brought over the product of the terms'
+denominators and added (:func:`_sums_to_zero`), with no rational
+arithmetic and no reduction.  A failed identity is reported, never raised.
 """
 
 from __future__ import annotations
@@ -324,13 +327,73 @@ def _sites(
                 yield n, s, t
 
 
-def _z_factors(
-    config: LatticeConfig,
-) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """z - mu, z - lambda and their product."""
-    z_mu = Polynomial((-config.mu, 1))
-    z_lam = Polynomial((-config.lam, 1))
-    return z_mu, z_lam, z_mu * z_lam
+# -- relations in z as integer identities --------------------------------
+#
+# A polynomial with rational coefficients is handled as a form: integer
+# coefficients, constant first, over one integer denominator.
+
+_Form = tuple[Sequence[int], int]
+# A form times an integer: (coefficients, multiplier, denominator).
+_Scaled = tuple[Sequence[int], int, int]
+
+# The coefficients of the constant 1.
+_ONE = (1,)
+
+
+def _lm(config: LatticeConfig) -> tuple[int, int]:
+    """lambda - mu as an integer pair (numerator, denominator), not reduced."""
+    pm, qm = config.mu.numerator, config.mu.denominator
+    pl, ql = config.lam.numerator, config.lam.denominator
+    return pl * qm - pm * ql, qm * ql
+
+
+def _z_forms(config: LatticeConfig) -> tuple[_Form, _Form, _Form]:
+    """z - mu, z - lambda and their product as integer forms, with mu = pm/qm
+    and lambda = pl/ql: (qm z - pm)/qm, (ql z - pl)/ql and their product
+    over qm*ql."""
+    pm, qm = config.mu.numerator, config.mu.denominator
+    pl, ql = config.lam.numerator, config.lam.denominator
+    z_mu, z_lam = (-pm, qm), (-pl, ql)
+    return (z_mu, qm), (z_lam, ql), (convolve(z_mu, z_lam), qm * ql)
+
+
+def _sums_to_zero(terms: Sequence[tuple[int, Sequence[int], Sequence[int], int]]) -> bool:
+    """Whether the sum of k * f * v / d over the terms (k, f, v, d) is the
+    zero polynomial, where k and d != 0 are ints of either sign and f and v
+    integer coefficient lists, constant first.
+
+    The one integer-identity rule of the lattice checks.  Every term is
+    brought over the product P of all denominators: the convolution f * v
+    is scaled by k * (P // d), an exact quotient (f, the short factor, is
+    scaled first), and the scaled terms are added.  No Fraction is formed
+    and nothing is reduced.
+    """
+    total, size = 1, 0
+    for _, f, v, d in terms:
+        total *= d
+        if len(f) + len(v) > size:
+            size = len(f) + len(v)
+    out = [0] * (size - 1)
+    for k, f, v, d in terms:
+        k *= total // d
+        for i, a in enumerate(f):
+            if a:
+                a *= k
+                for j, c in enumerate(v, i):
+                    out[j] += a * c
+    return not any(out)
+
+
+def _quotient(p: Polynomial, r: Rational) -> _Scaled:
+    """p / r for r != 0 as (v, k, d), the polynomial k * v / d:
+    (p.num, r.denominator, p.den * r.numerator).  d takes the sign of r."""
+    return p.num, r.denominator, p.den * r.numerator
+
+
+def _times(c: Rational, form: _Scaled) -> _Scaled:
+    """c times a value of :func:`_quotient`."""
+    v, k, d = form
+    return v, c.numerator * k, c.denominator * d
 
 
 # -- single-step Pfaffian crosschecks ----------------------------------
@@ -348,17 +411,11 @@ _TAILS = (
 _STEPS = (("s+1", 1, 0), ("t+1", 0, 1), ("s+1,t+1", 1, 1))
 
 
-def _form(v: Rational | Polynomial) -> tuple[Sequence[int], int]:
+def _form(v: Rational | Polynomial) -> _Form:
     """A value as integer coefficients, constant first, over one denominator."""
     if isinstance(v, Polynomial):
         return v.num, v.den
     return [v.numerator], v.denominator
-
-
-def _same(x: Sequence[int], xd: int, y: Sequence[int], yd: int) -> bool:
-    """x/xd == y/yd for integer coefficient lists and nonzero xd, yd."""
-    pad = len(y) - len(x)
-    return [u * yd for u in x] + [0] * pad == [v * xd for v in y] + [0] * -pad
 
 
 def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
@@ -372,9 +429,8 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     -lm(z-mu)(z-lam) for a polynomial, lm = lambda - mu.  The sigma and
     sighat identities carry a one-step bookkeeping term (mu, lambda, or
     mu+lambda times the stepped tau) on top of the plain Pfaffian.  Each
-    identity is checked as one integer cross-multiplication: the value's
-    and the factor's numerators times the Pfaffian's denominator against
-    the Pfaffian's numerator times theirs.
+    identity is checked as the two-term integer identity value * factor -
+    Pfaffian = 0 (:func:`_sums_to_zero`).
 
     The Pfaffians of every n at a site are read off one bordered prefix
     pass over its table (:func:`skewflow.pfaffian.prefix_tails`), made by
@@ -396,15 +452,12 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     pm, qm = c.mu.numerator, c.mu.denominator
     pl, ql = c.lam.numerator, c.lam.denominator
     # lm and the offset over qm*ql; a form need not be reduced to compare
-    lp, lq = pl * qm - pm * ql, qm * ql
+    lp, lq = _lm(c)
     op, oq = s * pm * ql + t * pl * qm, lq
-    # (numerator, denominator) of the factors of the steps s+1, t+1, s+1,t+1
-    scalar = (([1], 1), ([1], 1), ([-lp], lq))
-    poly = (
-        ([pm, -qm], qm),
-        ([pl, -ql], ql),
-        ([-lp * pm * pl, lp * (pm * ql + pl * qm), -lp * qm * ql], lq * qm * ql),
-    )
+    # (scalar, form) of the factors of the steps s+1, t+1 and s+1,t+1
+    z_mu, z_lam, (z_both, db) = _z_forms(c)
+    scalar = ((1, (_ONE, 1)), (1, (_ONE, 1)), (-lp, (_ONE, lq)))
+    poly = ((-1, z_mu), (-1, z_lam), (-lp, (z_both, lq * db)))
     # sigma and sighat first subtract the base site's offset s*mu + t*lam
     # times the stepped tau or tauhat, leaving a one-step term.
     quantities = (
@@ -419,14 +472,15 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     )
     for q, (name, store, bookkept, factors) in enumerate(quantities):
         tails = pfaffians[n][3 * q : 3 * q + 3]
-        for (label, ds, dt), (f, fd), (pf, pd) in zip(_STEPS, factors, tails):
+        for (label, ds, dt), (fk, (f, fd)), (pf, pd) in zip(_STEPS, factors, tails):
             k = (n, s + ds, t + dt)
             v, vd = _form(store[k])
             if bookkept is not None and op:
                 w, wd = _form(bookkept[k])
                 v = [oq * wd * x - op * vd * y for x, y in zip_longest(v, w, fillvalue=0)]
                 vd *= oq * wd
-            report.add(f"{name}:{label}", _same(convolve(v, f), vd * fd, pf, pd))
+            same = _sums_to_zero(((fk, f, v, vd * fd), (-1, _ONE, pf, pd)))
+            report.add(f"{name}:{label}", same)
     return report
 
 
@@ -510,7 +564,7 @@ def coefficient_field(grid: TauGrid) -> CoefficientField:
 
 
 def _bilinear(
-    fields: tuple, n: int, m: int, s: int, t: int, lm: Rational, z: tuple
+    fields: tuple, n: int, m: int, s: int, t: int, lm: tuple[int, int], z: tuple
 ) -> bool:
     """One bilinear relation at (n, s, t), exact in z:
 
@@ -519,26 +573,32 @@ def _bilinear(
             + lm x_n^{s+1,t+1} yhat_m
 
     (unmarked sites are (s, t)) for fields = (x, xhat, y, yhat), grid
-    accessors.  m = n+1 gives the "up" shape (dckp1, edckp3/4), m = n the
-    "down" shape (dckp2, edckp1/2).
+    stores of rationals and polynomials, lm = lambda - mu as an integer
+    pair (numerator, denominator) and z the forms :func:`_z_forms` gives.
+    m = n+1 gives the "up" shape (dckp1, edckp3/4), m = n the "down" shape
+    (dckp2, edckp1/2).  Checked as one integer identity: the four terms
+    sum to zero (:func:`_sums_to_zero`).
     """
     x, xhat, y, yhat = fields
-    z_mu, z_lam, z_both = z
-    lhs = z_both.scale(lm * x(n + 1, s, t)) * yhat(m - 1, s + 1, t + 1)
-    rhs = (
-        z_lam.scale(y(m, s + 1, t)) * xhat(n, s, t + 1)
-        - z_mu.scale(y(m, s, t + 1)) * xhat(n, s + 1, t)
-        + yhat(m, s, t).scale(lm * x(n, s + 1, t + 1))
-    )
-    return lhs == rhs
+    lp, lq = lm
+    (z_mu, dm), (z_lam, dl), (z_both, db) = z
+    a, ha = x[n + 1, s, t], yhat[m - 1, s + 1, t + 1]
+    b, hb = y[m, s + 1, t], xhat[n, s, t + 1]
+    c, hc = y[m, s, t + 1], xhat[n, s + 1, t]
+    d, hd = x[n, s + 1, t + 1], yhat[m, s, t]
+    return _sums_to_zero((
+        (lp * a.numerator, z_both, ha.num, lq * a.denominator * ha.den * db),
+        (-b.numerator, z_lam, hb.num, b.denominator * hb.den * dl),
+        (c.numerator, z_mu, hc.num, c.denominator * hc.den * dm),
+        (-lp * d.numerator, _ONE, hd.num, lq * d.denominator * hd.den),
+    ))
 
 
 def verify_dckp(grid: TauGrid) -> Report:
     """The two bilinear tau/tauhat relations, exact in z at each interior site."""
     c = grid.config
-    lm = c.lam - c.mu
-    z = _z_factors(c)
-    tau = (grid.tau, grid.tau_hat, grid.tau, grid.tau_hat)
+    lm, z = _lm(c), _z_forms(c)
+    tau = (grid._tau, grid._tauhat, grid._tau, grid._tauhat)
     report = Report("dckp", {"provenance": grid.base.provenance})
     for n, s, t in _sites(c, 0, 0, range(c.pairs + 1)):
         tag = f"n={n},s={s},t={t}"
@@ -585,20 +645,33 @@ def _contiguous(
     report: Report, name: str, grid: TauGrid, field: CoefficientField, vec: dict, act
 ) -> None:
     """Both contiguous relations at every interior site, each checked once
-    as an identity of polynomial vectors in z:
+    per component as one integer identity in z:
 
         (z-lam) v_n^{s,t+1} - (z-mu) v_n^{s+1,t}
             = -B v_n + (z-mu)(z-lam) A v_{n-1}^{s+1,t+1}        (A for n >= 1)
         (z-mu)(z-lam) v_n^{s+1,t+1} - v_{n+1}
             = (z-lam) C v_n^{s,t+1} - (z-mu) D v_n^{s+1,t}
 
-    (unmarked sites are (s, t)).  ``vec`` maps (n, s, t) to the value
-    vector there, undefined where its first component is None, and
-    ``act(k, v)`` is the vector coefficient k makes of v.  An instance that
-    needs an undefined vector or a coefficient the field omits is recorded
-    as skipped.
+    (unmarked sites are (s, t)), each written as a sum of terms that is
+    zero (:func:`_sums_to_zero`).  ``vec`` maps (n, s, t) to the value
+    vector there, its components as :func:`_quotient` gives them, undefined
+    where its first component is None; ``act(k, v)`` is the vector
+    coefficient k makes of v, in the same terms.  An instance that needs an
+    undefined vector or a coefficient the field omits is recorded as
+    skipped.
     """
-    z_mu, z_lam, z_both = _z_factors(grid.config)
+    z_mu, z_lam, z_both = _z_forms(grid.config)
+
+    def holds(terms: list) -> bool:
+        # terms (sign, factor form, vector); each component sums to 0
+        return all(
+            _sums_to_zero([
+                (sign * vector[i][1], f, vector[i][0], fd * vector[i][2])
+                for sign, (f, fd), vector in terms
+            ])
+            for i in range(len(terms[0][2]))
+        )
+
     for key in _sites(grid.config, 0, 0, range(grid.config.pairs + 1)):
         n, s, t = key
         tag = f"n={n},s={s},t={t}"
@@ -611,24 +684,27 @@ def _contiguous(
         ):
             report.skip(f"{name}1:{tag}", "sigma vanishes inside the stencil")
         else:
-            lhs = [z_lam * u - z_mu * v for u, v in zip(v_t, v_s)]
-            rhs = [-x for x in act(field.b[key], here)]
+            terms = [(1, z_lam, v_t), (-1, z_mu, v_s), (1, (_ONE, 1), act(field.b[key], here))]
             if n >= 1:
-                rhs = [x + z_both * y for x, y in zip(rhs, act(field.a[key], prev))]
-            report.add(f"{name}1:{tag}", lhs == rhs)
+                terms.append((-1, z_both, act(field.a[key], prev)))
+            report.add(f"{name}1:{tag}", holds(terms))
         diag, up = vec[n, s + 1, t + 1], vec[n + 1, s, t]
         if None in (diag[0], up[0], v_t[0], v_s[0]) or key not in field.c or key not in field.d:
             report.skip(f"{name}2:{tag}", "sigma vanishes inside the stencil")
         else:
-            lhs = [z_both * u - v for u, v in zip(diag, up)]
-            cterm, dterm = act(field.c[key], v_t), act(field.d[key], v_s)
-            rhs = [z_lam * x - z_mu * y for x, y in zip(cterm, dterm)]
-            report.add(f"{name}2:{tag}", lhs == rhs)
+            report.add(f"{name}2:{tag}", holds([
+                (1, z_both, diag),
+                (-1, (_ONE, 1), up),
+                (-1, z_lam, act(field.c[key], v_t)),
+                (1, z_mu, act(field.d[key], v_s)),
+            ]))
 
 
 def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
-    """Both scalar contiguous relations, each checked once as an identity
-    of polynomials in z (:func:`_contiguous` on the vectors (q_2n,)).
+    """Both scalar contiguous relations, each checked once as an integer
+    identity in z (:func:`_contiguous` on the vectors (q_2n,), q_2n =
+    tauhat_n/tau_n read as the form (tauhat_n.num, tau_n.den, tauhat_n.den *
+    tau_n.num)).
 
     ``samples`` is validated (distinct points, at least 2*pairs+3 of them)
     and recorded in the report.  On a grid built by :func:`build_grid` both
@@ -640,15 +716,11 @@ def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         "slax",
         {"samples": _sample_points(c, samples), "provenance": grid.base.provenance},
     )
-    q = {
-        (n, s, t): (grid.q_even(n, s, t),)
-        for s, t in grid.sites()
-        for n in range(c.pairs + 2)
-    }
+    q = {key: (_quotient(hat, grid._tau[key]),) for key, hat in grid._tauhat.items()}
     # The scalar field's constant is mu - lambda, the matrix field's
     # lambda - mu, so a scalar coefficient acts with its sign flipped.
     _contiguous(
-        report, "slax", grid, coefficient_field(grid), q, lambda k, v: (v[0].scale(-k),)
+        report, "slax", grid, coefficient_field(grid), q, lambda k, v: (_times(-k, v[0]),)
     )
     return report
 
@@ -770,10 +842,9 @@ def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
 def verify_edckp(grid: TauGrid) -> Report:
     """The four bilinear relations coupling tau/sigma with tauhat/sighat."""
     c = grid.config
-    lm = c.lam - c.mu
-    z = _z_factors(c)
-    sig_tau = (grid.sigma, grid.sigma_hat, grid.tau, grid.tau_hat)
-    tau_sig = (grid.tau, grid.tau_hat, grid.sigma, grid.sigma_hat)
+    lm, z = _lm(c), _z_forms(c)
+    sig_tau = (grid._sigma, grid._sighat, grid._tau, grid._tauhat)
+    tau_sig = (grid._tau, grid._tauhat, grid._sigma, grid._sighat)
     report = Report("edckp", {"provenance": grid.base.provenance})
     for n, s, t in _sites(c, 0, 0, range(c.pairs + 1)):
         tag = f"n={n},s={s},t={t}"
@@ -786,19 +857,26 @@ def verify_edckp(grid: TauGrid) -> Report:
 
 
 def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
-    """The two vector contiguous relations, each checked once as an identity
-    of polynomial vectors in z, plus per-site skew-orthogonality of the phi
-    family.
+    """The two vector contiguous relations, each checked once per component
+    as an integer identity in z (:func:`_contiguous` on the vectors
+    (phi_2n, phi_2n+1), phi_2n = tauhat_n/sigma_n and phi_2n+1 =
+    sighat_n/tau_n read as :func:`_quotient` gives them), plus per-site
+    skew-orthogonality of the phi family.
+
+    The orthogonality pairs tauhat_n and sighat_n themselves, so no phi is
+    formed: a pairing of phis vanishes with theirs, <phi_2n|phi_2n+1> =
+    tau_{n+1}/sigma_n is checked as <tauhat_n|sighat_n> = tau_{n+1} tau_n,
+    and phi_2n is monic where tauhat_n has leading coefficient sigma_n.
 
     ``samples`` is validated (distinct points, at least 2*pairs+3 of them)
     and recorded in the report.  A check at those points gives the same
-    verdict as the polynomial check whenever lhs - rhs has degree below the
+    verdict as the identity in z whenever lhs - rhs has degree below the
     sample count.  On a grid with the degrees :func:`build_grid` gives
     (phi_2n of degree 2n, phi_2n+1 monic of degree 2n+1) the degree is at
     most 2*pairs+2; only the second component of edlax2 at n = pairs can
     reach 2*pairs+3, and only when an odd phi is not monic, which
-    :func:`build_grid` never produces.  The polynomial check is the
-    stricter one.
+    :func:`build_grid` never produces.  The identity in z is the stricter
+    check.
 
     Relation instances touching a site where some needed sigma vanishes are
     recorded as skipped.  sigma_0 = (s*mu + t*lam) * tau_0 vanishes by
@@ -812,45 +890,56 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         "edlax",
         {"samples": _sample_points(c, samples), "provenance": grid.base.provenance},
     )
-    # (phi_2n, phi_2n+1) at every site, phi_2n None where sigma_n vanishes
+    # (phi_2n, phi_2n+1) = (tauhat_n/sigma_n, sighat_n/tau_n) at every
+    # site, phi_2n None where sigma_n vanishes
     phi = {
-        (n, s, t): (
-            None if grid.sigma(n, s, t) == 0 else grid.phi_even(n, s, t),
-            grid.phi_odd(n, s, t),
+        key: (
+            _quotient(hat, grid._sigma[key]) if grid._sigma[key] else None,
+            _quotient(grid._sighat[key], grid._tau[key]),
         )
-        for s, t in grid.sites()
-        for n in range(c.pairs + 2)
+        for key, hat in grid._tauhat.items()
     }
     _contiguous(
-        report, "edlax", grid, matrix_coefficient_field(grid), phi, AntiDiagonal.apply
+        report, "edlax", grid, matrix_coefficient_field(grid), phi,
+        lambda k, v: (_times(k.upper, v[1]), _times(k.lower, v[0])),
     )
     for s, t in grid.sites():
-        phis = [p for n in range(c.pairs + 1) for p in phi[(n, s, t)]]
-        pairings = skew_pairings(grid.moments(s, t), phis)
-        for u in range(len(phis)):
-            for v in range(u + 1, len(phis)):
+        # tauhat_n and sighat_n, the phis times sigma_n and tau_n: a pairing
+        # vanishes with the phis', and <phi_2n|phi_2n+1> = tau_{n+1}/sigma_n
+        # reads <tauhat_n|sighat_n> = tau_{n+1} tau_n
+        hats = [
+            p
+            for n in range(c.pairs + 1)
+            for p in (
+                grid.tau_hat(n, s, t) if grid.sigma(n, s, t) else None,
+                grid.sigma_hat(n, s, t),
+            )
+        ]
+        pairings = skew_pairings(grid.moments(s, t), hats)
+        for u in range(len(hats)):
+            for v in range(u + 1, len(hats)):
                 tag = f"phi-orthogonality:<phi{u}|phi{v}>:s={s},t={t}"
                 if (u, v) not in pairings:
                     report.skip(tag, "phi undefined (sigma vanishes)")
                     continue
                 if u % 2 == 0 and v == u + 1:
-                    expected = grid.tau(u // 2 + 1, s, t) / grid.sigma(u // 2, s, t)
+                    expected = grid.tau(u // 2 + 1, s, t) * grid.tau(u // 2, s, t)
                 else:
-                    expected = Fraction(0)
+                    expected = 0
                 report.add(tag, pairings[u, v] == expected)
         monic = [
             n
             for n in range(c.pairs + 1)
-            if phis[2 * n] is not None
-            and phis[2 * n].coefficient(2 * n) == 1
+            if hats[2 * n] is not None
+            and hats[2 * n].coefficient(2 * n) == grid.sigma(n, s, t)
         ]
         # phi_0 is exempt where s*mu + t*lam = 0, and phi_2 at the origin,
         # where sigma_1 is the bare moment s_02 (see the docstring)
-        higher = phis[4::2] if (s, t) == (0, 0) else phis[2::2]
+        higher = hats[4::2] if (s, t) == (0, 0) else hats[2::2]
         report.add(
             f"phi-even-defined:s={s},t={t}",
             all(p is not None for p in higher)
-            and (phis[0] is not None or s * c.mu + t * c.lam == 0),
+            and (hats[0] is not None or s * c.mu + t * c.lam == 0),
             f"monic even indices: {monic}",
         )
     return report

@@ -1,15 +1,20 @@
 """The tests' reference implementations, defined once: the per-member SOP
-formula, an exact determinant, and the acceptance battery's two measures.
+formula, an exact determinant, the acceptance battery's two measures, and
+the lattice relations in z.
 
 Each oracle reads like its formula and shares no code path with what it
 checks: :func:`sop_even`/:func:`sop_odd` evaluate one member with its own
 Pfaffians, where :func:`skewflow.sops.build_family` reads every member off
-one elimination, and :func:`determinant` is Fraction Gaussian elimination,
-independent of the Pfaffian engine.
+one elimination; :func:`determinant` is Fraction Gaussian elimination,
+independent of the Pfaffian engine; and :func:`bilinear_checks` and
+:func:`lax_checks` check the dckp, edckp, slax and edlax relations in
+``Polynomial`` arithmetic on the printed coefficient formulas, where
+:mod:`skewflow.lattice` checks each as one integer identity.
 """
 
 from fractions import Fraction
 
+from skewflow.algebra import Polynomial
 from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
 from skewflow.moments import DiscreteMeasure
 from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
@@ -66,3 +71,180 @@ def determinant(rows):
                 f = a[r][c] / a[c][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return det
+
+
+# -- the lattice relations in z ------------------------------------------
+
+
+def printed_ratios(grid, x, y, k):
+    """The A, B, C, D entries of a field by the printed formulas, in
+    Fraction arithmetic on the grid accessors x (numerators) and y
+    (denominators); an entry whose denominator vanishes is left out."""
+    c = grid.config
+    a, b, cc, d = {}, {}, {}, {}
+    for s in range(c.steps_s):
+        for t in range(c.steps_t):
+            for n in range(c.pairs + 1):
+                key = (n, s, t)
+                down = y(n, s + 1, t) * y(n, s, t + 1)
+                if down != 0:
+                    if n >= 1:
+                        a[key] = k * x(n + 1, s, t) * x(n - 1, s + 1, t + 1) / down
+                    b[key] = k * x(n, s, t) * x(n, s + 1, t + 1) / down
+                up = k * y(n + 1, s, t) * y(n, s + 1, t + 1)
+                if up != 0:
+                    cc[key] = x(n + 1, s + 1, t) * x(n, s, t + 1) / up
+                    d[key] = x(n + 1, s, t + 1) * x(n, s + 1, t) / up
+    return a, b, cc, d
+
+
+def _sites(c):
+    """The interior (n, s, t) in report order, n varying fastest."""
+    for s in range(c.steps_s):
+        for t in range(c.steps_t):
+            for n in range(c.pairs + 1):
+                yield n, s, t
+
+
+def _verdict(ok):
+    return "pass" if ok else "fail"
+
+
+def _bilinear(fields, n, m, s, t, lm, z):
+    """lm (z-mu)(z-lam) x_{n+1} yhat_{m-1}^{s+1,t+1}
+    = (z-lam) y_m^{s+1,t} xhat_n^{s,t+1} - (z-mu) y_m^{s,t+1} xhat_n^{s+1,t}
+      + lm x_n^{s+1,t+1} yhat_m, for fields = (x, xhat, y, yhat) accessors."""
+    x, xhat, y, yhat = fields
+    z_mu, z_lam, z_both = z
+    lhs = z_both.scale(lm * x(n + 1, s, t)) * yhat(m - 1, s + 1, t + 1)
+    rhs = (
+        z_lam.scale(y(m, s + 1, t)) * xhat(n, s, t + 1)
+        - z_mu.scale(y(m, s, t + 1)) * xhat(n, s + 1, t)
+        + yhat(m, s, t).scale(lm * x(n, s + 1, t + 1))
+    )
+    return lhs == rhs
+
+
+def _z_factors(config):
+    z_mu = Polynomial((-config.mu, 1))
+    z_lam = Polynomial((-config.lam, 1))
+    return z_mu, z_lam, z_mu * z_lam
+
+
+def bilinear_checks(grid):
+    """The (id, status, detail) of every dckp and of every edckp check, in
+    report order."""
+    c = grid.config
+    lm, z = c.lam - c.mu, _z_factors(c)
+    tau = (grid.tau, grid.tau_hat, grid.tau, grid.tau_hat)
+    sig_tau = (grid.sigma, grid.sigma_hat, grid.tau, grid.tau_hat)
+    tau_sig = (grid.tau, grid.tau_hat, grid.sigma, grid.sigma_hat)
+    dckp, edckp = [], []
+    for n, s, t in _sites(c):
+        rows = [(dckp, "dckp1", tau, n + 1)]
+        if n >= 1:
+            rows += [
+                (dckp, "dckp2", tau, n),
+                (edckp, "edckp1", sig_tau, n),
+                (edckp, "edckp2", tau_sig, n),
+            ]
+        rows += [(edckp, "edckp3", sig_tau, n + 1), (edckp, "edckp4", tau_sig, n + 1)]
+        for out, rid, fields, m in rows:
+            ok = _bilinear(fields, n, m, s, t, lm, z)
+            out.append((f"{rid}:n={n},s={s},t={t}", _verdict(ok), ""))
+    return dckp, edckp
+
+
+def _contiguous(name, grid, field, vec, act):
+    """Both contiguous relations at every interior site as identities of
+    polynomial vectors; field = (A, B, C, D) dicts, ``vec`` the vectors,
+    undefined where the first component is None, ``act(k, v)`` the vector
+    coefficient k makes of v."""
+    z_mu, z_lam, z_both = _z_factors(grid.config)
+    a, b, cc, d = field
+    out = []
+    skipped = "sigma vanishes inside the stencil"
+    for key in _sites(grid.config):
+        n, s, t = key
+        tag = f"n={n},s={s},t={t}"
+        here, v_s, v_t = vec[key], vec[n, s + 1, t], vec[n, s, t + 1]
+        prev = vec[n - 1, s + 1, t + 1] if n >= 1 else None
+        if (
+            None in (here[0], v_s[0], v_t[0])
+            or key not in b
+            or (n >= 1 and (prev[0] is None or key not in a))
+        ):
+            out.append((f"{name}1:{tag}", "skip", skipped))
+        else:
+            lhs = [z_lam * u - z_mu * v for u, v in zip(v_t, v_s)]
+            rhs = [-x for x in act(b[key], here)]
+            if n >= 1:
+                rhs = [x + z_both * y for x, y in zip(rhs, act(a[key], prev))]
+            out.append((f"{name}1:{tag}", _verdict(lhs == rhs), ""))
+        diag, up = vec[n, s + 1, t + 1], vec[n + 1, s, t]
+        if None in (diag[0], up[0], v_t[0], v_s[0]) or key not in cc or key not in d:
+            out.append((f"{name}2:{tag}", "skip", skipped))
+        else:
+            lhs = [z_both * u - v for u, v in zip(diag, up)]
+            cterm, dterm = act(cc[key], v_t), act(d[key], v_s)
+            rhs = [z_lam * x - z_mu * y for x, y in zip(cterm, dterm)]
+            out.append((f"{name}2:{tag}", _verdict(lhs == rhs), ""))
+    return out
+
+
+def _pairing(moments, f, g):
+    """<f|g> = sum_ij f_i g_j s_ij."""
+    return sum(
+        f.coefficient(i) * g.coefficient(j) * moments.entry(i, j)
+        for i in range(f.degree + 1)
+        for j in range(g.degree + 1)
+    )
+
+
+def lax_checks(grid):
+    """The (id, status, detail) of every slax and of every edlax check, in
+    report order: the contiguous relations on the vectors (q_2n) and
+    (phi_2n, phi_2n+1), then edlax's phi-orthogonality and
+    phi-even-defined checks per site."""
+    c = grid.config
+    pts = [(n, s, t) for s, t in grid.sites() for n in range(c.pairs + 2)]
+    scalar = printed_ratios(grid, grid.tau, grid.tau, c.mu - c.lam)
+    q = {k: (grid.q_even(*k),) for k in pts}
+    slax = _contiguous("slax", grid, scalar, q, lambda k, v: (v[0].scale(-k),))
+    upper = printed_ratios(grid, grid.tau, grid.sigma, c.lam - c.mu)
+    lower = printed_ratios(grid, grid.sigma, grid.tau, c.lam - c.mu)
+    matrix = [{k: (u[k], w[k]) for k in u if k in w} for u, w in zip(upper, lower)]
+    phi = {
+        k: (None if grid.sigma(*k) == 0 else grid.phi_even(*k), grid.phi_odd(*k))
+        for k in pts
+    }
+    edlax = _contiguous(
+        "edlax", grid, matrix, phi, lambda k, v: (v[1].scale(k[0]), v[0].scale(k[1]))
+    )
+    for s, t in grid.sites():
+        phis = [p for n in range(c.pairs + 1) for p in phi[n, s, t]]
+        for u in range(len(phis)):
+            for v in range(u + 1, len(phis)):
+                tag = f"phi-orthogonality:<phi{u}|phi{v}>:s={s},t={t}"
+                if phis[u] is None or phis[v] is None:
+                    edlax.append((tag, "skip", "phi undefined (sigma vanishes)"))
+                    continue
+                if u % 2 == 0 and v == u + 1:
+                    expected = grid.tau(u // 2 + 1, s, t) / grid.sigma(u // 2, s, t)
+                else:
+                    expected = 0
+                ok = _pairing(grid.moments(s, t), phis[u], phis[v]) == expected
+                edlax.append((tag, _verdict(ok), ""))
+        monic = [
+            n
+            for n in range(c.pairs + 1)
+            if phis[2 * n] is not None and phis[2 * n].coefficient(2 * n) == 1
+        ]
+        higher = phis[4::2] if (s, t) == (0, 0) else phis[2::2]
+        ok = all(p is not None for p in higher) and (
+            phis[0] is not None or s * c.mu + t * c.lam == 0
+        )
+        edlax.append(
+            (f"phi-even-defined:s={s},t={t}", _verdict(ok), f"monic even indices: {monic}")
+        )
+    return slax, edlax

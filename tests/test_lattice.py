@@ -33,8 +33,8 @@ from skewflow.moments import (
 )
 from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
 from skewflow.sops import skew_product
-from oracles import sop_even, sop_odd
-from strategies import fractions
+from oracles import bilinear_checks, lax_checks, printed_ratios, sop_even, sop_odd
+from strategies import fractions, polynomials
 
 MU, LAM = Fraction(1, 2), Fraction(3)
 
@@ -332,28 +332,6 @@ class TestCrosscheck:
             assert str(err.value) == "tau_2 vanishes at site (0,0)"
 
 
-def printed_ratios(grid, x, y, k):
-    """The A, B, C, D entries of a field by the printed formulas, in
-    Fraction arithmetic on the grid accessors x (numerators) and y
-    (denominators); an entry whose denominator vanishes is left out."""
-    c = grid.config
-    a, b, cc, d = {}, {}, {}, {}
-    for s in range(c.steps_s):
-        for t in range(c.steps_t):
-            for n in range(c.pairs + 1):
-                key = (n, s, t)
-                down = y(n, s + 1, t) * y(n, s, t + 1)
-                if down != 0:
-                    if n >= 1:
-                        a[key] = k * x(n + 1, s, t) * x(n - 1, s + 1, t + 1) / down
-                    b[key] = k * x(n, s, t) * x(n, s + 1, t + 1) / down
-                up = k * y(n + 1, s, t) * y(n, s + 1, t + 1)
-                if up != 0:
-                    cc[key] = x(n + 1, s + 1, t) * x(n, s, t + 1) / up
-                    d[key] = x(n + 1, s, t + 1) * x(n, s + 1, t) / up
-    return a, b, cc, d
-
-
 def assert_fields_are_printed(grid):
     """Both coefficient fields of a grid equal the printed formulas on its
     own values: the scalar field tau over tau with mu - lambda, each matrix
@@ -540,6 +518,39 @@ class TestExtendedSystems:
     def test_edckp_degenerate(self):
         assert verify_edckp(GRID.degenerate()).passed
 
+    def test_edckp_fails_where_sigma_is_perturbed(self):
+        # the edckp relations whose stencil reads sigma_1 at (1, 1): as x
+        # (edckp1/3: sigma_{n+1} at (s,t), sigma_n at (s+1,t+1)) and as y
+        # (edckp2: sigma_n at (s+1,t), (s,t+1); edckp4: sigma_{n+1} there)
+        grid = with_values(GRID, sigma={(1, 1, 1): GRID.sigma(1, 1, 1) + 1})
+        assert [c.id for c in verify_edckp(grid).failures] == [
+            "edckp1:n=1,s=0,t=0",
+            "edckp3:n=1,s=0,t=0",
+            "edckp4:n=0,s=0,t=1",
+            "edckp2:n=1,s=0,t=1",
+            "edckp4:n=0,s=1,t=0",
+            "edckp2:n=1,s=1,t=0",
+            "edckp3:n=0,s=1,t=1",
+        ]
+
+    def test_edckp_fails_where_sigma_hat_is_perturbed(self):
+        # the edckp relations whose stencil reads sighat_1 at (1, 1): as
+        # xhat (edckp1/3: sighat_n at (s,t+1), (s+1,t)) and as yhat (edckp2:
+        # sighat_{n-1} at (s+1,t+1), sighat_n at (s,t); edckp4: sighat_n at
+        # (s+1,t+1), sighat_{n+1} at (s,t))
+        key = (1, 1, 1)
+        grid = with_values(GRID, sighat={key: GRID.sigma_hat(*key) + Polynomial.monomial(1)})
+        assert [c.id for c in verify_edckp(grid).failures] == [
+            "edckp4:n=1,s=0,t=0",
+            "edckp2:n=2,s=0,t=0",
+            "edckp1:n=1,s=0,t=1",
+            "edckp3:n=1,s=0,t=1",
+            "edckp1:n=1,s=1,t=0",
+            "edckp3:n=1,s=1,t=0",
+            "edckp4:n=0,s=1,t=1",
+            "edckp2:n=1,s=1,t=1",
+        ]
+
     def test_edlax(self):
         report = verify_edlax(GRID, samples_for(GRID))
         assert report.passed
@@ -671,6 +682,112 @@ class TestExtendedSystems:
         assert "pattern=pass" in ac.detail
         ad = next(c for c in report.checks if c.id == "product-ad")
         assert "printed=pass" in ad.detail and "pattern=pass" in ad.detail
+
+
+def checks(report):
+    return [(c.id, c.status, c.detail) for c in report.checks]
+
+
+@st.composite
+def perturbed_grids(draw):
+    """A random grid, as built or with one value changed: tau (kept
+    nonzero), sigma (to another value or to 0), tauhat or sighat (plus a
+    monomial) at a drawn point."""
+    grid = draw(random_grids())
+    which = draw(st.sampled_from(["none", "tau", "sigma", "sigma-zero", "tauhat", "sighat"]))
+    if which == "none":
+        return grid
+    key = draw(st.sampled_from(sorted(grid._tau)))
+    delta = draw(fractions(-4, 4, 5).filter(bool))
+    if which in ("tauhat", "sighat"):
+        bump = Polynomial.monomial(draw(st.integers(0, 2 * grid.config.pairs + 3)), delta)
+        store = grid._tauhat if which == "tauhat" else grid._sighat
+        return with_values(grid, **{which: {key: store[key] + bump}})
+    if which == "tau":
+        assume(grid.tau(*key) + delta != 0)
+        return with_values(grid, tau={key: grid.tau(*key) + delta})
+    value = 0 if which == "sigma-zero" else grid.sigma(*key) + delta
+    return with_values(grid, sigma={key: Fraction(value)})
+
+
+class TestAgainstTheOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_grids())
+    def test_relations_in_z_match_the_polynomial_oracle(self, grid):
+        # each relation checked in Polynomial arithmetic on the printed
+        # coefficients (tests/oracles.py) gives the same verdicts, skips
+        # and details, on built grids and on grids with one wrong value
+        samples = samples_for(grid)
+        dckp, edckp = bilinear_checks(grid)
+        slax, edlax = lax_checks(grid)
+        assert checks(verify_dckp(grid)) == dckp
+        assert checks(verify_edckp(grid)) == edckp
+        assert checks(verify_slax(grid, samples)) == slax
+        assert checks(verify_edlax(grid, samples)) == edlax
+
+
+class TestSumsToZero:
+    def test_denominators_of_either_sign(self):
+        # (1 + 2z)/2 + (1 + 2z)/(-2) = 0, and -(1/3) + 1/(-3) != 0
+        one = lattice._ONE
+        assert lattice._sums_to_zero([(1, one, (1, 2), 2), (1, one, (1, 2), -2)])
+        assert not lattice._sums_to_zero([(1, one, (1, 2), 2), (1, one, (1, 2), 2)])
+        assert lattice._sums_to_zero([(1, one, (1,), -3), (1, one, (1,), 3)])
+        assert not lattice._sums_to_zero([(-1, one, (1,), 3), (1, one, (1,), -3)])
+
+    def test_terms_of_different_lengths(self):
+        # (z - 1)(z + 1) - (z^2 - 1) = 0; a constant term left over is not
+        assert lattice._sums_to_zero([(1, (-1, 1), (1, 1), 1), (-1, lattice._ONE, (-1, 0, 1), 1)])
+        assert not lattice._sums_to_zero([(1, (-1, 1), (1, 1), 1), (-1, lattice._ONE, (0, 0, 1), 1)])
+
+    def test_top_coefficients_cancel(self):
+        # (z + z^3)/2 - z^3/2 is z/2, not zero, though the tops cancel;
+        # adding -z/2 (over -2, with a positive scalar) makes it zero
+        terms = [(1, (0, 1), (1, 0, 1), 2), (-1, lattice._ONE, (0, 0, 0, 1), 2)]
+        assert not lattice._sums_to_zero(terms)
+        assert lattice._sums_to_zero(terms + [(1, lattice._ONE, (0, 1), -2)])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-5, 5), polynomials(2), polynomials(4),
+                st.integers(-30, 30).filter(bool),
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.sampled_from([1, -1]),
+    )
+    def test_agrees_with_polynomial_arithmetic(self, terms, sign):
+        # sum k f v / d over Polynomial terms with f, v of any denominators
+        total = Polynomial.zero()
+        ints = []
+        for k, f, v, d in terms:
+            total = total + (f * v).scale(Fraction(k, d))
+            ints.append((k, f.num, v.num, d * f.den * v.den))
+        assert lattice._sums_to_zero(ints) == (total == Polynomial.zero())
+        # closed by minus the sum, over a denominator of either sign
+        closing = (-sign, lattice._ONE, total.num, sign * total.den)
+        assert lattice._sums_to_zero(ints + [closing])
+
+    def test_every_relation_in_z_is_one_sum(self, monkeypatch):
+        # the crosscheck's identities are its two-term case; dckp/edckp
+        # sum four terms, and slax/edlax three or four per component
+        sizes = []
+        rule = lattice._sums_to_zero
+        monkeypatch.setattr(
+            lattice, "_sums_to_zero", lambda terms: sizes.append(len(terms)) or rule(terms)
+        )
+        assert crosscheck_single_step(GRID, 1, 0, 0).passed
+        assert sizes == [2] * 12
+        for verify, lengths in (
+            (verify_dckp, {4}),
+            (verify_edckp, {4}),
+            (lambda g: verify_slax(g, samples_for(g)), {3, 4}),
+            (lambda g: verify_edlax(g, samples_for(g)), {3, 4}),
+        ):
+            sizes.clear()
+            assert verify(GRID).passed
+            assert set(sizes) == lengths
 
 
 class TestSamplePoints:
