@@ -78,6 +78,26 @@ def rat_str(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def ratio_str(num: int, den: int) -> str:
+    """``rat_str(Fraction(num, den))`` for den > 0, by one gcd."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def form_json(num: Sequence[int], den: int) -> list[str]:
+    """The coefficient list :meth:`Polynomial.to_json` writes for the
+    polynomial num/den, den > 0, from any integer form of it, reduced or
+    not: trailing zeros dropped, each coefficient reduced by one gcd."""
+    end = len(num)
+    while end and not num[end - 1]:
+        end -= 1
+    out = []
+    for c in num[:end]:
+        g = gcd(c, den)
+        out.append(f"{c // g}/{den // g}")
+    return out
+
+
 def clear_denominators(values: Sequence[Rational]) -> tuple[list[int], int]:
     """Integers a and the least d > 0 with values[k] = a[k]/d."""
     den = lcm(*(v.denominator for v in values))
@@ -302,12 +322,7 @@ class Polynomial:
 
     def to_json(self) -> list[str]:
         """Coefficient list, constant term first, rationals as strings."""
-        den = self.den
-        out = []
-        for c in self.num:
-            g = gcd(c, den)
-            out.append(f"{c // g}/{den // g}")
-        return out
+        return form_json(self.num, self.den)
 
     @staticmethod
     def from_json(data: list[str]) -> "Polynomial":

@@ -12,7 +12,13 @@ Pfaffian-valued lattice functions
 
 :func:`build_grid` reads all four off one prefix elimination of each site's
 table (:func:`skewflow.pfaffian.prefix_pfaffians`), which adds the offset
-s*mu + t*lam to sigma and sighat in its integers.
+s*mu + t*lam to sigma and sighat in its integers, and keeps each as the
+integer form the pass gives, not reduced: a scalar as (num, den), a
+polynomial as (coefficients, den).  The verifiers and
+:meth:`TauGrid.to_json` read those forms; a reduced Fraction or Polynomial
+is formed only by the public accessors (:meth:`TauGrid.tau` and the
+like), on each call, and :meth:`TauGrid.to_json` reduces each value it
+writes by one gcd per entry.
 :func:`crosscheck_single_step` reads its twelve bordered Pfaffians off one
 bordered prefix pass per site (:func:`skewflow.pfaffian.prefix_tails`, mu
 and lambda as border rows), made on the first stencil at the site and kept
@@ -48,10 +54,14 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Any, Iterator, Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, convolve, rat, rat_str
+from .algebra import (
+    Polynomial, Rational, RationalLike, convolve, form_json, rat, rat_str, ratio_str,
+)
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
-from .pfaffian import LAMBDA, MU, ZVAR, prefix_pfaffians, prefix_tails
+from .pfaffian import (
+    LAMBDA, MU, ZVAR, PolyForm, ScalarForm, prefix_pfaffians, prefix_tails,
+)
 from .report import Report
 from .sops import skew_pairings
 
@@ -106,6 +116,13 @@ class LatticeConfig:
 class TauGrid:
     """Exact tau/sigma data for n = 0..pairs+1 over the (s, t) box.
 
+    The private stores ``_tau``, ``_sigma``, ``_tauhat`` and ``_sighat``
+    hold each value as the integer form :func:`prefix_pfaffians` gives it,
+    not reduced: a scalar as (num, den), a polynomial as (coefficients,
+    den), den > 0.  The verifiers and :meth:`to_json` read the forms; the
+    accessors :meth:`tau`, :meth:`sigma`, :meth:`tau_hat` and
+    :meth:`sigma_hat` build a reduced Fraction or Polynomial on each call.
+
     The two coefficient fields are built from the grid's values on first
     use and kept in the private ``_scalar_field`` and ``_matrix_field``
     slots (see :func:`coefficient_field`), and so are each site's
@@ -124,10 +141,10 @@ class TauGrid:
         config: LatticeConfig,
         base: SkewMoments,
         tables: dict[tuple[int, int], SkewMoments],
-        tau: dict[tuple[int, int, int], Rational],
-        sigma: dict[tuple[int, int, int], Rational],
-        tauhat: dict[tuple[int, int, int], Polynomial],
-        sighat: dict[tuple[int, int, int], Polynomial],
+        tau: dict[tuple[int, int, int], ScalarForm],
+        sigma: dict[tuple[int, int, int], ScalarForm],
+        tauhat: dict[tuple[int, int, int], PolyForm],
+        sighat: dict[tuple[int, int, int], PolyForm],
     ):
         self.config = config
         self.base = base
@@ -146,36 +163,21 @@ class TauGrid:
     # raises KeyError naming the point.
 
     def tau(self, n: int, s: int, t: int) -> Rational:
-        return self._tau[n, s, t]
+        return Fraction(*self._tau[n, s, t])
 
     def sigma(self, n: int, s: int, t: int) -> Rational:
-        return self._sigma[n, s, t]
+        return Fraction(*self._sigma[n, s, t])
 
     def tau_hat(self, n: int, s: int, t: int) -> Polynomial:
-        return self._tauhat[n, s, t]
+        num, den = self._tauhat[n, s, t]
+        return Polynomial._reduced(list(num), den)
 
     def sigma_hat(self, n: int, s: int, t: int) -> Polynomial:
-        return self._sighat[n, s, t]
+        num, den = self._sighat[n, s, t]
+        return Polynomial._reduced(list(num), den)
 
     def moments(self, s: int, t: int) -> SkewMoments:
         return self.tables[(s, t)]
-
-    def q_even(self, n: int, s: int, t: int) -> Polynomial:
-        """Monic even-degree lattice SOP q_{2n}^{s,t} = tauhat_n/tau_n."""
-        return self.tau_hat(n, s, t).scale(1 / self.tau(n, s, t))
-
-    def phi_even(self, n: int, s: int, t: int) -> Polynomial:
-        """phi_{2n}^{s,t} = tauhat_n/sigma_n; undefined where sigma_n = 0."""
-        sig = self.sigma(n, s, t)
-        if sig == 0:
-            raise SingularConfiguration(
-                f"sigma_{n} vanishes at site ({s},{t}); phi_{2 * n} undefined"
-            )
-        return self.tau_hat(n, s, t).scale(1 / sig)
-
-    def phi_odd(self, n: int, s: int, t: int) -> Polynomial:
-        """phi_{2n+1}^{s,t} = sighat_n/tau_n."""
-        return self.sigma_hat(n, s, t).scale(1 / self.tau(n, s, t))
 
     def sites(self) -> Iterator[tuple[int, int]]:
         for s in range(self.config.steps_s + 1):
@@ -201,23 +203,24 @@ class TauGrid:
     # -- serialization ------------------------------------------------
 
     def _fields(self) -> dict[str, list]:
-        """The four stored fields as to_json writes them: (n, s, t) nested lists."""
+        """The four stored fields as to_json writes them: (n, s, t) nested
+        lists, each value reduced from its form."""
         c = self.config
 
         def nest(store, emit):
             return [
                 [
-                    [emit(store[(n, s, t)]) for t in range(c.steps_t + 1)]
+                    [emit(*store[(n, s, t)]) for t in range(c.steps_t + 1)]
                     for s in range(c.steps_s + 1)
                 ]
                 for n in range(c.pairs + 2)
             ]
 
         return {
-            "tau": nest(self._tau, rat_str),
-            "sigma": nest(self._sigma, rat_str),
-            "tau_hat": nest(self._tauhat, Polynomial.to_json),
-            "sigma_hat": nest(self._sighat, Polynomial.to_json),
+            "tau": nest(self._tau, ratio_str),
+            "sigma": nest(self._sigma, ratio_str),
+            "tau_hat": nest(self._tauhat, form_json),
+            "sigma_hat": nest(self._sighat, form_json),
         }
 
     def to_json(self) -> dict[str, Any]:
@@ -289,7 +292,8 @@ def build_grid(moments: SkewMoments, config: LatticeConfig) -> TauGrid:
 
     Each site's four functions come from one :func:`prefix_pfaffians` pass
     over its table, which also adds the site's offset s*mu + t*lam in its
-    integers, so each value is reduced once.
+    integers, and are stored as the integer forms the pass gives, with no
+    Fraction, no Polynomial and no reduction.
     """
     if moments.max_index < config.required_budget:
         raise DegreeBudgetExceeded(
@@ -297,15 +301,14 @@ def build_grid(moments: SkewMoments, config: LatticeConfig) -> TauGrid:
             f"got {moments.max_index}"
         )
     tables = _shift_tables(moments, config)
-    tau: dict[tuple[int, int, int], Rational] = {}
-    sigma: dict[tuple[int, int, int], Rational] = {}
-    tauhat: dict[tuple[int, int, int], Polynomial] = {}
-    sighat: dict[tuple[int, int, int], Polynomial] = {}
+    tau: dict[tuple[int, int, int], ScalarForm] = {}
+    sigma: dict[tuple[int, int, int], ScalarForm] = {}
+    tauhat: dict[tuple[int, int, int], PolyForm] = {}
+    sighat: dict[tuple[int, int, int], PolyForm] = {}
     for (s, t), table in tables.items():
-        offset = s * config.mu + t * config.lam
-        values = prefix_pfaffians(table, config.pairs, offset)
+        values = prefix_pfaffians(table, config.pairs, _offset(config, s, t))
         for n, (value, sig, hat, sig_hat) in enumerate(values):
-            if value == 0:
+            if not value[0]:
                 raise SingularConfiguration(
                     f"tau_{n} vanishes at site ({s},{t})"
                 )
@@ -338,6 +341,14 @@ _Scaled = tuple[Sequence[int], int, int]
 
 # The coefficients of the constant 1.
 _ONE = (1,)
+
+
+def _offset(config: LatticeConfig, s: int, t: int) -> tuple[int, int]:
+    """s*mu + t*lam as an integer pair (numerator, denominator > 0), not
+    reduced."""
+    pm, qm = config.mu.numerator, config.mu.denominator
+    pl, ql = config.lam.numerator, config.lam.denominator
+    return s * pm * ql + t * pl * qm, qm * ql
 
 
 def _lm(config: LatticeConfig) -> tuple[int, int]:
@@ -384,10 +395,12 @@ def _sums_to_zero(terms: Sequence[tuple[int, Sequence[int], Sequence[int], int]]
     return not any(out)
 
 
-def _quotient(p: Polynomial, r: Rational) -> _Scaled:
-    """p / r for r != 0 as (v, k, d), the polynomial k * v / d:
-    (p.num, r.denominator, p.den * r.numerator).  d takes the sign of r."""
-    return p.num, r.denominator, p.den * r.numerator
+def _quotient(p: PolyForm, r: ScalarForm) -> _Scaled:
+    """p / r for r != 0, both grid forms, as (v, k, d), the polynomial
+    k * v / d: (p's coefficients, r's denominator, p's denominator times
+    r's numerator).  d takes the sign of r."""
+    (v, pd), (rn, rd) = p, r
+    return v, rd, pd * rn
 
 
 def _times(c: Rational, form: _Scaled) -> _Scaled:
@@ -411,11 +424,11 @@ _TAILS = (
 _STEPS = (("s+1", 1, 0), ("t+1", 0, 1), ("s+1,t+1", 1, 1))
 
 
-def _form(v: Rational | Polynomial) -> _Form:
-    """A value as integer coefficients, constant first, over one denominator."""
-    if isinstance(v, Polynomial):
-        return v.num, v.den
-    return [v.numerator], v.denominator
+def _form(v: ScalarForm | PolyForm) -> _Form:
+    """A grid form as integer coefficients, constant first, over its
+    denominator: a scalar (num, den) becomes ((num,), den)."""
+    num, den = v
+    return ((num,), den) if type(num) is int else v
 
 
 def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
@@ -449,11 +462,9 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
         grid._crosscheck[s, t] = pfaffians
     if n >= len(pfaffians):
         raise SingularConfiguration(f"tau_{len(pfaffians)} vanishes at site ({s},{t})")
-    pm, qm = c.mu.numerator, c.mu.denominator
-    pl, ql = c.lam.numerator, c.lam.denominator
     # lm and the offset over qm*ql; a form need not be reduced to compare
     lp, lq = _lm(c)
-    op, oq = s * pm * ql + t * pl * qm, lq
+    op, oq = _offset(c, s, t)
     # (scalar, form) of the factors of the steps s+1, t+1 and s+1,t+1
     z_mu, z_lam, (z_both, db) = _z_forms(c)
     scalar = ((1, (_ONE, 1)), (1, (_ONE, 1)), (-lp, (_ONE, lq)))
@@ -516,14 +527,12 @@ def _ratios(
         C = x_{n+1}^{s+1,t} x_n^{s,t+1} / (k y_{n+1} y_n^{s+1,t+1})
         D = x_{n+1}^{s,t+1} x_n^{s+1,t} / (k y_{n+1} y_n^{s+1,t+1})
 
-    (unmarked sites are (s, t)).  Each entry is one integer quotient of
-    the numerators and denominators of its five factors, reduced by one
-    gcd.
+    (unmarked sites are (s, t)).  x and y are grid stores of scalar forms
+    (num, den).  Each entry is one Fraction, the integer quotient of the
+    numerators and denominators of its five factors, reduced by one gcd.
     """
-    parts = {key: (v.numerator, v.denominator) for key, v in x.items()}
-    ys = {key: (v.numerator, v.denominator) for key, v in y.items()}
 
-    def ratio(top: int, bottom: int, u: tuple[int, int], v: tuple[int, int]) -> Rational:
+    def ratio(top: int, bottom: int, u: ScalarForm, v: ScalarForm) -> Rational:
         return Fraction(top * u[0] * v[0], bottom * u[1] * v[1])
 
     kp, kq = k.numerator, k.denominator
@@ -531,18 +540,18 @@ def _ratios(
     for key in _sites(config, 0, 0, range(config.pairs + 1)):
         n, s, t = key
         # k / (y_n^{s+1,t} y_n^{s,t+1}) = top / bottom
-        (p1, q1), (p2, q2) = ys[n, s + 1, t], ys[n, s, t + 1]
+        (p1, q1), (p2, q2) = y[n, s + 1, t], y[n, s, t + 1]
         if p1 and p2:
             top, bottom = kp * q1 * q2, kq * p1 * p2
             if n >= 1:
-                a[key] = ratio(top, bottom, parts[n + 1, s, t], parts[n - 1, s + 1, t + 1])
-            b[key] = ratio(top, bottom, parts[n, s, t], parts[n, s + 1, t + 1])
+                a[key] = ratio(top, bottom, x[n + 1, s, t], x[n - 1, s + 1, t + 1])
+            b[key] = ratio(top, bottom, x[n, s, t], x[n, s + 1, t + 1])
         # 1 / (k y_{n+1} y_n^{s+1,t+1}) = top / bottom
-        (p1, q1), (p2, q2) = ys[n + 1, s, t], ys[n, s + 1, t + 1]
+        (p1, q1), (p2, q2) = y[n + 1, s, t], y[n, s + 1, t + 1]
         if p1 and p2:
             top, bottom = kq * q1 * q2, kp * p1 * p2
-            cc[key] = ratio(top, bottom, parts[n + 1, s + 1, t], parts[n, s, t + 1])
-            d[key] = ratio(top, bottom, parts[n + 1, s, t + 1], parts[n, s + 1, t])
+            cc[key] = ratio(top, bottom, x[n + 1, s + 1, t], x[n, s, t + 1])
+            d[key] = ratio(top, bottom, x[n + 1, s, t + 1], x[n, s + 1, t])
     return a, b, cc, d
 
 
@@ -573,7 +582,7 @@ def _bilinear(
             + lm x_n^{s+1,t+1} yhat_m
 
     (unmarked sites are (s, t)) for fields = (x, xhat, y, yhat), grid
-    stores of rationals and polynomials, lm = lambda - mu as an integer
+    stores of scalar and polynomial forms, lm = lambda - mu as an integer
     pair (numerator, denominator) and z the forms :func:`_z_forms` gives.
     m = n+1 gives the "up" shape (dckp1, edckp3/4), m = n the "down" shape
     (dckp2, edckp1/2).  Checked as one integer identity: the four terms
@@ -582,15 +591,15 @@ def _bilinear(
     x, xhat, y, yhat = fields
     lp, lq = lm
     (z_mu, dm), (z_lam, dl), (z_both, db) = z
-    a, ha = x[n + 1, s, t], yhat[m - 1, s + 1, t + 1]
-    b, hb = y[m, s + 1, t], xhat[n, s, t + 1]
-    c, hc = y[m, s, t + 1], xhat[n, s + 1, t]
-    d, hd = x[n, s + 1, t + 1], yhat[m, s, t]
+    (a, ad), (ha, had) = x[n + 1, s, t], yhat[m - 1, s + 1, t + 1]
+    (b, bd), (hb, hbd) = y[m, s + 1, t], xhat[n, s, t + 1]
+    (c, cd), (hc, hcd) = y[m, s, t + 1], xhat[n, s + 1, t]
+    (d, dd), (hd, hdd) = x[n, s + 1, t + 1], yhat[m, s, t]
     return _sums_to_zero((
-        (lp * a.numerator, z_both, ha.num, lq * a.denominator * ha.den * db),
-        (-b.numerator, z_lam, hb.num, b.denominator * hb.den * dl),
-        (c.numerator, z_mu, hc.num, c.denominator * hc.den * dm),
-        (-lp * d.numerator, _ONE, hd.num, lq * d.denominator * hd.den),
+        (lp * a, z_both, ha, lq * ad * had * db),
+        (-b, z_lam, hb, bd * hbd * dl),
+        (c, z_mu, hc, cd * hcd * dm),
+        (-lp * d, _ONE, hd, lq * dd * hdd),
     ))
 
 
@@ -703,8 +712,7 @@ def _contiguous(
 def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     """Both scalar contiguous relations, each checked once as an integer
     identity in z (:func:`_contiguous` on the vectors (q_2n,), q_2n =
-    tauhat_n/tau_n read as the form (tauhat_n.num, tau_n.den, tauhat_n.den *
-    tau_n.num)).
+    tauhat_n/tau_n read off the two forms by :func:`_quotient`).
 
     ``samples`` is validated (distinct points, at least 2*pairs+3 of them)
     and recorded in the report.  On a grid built by :func:`build_grid` both
@@ -810,9 +818,6 @@ class AntiDiagonal:
         """Product of two antidiagonal matrices, a diagonal (d00, d11)."""
         return (self.upper * other.lower, self.lower * other.upper)
 
-    def apply(self, vec: tuple[Polynomial, Polynomial]) -> tuple[Polynomial, Polynomial]:
-        return (vec[1].scale(self.upper), vec[0].scale(self.lower))
-
 
 def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
     """Matrix coefficients per interior site: the scalar tau-ratios with
@@ -894,7 +899,7 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     # site, phi_2n None where sigma_n vanishes
     phi = {
         key: (
-            _quotient(hat, grid._sigma[key]) if grid._sigma[key] else None,
+            _quotient(hat, grid._sigma[key]) if grid._sigma[key][0] else None,
             _quotient(grid._sighat[key], grid._tau[key]),
         )
         for key, hat in grid._tauhat.items()
@@ -911,8 +916,8 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
             p
             for n in range(c.pairs + 1)
             for p in (
-                grid.tau_hat(n, s, t) if grid.sigma(n, s, t) else None,
-                grid.sigma_hat(n, s, t),
+                grid._tauhat[n, s, t] if grid._sigma[n, s, t][0] else None,
+                grid._sighat[n, s, t],
             )
         ]
         pairings = skew_pairings(grid.moments(s, t), hats)
@@ -922,24 +927,26 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
                 if (u, v) not in pairings:
                     report.skip(tag, "phi undefined (sigma vanishes)")
                     continue
+                num, den = pairings[u, v]
                 if u % 2 == 0 and v == u + 1:
-                    expected = grid.tau(u // 2 + 1, s, t) * grid.tau(u // 2, s, t)
+                    (p1, q1), (p0, q0) = grid._tau[u // 2 + 1, s, t], grid._tau[u // 2, s, t]
+                    report.add(tag, num * q1 * q0 == p1 * p0 * den)
                 else:
-                    expected = 0
-                report.add(tag, pairings[u, v] == expected)
-        monic = [
-            n
-            for n in range(c.pairs + 1)
-            if hats[2 * n] is not None
-            and hats[2 * n].coefficient(2 * n) == grid.sigma(n, s, t)
-        ]
+                    report.add(tag, num == 0)
+        # phi_2n is monic where the z^2n coefficient of tauhat_n is sigma_n
+        monic = []
+        for n in range(c.pairs + 1):
+            if hats[2 * n] is not None:
+                (h, hd), (sn, sd) = hats[2 * n], grid._sigma[n, s, t]
+                if 2 * n < len(h) and h[2 * n] * sd == sn * hd:
+                    monic.append(n)
         # phi_0 is exempt where s*mu + t*lam = 0, and phi_2 at the origin,
         # where sigma_1 is the bare moment s_02 (see the docstring)
         higher = hats[4::2] if (s, t) == (0, 0) else hats[2::2]
         report.add(
             f"phi-even-defined:s={s},t={t}",
             all(p is not None for p in higher)
-            and (hats[0] is not None or s * c.mu + t * c.lam == 0),
+            and (hats[0] is not None or not _offset(c, s, t)[0]),
             f"monic even indices: {monic}",
         )
     return report

@@ -125,14 +125,19 @@ class SkewMoments:
     def apply(self, g: Polynomial, rows: int) -> tuple[list[int], int]:
         """The first ``rows`` rows of S*g over one denominator: (v, d) with
         sum_j s_ij g_j = v[i]/d for i < rows."""
+        return self.apply_form(g.num, g.den, rows)
+
+    def apply_form(self, num: Sequence[int], den: int, rows: int) -> tuple[list[int], int]:
+        """:meth:`apply` for the polynomial num/den given as an integer form,
+        reduced or not: coefficients constant first, den != 0."""
         size = self.max_index + 1
-        if g.degree >= size or rows > size:
+        if len(num) > size or rows > size:
             raise DegreeBudgetExceeded(
                 f"S*g needs degree and rows within budget {self.max_index}, "
-                f"got degree {g.degree} and {rows} rows"
+                f"got degree {len(num) - 1} and {rows} rows"
             )
-        num, coeffs = self._num, g.num
-        return [sum(map(mul, num[i], coeffs)) for i in range(rows)], self._den * g.den
+        table = self._num
+        return [sum(map(mul, table[i], num)) for i in range(rows)], self._den * den
 
     def integer_rows(self, size: int) -> tuple[list[list[int]], int]:
         """The integer form on the indices 0..size-1: (rows, D) with

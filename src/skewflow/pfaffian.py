@@ -8,7 +8,8 @@ routine, :func:`_prefix_pass`, eliminates a store once without pivoting,
 and after n steps every later entry (i, j) is the bordered minor
 Pf(0..2n-1, i, j), by Tanner's Pfaffian form of Sylvester's identity.
 :func:`prefix_pfaffians` runs it with no border rows and reads every
-leading and z-bordered Pfaffian of an SOP family or a lattice site off it;
+leading and z-bordered Pfaffian of an SOP family or a lattice site off it,
+as integer forms it leaves unreduced;
 :func:`prefix_tails` runs it with mu and lambda border rows and reads the
 lattice crosscheck's short tails Pf(0..2n-1, tail) for every n off it, each
 in closed form.  :func:`bordered_pfaffians` eliminates a leading block
@@ -54,6 +55,11 @@ LAMBDA = Special.LAMBDA
 ZVAR = Special.ZVAR
 
 AugmentedIndex = Union[int, Special]
+
+# A value as an integer form, not reduced: a scalar as (num, den), a
+# polynomial as (coefficients, den), coefficients constant first.
+ScalarForm = tuple[int, int]
+PolyForm = tuple[list[int], int]
 
 
 class SkewMatrix:
@@ -345,9 +351,10 @@ def _prefix_pass(
 
 
 def prefix_pfaffians(
-    moments: SkewMoments, pairs: int, offset: Rational = Fraction(0)
-) -> Iterator[tuple[Rational, Rational, Polynomial, Polynomial]]:
-    """Every leading and z-bordered Pfaffian of a table from one pass.
+    moments: SkewMoments, pairs: int, offset: tuple[int, int] = (0, 1)
+) -> Iterator[tuple[ScalarForm, ScalarForm, PolyForm, PolyForm]]:
+    """Every leading and z-bordered Pfaffian of a table from one pass, as
+    integer forms that are not reduced.
 
     Yields, for n = 0..pairs+1 in turn, (tau_n, sigma_n, tauhat_n, sighat_n):
 
@@ -356,29 +363,39 @@ def prefix_pfaffians(
         tauhat_n = Pf(0..2n, z)
         sighat_n = Pf(0..2n-1, 2n+1, z) + offset * tauhat_n
 
-    with Pf(0..-2, 0) = 0 at n = 0.  The pass (:func:`_prefix_pass`) runs
-    on N = D*S over the indices 0..2*pairs+3, with no border rows and z as
-    a border column whose row i starts as D*z^i.  A bordered minor of N of
-    dimension 2n is D^n times that of S, so after n steps the pivot is
-    D^n*tau_n, entry (2n-2, 2n) still holds D^n times the sigma core from
-    step n-1, and the z entries of rows 2n and 2n+1 are D^(n+1) times the
-    two z-bordered Pfaffians.  With offset = p/q each sigma is therefore
-    (q*core + p*pivot) / (q*D^n), and each sighat the same combination of
-    the two z rows over q*D^(n+1): one reduction per value.  The pass stops
-    after yielding a vanishing tau_n.
+    with Pf(0..-2, 0) = 0 at n = 0 and ``offset`` the int pair (p, q),
+    q > 0, standing for p/q.  A scalar comes as (num, den), a polynomial as
+    (coefficients, den) with its coefficients constant first, 2n+1 of them
+    for tauhat_n and 2n+2 for sighat_n; every den is positive.
+
+    The pass (:func:`_prefix_pass`) runs on N = D*S over the indices
+    0..2*pairs+3, with no border rows and z as a border column whose row i
+    starts as D*z^i.  A bordered minor of N of dimension 2n is D^n times
+    that of S, so after n steps the pivot P is D^n*tau_n, entry (2n-2, 2n)
+    still holds D^n times the sigma core from step n-1, and the z rows 2n
+    and 2n+1 are D^(n+1) times the two z-bordered Pfaffians.  So
+
+        tau_n = (P, D^n)                  sigma_n  = (q*core + p*P, q*D^n)
+        tauhat_n = (row 2n, D^(n+1))      sighat_n = (q*row 2n+1 + p*row 2n, q*D^(n+1))
+
+    with no Fraction and no gcd; a zero offset is taken as (0, 1).  The
+    pass stops after yielding a vanishing tau_n.
     """
     a, d, zc = store = _store(moments, 2 * pairs + 4)
-    p, q = offset.numerator, offset.denominator
+    p, q = offset
+    if not p:
+        q = 1
     for n, (pivot, dn) in enumerate(_prefix_pass(store, pairs + 1)):
         core = a[2 * n - 2][2 * n] if n else 0
-        hat = zc[2 * n]
-        # _reduced strips trailing zeros in place, so the z rows are copied
-        core_hat = [q * c + p * h for c, h in zip(zc[2 * n + 1], hat)] if p else zc[2 * n + 1][:]
+        hat, odd = zc[2 * n], zc[2 * n + 1][: 2 * n + 2]
+        if p:
+            # row 2n has degree 2n, so zip pairs its zero at z^(2n+1) too
+            odd = [q * c + p * h for c, h in zip(odd, hat)]
         yield (
-            Fraction(pivot, dn),
-            Fraction(q * core + p * pivot, q * dn),
-            Polynomial._reduced(hat[:], dn * d),
-            Polynomial._reduced(core_hat, q * dn * d),
+            (pivot, dn),
+            (q * core + p * pivot, q * dn),
+            (hat[: 2 * n + 1], dn * d),
+            (odd, q * dn * d),
         )
 
 

@@ -26,24 +26,27 @@ GAUGES = (PFAFFIAN_GAUGE, COEFF_GAUGE, CHRISTOFFEL_GAUGE)
 
 
 def skew_pairings(
-    moments: SkewMoments, polys: Sequence[Polynomial | None]
-) -> dict[tuple[int, int], Rational]:
-    """<p_a|p_b> for every a < b where neither member is None.
+    moments: SkewMoments, polys: Sequence[tuple[Sequence[int], int] | None]
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """<p_a|p_b> for every a < b where neither member is None, each as an
+    integer pair (num, den), den > 0, not reduced.
 
-    S*p_b is formed once per member, on the rows the earlier members reach;
-    each pairing is then one integer dot product with the numerators of p_a.
+    Each member is an integer form (coefficients, den), den > 0,
+    coefficients constant first.  S*p_b is formed once per member, on the
+    rows the earlier members reach; each pairing is then one integer dot
+    product with the coefficients of p_a.
     """
-    out: dict[tuple[int, int], Rational] = {}
-    earlier: list[tuple[int, Polynomial]] = []
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    earlier: list[tuple[int, Sequence[int], int]] = []
     rows = 0
     for b, g in enumerate(polys):
         if g is None:
             continue
-        sg, sg_den = moments.apply(g, rows)
-        for a, f in earlier:
-            out[a, b] = Fraction(sum(map(mul, f.num, sg)), f.den * sg_den)
-        earlier.append((b, g))
-        rows = max(rows, len(g.num))
+        sg, sg_den = moments.apply_form(*g, rows)
+        for a, f, f_den in earlier:
+            out[a, b] = sum(map(mul, f, sg)), f_den * sg_den
+        earlier.append((b, *g))
+        rows = max(rows, len(g[0]))
     return out
 
 
@@ -127,7 +130,8 @@ class SOPFamily:
 
 def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
     """Family q_0..q_{2*pairs+1}: numerators and taus from one
-    :func:`prefix_pfaffians` pass.  Raises only when the family does not
+    :func:`prefix_pfaffians` pass, each member formed from their integer
+    forms with one reduction.  Raises only when the family does not
     exist; as r_n = tau_{n+1}/tau_n, a vanishing tau_{n+1} shows up as the
     vanishing r_n, checked before the pass steps on (and divides by it).
     """
@@ -137,8 +141,14 @@ def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
         )
     polys: list[Polynomial] = []
     norms: list[Rational] = []
-    for n, (tau, _, even, odd) in enumerate(prefix_pfaffians(moments, pairs - 1)):
-        polys += [even.scale(1 / tau), odd.scale(1 / tau)]
+    for n, ((pivot, dn), _, (even, den), (odd, _)) in enumerate(
+        prefix_pfaffians(moments, pairs - 1)
+    ):
+        # each numerator is over D^(n+1) and tau_n is pivot/D^n, so the
+        # member is the numerator over D*pivot
+        den = den // dn * pivot
+        sign = -1 if den < 0 else 1
+        polys += [Polynomial._reduced([sign * c for c in num], sign * den) for num in (even, odd)]
         norms.append(skew_product(moments, polys[-2], polys[-1]))
         if norms[-1] == 0:
             raise SingularConfiguration(f"normalization r_{n} vanishes")
@@ -220,10 +230,10 @@ def verify_skew_orthogonality(family: SOPFamily, moments: SkewMoments) -> Report
     """Check every pairing <q_a|q_b> against the defining pattern."""
     report = Report("orthogonality", {"provenance": moments.provenance})
     count = 2 * family.pairs + 2
-    pairings = skew_pairings(moments, family.polys)
+    pairings = skew_pairings(moments, [(p.num, p.den) for p in family.polys])
     for a in range(count):
         for b in range(a + 1, count):
-            value = pairings[a, b]
+            value = Fraction(*pairings[a, b])
             if a % 2 == 0 and b == a + 1:
                 expected = family.norms[a // 2]
             else:

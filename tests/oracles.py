@@ -1,6 +1,7 @@
 """The tests' reference implementations, defined once: the per-member SOP
-formula, an exact determinant, the acceptance battery's two measures, and
-the lattice relations in z.
+formula, an exact determinant, the acceptance battery's two measures, the
+lattice polynomials read off a grid's accessors, and the lattice relations
+in z.
 
 Each oracle reads like its formula and shares no code path with what it
 checks: :func:`sop_even`/:func:`sop_odd` evaluate one member with its own
@@ -71,6 +72,51 @@ def determinant(rows):
                 f = a[r][c] / a[c][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return det
+
+
+# -- grid values ---------------------------------------------------------
+
+
+def as_form(value):
+    """A Fraction, int or Polynomial as the integer form a TauGrid store
+    holds: (num, den) for a scalar, (coefficients, den) for a polynomial."""
+    if isinstance(value, Polynomial):
+        return list(value.num), value.den
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def as_value(form):
+    """The reduced Fraction or Polynomial an integer form stands for."""
+    num, den = form
+    if isinstance(num, int):
+        return Fraction(num, den)
+    return Polynomial._reduced(list(num), den)
+
+
+def q_even(grid, n, s, t):
+    """Monic even-degree lattice SOP q_{2n}^{s,t} = tauhat_n/tau_n."""
+    return grid.tau_hat(n, s, t).scale(1 / grid.tau(n, s, t))
+
+
+def phi_even(grid, n, s, t):
+    """phi_{2n}^{s,t} = tauhat_n/sigma_n; undefined where sigma_n = 0."""
+    sig = grid.sigma(n, s, t)
+    if sig == 0:
+        raise SingularConfiguration(
+            f"sigma_{n} vanishes at site ({s},{t}); phi_{2 * n} undefined"
+        )
+    return grid.tau_hat(n, s, t).scale(1 / sig)
+
+
+def phi_odd(grid, n, s, t):
+    """phi_{2n+1}^{s,t} = sighat_n/tau_n."""
+    return grid.sigma_hat(n, s, t).scale(1 / grid.tau(n, s, t))
+
+
+def apply_antidiagonal(matrix, vec):
+    """An AntiDiagonal matrix times a vector of two polynomials."""
+    return (vec[1].scale(matrix.upper), vec[0].scale(matrix.lower))
 
 
 # -- the lattice relations in z ------------------------------------------
@@ -209,13 +255,13 @@ def lax_checks(grid):
     c = grid.config
     pts = [(n, s, t) for s, t in grid.sites() for n in range(c.pairs + 2)]
     scalar = printed_ratios(grid, grid.tau, grid.tau, c.mu - c.lam)
-    q = {k: (grid.q_even(*k),) for k in pts}
+    q = {k: (q_even(grid, *k),) for k in pts}
     slax = _contiguous("slax", grid, scalar, q, lambda k, v: (v[0].scale(-k),))
     upper = printed_ratios(grid, grid.tau, grid.sigma, c.lam - c.mu)
     lower = printed_ratios(grid, grid.sigma, grid.tau, c.lam - c.mu)
     matrix = [{k: (u[k], w[k]) for k in u if k in w} for u, w in zip(upper, lower)]
     phi = {
-        k: (None if grid.sigma(*k) == 0 else grid.phi_even(*k), grid.phi_odd(*k))
+        k: (None if grid.sigma(*k) == 0 else phi_even(grid, *k), phi_odd(grid, *k))
         for k in pts
     }
     edlax = _contiguous(

@@ -33,7 +33,18 @@ from skewflow.moments import (
 )
 from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
 from skewflow.sops import skew_product
-from oracles import bilinear_checks, lax_checks, printed_ratios, sop_even, sop_odd
+from oracles import (
+    apply_antidiagonal,
+    as_form,
+    bilinear_checks,
+    lax_checks,
+    phi_even,
+    phi_odd,
+    printed_ratios,
+    q_even,
+    sop_even,
+    sop_odd,
+)
 from strategies import fractions, polynomials
 
 MU, LAM = Fraction(1, 2), Fraction(3)
@@ -52,25 +63,39 @@ def samples_for(grid):
 
 
 def with_values(grid, tau=(), sigma=(), tauhat=(), sighat=()):
-    """Copy of a grid with some of its values replaced."""
+    """Copy of a grid with some of its values replaced (Fractions and
+    Polynomials, stored as their forms)."""
+
+    def forms(values):
+        return {key: as_form(value) for key, value in dict(values).items()}
+
     return TauGrid(
         grid.config,
         grid.base,
         grid.tables,
-        {**grid._tau, **dict(tau)},
-        {**grid._sigma, **dict(sigma)},
-        {**grid._tauhat, **dict(tauhat)},
-        {**grid._sighat, **dict(sighat)},
+        {**grid._tau, **forms(tau)},
+        {**grid._sigma, **forms(sigma)},
+        {**grid._tauhat, **forms(tauhat)},
+        {**grid._sighat, **forms(sighat)},
     )
 
 
 @st.composite
-def random_grids(draw):
-    """A grid over a drawn table, box and (mu, lambda); no vanishing tau."""
-    mu, lam = draw(st.lists(fractions(-4, 4, 5), min_size=2, max_size=2, unique=True))
-    config = LatticeConfig(
-        mu, lam, draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    )
+def random_grids(draw, zero_site=False):
+    """A grid over a drawn table, box and (mu, lambda); no vanishing tau.
+
+    With ``zero_site``, mu and lambda have denominators above 1 and the box
+    holds a site (s, t) other than the origin with s*mu + t*lam = 0."""
+    if zero_site:
+        mu = draw(fractions(-4, 4, 5).filter(lambda x: x.denominator > 1))
+        s0, t0 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        lam = -s0 * mu / t0
+        assume(lam.denominator > 1)
+        box = draw(st.integers(0, 2)), draw(st.integers(s0, 2)), draw(st.integers(t0, 2))
+    else:
+        mu, lam = draw(st.lists(fractions(-4, 4, 5), min_size=2, max_size=2, unique=True))
+        box = draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    config = LatticeConfig(mu, lam, *box)
     m = config.required_budget
     rows = [[draw(fractions(-4, 4, 5)) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
     table = SkewMoments(m, rows)
@@ -155,6 +180,46 @@ class TestGrid:
                 core_hat = augmented_pfaffian(table, [*range(2 * n), 2 * n + 1, ZVAR])
                 assert grid.sigma_hat(n, s, t) == core_hat + hat.scale(offset)
 
+    @settings(max_examples=30, deadline=None)
+    @given(random_grids(zero_site=True))
+    def test_accessors_and_json_reduce_the_stored_forms(self, grid):
+        # the stores hold unreduced integer forms, over q*D^n with q > 1
+        # here, and a zero offset at some site; every accessor reduces
+        # its form to the value the oracle gives on the site's own table,
+        # and to_json writes those reduced values
+        c = grid.config
+        assert any(s * c.mu + t * c.lam == 0 for s, t in grid.sites() if (s, t) != (0, 0))
+        for s, t in grid.sites():
+            table = grid.moments(s, t)
+            offset = s * c.mu + t * c.lam
+            for n in range(c.pairs + 2):
+                tau = augmented_pfaffian(table, range(2 * n))
+                core = (
+                    augmented_pfaffian(table, [*range(2 * n - 1), 2 * n]) if n
+                    else Polynomial.zero()
+                )
+                hat = augmented_pfaffian(table, [*range(2 * n + 1), ZVAR])
+                core_hat = augmented_pfaffian(table, [*range(2 * n), 2 * n + 1, ZVAR])
+                assert Polynomial.constant(grid.tau(n, s, t)) == tau
+                assert Polynomial.constant(grid.sigma(n, s, t)) == core + tau.scale(offset)
+                assert grid.tau_hat(n, s, t) == hat
+                assert grid.sigma_hat(n, s, t) == core_hat + hat.scale(offset)
+
+        def nest(read):
+            return [
+                [[read(n, s, t) for t in range(c.steps_t + 1)] for s in range(c.steps_s + 1)]
+                for n in range(c.pairs + 2)
+            ]
+
+        assert grid.to_json() == {
+            "config": c.to_json(),
+            "base_moments": grid.base.to_json(),
+            "tau": nest(lambda *k: rat_str(grid.tau(*k))),
+            "sigma": nest(lambda *k: rat_str(grid.sigma(*k))),
+            "tau_hat": nest(lambda *k: grid.tau_hat(*k).to_json()),
+            "sigma_hat": nest(lambda *k: grid.sigma_hat(*k).to_json()),
+        }
+
     def test_symplectic_sigma_one(self):
         assert SYM_GRID.sigma(1, 0, 0) == 6
 
@@ -167,7 +232,7 @@ class TestGrid:
         for s, t in GRID.sites():
             table = GRID.moments(s, t)
             for n in range(GRID.config.pairs + 1):
-                assert GRID.q_even(n, s, t) == sop_even(table, n)
+                assert q_even(GRID, n, s, t) == sop_even(table, n)
 
     def test_phi_odd_is_gauge_shifted_sop(self):
         for s, t in GRID.sites():
@@ -175,7 +240,7 @@ class TestGrid:
             offset = s * MU + t * LAM
             for n in range(GRID.config.pairs + 1):
                 expected = sop_odd(table, n) + sop_even(table, n).scale(offset)
-                assert GRID.phi_odd(n, s, t) == expected
+                assert phi_odd(GRID, n, s, t) == expected
 
     def test_scale_invariance(self):
         scale = Fraction(3, 7)
@@ -356,14 +421,15 @@ MINUS_CONFIG = LatticeConfig(1, -1, 1, 2, 2)
 MINUS_GRID = build_grid(from_random(7, MINUS_CONFIG.required_budget), MINUS_CONFIG)
 
 
-def sigma_zeroed(grid, key):
-    """Copy of a grid, built by hand, with sigma set to 0 at one point."""
+def sigma_zeroed(grid, key, den=1):
+    """Copy of a grid, built by hand, with sigma set to 0, held as the form
+    (0, den), at one point."""
     return TauGrid(
         grid.config,
         grid.base,
         grid.tables,
         grid._tau,
-        {**grid._sigma, key: Fraction(0)},
+        {**grid._sigma, key: (0, den)},
         grid._tauhat,
         grid._sighat,
     )
@@ -478,7 +544,7 @@ class TestAntiDiagonal:
     def test_apply_swaps_components(self):
         m = AntiDiagonal(Fraction(2), Fraction(-3))
         vec = (Polynomial.one(), Polynomial.variable())
-        out = m.apply(vec)
+        out = apply_antidiagonal(m, vec)
         assert out[0] == Polynomial.variable().scale(Fraction(2))
         assert out[1] == Polynomial.one().scale(Fraction(-3))
 
@@ -627,12 +693,50 @@ class TestExtendedSystems:
         failed = [c.id for c in report.checks if c.status == "fail"]
         assert failed == ["phi-even-defined:s=0,t=0"]
 
+    def test_a_zero_sigma_over_any_denominator_is_zero(self):
+        # a store holds sigma_n = 0 as (0, q*D^n) where core + offset*tau
+        # vanishes at a site with a nonzero offset; slax and edlax read it
+        # as they read (0, 1), skipping or failing the same checks
+        config = LatticeConfig(1, -1, 2, 1, 1)
+        built = build_grid(from_random(7, config.required_budget), config)
+        for grid, key in ((MINUS_GRID, (1, 1, 1)), (built, (2, 0, 0)), (GRID, (1, 1, 1))):
+            samples = samples_for(grid)
+            want, held = sigma_zeroed(grid, key), sigma_zeroed(grid, key, 7)
+            for verify in (verify_slax, verify_edlax):
+                assert checks(verify(held, samples)) == checks(verify(want, samples))
+            report = verify_edlax(held, samples)
+            assert report.failures or [c for c in report.checks if c.status == "skip"]
+
+    def test_every_suite_passes_on_the_first_benchmark_box(self):
+        # the benchmark's lattice-box case 0: mu an integer and lambda a
+        # third, so every form at the origin, where the offset is 0, is
+        # over a denominator that differs from the other sites' by q = 3
+        config = LatticeConfig(7, Fraction(-1, 3), 1, 2, 2)
+        grid = build_grid(from_random(71474, config.required_budget), config)
+        samples = samples_for(grid)
+        reports = [
+            crosscheck_single_step(grid, n, s, t)
+            for n in range(config.pairs + 1)
+            for s in range(config.steps_s)
+            for t in range(config.steps_t)
+        ]
+        reports += [
+            verify_dckp(grid),
+            verify_edckp(grid),
+            verify_slax(grid, samples),
+            verify_edlax(grid, samples),
+            verify_dpfl(coefficient_field(grid)),
+            verify_edpfl(matrix_coefficient_field(grid)),
+        ]
+        for report in reports:
+            assert report.passed and report.checks, report.suite
+
     def test_phi_orthogonality_direct(self):
         s, t = 0, 1
         table = GRID.moments(s, t)
-        value = skew_product(table, GRID.phi_even(0, s, t), GRID.phi_odd(0, s, t))
+        value = skew_product(table, phi_even(GRID, 0, s, t), phi_odd(GRID, 0, s, t))
         assert value == GRID.tau(1, s, t) / GRID.sigma(0, s, t)
-        cross = skew_product(table, GRID.phi_even(0, s, t), GRID.phi_odd(1, s, t))
+        cross = skew_product(table, phi_even(GRID, 0, s, t), phi_odd(GRID, 1, s, t))
         assert cross == 0
 
     def test_edpfl_verdicts(self):
@@ -701,8 +805,8 @@ def perturbed_grids(draw):
     delta = draw(fractions(-4, 4, 5).filter(bool))
     if which in ("tauhat", "sighat"):
         bump = Polynomial.monomial(draw(st.integers(0, 2 * grid.config.pairs + 3)), delta)
-        store = grid._tauhat if which == "tauhat" else grid._sighat
-        return with_values(grid, **{which: {key: store[key] + bump}})
+        store = grid.tau_hat if which == "tauhat" else grid.sigma_hat
+        return with_values(grid, **{which: {key: store(*key) + bump}})
     if which == "tau":
         assume(grid.tau(*key) + delta != 0)
         return with_values(grid, tau={key: grid.tau(*key) + delta})

@@ -30,7 +30,7 @@ from skewflow.pfaffian import (
     prefix_tails,
 )
 from skewflow import lattice
-from oracles import ORTH_MEASURE, SYM_MEASURE, determinant
+from oracles import ORTH_MEASURE, SYM_MEASURE, as_value, determinant
 from strategies import fractions, tables
 
 
@@ -314,7 +314,7 @@ class TestPrefixPass:
     def test_matches_single_pfaffians(self, case):
         # tables may be larger than the 2*pairs+4 indices the pass reads
         pairs, table = case
-        values = list(prefix_pfaffians(table, pairs))
+        values = [tuple(map(as_value, forms)) for forms in prefix_pfaffians(table, pairs)]
         for n, (tau, core, hat, core_hat) in enumerate(values):
             assert tau == numeric_pfaffian(table, range(2 * n))
             assert core == (numeric_pfaffian(table, [*range(2 * n - 1), 2 * n]) if n else 0)
