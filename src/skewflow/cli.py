@@ -3,7 +3,10 @@
 Commands: gen-moments, family, transform, grid, verify.  All payloads are
 JSON with rationals as "num/den" strings; outputs are deterministic for a
 fixed command line (elapsed_ms in verification reports is the only field
-that varies between runs).
+that varies between runs).  Every output, to a file or to stdout, is
+exactly ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline
+(ASCII escapes), written in one pass by ``_emit`` through ``_json_text``;
+the text is complete before the file is opened.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 singular
 configuration, 3 usage or input error, an unwritable output path included.
@@ -113,8 +116,127 @@ def _read_json(path: str) -> Any:
         raise UsageError(f"cannot read {path}: JSON nested too deeply") from None
 
 
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key that is not a str, spelled as json spells it, or TypeError."""
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _level(depth: int) -> tuple[str, str, str, str, str]:
+    """The strings around the items of a container at nesting ``depth``
+    (the top-level container has depth 1): its first-item opener for a list
+    and for a dict, the separator between items, and the list and dict
+    closers."""
+    newline = "\n" + "  " * depth
+    outer = newline[:-2]
+    return "[" + newline, "{" + newline, "," + newline, outer + "]", outer + "}"
+
+
+_LEVELS = [_level(depth) for depth in range(32)]
+
+
+def _json_text(payload: Any) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, written in one pass.
+
+    Values are matched with the isinstance tests of the stdlib encoder, in
+    its order, and the values it refuses raise the same errors: TypeError
+    for an unknown type or key, ValueError for a cycle.  Open containers
+    wait on an explicit stack, not on Python frames, so the nesting depth
+    is bounded by memory alone.
+    """
+    encode, int_text = json.encoder.encode_basestring_ascii, int.__repr__
+    parts: list[str] = []
+    write = parts.append
+    # One frame per open container: the enclosing container's remaining
+    # items, whether they are (key, value) pairs, its item separator and
+    # closer, and the id of the open container (for the cycle check).
+    stack: list[tuple[Any, bool, str, str, int]] = []
+    open_ids: set[int] = set()
+    items: Any = iter((payload,))
+    pairs = False
+    sep = comma = close = ""
+    while True:
+        for value in items:
+            if pairs:
+                key, value = value
+                if not isinstance(key, str):
+                    key = _key_text(key)
+                write(sep + encode(key) + ": ")
+            else:
+                write(sep)
+            sep = comma
+            if isinstance(value, str):
+                write(encode(value))
+            elif value is None:
+                write("null")
+            elif value is True:
+                write("true")
+            elif value is False:
+                write("false")
+            elif isinstance(value, int):
+                write(int_text(value))
+            elif isinstance(value, float):
+                write(_float_text(value))
+            elif isinstance(value, (list, tuple, dict)):
+                is_dict = isinstance(value, dict)
+                if not value:
+                    write("{}" if is_dict else "[]")
+                    continue
+                if id(value) in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(id(value))
+                stack.append((items, pairs, comma, close, id(value)))
+                depth = len(stack)
+                list_open, dict_open, comma, list_close, dict_close = (
+                    _LEVELS[depth] if depth < len(_LEVELS) else _level(depth)
+                )
+                if is_dict:
+                    sep, close = dict_open, dict_close
+                    items = iter(sorted(value.items()))
+                else:
+                    sep, close = list_open, list_close
+                    items = iter(value)
+                pairs = is_dict
+                break
+            else:
+                raise TypeError(
+                    f"Object of type {value.__class__.__name__} is not JSON serializable"
+                )
+        else:
+            if not stack:
+                return "".join(parts)
+            write(close)
+            items, pairs, comma, close, finished = stack.pop()
+            open_ids.discard(finished)
+            sep = comma
+
+
 def _emit(payload: Any, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = _json_text(payload)
     if path is None:
         print(text)
         return

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import random
 import re
 import shlex
@@ -763,6 +764,207 @@ class TestDeterminism:
                 "--seed", "11", "-o", str(out),
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# -- the JSON writer ---------------------------------------------------
+
+
+def dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def outcome(write, value):
+    """The text write makes of value, or the type and message it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# json spells an int, float or str subclass by its value, not its repr
+class Str(str):
+    def __repr__(self):
+        return "Str()"
+
+
+class Int(int):
+    def __repr__(self):
+        return "Int()"
+
+
+class Float(float):
+    def __repr__(self):
+        return "Float()"
+
+
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
+json_text = st.text(alphabet=st.one_of(
+    st.characters(exclude_categories=()),
+    st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028'),
+))
+json_ints = st.one_of(
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([2**64, 2**64 + 1, -(2**64), -(2**64) - 1, 2**63 - 1, -(2**63)]),
+)
+json_floats = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, -1e308, 5e-324])
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), json_ints, json_floats, json_text,
+    json_text.map(Str), json_ints.map(Int), json_floats.map(Float),
+)
+
+
+# json sorts the items of a dict before it converts the keys, so keys of
+# one dict are all strings or all numbers (bools included), or one None
+def json_dicts(children):
+    return st.one_of(
+        st.dictionaries(st.one_of(json_text, json_text.map(Str)), children),
+        st.dictionaries(
+            st.one_of(st.booleans(), json_ints, json_floats, json_ints.map(Int)), children
+        ),
+        children.map(lambda value: {None: value}),
+    )
+
+
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(children).map(List),
+        json_dicts(children),
+        json_dicts(children).map(Dict),
+    ),
+    max_leaves=30,
+)
+
+
+def nested(depth):
+    """A provenance object nesting depth objects below its top one."""
+    node = {"kind": "nested"}
+    for _ in range(depth):
+        node = {"kind": "nested", "inner": node}
+    return node
+
+
+# json.dumps still writes this depth through cli.main under pytest on Python
+# 3.11 (it fails near 950); a writer that recurses once per level cannot
+DEEP = 800
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(value=json_values)
+    def test_matches_json_dumps(self, value):
+        assert outcome(cli._json_text, value) == outcome(dumps, value)
+
+    @settings(max_examples=50)
+    @given(
+        value=json_values,
+        refused=st.sampled_from([
+            Fraction(1, 3), {1, 2}, b"bytes", object,
+            {Fraction(1, 2): 0}, {(1,): 0}, {1: 0, "a": 1}, {None: 0, 1: 0},
+        ]),
+    )
+    def test_refuses_what_json_dumps_refuses(self, value, refused):
+        for payload in (refused, [value, {"at": [refused]}]):
+            with pytest.raises(TypeError) as expected:
+                dumps(payload)
+            with pytest.raises(TypeError) as raised:
+                cli._json_text(payload)
+            assert str(raised.value) == str(expected.value)
+
+    def test_non_str_keys_are_converted(self):
+        value = {2: "a", -1.5: "b", True: "c", 10**30: "d"}
+        assert cli._json_text(value) == dumps(value)
+        assert cli._json_text({None: 0}) == dumps({None: 0}) == '{\n  "null": 0\n}'
+
+    def test_a_cycle_raises_as_json_does(self):
+        loop = []
+        loop.append({"loop": loop})
+        assert outcome(cli._json_text, loop) == outcome(dumps, loop) == (
+            ValueError, "Circular reference detected"
+        )
+        shared = [1]
+        value = [shared, {"again": shared}]  # shared, not circular
+        assert cli._json_text(value) == dumps(value)
+
+    def test_an_int_too_long_to_print_raises_as_json_does(self):
+        value = [10**5000]
+        assert outcome(cli._json_text, value) == outcome(dumps, value)
+
+    def test_nests_without_python_frames(self):
+        depth = 3000  # past the stdlib writer's recursion limit
+        value = []
+        for _ in range(depth):
+            value = [value]
+        expected = (
+            "".join("[\n" + "  " * (k + 1) for k in range(depth))
+            + "[]"
+            + "".join("\n" + "  " * k + "]" for k in reversed(range(depth)))
+        )
+        assert cli._json_text(value) == expected
+
+    @pytest.mark.parametrize("command", ["verify", "transform"])
+    def test_deep_provenance_is_written(self, tmp_path, random_setup, command):
+        moments, family = random_setup
+        deep, out = tmp_path / "deep.json", tmp_path / "out.json"
+        deep.write_text(json.dumps({**read(moments), "provenance": nested(DEEP)}))
+        files = ["--family", str(family), "--moments", str(deep)]
+        if command == "verify":
+            argv = ["verify", "--suite", "orthogonality", *files, "-o", str(out)]
+        else:
+            argv = ["transform", *files, "--lambda", "3", "-o", str(tmp_path / "f.json"),
+                    "--moments-out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text()
+        payload = json.loads(text)
+        assert text == dumps(payload) + "\n"
+        if command == "verify":
+            assert payload["instance"]["provenance"] == nested(DEEP)
+        else:
+            assert payload["provenance"] == {**nested(DEEP), "shifts": ["3/1"]}
+
+    @pytest.mark.parametrize("command", ["gen-moments", "family", "verify"])
+    def test_stdout_is_the_output_file(self, tmp_path, random_setup, capsysbinary, command):
+        moments, family = random_setup
+        argv = {
+            "gen-moments": ["gen-moments", "--kind", "random", "--max-index", "5"],
+            "family": ["family", "--moments", str(moments), "--pairs", "2"],
+            "verify": ["verify", "--suite", "kernel", "--family", str(family),
+                       "--moments", str(moments), "--y", "1/2"],
+        }[command]
+        out = tmp_path / "out.json"
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        assert main([*argv, "-o", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        written = out.read_bytes()
+        if command == "verify":  # elapsed_ms differs between the two runs
+            elapsed = re.compile(rb'"elapsed_ms": [0-9.e+-]+')
+            printed, written = elapsed.sub(b"", printed), elapsed.sub(b"", written)
+        assert printed == written
+
+    def test_a_refused_payload_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.SkewMoments, "to_json", lambda self: {"entries": {1, 2}})
+        out = tmp_path / "out.json"
+        assert main(["gen-moments", "--kind", "random", "--max-index", "3",
+                     "-o", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: bad input (Object of type set is not JSON serializable)"
+        ]
 
 
 # -- loader fuzzing ----------------------------------------------------
