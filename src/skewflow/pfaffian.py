@@ -12,13 +12,11 @@ leading and z-bordered Pfaffian of an SOP family or a lattice site off it,
 as integer forms it leaves unreduced;
 :func:`prefix_tails` runs it with mu and lambda border rows and reads the
 lattice crosscheck's short tails Pf(0..2n-1, tail) for every n off it, each
-in closed form.  :func:`bordered_pfaffians` eliminates a leading block
-0..2n-1 once and reads the Pfaffian of that block bordered by any tail of
-indices, mu, lambda and z off the reduced block, with pivoting; it serves
-only :func:`augmented_pfaffian`, which is that read with an empty leading
-block, and the tests.  :func:`augmented_pfaffian` in turn serves only the
-tests (the per-member SOP formula, and the reference for reads with a
-leading block).
+in closed form.  :func:`augmented_pfaffian` reads the block of any index
+list mixing moment indices with mu, lambda and z straight off a store and
+eliminates it once, with pivoting (:func:`_eliminate`); it serves only the
+tests (the per-member SOP formula, and the reference for the prefix
+reads).
 :func:`pfaffian` eliminates a bare rational :class:`SkewMatrix` with
 pivoting; :func:`numeric_pfaffian` applies it to an index slice of N, and
 outside the tests answers only the random table's draw check.  The
@@ -36,7 +34,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Sequence, Union
 
 from .algebra import Polynomial, Rational, RationalLike, rat
-from .errors import DegreeBudgetExceeded, SingularConfiguration
+from .errors import DegreeBudgetExceeded
 
 if TYPE_CHECKING:
     from .moments import SkewMoments
@@ -285,11 +283,17 @@ def augmented_pfaffian(
     Element rules: Pf(i,j)=s_ij, Pf(i,z)=z^i, Pf(i,lambda)=lambda^i,
     Pf(i,mu)=mu^i, and any pairing of two special symbols is 0.  The result
     is a Polynomial in z (constant when z is absent).  Each special symbol
-    may appear at most once.
+    may appear at most once; a moment index may repeat, which gives 0.  A
+    moment index outside 0..max_index raises DegreeBudgetExceeded.
 
-    This is :func:`bordered_pfaffians` with an empty leading block and the
-    whole list as its one tail, z moved to the end (a sign flip when that
-    passes an odd number of indices).
+    The store (:func:`_store`) is N = D*S on the indices 0..size-1, size
+    one past the largest moment index, with a mu and a lambda border row
+    and a z column: the augmented matrix with every index scaled by
+    sqrt(D), and mu and lambda further by q^(size-1) for x = p/q.  The
+    block on the listed rows, z moved to the end (a sign flip when that
+    passes an odd number of indices), goes through one :func:`_eliminate`;
+    dividing by D^h for a list of length 2h, and by q^(size-1) for each
+    border row present, gives the value.
     """
     idx = list(indices)
     if len(idx) % 2 != 0:
@@ -299,17 +303,41 @@ def augmented_pfaffian(
         raise ValueError("each special index may appear at most once")
     if not idx:
         return Polynomial.one()
-    # moving z to the end passes every index after it
-    sign = (-1) ** (len(idx) - 1 - idx.index(ZVAR)) if ZVAR in specials else 1
-    idx.sort(key=lambda x: x is ZVAR)
-    return bordered_pfaffians(moments, 0, mu, lam, [idx])[0].scale(sign)
+    ints = [x for x in idx if type(x) is int]
+    _check_budget(moments, ints)
+    half = len(idx) // 2
+    sign, with_z = 1, ZVAR in specials
+    if with_z:
+        # moving z to the end passes every index after it
+        sign = (-1) ** (len(idx) - 1 - idx.index(ZVAR))
+        idx.remove(ZVAR)
+    size = max(ints, default=0) + 1
+    border = (rat(mu), rat(lam))
+    a, d, zc = _store(moments, size, border)
+    rows = [size if x is MU else size + 1 if x is LAMBDA else x for x in idx]
+    block = [
+        [0] * (r + 1) + [a[u][v] if u < v else -a[v][u] for v in rows[r + 1 :]]
+        for r, u in enumerate(rows)
+    ]
+    if with_z:
+        column = [zc[u] for u in rows]
+        flips, _ = _eliminate(block, column)
+        num = [sign * flips * c for c in column[-1]]
+    else:
+        flips, last = _eliminate(block)
+        num = [flips * last]
+    den = d**half
+    for x, special in zip(border, (MU, LAMBDA)):
+        if special in specials:
+            den *= x.denominator ** (size - 1)
+    return Polynomial._reduced(num, den)
 
 
 def _store(
     moments: SkewMoments, size: int, border: Sequence[Rational] = ()
 ) -> tuple[list[list[int]], int, list[list[int]]]:
-    """The integer store that :func:`_prefix_pass` and
-    :func:`bordered_pfaffians` eliminate: (a, D, zc).
+    """The integer store that :func:`_prefix_pass` eliminates and
+    :func:`augmented_pfaffian` reads its block off: (a, D, zc).
 
     ``a`` is N = D*S on the indices 0..size-1, followed by one border row
     per x = p/q in ``border`` whose entry at index i is D*q^(size-1)*x^i,
@@ -496,79 +524,3 @@ def _minor(a: list[list[int]], rows: list[int]) -> int:
         term = a[u][rows[k]] * _minor(a, rows[1:k] + rows[k + 1 :])
         total += term if k % 2 else -term
     return total
-
-
-def bordered_pfaffians(
-    moments: SkewMoments,
-    n: int,
-    mu: RationalLike,
-    lam: RationalLike,
-    tails: Sequence[Sequence[AugmentedIndex]],
-) -> list[Polynomial]:
-    """Pf(0..2n-1, *tail) for each tail, from one elimination of 0..2n-1.
-
-    A tail is a nonempty list of even length of moment indices in
-    0..max_index (repeats allowed), MU and LAMBDA, with ZVAR allowed as its
-    last entry; the element rules are those of :func:`augmented_pfaffian`,
-    which is this read with n = 0.  A moment index outside the table raises
-    DegreeBudgetExceeded.
-
-    The store (:func:`_store`) is N = D*S on the indices 0..size-1, with
-    size = max(2n, largest tail index + 1, 1), bordered by a mu and a
-    lambda row and a z column: the augmented matrix with every index scaled
-    by sqrt(D), and mu and lambda further by q^(size-1) for x = p/q.
-    n :func:`_step`s without pivoting leave P = Pf(0..2n-1) as the last
-    pivot and the bordered minor Pf(0..2n-1, i, j) in every later entry
-    (i, j).  By Tanner's identity the Pfaffian of that reduced block
-    restricted to a tail of length 2h is P^(h-1) * Pf(0..2n-1, *tail);
-    :func:`_eliminate` computes it, and dividing by P^(h-1) and the scales
-    gives the value.  A tail that repeats an index of 0..2n-1 gives 0.
-
-    Raises SingularConfiguration naming tau_k when a leading Pfaffian
-    Pf(0..2k-1), 1 <= k <= n, vanishes.  Outside :func:`augmented_pfaffian`
-    only the tests call it; the lattice crosscheck reads its tails off
-    :func:`prefix_tails`.
-    """
-    ints = {x for tail in tails for x in tail if type(x) is int}
-    _check_budget(moments, ints)
-    size = max(2 * n, max(ints, default=-1) + 1, 1)
-    border = [rat(mu), rat(lam)]
-    a, d, zc = _store(moments, size, border)
-    pivot = 1
-    for k in range(n):
-        pivot = _step(a, 2 * k, pivot, zc)
-        if not pivot:
-            raise SingularConfiguration(f"tau_{k + 1} vanishes")
-    index = {i: i for i in ints}
-    index.update({MU: size, LAMBDA: size + 1})
-    # a tail index below 2n repeats a leading index: that Pfaffian is 0
-    repeats = min(ints, default=size) < 2 * n
-    values = []
-    for tail in tails:
-        if not tail or len(tail) % 2:
-            raise ValueError("a tail must have even, nonzero length")
-        with_z = tail[-1] is ZVAR
-        rows = [index[x] for x in (tail[:-1] if with_z else tail)]
-        if repeats and min(rows) < 2 * n:
-            values.append(Polynomial.zero())
-            continue
-        block = [
-            [0] * (r + 1) + [a[u][v] if u < v else -a[v][u] for v in rows[r + 1 :]]
-            for r, u in enumerate(rows)
-        ]
-        if with_z:
-            column = [zc[u] for u in rows]
-            sign, _ = _eliminate(block, column)
-            num = [sign * c for c in column[-1]]
-        else:
-            sign, last = _eliminate(block)
-            num = [sign * last]
-        half = len(tail) // 2
-        den = d ** (n + half) * pivot ** (half - 1)
-        for x, special in zip(border, (MU, LAMBDA)):
-            if special in tail:
-                den *= x.denominator ** (size - 1)
-        if den < 0:
-            num, den = [-c for c in num], -den
-        values.append(Polynomial._reduced(num, den))
-    return values

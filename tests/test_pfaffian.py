@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial, rat_str
-from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
+from skewflow.errors import DegreeBudgetExceeded
 from skewflow.moments import (
     DiscreteMeasure,
     SkewMoments,
@@ -22,7 +22,6 @@ from skewflow.pfaffian import (
     ZVAR,
     SkewMatrix,
     augmented_pfaffian,
-    bordered_pfaffians,
     numeric_pfaffian,
     pfaffian,
     pfaffian_expand,
@@ -292,6 +291,9 @@ class TestAugmentedOracle:
     # rows with no numeric pivot that pair with z: first, and after one step
     @example((_zero_row_table(2), [2, 0, 1, ZVAR], Fraction(0), Fraction(0)))
     @example((_zero_row_table(4), [0, 1, 4, 3, 5, ZVAR], Fraction(0), Fraction(0)))
+    # a vanishing leading Pfaffian: tau_1, and tau_2 after one step
+    @example((_zero_row_table(0), [0, 1, 2, MU], Fraction(1, 2), Fraction(3)))
+    @example((_zero_row_table(2), [0, 1, 2, 3, 4, MU], Fraction(1, 2), Fraction(3)))
     def test_matches_bordered_expansion(self, case):
         # both sides are polynomials in z of degree <= the largest moment
         # index, so agreeing at that many points plus one proves equality
@@ -325,48 +327,6 @@ class TestPrefixPass:
         assert len(values) == (taus.index(0) + 1 if 0 in taus else pairs + 2)
 
 
-@st.composite
-def bordered_cases(draw):
-    """A table with mixed denominators, n in 0..3, distinct mu and lambda,
-    and one to four tails of moment indices (repeats allowed) with any
-    subset of mu and lambda, in any order, half of them with a trailing z.
-    Most tails draw their indices from 2n..max_index; one in four from the
-    whole table, so that it may repeat an index of the leading block."""
-    n = draw(st.integers(0, 3))
-    table = draw(moment_tables(2 * n + 3 + draw(st.integers(0, 2))))
-    mu, lam = draw(st.lists(fractions(-10, 10, 6), min_size=2, max_size=2, unique=True))
-    tails = []
-    for _ in range(draw(st.integers(1, 4))):
-        with_z = draw(st.booleans())
-        specials = sorted(draw(st.sets(st.sampled_from([MU, LAMBDA]))), key=lambda x: x.value)
-        # the tail before z has even length, the whole tail at least two
-        sizes = [k for k in range(7) if (k + len(specials) + with_z) % 2 == 0]
-        size = draw(st.sampled_from([k for k in sizes if k + len(specials)]))
-        low = 0 if draw(st.integers(0, 3)) == 0 else 2 * n
-        ints = draw(st.lists(st.integers(low, table.max_index), min_size=size, max_size=size))
-        tails.append(draw(st.permutations(ints + specials)) + [ZVAR] * with_z)
-    return table, n, mu, lam, tails
-
-
-class TestBorderedPass:
-    @settings(max_examples=80)
-    @given(bordered_cases())
-    # a vanishing leading Pfaffian: tau_1, and tau_2 after one step
-    @example((_zero_row_table(0), 1, Fraction(1, 2), Fraction(3), [[2, MU]]))
-    @example((_zero_row_table(2), 2, Fraction(1, 2), Fraction(3), [[4, MU]]))
-    def test_matches_augmented(self, case):
-        table, n, mu, lam, tails = case
-        lead = [numeric_pfaffian(table, range(2 * k)) for k in range(1, n + 1)]
-        if 0 in lead:
-            with pytest.raises(SingularConfiguration) as err:
-                bordered_pfaffians(table, n, mu, lam, tails)
-            assert str(err.value) == f"tau_{lead.index(0) + 1} vanishes"
-            return
-        assert bordered_pfaffians(table, n, mu, lam, tails) == [
-            augmented_pfaffian(table, [*range(2 * n), *tail], mu, lam) for tail in tails
-        ]
-
-
 # The tail shapes prefix_tails reads: ascending offsets from 2n, then mu
 # and/or lambda, then z, of length 2, 4 or 6.
 TAIL_SHAPES = [
@@ -397,21 +357,22 @@ class TestBorderedPrefixPass:
     @given(prefix_tail_cases())
     @example((from_random(3, 9), 3, Fraction(0), Fraction(-5, 2), list(lattice._TAILS)))
     @example((_zero_row_table(2), 2, Fraction(-1, 3), Fraction(0), TAIL_SHAPES))
-    def test_reads_match_bordered_pfaffians(self, case):
+    def test_reads_match_augmented_pfaffians(self, case):
+        # each read is checked against one pivoted elimination of the whole
+        # index list, which shares no algebra with the prefix pass
         table, pairs, mu, lam, tails = case
         values = prefix_tails(table, pairs, mu, lam, tails)
         for n, row in enumerate(values):
-            at_n = [[2 * n + x if type(x) is int else x for x in tail] for tail in tails]
-            for (num, den), expected in zip(row, bordered_pfaffians(table, n, mu, lam, at_n)):
+            for (num, den), tail in zip(row, tails):
+                at_n = [2 * n + x if type(x) is int else x for x in tail]
+                expected = augmented_pfaffian(table, [*range(2 * n), *at_n], mu, lam)
                 if den < 0:
                     num, den = [-c for c in num], -den
                 read = Polynomial._reduced(list(num), den)
                 assert (read.num, read.den) == (expected.num, expected.den)
         # the reads stop at the first vanishing tau_n, n <= pairs
         if len(values) <= pairs:
-            with pytest.raises(SingularConfiguration) as err:
-                bordered_pfaffians(table, len(values), mu, lam, [[MU, LAMBDA]])
-            assert str(err.value) == f"tau_{len(values)} vanishes"
+            assert numeric_pfaffian(table, range(2 * len(values))) == 0
 
 
 def golden_tables():

@@ -15,7 +15,7 @@ from skewflow.moments import (
     from_discrete_symplectic,
     from_random,
 )
-from skewflow.pfaffian import MU, ZVAR, bordered_pfaffians, numeric_pfaffian
+from skewflow.pfaffian import MU, ZVAR, augmented_pfaffian, numeric_pfaffian
 from skewflow.sops import (
     SOPFamily,
     build_family,
@@ -388,7 +388,7 @@ class TestKernel:
         order = data.draw(st.integers(0, pairs))
         y = data.draw(st.one_of(st.integers(-5, 5).map(Fraction), fractions(-5, 5, 9)))
         tau = numeric_pfaffian(table, range(2 * order + 2))
-        (bordered,) = bordered_pfaffians(table, order + 1, y, 0, [[MU, ZVAR]])
+        bordered = augmented_pfaffian(table, [*range(2 * order + 2), MU, ZVAR], y)
         assert kernel(family, order, y) == bordered.scale(-1 / tau)
 
     def test_table_too_small_for_the_kernel(self):
