@@ -5,8 +5,15 @@ lowest terms with positive denominator.  ``Rational`` is an alias so call
 sites read like the rest of the library.  A polynomial stores one integer
 form: a dense tuple of int numerators, constant term first with no
 trailing zero, over one positive denominator coprime to them all.  Its
-arithmetic, evaluation and exact division run in Python ints, and a
-``Fraction`` is built only for a value handed out.
+arithmetic and evaluation run in Python ints, and a ``Fraction`` is built
+only for a value handed out.
+
+The transforms and the lattice keep integer forms that are never reduced
+and work on them with the free functions here: :func:`convolve` for a
+product, :func:`horner` for a value at a point, :func:`linear_quotient`
+for the exact division by z - root, and :func:`sums_to_zero`, the one
+rule by which every polynomial identity of the library is checked: a sum
+of integer terms brought over one denominator, with no reduction.
 """
 
 from __future__ import annotations
@@ -115,6 +122,69 @@ def convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
     return out
 
 
+def sums_to_zero(terms: Sequence[tuple[int, Sequence[int], Sequence[int], int]]) -> bool:
+    """Whether the sum of k * f * v / d over the terms (k, f, v, d) is the
+    zero polynomial, where k and d != 0 are ints of either sign and f and v
+    integer coefficient lists, constant first.
+
+    The one integer-identity rule of the library: the lattice relations
+    and the transforms' row, rebuild and factorization identities all
+    check through it.  Every term is brought over the product P of all
+    denominators: the convolution f * v is scaled by k * (P // d), an
+    exact quotient (f, the short factor, is scaled first), and the scaled
+    terms are added.  No Fraction is formed and nothing is reduced.
+    """
+    total, size = 1, 0
+    for _, f, v, d in terms:
+        total *= d
+        if len(f) + len(v) > size:
+            size = len(f) + len(v)
+    out = [0] * (size - 1)
+    for k, f, v, d in terms:
+        k *= total // d
+        for i, a in enumerate(f):
+            if a:
+                a *= k
+                for j, c in enumerate(v, i):
+                    out[j] += a * c
+    return not any(out)
+
+
+def horner(num: Sequence[int], p: int, q: int) -> int:
+    """sum_i num[i] p^i q^(d-i) with d = len(num) - 1, by one homogeneous
+    Horner pass: the value at p/q, q > 0, of the polynomial with integer
+    coefficients num (constant first), times q^d."""
+    acc = 0
+    qk = 1  # q^(d-i) when num[i] is added
+    for c in reversed(num):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def linear_quotient(num: Sequence[int], p: int, q: int) -> list[int]:
+    """The integer coefficients g with num = (q z - p) g, for integer
+    coefficients num (constant first), q > 0 and gcd(p, q) = 1.
+
+    By Gauss's lemma g is integral exactly when p/q is a root of num.
+    Raises NotDivisible otherwise, which signals a genericity violation
+    or a caller bug upstream.
+    """
+    if not num:
+        return []
+    quotient = [0] * (len(num) - 1)
+    carry = 0
+    for k in range(len(num) - 1, 0, -1):
+        carry, rest = divmod(num[k] + p * carry, q)
+        if rest:
+            break
+        quotient[k - 1] = carry
+    else:
+        if num[0] + p * carry == 0:
+            return quotient
+    raise NotDivisible(f"polynomial does not vanish at {ratio_str(p, q)}")
+
+
 class Polynomial:
     """Dense univariate polynomial over exact rationals.
 
@@ -212,25 +282,6 @@ class Polynomial:
             a[i] += c
         return Polynomial._reduced(a, den)
 
-    @classmethod
-    def combination(
-        cls, terms: Iterable[tuple[RationalLike, "Polynomial"]]
-    ) -> "Polynomial":
-        """sum_k c_k p_k over one common denominator, reduced once.
-
-        With c_k = a_k/b_k the sum is formed on the int numerators over
-        lcm(b_k * p_k.den), so a sum of many terms pays one gcd rather
-        than one per term.
-        """
-        terms = [(c, p) for c, p in ((rat(c), p) for c, p in terms) if c and p.num]
-        den = lcm(*(c.denominator * p.den for c, p in terms))
-        out = [0] * max((len(p.num) for _, p in terms), default=0)
-        for c, p in terms:
-            f = c.numerator * (den // (c.denominator * p.den))
-            for i, a in enumerate(p.num):
-                out[i] += f * a
-        return cls._reduced(out, den)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._combine(other, 1)
 
@@ -240,61 +291,19 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial._reduced([-c for c in self.num], self.den)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.num or not other.num:
-            return Polynomial()
-        return Polynomial._reduced(convolve(self.num, other.num), self.den * other.den)
-
     def scale(self, c: RationalLike) -> "Polynomial":
         c = rat(c)
         p = c.numerator
         return Polynomial._reduced([p * a for a in self.num], c.denominator * self.den)
 
-    def __call__(self, x: RationalLike) -> Rational:
-        return self.eval(x)
-
     def eval(self, x: RationalLike) -> Rational:
-        """Exact value at x = p/q by homogeneous Horner:
-        sum_i num_i p^i q^(d-i) over q^d den."""
+        """Exact value at x = p/q by one homogeneous Horner pass
+        (:func:`horner`) over q^d den."""
         x = rat(x)
         if not self.num:
             return Fraction(0)
-        p, q = x.numerator, x.denominator
-        acc = 0
-        qk = 1  # q^(d-i) when num_i is added
-        for c in reversed(self.num):
-            acc = acc * p + c * qk
-            qk *= q
-        return Fraction(acc, q ** self.degree * self.den)
-
-    def div_by_linear(self, root: RationalLike) -> "Polynomial":
-        """Exact division by (z - root).
-
-        With root = p/q the integer numerator is divided by q*z - p; by
-        Gauss's lemma the quotient has integer coefficients exactly when
-        ``root`` is a root.  Raises NotDivisible otherwise; a failure
-        signals a genericity violation or a caller bug upstream.
-        """
-        root = rat(root)
-        num = self.num
-        if not num:
-            return Polynomial()
-        p, q = root.numerator, root.denominator
-        quotient = [0] * (len(num) - 1)
-        carry = 0
-        for k in range(len(num) - 1, 0, -1):
-            carry, rest = divmod(num[k] + p * carry, q)
-            if rest:
-                break
-            quotient[k - 1] = carry
-        else:
-            if num[0] + p * carry == 0:
-                # f/den = (q z - p) g/den, so f/(den (z - p/q)) = q g/den
-                return Polynomial._reduced([q * c for c in quotient], self.den)
-        raise NotDivisible(
-            f"polynomial does not vanish at {rat_str(root)} "
-            f"(remainder {rat_str(self.eval(root))})"
-        )
+        q = x.denominator
+        return Fraction(horner(self.num, x.numerator, q), q ** self.degree * self.den)
 
     # -- comparison / misc -------------------------------------------
 

@@ -335,12 +335,13 @@ def _cmd_family(args) -> int:
 def _christoffel_data_json(data: transforms.ChristoffelData) -> dict[str, Any]:
     """The nonzero bands of the L rows: row 2n up to its q_2n entry (the
     q_{2n+1} entry is the unit superdiagonal) and row 2n+1's q_2n entry."""
-    evens = [row[: 2 * n + 1] for n, row in enumerate(data.rows[0::2])]
+    rows = data.rows
+    evens = [row[: 2 * n + 1] for n, row in enumerate(rows[0::2])]
     return {
         "lambda": rat_str(data.lam),
         "even_coeffs": [[rat_str(v) for v in row[0::2]] for row in evens],
         "odd_coeffs": [[rat_str(v) for v in row[1::2]] for row in evens],
-        "odd_shift": [rat_str(row[2 * n]) for n, row in enumerate(data.rows[1::2])],
+        "odd_shift": [rat_str(row[2 * n]) for n, row in enumerate(rows[1::2])],
     }
 
 

@@ -43,8 +43,9 @@ checks its identities exactly.  Each relation in z (bilinear, contiguous or
 crosscheck) is checked once, as one integer identity: a sum of terms, each
 an integer scalar times a value's integer coefficients times a fixed factor
 1, z-mu, z-lam or (z-mu)(z-lam), brought over the product of the terms'
-denominators and added (:func:`_sums_to_zero`), with no rational
-arithmetic and no reduction.  A failed identity is reported, never raised.
+denominators and added (:func:`skewflow.algebra.sums_to_zero`, the
+library's one integer-identity rule), with no rational arithmetic and no
+reduction.  A failed identity is reported, never raised.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from typing import Any, Iterator, Sequence
 
 from .algebra import (
     Polynomial, Rational, RationalLike, convolve, form_json, rat, rat_str, ratio_str,
+    sums_to_zero,
 )
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
@@ -368,33 +370,6 @@ def _z_forms(config: LatticeConfig) -> tuple[_Form, _Form, _Form]:
     return (z_mu, qm), (z_lam, ql), (convolve(z_mu, z_lam), qm * ql)
 
 
-def _sums_to_zero(terms: Sequence[tuple[int, Sequence[int], Sequence[int], int]]) -> bool:
-    """Whether the sum of k * f * v / d over the terms (k, f, v, d) is the
-    zero polynomial, where k and d != 0 are ints of either sign and f and v
-    integer coefficient lists, constant first.
-
-    The one integer-identity rule of the lattice checks.  Every term is
-    brought over the product P of all denominators: the convolution f * v
-    is scaled by k * (P // d), an exact quotient (f, the short factor, is
-    scaled first), and the scaled terms are added.  No Fraction is formed
-    and nothing is reduced.
-    """
-    total, size = 1, 0
-    for _, f, v, d in terms:
-        total *= d
-        if len(f) + len(v) > size:
-            size = len(f) + len(v)
-    out = [0] * (size - 1)
-    for k, f, v, d in terms:
-        k *= total // d
-        for i, a in enumerate(f):
-            if a:
-                a *= k
-                for j, c in enumerate(v, i):
-                    out[j] += a * c
-    return not any(out)
-
-
 def _quotient(p: PolyForm, r: ScalarForm) -> _Scaled:
     """p / r for r != 0, both grid forms, as (v, k, d), the polynomial
     k * v / d: (p's coefficients, r's denominator, p's denominator times
@@ -443,7 +418,7 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     sighat identities carry a one-step bookkeeping term (mu, lambda, or
     mu+lambda times the stepped tau) on top of the plain Pfaffian.  Each
     identity is checked as the two-term integer identity value * factor -
-    Pfaffian = 0 (:func:`_sums_to_zero`).
+    Pfaffian = 0 (:func:`sums_to_zero`).
 
     The Pfaffians of every n at a site are read off one bordered prefix
     pass over its table (:func:`skewflow.pfaffian.prefix_tails`), made by
@@ -490,7 +465,7 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
                 w, wd = _form(bookkept[k])
                 v = [oq * wd * x - op * vd * y for x, y in zip_longest(v, w, fillvalue=0)]
                 vd *= oq * wd
-            same = _sums_to_zero(((fk, f, v, vd * fd), (-1, _ONE, pf, pd)))
+            same = sums_to_zero(((fk, f, v, vd * fd), (-1, _ONE, pf, pd)))
             report.add(f"{name}:{label}", same)
     return report
 
@@ -586,7 +561,7 @@ def _bilinear(
     pair (numerator, denominator) and z the forms :func:`_z_forms` gives.
     m = n+1 gives the "up" shape (dckp1, edckp3/4), m = n the "down" shape
     (dckp2, edckp1/2).  Checked as one integer identity: the four terms
-    sum to zero (:func:`_sums_to_zero`).
+    sum to zero (:func:`sums_to_zero`).
     """
     x, xhat, y, yhat = fields
     lp, lq = lm
@@ -595,7 +570,7 @@ def _bilinear(
     (b, bd), (hb, hbd) = y[m, s + 1, t], xhat[n, s, t + 1]
     (c, cd), (hc, hcd) = y[m, s, t + 1], xhat[n, s + 1, t]
     (d, dd), (hd, hdd) = x[n, s + 1, t + 1], yhat[m, s, t]
-    return _sums_to_zero((
+    return sums_to_zero((
         (lp * a, z_both, ha, lq * ad * had * db),
         (-b, z_lam, hb, bd * hbd * dl),
         (c, z_mu, hc, cd * hcd * dm),
@@ -662,7 +637,7 @@ def _contiguous(
             = (z-lam) C v_n^{s,t+1} - (z-mu) D v_n^{s+1,t}
 
     (unmarked sites are (s, t)), each written as a sum of terms that is
-    zero (:func:`_sums_to_zero`).  ``vec`` maps (n, s, t) to the value
+    zero (:func:`sums_to_zero`).  ``vec`` maps (n, s, t) to the value
     vector there, its components as :func:`_quotient` gives them, undefined
     where its first component is None; ``act(k, v)`` is the vector
     coefficient k makes of v, in the same terms.  An instance that needs an
@@ -674,7 +649,7 @@ def _contiguous(
     def holds(terms: list) -> bool:
         # terms (sign, factor form, vector); each component sums to 0
         return all(
-            _sums_to_zero([
+            sums_to_zero([
                 (sign * vector[i][1], f, vector[i][0], fd * vector[i][2])
                 for sign, (f, fd), vector in terms
             ])

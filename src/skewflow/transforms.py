@@ -9,53 +9,115 @@ each stores its factor's rows: row i of :class:`ChristoffelData` writes
 A transformed member is its L row's sum divided by z - lambda; the sum
 vanishes at lambda, so the division is exact.
 
-Polynomial work runs on the integer forms underneath: an L row's sum is
-one :meth:`Polynomial.combination` over one denominator, an R entry is one
-integer dot product with S*q* on the shifted table, a Lax-pair row is
-checked as one polynomial identity, and an L*R product multiplies two
-integer matrices.  ``Fraction`` arithmetic is left for the scalar
-coefficients of a step.
+Everything runs on integer forms.  Each member's value at lambda or y is
+one homogeneous Horner pass over its numerator (:func:`horner`), an
+unreduced (num, den).  The kernel sums are one running integer sum over
+one denominator, one pair of members per order (:func:`_kernel_sums`); an
+even transformed member is its sum divided by z - lambda on the integers
+(:func:`linear_quotient`), an odd one a two-term integer combination.
+Every L and R row is stored as ints over one positive denominator
+(:data:`RowForm`); :class:`BandMatrix` checks its structure and forms its
+products in those ints.  The Lax-pair rows, the Geronimus rebuilds and the
+kernel's form (a) are each checked as one integer identity through
+:func:`skewflow.algebra.sums_to_zero`.  A reduced ``Fraction`` or
+``Polynomial`` is formed only where a value is handed out or written: a
+transformed member, a norm, a report detail and the ``rows`` views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, clear_denominators, rat, rat_str
+from .algebra import (
+    Polynomial,
+    Rational,
+    RationalLike,
+    clear_denominators,
+    convolve,
+    horner,
+    linear_quotient,
+    rat,
+    rat_str,
+    ratio_str,
+    sums_to_zero,
+)
 from .errors import SingularConfiguration, TruncationTooLarge
 from .moments import SkewMoments
 from .report import Report
 from .sops import CHRISTOFFEL_GAUGE, SOPFamily, verify_skew_orthogonality
 
+# One row of an L or R factor: integer entries over one denominator > 0.
+RowForm = tuple[tuple[int, ...], int]
 
-def _values_at(
-    family: SOPFamily, y: Rational, pairs: int
-) -> tuple[list[Rational], list[Rational]]:
-    """q_2k(y) and q_{2k+1}(y) for k = 0..pairs, each evaluated once."""
-    return (
-        [family.even(k).eval(y) for k in range(pairs + 1)],
-        [family.odd(k).eval(y) for k in range(pairs + 1)],
-    )
+# The coefficients of the constant 1.
+_ONE = (1,)
 
 
-def _kernel_row(
-    family: SOPFamily,
-    even_at: Sequence[Rational],
-    odd_at: Sequence[Rational],
-    n: int,
-    factor: Rational,
-) -> tuple[Rational, ...]:
-    """The coefficients of factor * sum_{k<=n} (q_2k(y) q_{2k+1} -
-    q_{2k+1}(y) q_2k) / r_k in the family, given the values at y."""
-    row = [Fraction(0)] * len(family.polys)
-    for k in range(n + 1):
-        c = factor / family.norms[k]
-        row[2 * k] = -c * odd_at[k]
-        row[2 * k + 1] = c * even_at[k]
-    return tuple(row)
+def _reduced_rows(forms: Sequence[RowForm]) -> tuple[tuple[Rational, ...], ...]:
+    """The rows of integer forms as reduced Fractions."""
+    return tuple(tuple(Fraction(x, den) for x in ints) for ints, den in forms)
+
+
+def _member(ints: Sequence[int], den: int) -> Polynomial:
+    """The reduced polynomial ints/den for an integer den != 0 of either
+    sign."""
+    if den < 0:
+        return Polynomial._reduced([-c for c in ints], -den)
+    return Polynomial._reduced(list(ints), den)
+
+
+def _kernel_order(family: SOPFamily, pairs: int) -> None:
+    if pairs < 0:
+        raise ValueError(f"kernel order must be nonnegative, got {pairs}")
+    if pairs > family.pairs:
+        raise ValueError("kernel order exceeds the family")
+
+
+def _kernel_sums(
+    family: SOPFamily, at: Sequence[int], q: int, pairs: int
+) -> tuple[list[list[int]], list[int], int]:
+    """The kernel sums K_n = sum_{k<=n} (q_2k(y) q_{2k+1} - q_{2k+1}(y)
+    q_2k) / r_k for n = 0..pairs, on one denominator.
+
+    ``at[j]`` is q^j den_j q_j(y), the Horner numerator of member j at
+    y = p/q.  Pair k is b_k (q at[2k] num_{2k+1} - at[2k+1] num_2k) over
+    d_k = q^(2k+1) den_2k den_{2k+1} a_k, with r_k = a_k/b_k.  Returns
+    (sums, base, den): K_n = sums[n]/den, each sum the last plus one pair
+    scaled to den = lcm |d_k|, and base[j]/den the coefficient of q_j in
+    K_pairs.
+    """
+    polys, norms = family.polys, family.norms
+    dens = [
+        q ** (2 * k + 1) * polys[2 * k].den * polys[2 * k + 1].den * norms[k].numerator
+        for k in range(pairs + 1)
+    ]
+    den = lcm(*dens)
+    total = [0] * (2 * pairs + 2)
+    sums, base = [], []
+    for k, d in enumerate(dens):
+        even, odd = polys[2 * k], polys[2 * k + 1]
+        c = norms[k].denominator * (den // d)
+        lo, hi = -c * at[2 * k + 1], c * q * at[2 * k]
+        for i, a in enumerate(even.num):
+            total[i] += lo * a
+        for i, a in enumerate(odd.num):
+            total[i] += hi * a
+        sums.append(list(total))
+        base += (lo * even.den, hi * odd.den)
+    return sums, base, den
+
+
+def _even_scale(family: SOPFamily, at: Sequence[int], q: int, den: int, n: int) -> tuple[int, int]:
+    """(u, w), w > 0, with u/w = r_n / (q_2n(y) den): the factor that makes
+    the kernel sum of order n, on the denominator of :func:`_kernel_sums`,
+    the L row 2n, so that its q_{2n+1} entry is 1."""
+    r, even = family.norms[n], family.polys[2 * n]
+    u, w = r.numerator * q ** (2 * n) * even.den, r.denominator * at[2 * n] * den
+    return (-u, -w) if w < 0 else (u, w)
 
 
 @dataclass(frozen=True)
@@ -66,11 +128,16 @@ class ChristoffelData:
     family q_0..q_{2N+1}: row 2n is the kernel sum of order n scaled by
     r_n/q_2n(lam), row 2n+1 is q_{2n+2} - (q_{2n+2}(lam)/q_2n(lam)) q_2n.
     Row 2N, the kernel sum of order N, has no member in the transformed
-    family, which is one pair shorter; the rows stop there.
+    family, which is one pair shorter; the rows stop there.  ``forms``
+    holds each row as integers over one denominator; ``rows`` reduces them.
     """
 
     lam: Rational
-    rows: tuple[tuple[Rational, ...], ...]
+    forms: tuple[RowForm, ...]
+
+    @property
+    def rows(self) -> tuple[tuple[Rational, ...], ...]:
+        return _reduced_rows(self.forms)
 
 
 def christoffel(
@@ -80,34 +147,52 @@ def christoffel(
 
     Returns the transformed family (one pair shorter, alpha_n = 0 gauge),
     the shifted moment table, and the L rows of the step; each transformed
-    member is read off its own row.
+    member is read off its own row.  Every even L row is a prefix of the
+    one base row of :func:`_kernel_sums` times its scale.
     """
     lam = rat(lam)
     if family.pairs < 1:
         raise ValueError("need at least two pairs to transform")
-    even_at, odd_at = _values_at(family, lam, family.pairs)
-    for n, v in enumerate(even_at):
-        if v == 0:
+    p, q = lam.numerator, lam.denominator
+    polys = family.polys
+    at = [horner(f.num, p, q) for f in polys]
+    for n in range(family.pairs + 1):
+        if at[2 * n] == 0:
             raise SingularConfiguration(
                 f"q_{2 * n}({rat_str(lam)}) = 0: lambda outside the admissible set"
             )
-    ratios = [even_at[n + 1] / even_at[n] for n in range(family.pairs)]
-    rows = []
+    sums, base, den = _kernel_sums(family, at, q, family.pairs)
+    size, qq = len(polys), q * q
+    forms: list[RowForm] = []
+    members: list[Polynomial] = []
+    norms: list[Rational] = []
     for n in range(family.pairs + 1):
-        # the q_{2n+1} entry is (r_n / q_2n(lam)) q_2n(lam) / r_n = 1
-        rows.append(_kernel_row(family, even_at, odd_at, n, family.norms[n] / even_at[n]))
-        if n < family.pairs:
-            odd = [Fraction(0)] * len(family.polys)
-            odd[2 * n], odd[2 * n + 2] = -ratios[n], Fraction(1)
-            rows.append(tuple(odd))
-    polys = [
-        Polynomial.combination(zip(row, family.polys)).div_by_linear(lam)
-        for row in rows[:-1]
-    ]
-    # r*_n = (q_{2n+2}(lam)/q_2n(lam)) r_n, a product of two nonzero values
-    norms = [ratio * r for ratio, r in zip(ratios, family.norms)]
-    transformed = SOPFamily(polys, norms, CHRISTOFFEL_GAUGE)
-    return transformed, moments.shift(lam), ChristoffelData(lam, tuple(rows))
+        u, w = _even_scale(family, at, q, den, n)
+        forms.append((tuple(u * x for x in base[: 2 * n + 2]) + (0,) * (size - 2 * n - 2), w))
+        if n == family.pairs:
+            break
+        # (z - lam) q*_2n = u sums[n] / w, and sums[n] = (q z - p) g
+        # gives q*_2n = u q g / w
+        uq = u * q
+        members.append(_member([uq * c for c in linear_quotient(sums[n], p, q)], w))
+        # q_{2n+2} - ratio q_2n with ratio = at[2n+2] den_2n / (q^2 den_{2n+2} at[2n])
+        even, nxt = polys[2 * n], polys[2 * n + 2]
+        e, e_next = at[2 * n], at[2 * n + 2]
+        top = qq * nxt.den * e
+        odd = [0] * size
+        odd[2 * n], odd[2 * n + 2] = -e_next * even.den, top
+        forms.append((tuple(odd), top) if top > 0 else (tuple(-x for x in odd), -top))
+        combined = [qq * e * c for c in nxt.num]
+        for i, c in enumerate(even.num):
+            combined[i] -= e_next * c
+        # the combination is over q^2 den_{2n+2} e, and its quotient by
+        # (z - lam) is q times the one by (q z - p)
+        members.append(_member(linear_quotient(combined, p, q), q * nxt.den * e))
+        # r*_n = (q_{2n+2}(lam)/q_2n(lam)) r_n
+        r = family.norms[n]
+        norms.append(Fraction(e_next * even.den * r.numerator, top * r.denominator))
+    transformed = SOPFamily(members, norms, CHRISTOFFEL_GAUGE)
+    return transformed, moments.shift(lam), ChristoffelData(lam, tuple(forms))
 
 
 @dataclass(frozen=True)
@@ -116,11 +201,16 @@ class GeronimusData:
 
     Row i writes the pre-transform member q_i = sum_j rows[i][j] q*_j in
     the transformed family q*_0..q*_{2N+1}: unit lower triangular, with
-    rows[i][i] = 1 and every entry to its right 0.
+    rows[i][i] = 1 and every entry to its right 0.  ``forms`` holds each
+    row as integers over one denominator; ``rows`` reduces them.
     """
 
     lam: Rational
-    rows: tuple[tuple[Rational, ...], ...]
+    forms: tuple[RowForm, ...]
+
+    @property
+    def rows(self) -> tuple[tuple[Rational, ...], ...]:
+        return _reduced_rows(self.forms)
 
 
 def geronimus_coeffs(
@@ -138,26 +228,39 @@ def geronimus_coeffs(
     product on the table shifted once by lam, which equals
     <(z-lam).|(z-lam).> on the base table.  S*q*_j on that table is formed
     once per transformed member, so each entry is one integer dot product
-    with the numerators of q_i.
+    with the numerators of q_i; row i is over den_i times the lcm of the
+    columns' denominators.
     :func:`verify_geronimus` checks that the rows reconstruct the family.
     """
     lam = rat(lam)
     shifted = moments.shift(lam)
     size = len(family_next.polys)  # every left-hand member has degree < size
-    # column j: S*q*_{j^1} with the factor (-1)^j / r*_{j//2} as a ratio of ints
-    paired = []
+    # column j: S*q*_{j^1} over d_j, times (-1)^j / r*_{j//2}
+    columns = []
     for j in range(size):
         vec, den = shifted.apply(family_next.polys[j ^ 1], size)
         r = family_next.norms[j // 2]
-        paired.append((vec, (-1) ** j * r.denominator, den * r.numerator))
-    rows = []
+        columns.append((vec, (-1) ** j * r.denominator, den * r.numerator))
+    common = lcm(*(d for _, _, d in columns))
+    scaled = [(vec, k * (common // d)) for vec, k, d in columns]
+    forms = []
     for i, f in enumerate(family.polys[:size]):
-        below = [
-            Fraction(sum(map(mul, f.num, vec)) * num, f.den * den)
-            for vec, num, den in paired[:i]
-        ]
-        rows.append(tuple(below + [Fraction(1)] + [Fraction(0)] * (size - i - 1)))
-    return GeronimusData(lam, tuple(rows))
+        den = f.den * common
+        below = [sum(map(mul, f.num, vec)) * k for vec, k in scaled[:i]]
+        forms.append((tuple(below) + (den,) + (0,) * (size - i - 1), den))
+    return GeronimusData(lam, tuple(forms))
+
+
+def _row_holds(
+    row: RowForm, members: Sequence[Polynomial], f: Sequence[int], target: Polynomial, d: int
+) -> bool:
+    """Whether sum_j row_j members_j = f target / d, for f integer
+    coefficients and d != 0: the identity times the row's denominator, as
+    one integer sum (:func:`sums_to_zero`)."""
+    ints, den = row
+    terms = [(c, _ONE, m.num, m.den) for c, m in zip(ints, members) if c]
+    terms.append((-den, f, target.num, d * target.den))
+    return sums_to_zero(terms)
 
 
 def verify_christoffel(
@@ -178,10 +281,9 @@ def verify_christoffel(
         {"lambda": rat_str(lam), "provenance": moments.provenance},
     )
     report.extend(verify_skew_orthogonality(family_next, shifted))
+    at = [family.even(n).eval(lam) for n in range(family_next.pairs + 2)]
     for n in range(family_next.pairs + 1):
-        expected = (
-            family.even(n + 1).eval(lam) / family.even(n).eval(lam)
-        ) * family.norms[n]
+        expected = (at[n + 1] / at[n]) * family.norms[n]
         report.add(
             f"norm-ratio:r*_{n}",
             family_next.norms[n] == expected,
@@ -199,7 +301,7 @@ def verify_geronimus(
     """Check that the R rows of ``data`` rebuild every member of ``family``
     from ``family_next``, exactly: member i is row i applied to
     ``family_next``, the identity Phi^t = R^t Phi^{t+1} that
-    :func:`build_lax_pair` also checks.
+    :func:`build_lax_pair` also checks, as one integer identity per row.
 
     ``moments`` is the untransformed table; the report records its provenance.
     """
@@ -207,10 +309,10 @@ def verify_geronimus(
         "geronimus",
         {"lambda": rat_str(data.lam), "provenance": moments.provenance},
     )
-    for i, row in enumerate(data.rows):
-        rebuilt = Polynomial.combination(zip(row, family_next.polys))
+    for i, row in enumerate(data.forms):
         kind = "odd" if i % 2 else "even"
-        report.add(f"reconstruct-{kind}:{i // 2}", rebuilt == family.polys[i])
+        rebuilt = _row_holds(row, family_next.polys, _ONE, family.polys[i], 1)
+        report.add(f"reconstruct-{kind}:{i // 2}", rebuilt)
     return report
 
 
@@ -219,56 +321,69 @@ class BandMatrix:
 
     kind "L": lower Hessenberg with unit superdiagonal; kind "R": unit
     lower triangular.  The size is the number of rows, and every row must
-    have that many entries.
+    have that many entries.  ``forms`` holds each row as integers over one
+    denominator > 0, the structure is checked on them, and ``rows`` reduces
+    them.  The constructor takes rationals; :meth:`from_forms` takes the
+    integer rows as they are.
     """
 
-    __slots__ = ("size", "kind", "rows")
+    __slots__ = ("size", "kind", "forms")
 
     def __init__(self, kind: str, rows: Sequence[Sequence[RationalLike]]):
+        values = [[rat(v) for v in row] for row in rows]
+        self._adopt(kind, [(tuple(ints), den) for ints, den in map(clear_denominators, values)])
+
+    @classmethod
+    def from_forms(cls, kind: str, forms: Sequence[RowForm]) -> "BandMatrix":
+        """The matrix of the integer rows (ints, den > 0), taken as they are."""
+        matrix = object.__new__(cls)
+        matrix._adopt(kind, forms)
+        return matrix
+
+    def _adopt(self, kind: str, forms: Sequence[RowForm]) -> None:
         if kind not in ("L", "R"):
             raise ValueError("kind must be 'L' or 'R'")
-        size = self.size = len(rows)
+        size = self.size = len(forms)
         self.kind = kind
-        self.rows = tuple(tuple(rat(v) for v in row) for row in rows)
-        for i, row in enumerate(self.rows):
+        self.forms = tuple(forms)
+        for i, (row, den) in enumerate(self.forms):
             if len(row) != size:
                 raise ValueError("rows must be square")
             if kind == "L":
-                if i + 1 < size and row[i + 1] != 1:
+                if i + 1 < size and row[i + 1] != den:
                     raise ValueError("L superdiagonal must be 1")
-                if any(v != 0 for v in row[i + 2 :]):
+                if any(row[i + 2 :]):
                     raise ValueError("L has entries above the superdiagonal")
             else:
-                if row[i] != 1:
+                if row[i] != den:
                     raise ValueError("R diagonal must be 1")
-                if any(v != 0 for v in row[i + 1 :]):
+                if any(row[i + 1 :]):
                     raise ValueError("R must be lower triangular")
+
+    @property
+    def rows(self) -> tuple[tuple[Rational, ...], ...]:
+        return _reduced_rows(self.forms)
+
+    def _product(self, other: "BandMatrix", window: int) -> list[RowForm]:
+        """Row i < window of self*other, its first ``window`` entries, as
+        ints over a denominator > 0: other's rows brought to the lcm of
+        their denominators, then integer dot products."""
+        common = lcm(*(den for _, den in other.forms))
+        cols = list(zip(*(
+            [x * (common // den) for x in row[:window]] for row, den in other.forms
+        )))
+        return [
+            (tuple(sum(map(mul, row, col)) for col in cols), den * common)
+            for row, den in self.forms[:window]
+        ]
 
     def multiply(
         self, other: "BandMatrix", window: int | None = None
     ) -> tuple[tuple[Rational, ...], ...]:
         """The leading window x window block of self*other (all of it by
-        default).
-
-        Each factor is cleared to one integer matrix over the lcm of its
-        entry denominators; the product runs in ints and forms one
-        ``Fraction`` per output entry.
-        """
+        default), formed in integers with one ``Fraction`` per entry."""
         w = self.size if window is None else window
-        a, a_den = self._integer_rows()
-        b, b_den = other._integer_rows()
-        cols = list(zip(*b))
-        den = a_den * b_den
-        return tuple(
-            tuple(Fraction(sum(map(mul, a[i], cols[j])), den) for j in range(w))
-            for i in range(w)
-        )
-
-    def _integer_rows(self) -> tuple[list[list[int]], int]:
-        """(rows, d) with rows[i][j] = d * self.rows[i][j], d > 0 least."""
-        flat, den = clear_denominators([v for row in self.rows for v in row])
-        n = self.size
-        return [flat[i * n : (i + 1) * n] for i in range(n)], den
+        return _reduced_rows(self._product(other, w))
 
 
 def build_lax_pair(
@@ -280,8 +395,8 @@ def build_lax_pair(
 
     Each factor is the leading size x size block of its step's rows.
     L rows realize (z - lam) Phi^{t+1} = L^t Phi^t and R rows realize
-    Phi^t = R^t Phi^{t+1}; each row is checked once as an identity of
-    polynomials, its right side one :meth:`Polynomial.combination`.
+    Phi^t = R^t Phi^{t+1}; each row is checked once as one integer
+    identity (:func:`sums_to_zero`).
     """
     if len(datas) != len(families) - 1:
         raise ValueError("need one data pair per chain step")
@@ -292,16 +407,15 @@ def build_lax_pair(
         )
     out = []
     for t, (cdata, gdata) in enumerate(datas):
-        lmat = BandMatrix("L", [row[:size] for row in cdata.rows[:size]])
-        rmat = BandMatrix("R", [row[:size] for row in gdata.rows[:size]])
+        lmat = BandMatrix.from_forms("L", [(row[:size], den) for row, den in cdata.forms[:size]])
+        rmat = BandMatrix.from_forms("R", [(row[:size], den) for row, den in gdata.forms[:size]])
         cur, nxt = families[t].polys[:size], families[t + 1].polys[:size]
-        z_minus_lam = Polynomial((-cdata.lam, 1))
+        z_lam = (-cdata.lam.numerator, cdata.lam.denominator)
         for i in range(size - 1):
-            rhs = Polynomial.combination(zip(lmat.rows[i], cur))
-            if z_minus_lam * nxt[i] != rhs:
+            if not _row_holds(lmat.forms[i], cur, z_lam, nxt[i], z_lam[1]):
                 raise SingularConfiguration(f"L row {i} fails at step {t}")
         for i in range(size):
-            if cur[i] != Polynomial.combination(zip(rmat.rows[i], nxt)):
+            if not _row_holds(rmat.forms[i], nxt, _ONE, cur[i], 1):
                 raise SingularConfiguration(f"R row {i} fails at step {t}")
         out.append((lmat, rmat))
     return out
@@ -312,32 +426,33 @@ def verify_dlax(
 ) -> Report:
     """Check L^t R^t = R^{t+1} L^{t+1} on the truncation-safe window.
 
-    Only the principal (size - 2) block is formed and compared;
-    banded-times-banded truncation can corrupt the trailing rows and columns.
+    Only the principal (size - 2) block is formed and compared, in
+    integers; banded-times-banded truncation can corrupt the trailing rows
+    and columns.
     """
     report = Report("dlax")
     window = l_t.size - 2
-    left = l_t.multiply(r_t, window)
-    right = r_next.multiply(l_next, window)
-    for i in range(window):
-        for j in range(window):
+    left = l_t._product(r_t, window)
+    right = r_next._product(l_next, window)
+    for i, ((lrow, ld), (rrow, rd)) in enumerate(zip(left, right)):
+        for j, (a, b) in enumerate(zip(lrow, rrow)):
             report.add(
                 f"[{i},{j}]",
-                left[i][j] == right[i][j],
-                f"LR={rat_str(left[i][j])} RL={rat_str(right[i][j])}",
+                a * rd == b * ld,
+                f"LR={ratio_str(a, ld)} RL={ratio_str(b, rd)}",
             )
     return report
 
 
 def kernel(family: SOPFamily, pairs: int, y: RationalLike) -> Polynomial:
-    """Skew Christoffel-Darboux kernel I_N(x, y) as a polynomial in x."""
+    """Skew Christoffel-Darboux kernel I_N(x, y) as a polynomial in x: the
+    kernel sum of :func:`_kernel_sums`, reduced once."""
     y = rat(y)
-    if pairs < 0:
-        raise ValueError(f"kernel order must be nonnegative, got {pairs}")
-    if pairs > family.pairs:
-        raise ValueError("kernel order exceeds the family")
-    row = _kernel_row(family, *_values_at(family, y, pairs), pairs, Fraction(1))
-    return Polynomial.combination(zip(row, family.polys))
+    _kernel_order(family, pairs)
+    p, q = y.numerator, y.denominator
+    at = [horner(f.num, p, q) for f in family.polys[: 2 * pairs + 2]]
+    sums, _, den = _kernel_sums(family, at, q, pairs)
+    return Polynomial._reduced(sums[-1], den)
 
 
 def verify_factorization(
@@ -357,28 +472,34 @@ def verify_factorization(
     of I_N, so (b) also requires the reproducing property at p = 1,
     <1 | I_N(., y)> = (S I_N)_0 = 1: a family whose norms are all
     multiplied by one factor scales I_N and fails it.  Both read off one
-    :meth:`SkewMoments.apply`.  The report records which candidate
-    matches; nothing is assumed in advance.
+    :meth:`SkewMoments.apply_form`.  I_N and q*_2N stay integer forms, and
+    form (a) is one integer identity (:func:`sums_to_zero`).  The report
+    records which candidate matches; nothing is assumed in advance.
     """
     y = rat(y)
     report = Report("kernel", {"provenance": moments.provenance})
-    ker = kernel(family, pairs, y)
-    q_even = family.even(pairs)
-    q_even_at = q_even.eval(y)
-    if q_even_at == 0:
+    _kernel_order(family, pairs)
+    p, q = y.numerator, y.denominator
+    at = [horner(f.num, p, q) for f in family.polys[: 2 * pairs + 2]]
+    sums, _, den = _kernel_sums(family, at, q, pairs)
+    ker = sums[-1]  # I_N = ker/den
+    if at[2 * pairs] == 0:
         raise SingularConfiguration(f"q_{2 * pairs}({rat_str(y)}) = 0")
     # q*_2N of a Christoffel step at y is the same kernel sum, scaled by
-    # r_N/q_2N(y) and divided by x - y
-    q_star = ker.scale(family.norms[pairs] / q_even_at).div_by_linear(y)
-    x_minus_y = Polynomial((-y, 1))
-    form_a = (x_minus_y * q_even * q_star).scale(1 / family.norms[pairs])
-    a_match = form_a == ker
-    v, den = moments.apply(ker, 2 * pairs + 1)
-    p, q = y.numerator, y.denominator
+    # r_N/q_2N(y) and divided by x - y: u q g / w with ker = (q x - p) g
+    u, w = _even_scale(family, at, q, den, pairs)
+    uq = u * q
+    q_star = [uq * c for c in linear_quotient(ker, p, q)]
+    q_even, r = family.even(pairs), family.norms[pairs]
+    a_match = sums_to_zero((
+        (r.denominator, (-p, q), convolve(q_even.num, q_star), q * q_even.den * w * r.numerator),
+        (-1, _ONE, ker, den),
+    ))
+    v, v_den = moments.apply_form(ker, den, 2 * pairs + 1)
     b_match = (
-        q_star.degree == 2 * pairs
-        and q_star.leading == 1
-        and v[0] == den
+        len(q_star) == 2 * pairs + 1
+        and q_star[-1] == w
+        and v[0] == v_den
         and all(v[j + 1] * q == p * v[j] for j in range(2 * pairs))
     )
     verdict_a = "match" if a_match else "no-match"

@@ -1,10 +1,15 @@
-"""The tests' reference implementations, defined once: the per-member SOP
+"""The tests' reference implementations, defined once: the Polynomial
+product, combination and division by z - root that the library no longer
+runs, the Fraction construction of the transforms, the per-member SOP
 formula, an exact determinant, the acceptance battery's two measures, the
 lattice polynomials read off a grid's accessors, and the lattice relations
 in z.
 
 Each oracle reads like its formula and shares no code path with what it
-checks: :func:`sop_even`/:func:`sop_odd` evaluate one member with its own
+checks: :func:`christoffel_fractions`, :func:`geronimus_fractions` and
+:func:`kernel_fractions` build the L rows, R rows and kernel one Fraction
+at a time, where :mod:`skewflow.transforms` keeps integer forms;
+:func:`sop_even`/:func:`sop_odd` evaluate one member with its own
 Pfaffians, where :func:`skewflow.sops.build_family` reads every member off
 one elimination; :func:`determinant` is Fraction Gaussian elimination,
 independent of the Pfaffian engine; and :func:`bilinear_checks` and
@@ -14,9 +19,10 @@ independent of the Pfaffian engine; and :func:`bilinear_checks` and
 """
 
 from fractions import Fraction
+from math import lcm
 
-from skewflow.algebra import Polynomial
-from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
+from skewflow.algebra import Polynomial, convolve, linear_quotient, rat, rat_str
+from skewflow.errors import DegreeBudgetExceeded, NotDivisible, SingularConfiguration
 from skewflow.moments import DiscreteMeasure
 from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
 
@@ -25,6 +31,95 @@ ORTH_MEASURE = DiscreteMeasure(
     [-6, -5, -4, -2, -1, 1, 2, 4, 5, 6],
     [1, 1, 1, 2, 1, 1, 2, 1, 1, 1],
 )
+
+
+# -- Polynomial arithmetic the library runs on integer forms ------------
+
+
+def mul(f, g):
+    """The product of two polynomials."""
+    if not f.num or not g.num:
+        return Polynomial()
+    return Polynomial._reduced(convolve(f.num, g.num), f.den * g.den)
+
+
+def combination(terms):
+    """sum_k c_k p_k for (c_k, p_k) pairs, c_k any rational spelling, over
+    one common denominator, reduced once."""
+    terms = [(c, p) for c, p in ((rat(c), p) for c, p in terms) if c and p.num]
+    den = lcm(*(c.denominator * p.den for c, p in terms))
+    out = [0] * max((len(p.num) for _, p in terms), default=0)
+    for c, p in terms:
+        k = c.numerator * (den // (c.denominator * p.den))
+        for i, a in enumerate(p.num):
+            out[i] += k * a
+    return Polynomial._reduced(out, den)
+
+
+def div_by_linear(f, root):
+    """f / (z - root), exact: the library's integer quotient by
+    q z - p for root = p/q, times q.  NotDivisible, naming the
+    remainder f(root), when root is not a root of f."""
+    root = rat(root)
+    try:
+        quotient = linear_quotient(f.num, root.numerator, root.denominator)
+    except NotDivisible as exc:
+        raise NotDivisible(f"{exc} (remainder {rat_str(f.eval(root))})") from None
+    return Polynomial._reduced([root.denominator * c for c in quotient], f.den)
+
+
+# -- the transforms in Fraction arithmetic --------------------------------
+
+
+def kernel_row(family, y, n, factor):
+    """The coefficients of factor * sum_{k<=n} (q_2k(y) q_{2k+1} -
+    q_{2k+1}(y) q_2k) / r_k in the family, one Fraction each."""
+    row = [Fraction(0)] * len(family.polys)
+    for k in range(n + 1):
+        c = factor / family.norms[k]
+        row[2 * k] = -c * family.odd(k).eval(y)
+        row[2 * k + 1] = c * family.even(k).eval(y)
+    return tuple(row)
+
+
+def kernel_fractions(family, pairs, y):
+    """I_N(x, y): the kernel row of order N applied to the family."""
+    return combination(zip(kernel_row(family, y, pairs, Fraction(1)), family.polys))
+
+
+def christoffel_fractions(family, lam):
+    """The transformed members, norms and L rows of a Christoffel step at
+    lam: row 2n the kernel row of order n times r_n/q_2n(lam), row 2n+1
+    q_{2n+2} - (q_{2n+2}(lam)/q_2n(lam)) q_2n, and member i row i's sum
+    divided by z - lam."""
+    even_at = [family.even(k).eval(lam) for k in range(family.pairs + 1)]
+    ratios = [even_at[n + 1] / even_at[n] for n in range(family.pairs)]
+    rows = []
+    for n in range(family.pairs + 1):
+        rows.append(kernel_row(family, lam, n, family.norms[n] / even_at[n]))
+        if n < family.pairs:
+            odd = [Fraction(0)] * len(family.polys)
+            odd[2 * n], odd[2 * n + 2] = -ratios[n], Fraction(1)
+            rows.append(tuple(odd))
+    polys = [div_by_linear(combination(zip(row, family.polys)), lam) for row in rows[:-1]]
+    norms = [ratio * r for ratio, r in zip(ratios, family.norms)]
+    return polys, norms, tuple(rows)
+
+
+def geronimus_fractions(family_next, family, moments, lam):
+    """The R rows of a step at lam: R[i][j] = (-1)^j <q_i|q*_{j^1}>* /
+    r*_{j//2} below the diagonal, <.|.>* the pairing on the table shifted
+    by lam, summed entry by entry."""
+    shifted = moments.shift(lam)
+    size = len(family_next.polys)
+    rows = []
+    for i, f in enumerate(family.polys[:size]):
+        below = [
+            (-1) ** j * _pairing(shifted, f, family_next.polys[j ^ 1]) / family_next.norms[j // 2]
+            for j in range(i)
+        ]
+        rows.append(tuple(below + [Fraction(1)] + [Fraction(0)] * (size - i - 1)))
+    return tuple(rows)
 
 
 def _denominator(moments, n):
@@ -162,10 +257,10 @@ def _bilinear(fields, n, m, s, t, lm, z):
       + lm x_n^{s+1,t+1} yhat_m, for fields = (x, xhat, y, yhat) accessors."""
     x, xhat, y, yhat = fields
     z_mu, z_lam, z_both = z
-    lhs = z_both.scale(lm * x(n + 1, s, t)) * yhat(m - 1, s + 1, t + 1)
+    lhs = mul(z_both.scale(lm * x(n + 1, s, t)), yhat(m - 1, s + 1, t + 1))
     rhs = (
-        z_lam.scale(y(m, s + 1, t)) * xhat(n, s, t + 1)
-        - z_mu.scale(y(m, s, t + 1)) * xhat(n, s + 1, t)
+        mul(z_lam.scale(y(m, s + 1, t)), xhat(n, s, t + 1))
+        - mul(z_mu.scale(y(m, s, t + 1)), xhat(n, s + 1, t))
         + yhat(m, s, t).scale(lm * x(n, s + 1, t + 1))
     )
     return lhs == rhs
@@ -174,7 +269,7 @@ def _bilinear(fields, n, m, s, t, lm, z):
 def _z_factors(config):
     z_mu = Polynomial((-config.mu, 1))
     z_lam = Polynomial((-config.lam, 1))
-    return z_mu, z_lam, z_mu * z_lam
+    return z_mu, z_lam, mul(z_mu, z_lam)
 
 
 def bilinear_checks(grid):
@@ -222,18 +317,18 @@ def _contiguous(name, grid, field, vec, act):
         ):
             out.append((f"{name}1:{tag}", "skip", skipped))
         else:
-            lhs = [z_lam * u - z_mu * v for u, v in zip(v_t, v_s)]
+            lhs = [mul(z_lam, u) - mul(z_mu, v) for u, v in zip(v_t, v_s)]
             rhs = [-x for x in act(b[key], here)]
             if n >= 1:
-                rhs = [x + z_both * y for x, y in zip(rhs, act(a[key], prev))]
+                rhs = [x + mul(z_both, y) for x, y in zip(rhs, act(a[key], prev))]
             out.append((f"{name}1:{tag}", _verdict(lhs == rhs), ""))
         diag, up = vec[n, s + 1, t + 1], vec[n + 1, s, t]
         if None in (diag[0], up[0], v_t[0], v_s[0]) or key not in cc or key not in d:
             out.append((f"{name}2:{tag}", "skip", skipped))
         else:
-            lhs = [z_both * u - v for u, v in zip(diag, up)]
+            lhs = [mul(z_both, u) - v for u, v in zip(diag, up)]
             cterm, dterm = act(cc[key], v_t), act(d[key], v_s)
-            rhs = [z_lam * x - z_mu * y for x, y in zip(cterm, dterm)]
+            rhs = [mul(z_lam, x) - mul(z_mu, y) for x, y in zip(cterm, dterm)]
             out.append((f"{name}2:{tag}", _verdict(lhs == rhs), ""))
     return out
 

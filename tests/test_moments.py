@@ -18,7 +18,7 @@ from skewflow.moments import (
 from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import build_family, skew_product
 from skewflow.transforms import christoffel, geronimus_coeffs
-from oracles import ORTH_MEASURE, SYM_MEASURE
+from oracles import ORTH_MEASURE, SYM_MEASURE, mul
 from strategies import entries, fractions, polynomials, tables
 
 # Shift parameters: negative values and large denominators included.
@@ -308,8 +308,8 @@ class TestShift:
             for j in range(3):
                 oracle = skew_product(
                     table,
-                    factor * Polynomial.monomial(i),
-                    factor * Polynomial.monomial(j),
+                    mul(factor, Polynomial.monomial(i)),
+                    mul(factor, Polynomial.monomial(j)),
                 )
                 assert shifted.entry(i, j) == oracle
 
@@ -334,7 +334,7 @@ class TestShiftProperties:
         g = data.draw(polynomials(table.max_index - 1))
         factor = Polynomial([-c, Fraction(1)])
         assert skew_product(table.shift(c), f, g) == skew_product(
-            table, factor * f, factor * g
+            table, mul(factor, f), mul(factor, g)
         )
 
     @settings(max_examples=40)

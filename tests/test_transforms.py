@@ -32,7 +32,16 @@ from skewflow.transforms import (
     verify_factorization,
     verify_geronimus,
 )
-from oracles import ORTH_MEASURE, SYM_MEASURE, sop_even
+from oracles import (
+    ORTH_MEASURE,
+    SYM_MEASURE,
+    christoffel_fractions,
+    combination,
+    geronimus_fractions,
+    kernel_fractions,
+    mul,
+    sop_even,
+)
 from strategies import entries, fractions, tables
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
@@ -40,10 +49,10 @@ SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
 
 def definitional_band_product(a, b):
     """The Fraction triple sum (AB)_ij = sum_k a_ik b_kj, read off rows."""
-    n = a.size
+    n, a_rows, b_rows = a.size, a.rows, b.rows
     return tuple(
         tuple(
-            sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0))
+            sum((a_rows[i][k] * b_rows[k][j] for k in range(n)), Fraction(0))
             for j in range(n)
         )
         for i in range(n)
@@ -69,10 +78,13 @@ def band_matrices(draw, size, kind):
 
 @st.composite
 def admissible_steps(draw):
-    """A from_random table, its family of 1-3 pairs and a lambda at which
-    no even member vanishes."""
+    """A table, from_random or any table of mixed denominators, its family
+    of 1-3 pairs and a lambda at which no even member vanishes."""
     pairs = draw(st.integers(1, 3))
-    table = from_random(draw(st.integers(0, 10**6)), 2 * pairs + 2)
+    table = draw(st.one_of(
+        st.integers(0, 10**6).map(lambda seed: from_random(seed, 2 * pairs + 2)),
+        tables(2 * pairs + 2, 2 * pairs + 2),
+    ))
     try:
         family = build_family(table, pairs)
     except SingularConfiguration:
@@ -103,6 +115,26 @@ def paper_r_rows(transformed, family, shifted):
         for k in range(n + 1):
             rows[2 * n + 1][2 * k] = coeff(q_odd, transformed.odd(k), k)
     return tuple(map(tuple, rows))
+
+
+def add_to_entry(data, i, j, delta):
+    """``data`` with ``delta`` added to the value of entry j of its integer
+    row i; every other entry keeps its value."""
+    ints, den = data.forms[i]
+    delta = Fraction(delta)
+    row = [x * delta.denominator for x in ints]
+    row[j] += delta.numerator * den
+    forms = list(data.forms)
+    forms[i] = (tuple(row), den * delta.denominator)
+    return replace(data, forms=tuple(forms))
+
+
+def bump_numerator(data, i, j):
+    """``data`` with the integer numerator of entry j of row i off by one."""
+    ints, den = data.forms[i]
+    forms = list(data.forms)
+    forms[i] = (ints[:j] + (ints[j] + 1,) + ints[j + 1 :], den)
+    return replace(data, forms=tuple(forms))
 
 
 def random_setup(seed=42, pairs=3, budget=11):
@@ -186,7 +218,7 @@ class TestGeronimus:
         z_minus_lam = Polynomial([-lam, 1])
         for row, member in zip(cdata.rows, members):
             assert len(row) == len(family.polys)
-            assert z_minus_lam * member == Polynomial.combination(zip(row, family.polys))
+            assert mul(z_minus_lam, member) == combination(zip(row, family.polys))
 
     @pytest.mark.parametrize("member", range(6))
     def test_tampered_member_fails_only_its_check(self, member):
@@ -210,9 +242,35 @@ class TestGeronimus:
         factor = Polynomial([-lam, Fraction(1)])
         f = family.even(1)
         g = transformed.odd(0)
-        assert skew_product(table, factor * f, factor * g) == skew_product(
+        assert skew_product(table, mul(factor, f), mul(factor, g)) == skew_product(
             shifted, f, g
         )
+
+
+class TestIntegerForms:
+    @settings(max_examples=40)
+    @given(
+        admissible_steps(),
+        st.one_of(st.integers(-5, 5).map(Fraction), fractions(-5, 5, 9)),
+        st.data(),
+    )
+    def test_transforms_are_the_fraction_construction(self, step, y, data):
+        # every integer form reduces to the oracle's Fractions, exactly
+        table, family, lam = step
+        transformed, _, cdata = christoffel(family, table, lam)
+        polys, norms, l_rows = christoffel_fractions(family, lam)
+        assert transformed.polys == tuple(polys)
+        assert transformed.norms == tuple(norms)
+        assert cdata.rows == l_rows
+        gdata = geronimus_coeffs(transformed, family, table, lam)
+        r_rows = geronimus_fractions(transformed, family, table, lam)
+        assert gdata.rows == r_rows
+        size = 2 * transformed.pairs + 2
+        ((lmat, rmat),) = build_lax_pair([family, transformed], [(cdata, gdata)], size)
+        assert lmat.rows == tuple(row[:size] for row in l_rows[:size])
+        assert rmat.rows == tuple(row[:size] for row in r_rows[:size])
+        order = data.draw(st.integers(0, family.pairs))
+        assert kernel(family, order, y) == kernel_fractions(family, order, y)
 
 
 class TestLaxPair:
@@ -270,9 +328,7 @@ class TestLaxPair:
         families, datas = self.chain(steps=2)
         size = 2 * families[-1].pairs + 2
         cdata, gdata = datas[1]
-        rows = [list(row) for row in cdata.rows]
-        rows[2][0] += 1  # q_0 coefficient of (z - lam) q*_2: L row 2
-        tampered = replace(cdata, rows=tuple(map(tuple, rows)))
+        tampered = add_to_entry(cdata, 2, 0, 1)  # q_0 coefficient of (z - lam) q*_2: L row 2
         with pytest.raises(SingularConfiguration, match=r"^L row 2 fails at step 1$"):
             build_lax_pair(families, [datas[0], (tampered, gdata)], size)
 
@@ -280,11 +336,28 @@ class TestLaxPair:
         families, datas = self.chain(steps=2)
         size = 2 * families[-1].pairs + 2
         cdata, gdata = datas[0]
-        rows = [list(row) for row in gdata.rows]
-        rows[3][0] += Fraction(1, 2)  # q*_0 coefficient of q_3: R row 3
-        tampered = replace(gdata, rows=tuple(map(tuple, rows)))
+        tampered = add_to_entry(gdata, 3, 0, Fraction(1, 2))  # q*_0 coefficient of q_3: R row 3
         with pytest.raises(SingularConfiguration, match=r"^R row 3 fails at step 0$"):
             build_lax_pair(families, [(cdata, tampered), datas[1]], size)
+
+    def test_numerator_off_by_one_fails_with_the_same_message(self):
+        # one integer numerator of a stored row off by one, not a whole unit
+        families, datas = self.chain(steps=2)
+        size = 2 * families[-1].pairs + 2
+        (c0, g0), (c1, g1) = datas
+        with pytest.raises(SingularConfiguration, match=r"^L row 2 fails at step 1$"):
+            build_lax_pair(families, [datas[0], (bump_numerator(c1, 2, 0), g1)], size)
+        with pytest.raises(SingularConfiguration, match=r"^R row 3 fails at step 0$"):
+            build_lax_pair(families, [(c0, bump_numerator(g0, 3, 0)), datas[1]], size)
+        table = from_random(42, 11)  # the chain's table, recorded as provenance
+        report = verify_geronimus(families[1], families[0], table, bump_numerator(g0, 3, 0))
+        assert [c.id for c in report.failures] == ["reconstruct-odd:1"]
+        # and member q_3 itself, its constant numerator off by one
+        polys = list(families[0].polys)
+        polys[3] = Polynomial._reduced([polys[3].num[0] + 1, *polys[3].num[1:]], polys[3].den)
+        tampered = SOPFamily(polys, families[0].norms, families[0].gauge)
+        report = verify_geronimus(families[1], tampered, table, g0)
+        assert [c.id for c in report.failures] == ["reconstruct-odd:1"]
 
     @settings(max_examples=60)
     @given(st.data())
