@@ -2,18 +2,22 @@
 
 With tau_n = Pf(0..2n-1), q_2n = Pf(0..2n, z)/tau_n and q_2n+1 =
 Pf(0..2n-1, 2n+1, z)/tau_n.  :func:`build_family` reads every member off one
-elimination, and :func:`oracle_family` (an independent exact linear solve)
-cross-checks it.  The tests evaluate each member's formula by itself too,
-with :func:`skewflow.pfaffian.augmented_pfaffian`; nothing here calls it.
+elimination, and :func:`oracle_family` (skew Gram-Schmidt in integers,
+independent of the Pfaffian engine) cross-checks it.  The tests evaluate
+each member's formula by itself too, with
+:func:`skewflow.pfaffian.augmented_pfaffian`; nothing here calls it.
+:func:`verify_skew_orthogonality` checks a family against its defining
+pairings in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Any, Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, rat, rat_str
+from .algebra import Polynomial, Rational, RationalLike, rat, rat_str, ratio_str
 from .errors import DegreeBudgetExceeded, SingularConfiguration
 from .moments import SkewMoments
 from .pfaffian import prefix_pfaffians
@@ -155,92 +159,79 @@ def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
     return SOPFamily(polys, norms, PFAFFIAN_GAUGE)
 
 
-def _solve(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Solve the integer system [A | b] fraction-free: (y, d) with d > 0
-    and x = y/d.
-
-    Forward elimination is Bareiss's with first-nonzero row pivoting: after
-    step c the entry in row r > c and column j > c is the minor of the
-    row-permuted system on rows 0..c, r and columns 0..c, j, so the
-    division by the previous pivot is exact and the rows stay integers.
-    The last pivot d is +-det(A), so y = d*x is an integer vector by
-    Cramer's rule, and back substitution y_i = (d b_i - sum_j a_ij y_j) / a_ii
-    divides exactly.
-    """
-    n = len(rows)
-    a = [row[:] for row in rows]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise SingularConfiguration("linear system for SOP oracle is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        top = a[col]
-        p = top[col]
-        for r in range(col + 1, n):
-            f = a[r][col]
-            a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
-        prev = p
-    det = prev if prev > 0 else -prev
-    y = [0] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        rest = sum(map(mul, row[i + 1 : n], y[i + 1 :]))
-        y[i] = (det * row[n] - rest) // row[i]
-    return y, det
-
-
 def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
-    """Independent construction solving the defining relations degree by degree.
+    """Independent construction by skew Gram-Schmidt, degree by degree.
 
-    Odd members use the z^2n-coefficient-zero gauge, so they may differ from
-    the Pfaffian-formula family by a multiple of the even member.
+    With lower = degree - (degree mod 2),
+    q_degree = z^degree + sum_{m < lower/2} (alpha_m q_2m + beta_m q_2m+1),
+    alpha_m = -<z^degree|q_2m+1>/r_m and beta_m = <z^degree|q_2m>/r_m,
+    where <z^d|q_k> is the d-th entry of S*q_k and r_m = <q_2m|q_2m+1>.
+    In integers, with S*q_k = v_k/(D e_k) for q_k = Q_k/e_k and
+    r_m = rho_m/(D e_2m e_2m+1), every e_k and D cancel:
+    q_degree = z^degree + sum_m (v_2m[degree] Q_2m+1 - v_2m+1[degree] Q_2m)/rho_m,
+    one combination over lcm(rho_m), reduced once.  Every term has degree
+    below 2n for an odd member q_2n+1, so odd members come out in the
+    z^2n-coefficient-zero gauge and may differ from the Pfaffian-formula
+    family by a multiple of the even member.
     """
     if 2 * pairs + 1 > moments.max_index:
         raise DegreeBudgetExceeded(
             f"family with {pairs} pairs needs max_index >= {2 * pairs + 1}"
         )
+    rows = 2 * pairs + 2
     polys: list[Polynomial] = []
     norms: list[Rational] = []
-    # pairings[k][j] = <z^j|q_k> times its row's denominator: the j-th entry
-    # of S*q_k in integers
-    pairings: list[list[int]] = []
-    for degree in range(2 * pairs + 2):
-        # q_degree = z^degree + sum_{j<degree} c_j z^j with <q|q_k> = 0
-        # for k < 2*floor(degree/2); odd degrees add the gauge row c_{deg-1}=0.
-        lower = degree - (0 if degree % 2 == 0 else 1)
-        rows = [pairings[k][:degree] + [-pairings[k][degree]] for k in range(lower)]
-        if degree % 2 == 1:
-            rows.append([0] * (degree - 1) + [1, 0])
-        if degree == 0:
-            polys.append(Polynomial.one())
-        else:
-            y, det = _solve(rows)
-            polys.append(Polynomial._reduced(y + [det], det))
-        pairings.append(moments.apply(polys[-1], 2 * pairs + 2)[0])
-    for n in range(pairs + 1):
-        r = skew_product(moments, polys[2 * n], polys[2 * n + 1])
-        if r == 0:
-            raise SingularConfiguration(f"normalization r_{n} vanishes")
-        norms.append(r)
+    # applied[k] = v_k; rhos[m] = rho_m for the finished pairs, and den
+    # their lcm
+    applied: list[list[int]] = []
+    rhos: list[int] = []
+    den = 1
+    for degree in range(rows):
+        num = [0] * degree + [den]
+        for m, rho in enumerate(rhos):
+            w = den // rho
+            a, b = w * applied[2 * m][degree], w * applied[2 * m + 1][degree]
+            even, odd = polys[2 * m].num, polys[2 * m + 1].num
+            for i, c in enumerate(odd):
+                num[i] += a * c
+            for i, c in enumerate(even):
+                num[i] -= b * c
+        polys.append(Polynomial._reduced(num, den))
+        sq, sq_den = moments.apply(polys[-1], rows)
+        applied.append(sq)
+        if degree % 2:
+            n = degree // 2
+            even = polys[-2]
+            rho = sum(map(mul, even.num, sq))
+            if rho == 0:
+                # below the top pair, q_2n+2 is then undefined: its defining
+                # relations form a linear system of determinant tau_n+1^2 = 0
+                if n < pairs:
+                    raise SingularConfiguration("linear system for SOP oracle is singular")
+                raise SingularConfiguration(f"normalization r_{n} vanishes")
+            norms.append(Fraction(rho, even.den * sq_den))
+            den = lcm(den, rho)
+            rhos.append(rho)
     return SOPFamily(polys, norms, COEFF_GAUGE)
 
 
 def verify_skew_orthogonality(family: SOPFamily, moments: SkewMoments) -> Report:
-    """Check every pairing <q_a|q_b> against the defining pattern."""
+    """Check every pairing <q_a|q_b> against the defining pattern.
+
+    Each pairing is the integer pair (num, den) :func:`skew_pairings`
+    returns, compared with its target by cross-multiplying: num == 0 off
+    the norm positions, num * r.denominator == r.numerator * den on them.
+    """
     report = Report("orthogonality", {"provenance": moments.provenance})
     count = 2 * family.pairs + 2
     pairings = skew_pairings(moments, [(p.num, p.den) for p in family.polys])
     for a in range(count):
         for b in range(a + 1, count):
-            value = Fraction(*pairings[a, b])
+            num, den = pairings[a, b]
             if a % 2 == 0 and b == a + 1:
-                expected = family.norms[a // 2]
+                r = family.norms[a // 2]
+                ok, rhs = num * r.denominator == r.numerator * den, rat_str(r)
             else:
-                expected = Fraction(0)
-            report.add(
-                f"<q{a}|q{b}>",
-                value == expected,
-                f"lhs={rat_str(value)} rhs={rat_str(expected)}",
-            )
+                ok, rhs = num == 0, "0/1"
+            report.add(f"<q{a}|q{b}>", ok, f"lhs={ratio_str(num, den)} rhs={rhs}")
     return report

@@ -1,7 +1,8 @@
 """The tests' reference implementations, defined once: the Polynomial
 product, combination and division by z - root that the library no longer
 runs, the Fraction construction of the transforms, the per-member SOP
-formula, an exact determinant, the acceptance battery's two measures, the
+formula, the SOP oracle by linear solves and the Fraction orthogonality
+report, an exact determinant, the acceptance battery's two measures, the
 lattice polynomials read off a grid's accessors, and the lattice relations
 in z.
 
@@ -11,7 +12,12 @@ checks: :func:`christoffel_fractions`, :func:`geronimus_fractions` and
 at a time, where :mod:`skewflow.transforms` keeps integer forms;
 :func:`sop_even`/:func:`sop_odd` evaluate one member with its own
 Pfaffians, where :func:`skewflow.sops.build_family` reads every member off
-one elimination; :func:`determinant` is Fraction Gaussian elimination,
+one elimination; :func:`oracle_family_solve` solves each degree's defining
+relations by fraction-free Bareiss elimination
+(:func:`solve_fraction_free`), where :func:`skewflow.sops.oracle_family`
+runs skew Gram-Schmidt; :func:`orthogonality_fractions` compares and
+writes each pairing as a Fraction, where
+:func:`skewflow.sops.verify_skew_orthogonality` cross-multiplies integers; :func:`determinant` is Fraction Gaussian elimination,
 independent of the Pfaffian engine; and :func:`bilinear_checks` and
 :func:`lax_checks` check the dckp, edckp, slax and edlax relations in
 ``Polynomial`` arithmetic on the printed coefficient formulas, where
@@ -25,6 +31,8 @@ from skewflow.algebra import Polynomial, convolve, linear_quotient, rat, rat_str
 from skewflow.errors import DegreeBudgetExceeded, NotDivisible, SingularConfiguration
 from skewflow.moments import DiscreteMeasure
 from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
+from skewflow.report import Report
+from skewflow.sops import COEFF_GAUGE, SOPFamily, skew_pairings, skew_product
 
 SYM_MEASURE = DiscreteMeasure([1, 2, 4, 5, 6], [1, 1, 2, 1, 1])
 ORTH_MEASURE = DiscreteMeasure(
@@ -147,6 +155,96 @@ def sop_odd(moments, n):
     tau = _denominator(moments, n)
     numerator = augmented_pfaffian(moments, list(range(2 * n)) + [2 * n + 1, ZVAR])
     return numerator.scale(1 / tau)
+
+
+# -- the SOP oracle by linear solves, and the Fraction verifier ----------
+
+
+def solve_fraction_free(rows):
+    """Solve the integer system [A | b] fraction-free: (y, d) with d > 0
+    and x = y/d.
+
+    Forward elimination is Bareiss's with first-nonzero row pivoting: after
+    step c the entry in row r > c and column j > c is the minor of the
+    row-permuted system on rows 0..c, r and columns 0..c, j, so the
+    division by the previous pivot is exact and the rows stay integers.
+    The last pivot d is +-det(A), so y = d*x is an integer vector by
+    Cramer's rule, and back substitution y_i = (d b_i - sum_j a_ij y_j) / a_ii
+    divides exactly.
+    """
+    n = len(rows)
+    a = [row[:] for row in rows]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise SingularConfiguration("linear system for SOP oracle is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            f = a[r][col]
+            a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    det = prev if prev > 0 else -prev
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        rest = sum(u * v for u, v in zip(row[i + 1 : n], y[i + 1 :]))
+        y[i] = (det * row[n] - rest) // row[i]
+    return y, det
+
+
+def oracle_family_solve(moments, pairs):
+    """The SOP family from its defining relations, one linear solve per
+    degree: q_d = z^d + sum_{j<d} c_j z^j with <q_d|q_k> = 0 for
+    k < 2*floor(d/2), odd degrees adding the gauge row c_{d-1} = 0."""
+    if 2 * pairs + 1 > moments.max_index:
+        raise DegreeBudgetExceeded(
+            f"family with {pairs} pairs needs max_index >= {2 * pairs + 1}"
+        )
+    polys, norms = [], []
+    # pairings[k][j] = <z^j|q_k> times its row's denominator: the j-th entry
+    # of S*q_k in integers
+    pairings = []
+    for degree in range(2 * pairs + 2):
+        lower = degree - (0 if degree % 2 == 0 else 1)
+        rows = [pairings[k][:degree] + [-pairings[k][degree]] for k in range(lower)]
+        if degree % 2 == 1:
+            rows.append([0] * (degree - 1) + [1, 0])
+        if degree == 0:
+            polys.append(Polynomial.one())
+        else:
+            y, det = solve_fraction_free(rows)
+            polys.append(Polynomial._reduced(y + [det], det))
+        pairings.append(moments.apply(polys[-1], 2 * pairs + 2)[0])
+    for n in range(pairs + 1):
+        r = skew_product(moments, polys[2 * n], polys[2 * n + 1])
+        if r == 0:
+            raise SingularConfiguration(f"normalization r_{n} vanishes")
+        norms.append(r)
+    return SOPFamily(polys, norms, COEFF_GAUGE)
+
+
+def orthogonality_fractions(family, moments):
+    """The orthogonality report with one Fraction per pairing and per
+    target, compared and written as Fractions."""
+    report = Report("orthogonality", {"provenance": moments.provenance})
+    count = 2 * family.pairs + 2
+    pairings = skew_pairings(moments, [(p.num, p.den) for p in family.polys])
+    for a in range(count):
+        for b in range(a + 1, count):
+            value = Fraction(*pairings[a, b])
+            if a % 2 == 0 and b == a + 1:
+                expected = family.norms[a // 2]
+            else:
+                expected = Fraction(0)
+            report.add(
+                f"<q{a}|q{b}>",
+                value == expected,
+                f"lhs={rat_str(value)} rhs={rat_str(expected)}",
+            )
+    return report
 
 
 def determinant(rows):

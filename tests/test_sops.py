@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from skewflow.algebra import Polynomial
 from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration
@@ -17,13 +17,21 @@ from skewflow.moments import (
 from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import (
     SOPFamily,
-    _solve,
     build_family,
     oracle_family,
     skew_product,
     verify_skew_orthogonality,
 )
-from oracles import ORTH_MEASURE, SYM_MEASURE, determinant, sop_even, sop_odd
+from oracles import (
+    ORTH_MEASURE,
+    SYM_MEASURE,
+    determinant,
+    oracle_family_solve,
+    orthogonality_fractions,
+    solve_fraction_free,
+    sop_even,
+    sop_odd,
+)
 from strategies import entries, fractions, polynomials, tables
 
 SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 12)
@@ -277,7 +285,7 @@ class TestSolve:
             rows[1][0] = 0  # then it comes from row 2 or later
         det = determinant([row[:n] for row in rows])
         assume(det != 0)
-        y, d = _solve(rows)
+        y, d = solve_fraction_free(rows)
         assert d == abs(det)  # the last Bareiss pivot is +-det(A)
         x = [Fraction(v, d) for v in y]
         for row in rows:
@@ -285,7 +293,30 @@ class TestSolve:
 
     def test_singular_system_raises(self):
         with pytest.raises(SingularConfiguration):
-            _solve([[0, 1, 2], [0, 3, 4]])
+            solve_fraction_free([[0, 1, 2], [0, 3, 4]])
+
+
+class TestGramSchmidtOracle:
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_is_the_linear_solve_construction(self, data):
+        pairs = data.draw(st.integers(0, 4))
+        table = data.draw(tables_with_a_zero_row(2 * pairs + 1, 2 * pairs + 2))
+        assert outcome(oracle_family, table, pairs) == outcome(
+            oracle_family_solve, table, pairs
+        )
+
+    # bound 2 often gives a vanishing r_n; the examples pin one of each
+    # message: r_0 = 0 below the top pair, and r_2 = 0 at pairs = 2
+    @settings(max_examples=80)
+    @given(st.integers(0, 10**6), st.integers(0, 4), st.integers(0, 1))
+    @example(8, 1, 0)
+    @example(62, 2, 0)
+    def test_is_the_linear_solve_construction_on_small_entries(self, seed, pairs, extra):
+        table = from_random(seed, 2 * pairs + 1 + extra, bound=2)
+        assert outcome(oracle_family, table, pairs) == outcome(
+            oracle_family_solve, table, pairs
+        )
 
 
 class TestVerifier:
@@ -314,6 +345,34 @@ class TestVerifier:
             lhs = check.detail.split()[0]
             value = skew_product(table, family.polys[a], family.polys[b])
             assert lhs == f"lhs={value.numerator}/{value.denominator}"
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_report_bytes_are_the_fraction_construction(self, data):
+        if data.draw(st.booleans()):
+            table, family = data.draw(arbitrary_families())
+        else:
+            pairs = data.draw(st.integers(0, 3))
+            table = from_random(data.draw(st.integers(0, 10**6)), 2 * pairs + 2)
+            build = data.draw(st.sampled_from([build_family, oracle_family]))
+            try:
+                family = build(table, pairs)
+            except SingularConfiguration:
+                assume(False)
+        polys, norms = list(family.polys), list(family.norms)
+        tamper = data.draw(st.sampled_from(["none", "member", "norm"]))
+        if tamper == "member":
+            # below the leading term, so the member keeps its degree
+            k = data.draw(st.integers(1, len(polys) - 1))
+            polys[k] = polys[k] + Polynomial.monomial(data.draw(st.integers(0, k - 1)))
+        elif tamper == "norm":
+            n = data.draw(st.integers(0, len(norms) - 1))
+            norms[n] *= data.draw(st.sampled_from([Fraction(-1), Fraction(3, 2), Fraction(2, 7)]))
+        family = SOPFamily(polys, norms, family.gauge)
+        assert (
+            verify_skew_orthogonality(family, table).to_json()
+            == orthogonality_fractions(family, table).to_json()
+        )
 
     def test_empty_pair_family_passes(self):
         family = build_family(SYMPLECTIC, 0)
