@@ -208,10 +208,12 @@ class Polynomial:
 
     @classmethod
     def _reduced(cls, num: list[int], den: int) -> "Polynomial":
-        """num/den with den > 0, stripped of trailing zeros and reduced."""
+        """num/den for an int den != 0 of either sign, stripped of trailing
+        zeros and reduced to a positive denominator.  ``num`` may be
+        modified."""
         while num and not num[-1]:
             num.pop()
-        g = gcd(den, *num)
+        g = -gcd(den, *num) if den < 0 else gcd(den, *num)
         if g != 1:
             num = [c // g for c in num]
             den //= g
@@ -222,28 +224,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return Polynomial((1,))
-
-    @staticmethod
-    def constant(c: RationalLike) -> "Polynomial":
-        return Polynomial((rat(c),))
-
-    @staticmethod
-    def monomial(k: int, c: RationalLike = 1) -> "Polynomial":
-        return Polynomial([0] * k + [rat(c)])
-
-    @staticmethod
-    def variable() -> "Polynomial":
-        return Polynomial((0, 1))
 
     # -- inspection ---------------------------------------------------
 
@@ -261,12 +241,6 @@ class Polynomial:
         if 0 <= k < len(self.num):
             return Fraction(self.num[k], self.den)
         return Fraction(0)
-
-    @property
-    def leading(self) -> Rational:
-        if not self.num:
-            return Fraction(0)
-        return Fraction(self.num[-1], self.den)
 
     # -- arithmetic ---------------------------------------------------
 

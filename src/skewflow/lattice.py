@@ -861,9 +861,11 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     Relation instances touching a site where some needed sigma vanishes are
     recorded as skipped.  sigma_0 = (s*mu + t*lam) * tau_0 vanishes by
     construction at the origin and wherever s*mu + t*lam = 0, so phi_0 is
-    only required to exist away from those sites.  At the origin sigma_1 is
-    the bare moment s_02, which may be zero, so phi_2 is not required there;
-    every other phi_2n is required at every site.
+    only required to exist away from those sites.  At the origin sigma_n
+    (n >= 1) is Pf(0..2n-2, 2n) of the table itself, which may vanish (a
+    symmetric measure zeroes them all), so phi_2n is exempt there exactly
+    where that Pfaffian of ``grid.moments(0, 0)`` vanishes, read off one
+    :func:`prefix_pfaffians` pass; every other phi_2n is required.
     """
     c = grid.config
     report = Report(
@@ -915,13 +917,15 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
                 (h, hd), (sn, sd) = hats[2 * n], grid._sigma[n, s, t]
                 if 2 * n < len(h) and h[2 * n] * sd == sn * hd:
                     monic.append(n)
-        # phi_0 is exempt where s*mu + t*lam = 0, and phi_2 at the origin,
-        # where sigma_1 is the bare moment s_02 (see the docstring)
-        higher = hats[4::2] if (s, t) == (0, 0) else hats[2::2]
+        # phi_0 is exempt where s*mu + t*lam = 0, and phi_2n at the origin
+        # where the table's own sigma_n vanishes (see the docstring)
+        missing = {n for n in range(1, c.pairs + 1) if hats[2 * n] is None}
+        if missing and (s, t) == (0, 0):
+            values = prefix_pfaffians(grid.moments(0, 0), c.pairs)
+            missing -= {n for n, (_, sig, _, _) in enumerate(values) if not sig[0]}
         report.add(
             f"phi-even-defined:s={s},t={t}",
-            all(p is not None for p in higher)
-            and (hats[0] is not None or not _offset(c, s, t)[0]),
+            not missing and (hats[0] is not None or not _offset(c, s, t)[0]),
             f"monic even indices: {monic}",
         )
     return report

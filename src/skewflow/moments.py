@@ -13,8 +13,8 @@ it directly (entries parse to (num, den) pairs, ensemble sums run over one
 common denominator), shifts and rescalings are computed on N and reduced
 back to the least common denominator, and :meth:`SkewMoments.entry` forms
 a ``Fraction`` only for the entry asked for.  Two methods hand the form
-out: :meth:`SkewMoments.apply` returns S*g as an integer vector over one
-denominator, which is all a skew product needs, and
+out: :meth:`SkewMoments.apply_form` returns S*g as an integer vector over
+one denominator, which is all a skew product needs, and
 :meth:`SkewMoments.integer_rows` returns the leading rows of N and D, from
 which :mod:`skewflow.pfaffian` reads every Pfaffian of the table.
 """
@@ -24,11 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Any, Sequence
 
-from .algebra import Polynomial, Rational, RationalLike, rat, rat_parts, rat_str
+from .algebra import Rational, RationalLike, rat, rat_parts, rat_str
 from .errors import DegreeBudgetExceeded
 from . import pfaffian
 
@@ -105,8 +106,9 @@ class SkewMoments:
         cls, num: list[list[int]], den: int, provenance: dict[str, Any]
     ) -> "SkewMoments":
         """Table with entries num[i][j]/den (num skew, den > 0), reduced so
-        that den is again the lcm of the entry denominators."""
-        g = gcd(den, *(x for row in num for x in row))
+        that den is again the lcm of the entry denominators; the gcd reads
+        the upper triangle only."""
+        g = gcd(den, *chain.from_iterable(row[i + 1 :] for i, row in enumerate(num)))
         if g > 1:
             num = [[x // g for x in row] for row in num]
             den //= g
@@ -122,14 +124,10 @@ class SkewMoments:
             )
         return Fraction(self._num[i][j], self._den)
 
-    def apply(self, g: Polynomial, rows: int) -> tuple[list[int], int]:
-        """The first ``rows`` rows of S*g over one denominator: (v, d) with
-        sum_j s_ij g_j = v[i]/d for i < rows."""
-        return self.apply_form(g.num, g.den, rows)
-
     def apply_form(self, num: Sequence[int], den: int, rows: int) -> tuple[list[int], int]:
-        """:meth:`apply` for the polynomial num/den given as an integer form,
-        reduced or not: coefficients constant first, den != 0."""
+        """The first ``rows`` rows of S*g over one denominator for g = num/den
+        given as an integer form, reduced or not (coefficients constant
+        first, den != 0): (v, d) with sum_j s_ij g_j = v[i]/d for i < rows."""
         size = self.max_index + 1
         if len(num) > size or rows > size:
             raise DegreeBudgetExceeded(

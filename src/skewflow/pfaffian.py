@@ -302,7 +302,7 @@ def augmented_pfaffian(
     if len(specials) != len(set(specials)):
         raise ValueError("each special index may appear at most once")
     if not idx:
-        return Polynomial.one()
+        return Polynomial((1,))
     ints = [x for x in idx if type(x) is int]
     _check_budget(moments, ints)
     half = len(idx) // 2

@@ -61,7 +61,7 @@ def skew_product(moments: SkewMoments, f: Polynomial, g: Polynomial) -> Rational
     S*g, divided once at the end; DegreeBudgetExceeded where f or g
     exceeds the table.
     """
-    sg, sg_den = moments.apply(g, len(f.num))
+    sg, sg_den = moments.apply_form(g.num, g.den, len(f.num))
     return Fraction(sum(map(mul, f.num, sg)), f.den * sg_den)
 
 
@@ -132,6 +132,16 @@ class SOPFamily:
         return family
 
 
+def _check_pairs(moments: SkewMoments, pairs: int) -> None:
+    """Refuse a negative pair count and a table too small for the family."""
+    if pairs < 0:
+        raise ValueError(f"pairs must be nonnegative, got {pairs}")
+    if 2 * pairs + 1 > moments.max_index:
+        raise DegreeBudgetExceeded(
+            f"family with {pairs} pairs needs max_index >= {2 * pairs + 1}"
+        )
+
+
 def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
     """Family q_0..q_{2*pairs+1}: numerators and taus from one
     :func:`prefix_pfaffians` pass, each member formed from their integer
@@ -139,10 +149,7 @@ def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
     exist; as r_n = tau_{n+1}/tau_n, a vanishing tau_{n+1} shows up as the
     vanishing r_n, checked before the pass steps on (and divides by it).
     """
-    if 2 * pairs + 1 > moments.max_index:
-        raise DegreeBudgetExceeded(
-            f"family with {pairs} pairs needs max_index >= {2 * pairs + 1}"
-        )
+    _check_pairs(moments, pairs)
     polys: list[Polynomial] = []
     norms: list[Rational] = []
     for n, ((pivot, dn), _, (even, den), (odd, _)) in enumerate(
@@ -151,8 +158,7 @@ def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
         # each numerator is over D^(n+1) and tau_n is pivot/D^n, so the
         # member is the numerator over D*pivot
         den = den // dn * pivot
-        sign = -1 if den < 0 else 1
-        polys += [Polynomial._reduced([sign * c for c in num], sign * den) for num in (even, odd)]
+        polys += [Polynomial._reduced(even, den), Polynomial._reduced(odd, den)]
         norms.append(skew_product(moments, polys[-2], polys[-1]))
         if norms[-1] == 0:
             raise SingularConfiguration(f"normalization r_{n} vanishes")
@@ -174,10 +180,7 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
     z^2n-coefficient-zero gauge and may differ from the Pfaffian-formula
     family by a multiple of the even member.
     """
-    if 2 * pairs + 1 > moments.max_index:
-        raise DegreeBudgetExceeded(
-            f"family with {pairs} pairs needs max_index >= {2 * pairs + 1}"
-        )
+    _check_pairs(moments, pairs)
     rows = 2 * pairs + 2
     polys: list[Polynomial] = []
     norms: list[Rational] = []
@@ -197,7 +200,7 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
             for i, c in enumerate(even):
                 num[i] -= b * c
         polys.append(Polynomial._reduced(num, den))
-        sq, sq_den = moments.apply(polys[-1], rows)
+        sq, sq_den = moments.apply_form(polys[-1].num, polys[-1].den, rows)
         applied.append(sq)
         if degree % 2:
             n = degree // 2

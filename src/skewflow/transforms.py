@@ -36,7 +36,6 @@ from .algebra import (
     Polynomial,
     Rational,
     RationalLike,
-    clear_denominators,
     convolve,
     horner,
     linear_quotient,
@@ -60,14 +59,6 @@ _ONE = (1,)
 def _reduced_rows(forms: Sequence[RowForm]) -> tuple[tuple[Rational, ...], ...]:
     """The rows of integer forms as reduced Fractions."""
     return tuple(tuple(Fraction(x, den) for x in ints) for ints, den in forms)
-
-
-def _member(ints: Sequence[int], den: int) -> Polynomial:
-    """The reduced polynomial ints/den for an integer den != 0 of either
-    sign."""
-    if den < 0:
-        return Polynomial._reduced([-c for c in ints], -den)
-    return Polynomial._reduced(list(ints), den)
 
 
 def _kernel_order(family: SOPFamily, pairs: int) -> None:
@@ -174,7 +165,7 @@ def christoffel(
         # (z - lam) q*_2n = u sums[n] / w, and sums[n] = (q z - p) g
         # gives q*_2n = u q g / w
         uq = u * q
-        members.append(_member([uq * c for c in linear_quotient(sums[n], p, q)], w))
+        members.append(Polynomial._reduced([uq * c for c in linear_quotient(sums[n], p, q)], w))
         # q_{2n+2} - ratio q_2n with ratio = at[2n+2] den_2n / (q^2 den_{2n+2} at[2n])
         even, nxt = polys[2 * n], polys[2 * n + 2]
         e, e_next = at[2 * n], at[2 * n + 2]
@@ -187,7 +178,7 @@ def christoffel(
             combined[i] -= e_next * c
         # the combination is over q^2 den_{2n+2} e, and its quotient by
         # (z - lam) is q times the one by (q z - p)
-        members.append(_member(linear_quotient(combined, p, q), q * nxt.den * e))
+        members.append(Polynomial._reduced(linear_quotient(combined, p, q), q * nxt.den * e))
         # r*_n = (q_{2n+2}(lam)/q_2n(lam)) r_n
         r = family.norms[n]
         norms.append(Fraction(e_next * even.den * r.numerator, top * r.denominator))
@@ -238,7 +229,8 @@ def geronimus_coeffs(
     # column j: S*q*_{j^1} over d_j, times (-1)^j / r*_{j//2}
     columns = []
     for j in range(size):
-        vec, den = shifted.apply(family_next.polys[j ^ 1], size)
+        g = family_next.polys[j ^ 1]
+        vec, den = shifted.apply_form(g.num, g.den, size)
         r = family_next.norms[j // 2]
         columns.append((vec, (-1) ** j * r.denominator, den * r.numerator))
     common = lcm(*(d for _, _, d in columns))
@@ -321,26 +313,14 @@ class BandMatrix:
 
     kind "L": lower Hessenberg with unit superdiagonal; kind "R": unit
     lower triangular.  The size is the number of rows, and every row must
-    have that many entries.  ``forms`` holds each row as integers over one
-    denominator > 0, the structure is checked on them, and ``rows`` reduces
-    them.  The constructor takes rationals; :meth:`from_forms` takes the
-    integer rows as they are.
+    have that many entries.  The one constructor takes ``forms``, each row
+    as integers over one denominator > 0, as they are; the structure is
+    checked on them, and ``rows`` reduces them.
     """
 
     __slots__ = ("size", "kind", "forms")
 
-    def __init__(self, kind: str, rows: Sequence[Sequence[RationalLike]]):
-        values = [[rat(v) for v in row] for row in rows]
-        self._adopt(kind, [(tuple(ints), den) for ints, den in map(clear_denominators, values)])
-
-    @classmethod
-    def from_forms(cls, kind: str, forms: Sequence[RowForm]) -> "BandMatrix":
-        """The matrix of the integer rows (ints, den > 0), taken as they are."""
-        matrix = object.__new__(cls)
-        matrix._adopt(kind, forms)
-        return matrix
-
-    def _adopt(self, kind: str, forms: Sequence[RowForm]) -> None:
+    def __init__(self, kind: str, forms: Sequence[RowForm]):
         if kind not in ("L", "R"):
             raise ValueError("kind must be 'L' or 'R'")
         size = self.size = len(forms)
@@ -407,8 +387,8 @@ def build_lax_pair(
         )
     out = []
     for t, (cdata, gdata) in enumerate(datas):
-        lmat = BandMatrix.from_forms("L", [(row[:size], den) for row, den in cdata.forms[:size]])
-        rmat = BandMatrix.from_forms("R", [(row[:size], den) for row, den in gdata.forms[:size]])
+        lmat = BandMatrix("L", [(row[:size], den) for row, den in cdata.forms[:size]])
+        rmat = BandMatrix("R", [(row[:size], den) for row, den in gdata.forms[:size]])
         cur, nxt = families[t].polys[:size], families[t + 1].polys[:size]
         z_lam = (-cdata.lam.numerator, cdata.lam.denominator)
         for i in range(size - 1):

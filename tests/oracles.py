@@ -213,11 +213,11 @@ def oracle_family_solve(moments, pairs):
         if degree % 2 == 1:
             rows.append([0] * (degree - 1) + [1, 0])
         if degree == 0:
-            polys.append(Polynomial.one())
+            polys.append(Polynomial([1]))
         else:
             y, det = solve_fraction_free(rows)
             polys.append(Polynomial._reduced(y + [det], det))
-        pairings.append(moments.apply(polys[-1], 2 * pairs + 2)[0])
+        pairings.append(moments.apply_form(polys[-1].num, polys[-1].den, 2 * pairs + 2)[0])
     for n in range(pairs + 1):
         r = skew_product(moments, polys[2 * n], polys[2 * n + 1])
         if r == 0:
@@ -479,10 +479,14 @@ def lax_checks(grid):
             for n in range(c.pairs + 1)
             if phis[2 * n] is not None and phis[2 * n].coefficient(2 * n) == 1
         ]
-        higher = phis[4::2] if (s, t) == (0, 0) else phis[2::2]
-        ok = all(p is not None for p in higher) and (
-            phis[0] is not None or s * c.mu + t * c.lam == 0
-        )
+        # at the origin phi_2n may be undefined where the table's own
+        # sigma_n = Pf(0..2n-2, 2n) vanishes
+        ok = all(
+            phis[2 * n] is not None
+            or (s, t) == (0, 0)
+            and numeric_pfaffian(grid.moments(0, 0), [*range(2 * n - 1), 2 * n]) == 0
+            for n in range(1, c.pairs + 1)
+        ) and (phis[0] is not None or s * c.mu + t * c.lam == 0)
         edlax.append(
             (f"phi-even-defined:s={s},t={t}", _verdict(ok), f"monic even indices: {monic}")
         )

@@ -84,10 +84,10 @@ class TestEval:
         assert p.eval(Fraction(3)) == Fraction(5, 2)
 
     def test_zero_polynomial(self):
-        assert Polynomial.zero().eval(Fraction(17, 5)) == 0
+        assert Polynomial().eval(Fraction(17, 5)) == 0
 
     def test_constant(self):
-        assert Polynomial.one().eval(Fraction(7, 3)) == 1
+        assert Polynomial([1]).eval(Fraction(7, 3)) == 1
 
 
 class TestMul:
@@ -95,7 +95,7 @@ class TestMul:
         assert mul(P(1, 1), P(-1, 1)) == P(-1, 0, 1)
 
     def test_by_zero(self):
-        assert mul(P(2, 5, 1), Polynomial.zero()) == Polynomial.zero()
+        assert mul(P(2, 5, 1), Polynomial()) == Polynomial()
 
     def test_cubic_factorization(self):
         # (z - 3)(z^2 + 3z + 9) = z^3 - 27, cross-checked by convolution
@@ -117,7 +117,7 @@ class TestDivByLinear:
         assert div_by_linear(P(-9, 0, 1), Fraction(3)) == P(3, 1)
 
     def test_zero(self):
-        assert div_by_linear(Polynomial.zero(), Fraction(11)) == Polynomial.zero()
+        assert div_by_linear(Polynomial(), Fraction(11)) == Polynomial()
 
     def test_double_root_factor(self):
         quotient = div_by_linear(P(0, -6, 2), Fraction(3))
@@ -135,19 +135,19 @@ class TestStructure:
         assert P(1, 2, 0, 0).degree == 1
 
     def test_degree_conventions(self):
-        assert Polynomial.zero().degree == -1
-        assert Polynomial.one().degree == 0
-        assert Polynomial.monomial(5).degree == 5
+        assert Polynomial().degree == -1
+        assert Polynomial([1]).degree == 0
+        assert Polynomial([0] * 5 + [1]).degree == 5
 
     def test_coefficient_out_of_range(self):
         assert P(1, 2).coefficient(9) == 0
 
     def test_arithmetic_identities(self):
         p = P(Fraction(2, 3), -1, 4)
-        assert p - p == Polynomial.zero()
-        assert p + Polynomial.zero() == p
+        assert p - p == Polynomial()
+        assert p + Polynomial() == p
         assert -(-p) == p
-        assert p.scale(Fraction(0)) == Polynomial.zero()
+        assert p.scale(Fraction(0)) == Polynomial()
 
     def test_json_round_trip(self):
         p = P(Fraction(-7, 3), 0, Fraction(5, 2))
@@ -276,9 +276,21 @@ class TestIntegerFormProperties:
         f, ref = Polynomial(a), trim(a)
         for k in range(-1, len(a) + 2):
             assert f.coefficient(k) == (ref[k] if 0 <= k < len(ref) else 0)
-        assert f.leading == (ref[-1] if ref else 0)
+        assert f.coefficient(f.degree) == (ref[-1] if ref else 0)
         assert f.degree == len(ref) - 1
         assert f.to_json() == [rat_str(c) for c in ref]
+
+    @settings(max_examples=80)
+    @given(
+        st.lists(st.integers(-10**6, 10**6), max_size=8),
+        st.integers(-10**4, 10**4).filter(bool),
+    )
+    def test_reduced_takes_a_denominator_of_either_sign(self, num, den):
+        f = Polynomial._reduced(list(num), den)
+        g = Polynomial._reduced([-c for c in num], -den)
+        assert (f.num, f.den) == (g.num, g.den)
+        assert f.den > 0 and gcd(f.den, *f.num) == 1
+        assert list(f.coeffs) == trim(Fraction(c, den) for c in num)
 
     @settings(max_examples=80)
     @given(coeff_lists, st.integers(1, 12))
@@ -303,7 +315,7 @@ class TestIntegerFormProperties:
             Polynomial(a + [Fraction(0)] * 2),
             (f + Polynomial(b)) - Polynomial(b),
             f.scale(c).scale(1 / c),
-            mul(f, Polynomial.one()),
+            mul(f, Polynomial([1])),
             Polynomial.from_json(f.to_json()),
         ):
             assert (same.num, same.den) == (f.num, f.den)
@@ -329,7 +341,7 @@ class TestIntegerFormProperties:
     @settings(max_examples=80)
     @given(st.lists(st.tuples(entries, coeff_lists), max_size=6))
     def test_combination_is_the_scale_and_add_fold(self, terms):
-        fold = Polynomial.zero()
+        fold = Polynomial()
         for c, a in terms:
             fold = fold + Polynomial(a).scale(c)
         combined = combination((c, Polynomial(a)) for c, a in terms)

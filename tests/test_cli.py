@@ -218,6 +218,18 @@ class TestExitCodes:
             "error: bad input (kernel order must be nonnegative, got -1)"
         ]
 
+    # a negative count is an input error, whatever the pass would make of it
+    @pytest.mark.parametrize("pairs", ["-1", "-3"])
+    def test_negative_family_pairs(self, random_setup, capsys, pairs):
+        moments, _ = random_setup
+        capsys.readouterr()
+        assert main(["family", "--moments", str(moments), "--pairs", pairs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: bad input (pairs must be nonnegative, got {pairs})"
+        ]
+
     # q_2 + 7 on a pairs=2 family; every norm times 7 and q_3 + 5 on a
     # pairs=3 one; every norm times 7 alone.  Each still has a kernel that
     # vanishes at x = y.

@@ -107,7 +107,7 @@ def random_grids(draw, zero_site=False):
 
 
 # tau_hat_1 at the centre (1, 1) of the box, off by z in one coefficient
-BROKEN = with_values(GRID, tauhat={(1, 1, 1): GRID.tau_hat(1, 1, 1) + Polynomial.monomial(1)})
+BROKEN = with_values(GRID, tauhat={(1, 1, 1): GRID.tau_hat(1, 1, 1) + Polynomial([0, 1])})
 # the relations of slax (and, as edlax, of the vector system) whose stencil
 # reads tau_hat_1 at (1, 1)
 BROKEN_LAX = [
@@ -197,12 +197,12 @@ class TestGrid:
                 tau = augmented_pfaffian(table, range(2 * n))
                 core = (
                     augmented_pfaffian(table, [*range(2 * n - 1), 2 * n]) if n
-                    else Polynomial.zero()
+                    else Polynomial()
                 )
                 hat = augmented_pfaffian(table, [*range(2 * n + 1), ZVAR])
                 core_hat = augmented_pfaffian(table, [*range(2 * n), 2 * n + 1, ZVAR])
-                assert Polynomial.constant(grid.tau(n, s, t)) == tau
-                assert Polynomial.constant(grid.sigma(n, s, t)) == core + tau.scale(offset)
+                assert Polynomial([grid.tau(n, s, t)]) == tau
+                assert Polynomial([grid.sigma(n, s, t)]) == core + tau.scale(offset)
                 assert grid.tau_hat(n, s, t) == hat
                 assert grid.sigma_hat(n, s, t) == core_hat + hat.scale(offset)
 
@@ -366,7 +366,7 @@ class TestCrosscheck:
 
     def test_perturbed_sigma_hat_fails(self):
         key = (1, 1, 1)
-        grid = with_values(GRID, sighat={key: GRID.sigma_hat(*key) + Polynomial.monomial(1)})
+        grid = with_values(GRID, sighat={key: GRID.sigma_hat(*key) + Polynomial([0, 1])})
         assert crosscheck_failures(grid) == {
             (1, 0, 0): ["sighat:s+1,t+1"],
             (1, 0, 1): ["sighat:s+1"],
@@ -544,10 +544,10 @@ class TestAntiDiagonal:
 
     def test_apply_swaps_components(self):
         m = AntiDiagonal(Fraction(2), Fraction(-3))
-        vec = (Polynomial.one(), Polynomial.variable())
+        vec = (Polynomial([1]), Polynomial([0, 1]))
         out = apply_antidiagonal(m, vec)
-        assert out[0] == Polynomial.variable().scale(Fraction(2))
-        assert out[1] == Polynomial.one().scale(Fraction(-3))
+        assert out[0] == Polynomial([0, 1]).scale(Fraction(2))
+        assert out[1] == Polynomial([1]).scale(Fraction(-3))
 
 
 class TestMatrixField:
@@ -606,7 +606,7 @@ class TestExtendedSystems:
         # sighat_{n-1} at (s+1,t+1), sighat_n at (s,t); edckp4: sighat_n at
         # (s+1,t+1), sighat_{n+1} at (s,t))
         key = (1, 1, 1)
-        grid = with_values(GRID, sighat={key: GRID.sigma_hat(*key) + Polynomial.monomial(1)})
+        grid = with_values(GRID, sighat={key: GRID.sigma_hat(*key) + Polynomial([0, 1])})
         assert [c.id for c in verify_edckp(grid).failures] == [
             "edckp4:n=1,s=0,t=0",
             "edckp2:n=2,s=0,t=0",
@@ -657,7 +657,7 @@ class TestExtendedSystems:
         # would pass it.
         pairs = CONFIG.pairs
         samples = samples_for(GRID)
-        bump = Polynomial.one()
+        bump = Polynomial([1])
         for p in samples:
             bump = mul(bump, Polynomial((-p, 1)))
         bump = bump.scale(Fraction(5, 3) * GRID.tau(pairs + 1, 0, 0))
@@ -684,8 +684,10 @@ class TestExtendedSystems:
         assert failed == ["phi-even-defined:s=1,t=1"]
 
     def test_edlax_requires_phi_four_at_the_origin(self):
-        # only phi_0 and phi_2 are exempt at the origin; a vanishing sigma_2
-        # there used to skip every relation that reads it, without a failure
+        # at the origin phi_2n may be undefined only where the table's own
+        # sigma_n vanishes; this table's sigma_2 does not, so a sigma_2
+        # zeroed by hand there fails, and does not just skip every relation
+        # that reads it
         config = LatticeConfig(1, -1, 2, 1, 1)
         built = build_grid(from_random(7, config.required_budget), config)
         grid = sigma_zeroed(built, (2, 0, 0))
@@ -693,6 +695,28 @@ class TestExtendedSystems:
         report = verify_edlax(grid, samples_for(grid))
         failed = [c.id for c in report.checks if c.status == "fail"]
         assert failed == ["phi-even-defined:s=0,t=0"]
+
+    def test_edlax_requires_phi_two_at_the_origin_where_s02_is_nonzero(self):
+        # sigma_1 at the origin is s_02, so phi_2 must exist there when
+        # s_02 != 0
+        config = LatticeConfig(1, -1, 2, 1, 1)
+        built = build_grid(from_random(7, config.required_budget), config)
+        assert built.base.entry(0, 2) != 0
+        report = verify_edlax(sigma_zeroed(built, (1, 0, 0)), samples_for(built))
+        failed = [c.id for c in report.checks if c.status == "fail"]
+        assert failed == ["phi-even-defined:s=0,t=0"]
+
+    def test_edlax_passes_where_a_symmetric_measure_zeroes_every_origin_sigma(self):
+        # s_ij = 0 for even i + j on a symmetric measure, so sigma_1 and
+        # sigma_2 vanish at the origin and phi_2, phi_4 are undefined there
+        measure = DiscreteMeasure([-3, -2, -1, 1, 2, 3], [1] * 6)
+        config = LatticeConfig(Fraction(1, 2), 3, 2, 1, 1)
+        grid = build_grid(from_discrete_symplectic(measure, 16), config)
+        assert grid.sigma(1, 0, 0) == 0 == grid.sigma(2, 0, 0)
+        report = verify_edlax(grid, samples_for(grid))
+        assert report.passed
+        defined = next(c for c in report.checks if c.id == "phi-even-defined:s=0,t=0")
+        assert (defined.status, defined.detail) == ("pass", "monic even indices: []")
 
     def test_a_zero_sigma_over_any_denominator_is_zero(self):
         # a store holds sigma_n = 0 as (0, q*D^n) where core + offset*tau
@@ -805,7 +829,7 @@ def perturbed_grids(draw):
     key = draw(st.sampled_from(sorted(grid._tau)))
     delta = draw(fractions(-4, 4, 5).filter(bool))
     if which in ("tauhat", "sighat"):
-        bump = Polynomial.monomial(draw(st.integers(0, 2 * grid.config.pairs + 3)), delta)
+        bump = Polynomial([0] * draw(st.integers(0, 2 * grid.config.pairs + 3)) + [delta])
         store = grid.tau_hat if which == "tauhat" else grid.sigma_hat
         return with_values(grid, **{which: {key: store(*key) + bump}})
     if which == "tau":
@@ -864,12 +888,12 @@ class TestSumsToZero:
     )
     def test_agrees_with_polynomial_arithmetic(self, terms, sign):
         # sum k f v / d over Polynomial terms with f, v of any denominators
-        total = Polynomial.zero()
+        total = Polynomial()
         ints = []
         for k, f, v, d in terms:
             total = total + mul(f, v).scale(Fraction(k, d))
             ints.append((k, f.num, v.num, d * f.den * v.den))
-        assert sums_to_zero(ints) == (total == Polynomial.zero())
+        assert sums_to_zero(ints) == (total == Polynomial())
         # closed by minus the sum, over a denominator of either sign
         closing = (-sign, lattice._ONE, total.num, sign * total.den)
         assert sums_to_zero(ints + [closing])

@@ -200,12 +200,12 @@ SYMPLECTIC = from_discrete_symplectic(DiscreteMeasure([1, 2], [1, 1]), 6)
 
 class TestAugmented:
     def test_single_monomial_row(self):
-        assert augmented_pfaffian(SYMPLECTIC, [0, ZVAR]) == Polynomial.one()
+        assert augmented_pfaffian(SYMPLECTIC, [0, ZVAR]) == Polynomial([1])
 
     def test_special_special_is_zero(self):
         assert augmented_pfaffian(
             SYMPLECTIC, [MU, LAMBDA], Fraction(1, 2), Fraction(3)
-        ) == Polynomial.zero()
+        ) == Polynomial()
 
     def test_symplectic_four_index(self):
         # matching expansion: s_01 z^2 - s_02 z + s_12 = 2z^2 - 6z + 5
@@ -224,8 +224,8 @@ class TestAugmented:
             augmented_pfaffian(SYMPLECTIC, [0, ZVAR, 1, ZVAR])
 
     def test_agrees_with_numeric_when_no_specials(self):
-        assert augmented_pfaffian(SYMPLECTIC, [0, 1, 2, 3]) == Polynomial.constant(
-            numeric_pfaffian(SYMPLECTIC, [0, 1, 2, 3])
+        assert augmented_pfaffian(SYMPLECTIC, [0, 1, 2, 3]) == Polynomial(
+            [numeric_pfaffian(SYMPLECTIC, [0, 1, 2, 3])]
         )
 
 
@@ -366,8 +366,6 @@ class TestBorderedPrefixPass:
             for (num, den), tail in zip(row, tails):
                 at_n = [2 * n + x if type(x) is int else x for x in tail]
                 expected = augmented_pfaffian(table, [*range(2 * n), *at_n], mu, lam)
-                if den < 0:
-                    num, den = [-c for c in num], -den
                 read = Polynomial._reduced(list(num), den)
                 assert (read.num, read.den) == (expected.num, expected.den)
         # the reads stop at the first vanishing tau_n, n <= pairs

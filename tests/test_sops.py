@@ -85,7 +85,7 @@ class TestSkewProduct:
         assert skew_product(SYMPLECTIC, f, f) == 0
 
     def test_one_z(self):
-        one, z = Polynomial.one(), Polynomial.variable()
+        one, z = Polynomial([1]), Polynomial([0, 1])
         assert skew_product(SYMPLECTIC, one, z) == 2
         assert skew_product(SYMPLECTIC, z, one) == -2
 
@@ -102,9 +102,9 @@ class TestSkewProduct:
     def test_budget_checked(self):
         table = from_random(3, 4)
         with pytest.raises(DegreeBudgetExceeded):
-            skew_product(table, Polynomial.monomial(5), Polynomial.one())
+            skew_product(table, Polynomial([0] * 5 + [1]), Polynomial([1]))
         with pytest.raises(DegreeBudgetExceeded):
-            skew_product(table, Polynomial.one(), Polynomial.monomial(5))
+            skew_product(table, Polynomial([1]), Polynomial([0] * 5 + [1]))
 
     @settings(max_examples=80)
     @given(st.data())
@@ -117,14 +117,14 @@ class TestSkewProduct:
 
 class TestConstruction:
     def test_even_base(self):
-        assert sop_even(SYMPLECTIC, 0) == Polynomial.one()
+        assert sop_even(SYMPLECTIC, 0) == Polynomial([1])
 
     def test_even_pair_one(self):
         expected = Polynomial([Fraction(5, 2), Fraction(-3), Fraction(1)])
         assert sop_even(SYMPLECTIC, 1) == expected
 
     def test_odd_base(self):
-        assert sop_odd(SYMPLECTIC, 0) == Polynomial.variable()
+        assert sop_odd(SYMPLECTIC, 0) == Polynomial([0, 1])
 
     def test_odd_pair_one(self):
         # Pf(0,1,3,z)/Pf(0,1) = (s_01 z^3 - s_03 z + s_13)/s_01
@@ -177,8 +177,14 @@ class TestNormalization:
 class TestFamily:
     def test_minimal(self):
         family = build_family(SYMPLECTIC, 0)
-        assert family.polys == (Polynomial.one(), Polynomial.variable())
+        assert family.polys == (Polynomial([1]), Polynomial([0, 1]))
         assert family.norms == (Fraction(2),)
+
+    @pytest.mark.parametrize("builder", [build_family, oracle_family])
+    @pytest.mark.parametrize("pairs", [-1, -3])
+    def test_negative_pairs_rejected(self, builder, pairs):
+        with pytest.raises(ValueError, match=f"pairs must be nonnegative, got {pairs}"):
+            builder(SYMPLECTIC, pairs)
 
     def test_constructor_verifies(self):
         family = build_family(from_random(42, 9), 3)
@@ -324,7 +330,7 @@ class TestVerifier:
         table = from_random(42, 9)
         family = build_family(table, 1)
         polys = list(family.polys)
-        polys[3] = polys[3] + Polynomial.monomial(2)
+        polys[3] = polys[3] + Polynomial([0, 0, 1])
         broken = SOPFamily(polys, family.norms, family.gauge)
         report = verify_skew_orthogonality(broken, table)
         assert not report.passed
@@ -364,7 +370,7 @@ class TestVerifier:
         if tamper == "member":
             # below the leading term, so the member keeps its degree
             k = data.draw(st.integers(1, len(polys) - 1))
-            polys[k] = polys[k] + Polynomial.monomial(data.draw(st.integers(0, k - 1)))
+            polys[k] = polys[k] + Polynomial([0] * data.draw(st.integers(0, k - 1)) + [1])
         elif tamper == "norm":
             n = data.draw(st.integers(0, len(norms) - 1))
             norms[n] *= data.draw(st.sampled_from([Fraction(-1), Fraction(3, 2), Fraction(2, 7)]))
@@ -394,7 +400,7 @@ def orthogonality_digest():
         table = from_random(seed, 2 * pairs + 3)
         family = build_family(table, pairs)
         polys = list(family.polys)
-        polys[2] = polys[2] + Polynomial.monomial(1)
+        polys[2] = polys[2] + Polynomial([0, 1])
         reports += [
             verify_skew_orthogonality(family, table),
             verify_skew_orthogonality(oracle_family(table, pairs), table),

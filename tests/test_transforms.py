@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewflow.algebra import Polynomial, rat_str
+from skewflow.algebra import Polynomial, clear_denominators, rat_str
 from skewflow.cli import main
 from skewflow.errors import DegreeBudgetExceeded, SingularConfiguration, TruncationTooLarge
 from skewflow.moments import (
@@ -59,6 +59,11 @@ def definitional_band_product(a, b):
     )
 
 
+def band(kind, rows):
+    """The BandMatrix of rational rows, each over its least denominator."""
+    return BandMatrix(kind, [(tuple(ints), den) for ints, den in map(clear_denominators, rows)])
+
+
 @st.composite
 def band_matrices(draw, size, kind):
     """Any L (free on and below the diagonal, unit superdiagonal) or R
@@ -73,7 +78,7 @@ def band_matrices(draw, size, kind):
         elif i + 1 < size:
             row[i + 1] = Fraction(1)
         rows.append(row)
-    return BandMatrix(kind, rows)
+    return band(kind, rows)
 
 
 @st.composite
@@ -146,7 +151,7 @@ class TestChristoffel:
     def test_even_base_is_one(self):
         table, family = random_setup()
         transformed, _, _ = christoffel(family, table, Fraction(3))
-        assert transformed.even(0) == Polynomial.one()
+        assert transformed.even(0) == Polynomial([1])
 
     def test_symplectic_norm_ratio(self):
         family = build_family(SYMPLECTIC, 1)
@@ -191,7 +196,7 @@ class TestGeronimus:
         data = geronimus_coeffs(transformed, family, table, lam)
         assert len(data.rows) == len(transformed.polys)
         for i, row in enumerate(data.rows):
-            rebuilt = Polynomial.zero()
+            rebuilt = Polynomial()
             for coeff, member in zip(row, transformed.polys):
                 rebuilt = rebuilt + member.scale(coeff)
             assert rebuilt == family.polys[i]
@@ -228,7 +233,7 @@ class TestGeronimus:
         transformed, _, _ = christoffel(family, table, lam)
         data = geronimus_coeffs(transformed, family, table, lam)
         polys = list(family.polys)
-        polys[member] = polys[member] + Polynomial.monomial(member // 2).scale(Fraction(2, 7))
+        polys[member] = polys[member] + Polynomial([0] * (member // 2) + [Fraction(2, 7)])
         tampered = SOPFamily(polys, family.norms, family.gauge)
         report = verify_geronimus(transformed, tampered, table, data)
         kind = "odd" if member % 2 else "even"
@@ -320,7 +325,7 @@ class TestLaxPair:
         factors = build_lax_pair(families, datas, size)
         rows = [list(r) for r in factors[1][1].rows]
         rows[1][0] += 1
-        bad = BandMatrix("R", rows)
+        bad = band("R", rows)
         report = verify_dlax(factors[0][0], factors[0][1], factors[1][0], bad)
         assert not report.passed
 
@@ -393,7 +398,7 @@ class TestBandMatrix:
     )
     def test_structure_is_checked(self, kind, rows, message):
         with pytest.raises(ValueError) as err:
-            BandMatrix(kind, rows)
+            band(kind, rows)
         assert str(err.value) == message
 
 
@@ -475,7 +480,7 @@ def corrupted(family, member, shift, factor):
     """The family with ``shift`` added to member ``member`` and every norm
     multiplied by ``factor``."""
     polys = list(family.polys)
-    polys[member] = polys[member] + Polynomial.constant(shift)
+    polys[member] = polys[member] + Polynomial([shift])
     return SOPFamily(polys, [r * factor for r in family.norms], family.gauge)
 
 
