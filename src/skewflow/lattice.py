@@ -33,23 +33,28 @@ tauhat_n/tau_n, the coefficient fields of the contiguous relations, and the
 phi polynomials of the extended (vector) theory.  The scalar and 2x2 matrix
 systems share their formulas: :func:`_ratios` writes each coefficient once
 (tau over tau for the scalar field; tau over sigma and sigma over tau for
-the upper and lower matrix entries) as one integer quotient, each field is
-built once per grid and shared by every verifier that reads it
-(:func:`coefficient_field`, :func:`matrix_coefficient_field`), and
-:func:`_additive` and ``_PRODUCTS`` write each nonlinear relation once, for
-dpfl's scalar and edpfl's antidiagonal products; :func:`_contiguous` checks
-the contiguous relations of slax and edlax in one loop.  Every verifier
-checks its identities exactly.  Each relation in z (bilinear, contiguous or
+the upper and lower matrix entries) as one unreduced integer pair
+(numerator, denominator), each field is built once per grid and shared by
+every verifier that reads it (:func:`coefficient_field`,
+:func:`matrix_coefficient_field`), and :func:`_additive` and ``_PRODUCTS``
+write each nonlinear relation once, for dpfl's scalar and edpfl's
+antidiagonal products; :func:`_contiguous` checks the contiguous relations
+of slax and edlax in one loop.  A field entry is reduced to a Fraction only
+when it is read through the field's public views.  Every verifier checks
+its identities exactly.  Each relation in z (bilinear, contiguous or
 crosscheck) is checked once, as one integer identity: a sum of terms, each
 an integer scalar times a value's integer coefficients times a fixed factor
 1, z-mu, z-lam or (z-mu)(z-lam), brought over the product of the terms'
 denominators and added (:func:`skewflow.algebra.sums_to_zero`, the
 library's one integer-identity rule), with no rational arithmetic and no
-reduction.  A failed identity is reported, never raised.
+reduction; the nonlinear systems' additive balances go through the same
+rule, and their products are compared by cross-multiplication.  A failed
+identity is reported, never raised.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -378,10 +383,11 @@ def _quotient(p: PolyForm, r: ScalarForm) -> _Scaled:
     return v, rd, pd * rn
 
 
-def _times(c: Rational, form: _Scaled) -> _Scaled:
-    """c times a value of :func:`_quotient`."""
-    v, k, d = form
-    return v, c.numerator * k, c.denominator * d
+def _times(c: tuple[int, int], form: _Scaled) -> _Scaled:
+    """c = p/q, a field entry (p, q) with q != 0 of either sign, times a
+    value of :func:`_quotient`."""
+    (p, q), (v, k, d) = c, form
+    return v, p * k, q * d
 
 
 # -- single-step Pfaffian crosschecks ----------------------------------
@@ -473,29 +479,92 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
 # -- scalar coefficient field ------------------------------------------
 
 
+# A field entry: a scalar (num, den), or a matrix ((num, den), (num, den))
+# for its (upper, lower) entries; den != 0 of either sign, not reduced.
+_Entry = ScalarForm | tuple[ScalarForm, ScalarForm]
+
+
+def _components(entry: _Entry) -> tuple[ScalarForm, ...]:
+    """The (num, den) pairs of a field entry: the scalar's one, or the
+    matrix entry's upper and lower."""
+    return (entry,) if type(entry[0]) is int else entry
+
+
+def _reduced(entry: _Entry) -> Rational | AntiDiagonal:
+    """A field entry reduced: a Fraction, or an :class:`AntiDiagonal` of two."""
+    if type(entry[0]) is int:
+        return Fraction(*entry)
+    (up, uq), (lp, lq) = entry
+    return AntiDiagonal(Fraction(up, uq), Fraction(lp, lq))
+
+
+class _FieldView(Mapping):
+    """A read-only view of one field store, keyed (n, s, t): each entry
+    is reduced on access, and membership, iteration and length read the
+    store itself."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: dict):
+        self._store = store
+
+    def __getitem__(self, key):
+        return _reduced(self._store[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._store
+
+    def __iter__(self):
+        return iter(self._store)
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+
 class CoefficientField:
     """A, B, C, D per interior site, keyed (n, s, t); A only for n >= 1.
 
-    The scalar field holds rationals, the matrix field
-    :class:`AntiDiagonal` entries.
+    ``CoefficientField(config, a, b, c, d)`` takes the four stores of
+    integer-form entries, kept private and unreduced: a scalar field entry
+    is (num, den), a matrix field entry ((num, den), (num, den)) for its
+    (upper, lower) entries, den != 0 of either sign.  The verifiers read
+    the stores.  ``a``, ``b``, ``c`` and ``d`` are read-only mappings over
+    them that reduce an entry on each access, to a Fraction for the scalar
+    field and to an :class:`AntiDiagonal` of Fractions for the matrix one.
     """
 
-    __slots__ = ("config", "a", "b", "c", "d")
+    __slots__ = ("config", "_a", "_b", "_c", "_d")
 
     def __init__(self, config, a, b, c, d):
         self.config = config
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        self._a = a
+        self._b = b
+        self._c = c
+        self._d = d
+
+    @property
+    def a(self) -> Mapping:
+        return _FieldView(self._a)
+
+    @property
+    def b(self) -> Mapping:
+        return _FieldView(self._b)
+
+    @property
+    def c(self) -> Mapping:
+        return _FieldView(self._c)
+
+    @property
+    def d(self) -> Mapping:
+        return _FieldView(self._d)
 
 
 def _ratios(
-    config: LatticeConfig, x: dict, y: dict, k: Rational
+    config: LatticeConfig, x: dict, y: dict, k: tuple[int, int]
 ) -> tuple[dict, dict, dict, dict]:
     """The A, B, C, D tau-ratios with numerators from the lattice function
-    stored in x, denominators from the one in y and constant k; an entry
-    whose denominator vanishes is left out.
+    stored in x, denominators from the one in y and constant k, an integer
+    pair (num, den > 0); an entry whose denominator vanishes is left out.
 
         A = k x_{n+1} x_{n-1}^{s+1,t+1} / (y_n^{s+1,t} y_n^{s,t+1})      (n >= 1)
         B = k x_n x_n^{s+1,t+1} / (y_n^{s+1,t} y_n^{s,t+1})
@@ -503,14 +572,15 @@ def _ratios(
         D = x_{n+1}^{s,t+1} x_n^{s+1,t} / (k y_{n+1} y_n^{s+1,t+1})
 
     (unmarked sites are (s, t)).  x and y are grid stores of scalar forms
-    (num, den).  Each entry is one Fraction, the integer quotient of the
-    numerators and denominators of its five factors, reduced by one gcd.
+    (num, den).  Each entry is the unreduced pair (top u0 v0, bottom u1 v1)
+    of its five factors' numerators and denominators, with no gcd; its
+    denominator is nonzero and may be negative.
     """
 
-    def ratio(top: int, bottom: int, u: ScalarForm, v: ScalarForm) -> Rational:
-        return Fraction(top * u[0] * v[0], bottom * u[1] * v[1])
+    def ratio(top: int, bottom: int, u: ScalarForm, v: ScalarForm) -> ScalarForm:
+        return top * u[0] * v[0], bottom * u[1] * v[1]
 
-    kp, kq = k.numerator, k.denominator
+    kp, kq = k
     a, b, cc, d = {}, {}, {}, {}
     for key in _sites(config, 0, 0, range(config.pairs + 1)):
         n, s, t = key
@@ -531,15 +601,17 @@ def _ratios(
 
 
 def coefficient_field(grid: TauGrid) -> CoefficientField:
-    """Tau-ratio coefficients of the scalar contiguous relations.
+    """Tau-ratio coefficients of the scalar contiguous relations, each
+    stored as the integer pair :func:`_ratios` gives.
 
     Built on the first call for a grid and kept on it, so every later call
-    (:func:`verify_slax` makes one) returns the same object.  The field is
-    shared by every caller and must not be modified.
+    (:func:`verify_slax` makes one) returns the same object, shared by
+    every caller; its public views are read-only.
     """
     if grid._scalar_field is None:
         c = grid.config
-        ratios = _ratios(c, grid._tau, grid._tau, c.mu - c.lam)
+        lp, lq = _lm(c)
+        ratios = _ratios(c, grid._tau, grid._tau, (-lp, lq))
         grid._scalar_field = CoefficientField(c, *ratios)
     return grid._scalar_field
 
@@ -629,7 +701,8 @@ def _contiguous(
     report: Report, name: str, grid: TauGrid, field: CoefficientField, vec: dict, act
 ) -> None:
     """Both contiguous relations at every interior site, each checked once
-    per component as one integer identity in z:
+    per component as one integer identity in z, on the field's integer-form
+    stores:
 
         (z-lam) v_n^{s,t+1} - (z-mu) v_n^{s+1,t}
             = -B v_n + (z-mu)(z-lam) A v_{n-1}^{s+1,t+1}        (A for n >= 1)
@@ -639,8 +712,8 @@ def _contiguous(
     (unmarked sites are (s, t)), each written as a sum of terms that is
     zero (:func:`sums_to_zero`).  ``vec`` maps (n, s, t) to the value
     vector there, its components as :func:`_quotient` gives them, undefined
-    where its first component is None; ``act(k, v)`` is the vector
-    coefficient k makes of v, in the same terms.  An instance that needs an
+    where its first component is None; ``act(k, v)`` is the vector the
+    field entry k makes of v, in the same terms.  An instance that needs an
     undefined vector or a coefficient the field omits is recorded as
     skipped.
     """
@@ -663,24 +736,24 @@ def _contiguous(
         prev = vec[n - 1, s + 1, t + 1] if n >= 1 else None
         if (
             None in (here[0], v_s[0], v_t[0])
-            or key not in field.b
-            or (n >= 1 and (prev[0] is None or key not in field.a))
+            or key not in field._b
+            or (n >= 1 and (prev[0] is None or key not in field._a))
         ):
             report.skip(f"{name}1:{tag}", "sigma vanishes inside the stencil")
         else:
-            terms = [(1, z_lam, v_t), (-1, z_mu, v_s), (1, (_ONE, 1), act(field.b[key], here))]
+            terms = [(1, z_lam, v_t), (-1, z_mu, v_s), (1, (_ONE, 1), act(field._b[key], here))]
             if n >= 1:
-                terms.append((-1, z_both, act(field.a[key], prev)))
+                terms.append((-1, z_both, act(field._a[key], prev)))
             report.add(f"{name}1:{tag}", holds(terms))
         diag, up = vec[n, s + 1, t + 1], vec[n + 1, s, t]
-        if None in (diag[0], up[0], v_t[0], v_s[0]) or key not in field.c or key not in field.d:
+        if None in (diag[0], up[0], v_t[0], v_s[0]) or key not in field._c or key not in field._d:
             report.skip(f"{name}2:{tag}", "sigma vanishes inside the stencil")
         else:
             report.add(f"{name}2:{tag}", holds([
                 (1, z_both, diag),
                 (-1, (_ONE, 1), up),
-                (-1, z_lam, act(field.c[key], v_t)),
-                (1, z_mu, act(field.d[key], v_s)),
+                (-1, z_lam, act(field._c[key], v_t)),
+                (1, z_mu, act(field._d[key], v_s)),
             ]))
 
 
@@ -703,18 +776,39 @@ def verify_slax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     # The scalar field's constant is mu - lambda, the matrix field's
     # lambda - mu, so a scalar coefficient acts with its sign flipped.
     _contiguous(
-        report, "slax", grid, coefficient_field(grid), q, lambda k, v: (_times(-k, v[0]),)
+        report, "slax", grid, coefficient_field(grid), q,
+        lambda k, v: (_times((-k[0], k[1]), v[0]),),
     )
     return report
 
 
 def _additive(field: CoefficientField, n: int, s: int, t: int) -> bool:
-    """The additive balance at (n, s, t); KeyError where an entry is missing."""
-    a, b, cc, d = field.a, field.b, field.c, field.d
-    return (
-        a[(n, s + 1, t + 1)] - a[(n + 1, s, t)] + b[(n + 1, s, t)] - b[(n, s + 1, t + 1)]
-        == cc[(n, s, t + 1)] - cc[(n, s + 1, t)] + d[(n, s + 1, t)] - d[(n, s, t + 1)]
+    """The additive balance at (n, s, t),
+
+        A^{s+1,t+1} - A_{n+1} + B_{n+1} - B^{s+1,t+1}
+            = C^{s,t+1} - C^{s+1,t} + D^{s+1,t} - D^{s,t+1}
+
+    (unmarked indices are n, s, t), checked per component as one integer
+    sum of constant terms (:func:`sums_to_zero`); KeyError where an entry
+    is missing."""
+    a, b, cc, d = field._a, field._b, field._c, field._d
+    signed = (
+        (1, a[n, s + 1, t + 1]), (-1, a[n + 1, s, t]),
+        (1, b[n + 1, s, t]), (-1, b[n, s + 1, t + 1]),
+        (-1, cc[n, s, t + 1]), (1, cc[n, s + 1, t]),
+        (-1, d[n, s + 1, t]), (1, d[n, s, t + 1]),
     )
+    parts = [(sign, _components(entry)) for sign, entry in signed]
+    return all(
+        sums_to_zero([(sign * pq[i][0], _ONE, _ONE, pq[i][1]) for sign, pq in parts])
+        for i in range(len(parts[0][1]))
+    )
+
+
+def _same_product(w: ScalarForm, x: ScalarForm, y: ScalarForm, z: ScalarForm) -> bool:
+    """w x == y z for four field entries (num, den), den != 0 of either
+    sign, by cross-multiplication: w0 x0 y1 z1 == y0 z0 w1 x1."""
+    return w[0] * x[0] * y[1] * z[1] == y[0] * z[0] * w[1] * x[1]
 
 
 # The product relations lhs * x = r1 * r2 of the nonlinear systems.  A row
@@ -725,17 +819,17 @@ def _additive(field: CoefficientField, n: int, s: int, t: int) -> bool:
 # where the two coincide).
 _PRODUCTS = (
     ("product-ac", (1, 0), 0,
-     lambda f, n, s, t: (f.a[n, s + 1, t], f.c[n - 1, s + 1, t], f.a[n, s, t], f.c[n, s, t]),
-     lambda f, n, s, t: (f.a[n, s + 1, t], f.c[n - 1, s + 1, t], f.a[n, s, t], f.c[n, s + 1, t])),
+     lambda f, n, s, t: (f._a[n, s + 1, t], f._c[n - 1, s + 1, t], f._a[n, s, t], f._c[n, s, t]),
+     lambda f, n, s, t: (f._a[n, s + 1, t], f._c[n - 1, s + 1, t], f._a[n, s, t], f._c[n, s + 1, t])),
     ("product-ad", (0, 1), 0,
-     lambda f, n, s, t: (f.a[n, s, t + 1], f.d[n - 1, s, t + 1], f.a[n, s, t], f.d[n, s, t]),
+     lambda f, n, s, t: (f._a[n, s, t + 1], f._d[n - 1, s, t + 1], f._a[n, s, t], f._d[n, s, t]),
      None),
     ("product-bd", (1, 0), 1,
-     lambda f, n, s, t: (f.b[n, s + 1, t], f.d[n, s + 1, t], f.b[n + 1, s, t], f.d[n, s, t]),
+     lambda f, n, s, t: (f._b[n, s + 1, t], f._d[n, s + 1, t], f._b[n + 1, s, t], f._d[n, s, t]),
      None),
     ("product-bc", (0, 1), 1,
-     lambda f, n, s, t: (f.b[n, s, t + 1], f.c[n, s, t + 1], f.b[n + 1, s, t], f.c[n, s, t]),
-     lambda f, n, s, t: (f.b[n, s, t + 1], f.d[n, s, t + 1], f.b[n + 1, s, t], f.d[n, s, t])),
+     lambda f, n, s, t: (f._b[n, s, t + 1], f._c[n, s, t + 1], f._b[n + 1, s, t], f._c[n, s, t]),
+     lambda f, n, s, t: (f._b[n, s, t + 1], f._d[n, s, t + 1], f._b[n + 1, s, t], f._d[n, s, t])),
 )
 
 
@@ -768,7 +862,7 @@ def verify_dpfl(field: CoefficientField) -> Report:
                 for rel_id, _, top, factors, _ in rows:
                     for n in range(1, c.pairs + 1 - top):
                         lhs, x, r1, r2 = factors(field, n, s, t)
-                        report.add(f"{rel_id}:n={n},s={s},t={t}", lhs * x == r1 * r2)
+                        report.add(f"{rel_id}:n={n},s={s},t={t}", _same_product(lhs, x, r1, r2))
     return report
 
 
@@ -777,27 +871,25 @@ def verify_dpfl(field: CoefficientField) -> Report:
 
 @dataclass(frozen=True)
 class AntiDiagonal:
-    """2x2 matrix with zero diagonal, stored as (upper, lower) entries."""
+    """2x2 matrix with zero diagonal, stored as (upper, lower) entries: a
+    matrix field entry as its views hand it out."""
 
     upper: Rational  # row 0, column 1
     lower: Rational  # row 1, column 0
 
-    # the edpfl additive balance (:func:`_additive`) adds and subtracts entries
-    def __add__(self, other: "AntiDiagonal") -> "AntiDiagonal":
-        return AntiDiagonal(self.upper + other.upper, self.lower + other.lower)
 
-    def __sub__(self, other: "AntiDiagonal") -> "AntiDiagonal":
-        return AntiDiagonal(self.upper - other.upper, self.lower - other.lower)
-
-    def times(self, other: "AntiDiagonal") -> tuple[Rational, Rational]:
-        """Product of two antidiagonal matrices, a diagonal (d00, d11)."""
-        return (self.upper * other.lower, self.lower * other.upper)
+def _same_antidiagonal_product(lhs: _Entry, x: _Entry, r1: _Entry, r2: _Entry) -> bool:
+    """lhs x == r1 r2 for four matrix field entries: a product of two
+    antidiagonal matrices is the diagonal (u1 l2, l1 u2), so the check is
+    :func:`_same_product` once per diagonal entry."""
+    return _same_product(lhs[0], x[1], r1[0], r2[1]) and _same_product(lhs[1], x[0], r1[1], r2[0])
 
 
 def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
     """Matrix coefficients per interior site: the scalar tau-ratios with
     lambda - mu for mu - lambda, sigma in the denominators of the upper
-    entries and in the numerators of the lower ones.
+    entries and in the numerators of the lower ones, each entry stored as
+    the pair (upper, lower) of the integer pairs :func:`_ratios` gives.
 
     An entry is omitted (not stored) wherever a sigma in its denominator
     vanishes; the verifiers skip relation instances that need missing
@@ -805,16 +897,14 @@ def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
     further accidental zeros on the grid.
 
     Like :func:`coefficient_field`, built once per grid (:func:`verify_edlax`
-    reads the same object) and shared: it must not be modified.
+    reads the same object) and shared; its public views are read-only.
     """
     if grid._matrix_field is None:
         c = grid.config
-        lm = c.lam - c.mu
+        lm = _lm(c)
         upper = _ratios(c, grid._tau, grid._sigma, lm)
         lower = _ratios(c, grid._sigma, grid._tau, lm)
-        both = (
-            {k: AntiDiagonal(u[k], w[k]) for k in u if k in w} for u, w in zip(upper, lower)
-        )
+        both = ({k: (u[k], w[k]) for k in u if k in w} for u, w in zip(upper, lower))
         grid._matrix_field = CoefficientField(c, *both)
     return grid._matrix_field
 
@@ -883,7 +973,7 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     }
     _contiguous(
         report, "edlax", grid, matrix_coefficient_field(grid), phi,
-        lambda k, v: (_times(k.upper, v[1]), _times(k.lower, v[0])),
+        lambda k, v: (_times(k[0], v[1]), _times(k[1], v[0])),
     )
     for s, t in grid.sites():
         # tauhat_n and sighat_n, the phis times sigma_n and tau_n: a pairing
@@ -966,9 +1056,11 @@ def verify_edpfl(field: CoefficientField) -> Report:
             continue
         holds = {}
         for name, insts in (("pattern", at_pattern), ("printed", at_printed)):
-            holds[name] = all(lhs.times(x) == r1.times(r2) for lhs, x, r1, r2 in insts)
+            holds[name] = all(
+                _same_antidiagonal_product(lhs, x, r1, r2) for lhs, x, r1, r2 in insts
+            )
             holds[f"{name}-swapped"] = all(
-                lhs.times(x) == r2.times(r1) for lhs, x, r1, r2 in insts
+                _same_antidiagonal_product(lhs, x, r2, r1) for lhs, x, r1, r2 in insts
             )
         detail = " ".join(f"{k}={'pass' if holds[k] else 'fail'}" for k in _EDPFL_VARIANTS)
         report.add(rel_id, holds["pattern-swapped"], detail)

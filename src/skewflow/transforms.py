@@ -56,6 +56,14 @@ RowForm = tuple[tuple[int, ...], int]
 _ONE = (1,)
 
 
+def _row_form(ints: Sequence[int], den: int) -> RowForm:
+    """The row ints/den, den != 0 of either sign, as a row form with a
+    positive denominator; nothing is reduced."""
+    if den < 0:
+        return tuple(-x for x in ints), -den
+    return tuple(ints), den
+
+
 def _reduced_rows(forms: Sequence[RowForm]) -> tuple[tuple[Rational, ...], ...]:
     """The rows of integer forms as reduced Fractions."""
     return tuple(tuple(Fraction(x, den) for x in ints) for ints, den in forms)
@@ -103,12 +111,11 @@ def _kernel_sums(
 
 
 def _even_scale(family: SOPFamily, at: Sequence[int], q: int, den: int, n: int) -> tuple[int, int]:
-    """(u, w), w > 0, with u/w = r_n / (q_2n(y) den): the factor that makes
-    the kernel sum of order n, on the denominator of :func:`_kernel_sums`,
-    the L row 2n, so that its q_{2n+1} entry is 1."""
+    """(u, w), w != 0 of either sign, with u/w = r_n / (q_2n(y) den): the
+    factor that makes the kernel sum of order n, on the denominator of
+    :func:`_kernel_sums`, the L row 2n, so that its q_{2n+1} entry is 1."""
     r, even = family.norms[n], family.polys[2 * n]
-    u, w = r.numerator * q ** (2 * n) * even.den, r.denominator * at[2 * n] * den
-    return (-u, -w) if w < 0 else (u, w)
+    return r.numerator * q ** (2 * n) * even.den, r.denominator * at[2 * n] * den
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ def christoffel(
     norms: list[Rational] = []
     for n in range(family.pairs + 1):
         u, w = _even_scale(family, at, q, den, n)
-        forms.append((tuple(u * x for x in base[: 2 * n + 2]) + (0,) * (size - 2 * n - 2), w))
+        forms.append(_row_form([u * x for x in base[: 2 * n + 2]] + [0] * (size - 2 * n - 2), w))
         if n == family.pairs:
             break
         # (z - lam) q*_2n = u sums[n] / w, and sums[n] = (q z - p) g
@@ -172,7 +179,7 @@ def christoffel(
         top = qq * nxt.den * e
         odd = [0] * size
         odd[2 * n], odd[2 * n + 2] = -e_next * even.den, top
-        forms.append((tuple(odd), top) if top > 0 else (tuple(-x for x in odd), -top))
+        forms.append(_row_form(odd, top))
         combined = [qq * e * c for c in nxt.num]
         for i, c in enumerate(even.num):
             combined[i] -= e_next * c

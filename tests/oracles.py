@@ -3,8 +3,9 @@ product, combination and division by z - root that the library no longer
 runs, the Fraction construction of the transforms, the per-member SOP
 formula, the SOP oracle by linear solves and the Fraction orthogonality
 report, an exact determinant, the acceptance battery's two measures, the
-lattice polynomials read off a grid's accessors, and the lattice relations
-in z.
+lattice polynomials read off a grid's accessors, the lattice relations in
+z, and the nonlinear lattice systems with the AntiDiagonal sum, difference
+and product they need.
 
 Each oracle reads like its formula and shares no code path with what it
 checks: :func:`christoffel_fractions`, :func:`geronimus_fractions` and
@@ -21,14 +22,19 @@ writes each pairing as a Fraction, where
 independent of the Pfaffian engine; and :func:`bilinear_checks` and
 :func:`lax_checks` check the dckp, edckp, slax and edlax relations in
 ``Polynomial`` arithmetic on the printed coefficient formulas, where
-:mod:`skewflow.lattice` checks each as one integer identity.
+:mod:`skewflow.lattice` checks each as one integer identity; and
+:func:`dpfl_fractions` and :func:`edpfl_fractions` check the dpfl and edpfl
+relations in Fraction arithmetic on a field's reduced entries, where
+:mod:`skewflow.lattice` cross-multiplies their integer forms.
 """
 
+import operator
 from fractions import Fraction
 from math import lcm
 
 from skewflow.algebra import Polynomial, convolve, linear_quotient, rat, rat_str
 from skewflow.errors import DegreeBudgetExceeded, NotDivisible, SingularConfiguration
+from skewflow.lattice import AntiDiagonal
 from skewflow.moments import DiscreteMeasure
 from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
 from skewflow.report import Report
@@ -337,12 +343,18 @@ def printed_ratios(grid, x, y, k):
     return a, b, cc, d
 
 
+def _stencils(c, step, ns):
+    """The (n, s, t) of a stencil that steps step + 1 (per direction) in
+    report order, n varying fastest over ``ns``."""
+    for s in range(c.steps_s - step[0]):
+        for t in range(c.steps_t - step[1]):
+            for n in ns:
+                yield n, s, t
+
+
 def _sites(c):
     """The interior (n, s, t) in report order, n varying fastest."""
-    for s in range(c.steps_s):
-        for t in range(c.steps_t):
-            for n in range(c.pairs + 1):
-                yield n, s, t
+    return _stencils(c, (0, 0), range(c.pairs + 1))
 
 
 def _verdict(ok):
@@ -491,3 +503,116 @@ def lax_checks(grid):
             (f"phi-even-defined:s={s},t={t}", _verdict(ok), f"monic even indices: {monic}")
         )
     return slax, edlax
+
+
+# -- the nonlinear systems on the reduced coefficients -------------------
+
+
+def antidiagonal_sum(m, k):
+    """m + k for two AntiDiagonal matrices."""
+    return AntiDiagonal(m.upper + k.upper, m.lower + k.lower)
+
+
+def antidiagonal_difference(m, k):
+    """m - k for two AntiDiagonal matrices."""
+    return AntiDiagonal(m.upper - k.upper, m.lower - k.lower)
+
+
+def antidiagonal_product(m, k):
+    """The product of two antidiagonal matrices, a diagonal (d00, d11)."""
+    return (m.upper * k.lower, m.lower * k.upper)
+
+
+def _additive(field, n, s, t):
+    """The additive balance at (n, s, t) on the field's reduced entries;
+    KeyError where an entry is missing."""
+    a, b, cc, d = field.a, field.b, field.c, field.d
+    left = (a[n, s + 1, t + 1], a[n + 1, s, t], b[n + 1, s, t], b[n, s + 1, t + 1])
+    right = (cc[n, s, t + 1], cc[n, s + 1, t], d[n, s + 1, t], d[n, s, t + 1])
+    if isinstance(left[0], AntiDiagonal):
+        add, sub = antidiagonal_sum, antidiagonal_difference
+    else:
+        add, sub = operator.add, operator.sub
+    return add(sub(left[0], left[1]), sub(left[2], left[3])) == add(
+        sub(right[0], right[1]), sub(right[2], right[3])
+    )
+
+
+# (id, step (ds, dt), top values of n dropped, pattern factors, printed
+# factors or None where they coincide) of each product relation
+# lhs * x = r1 * r2, read off the field's reduced entries
+_PRODUCTS = (
+    ("product-ac", (1, 0), 0,
+     lambda f, n, s, t: (f.a[n, s + 1, t], f.c[n - 1, s + 1, t], f.a[n, s, t], f.c[n, s, t]),
+     lambda f, n, s, t: (f.a[n, s + 1, t], f.c[n - 1, s + 1, t], f.a[n, s, t], f.c[n, s + 1, t])),
+    ("product-ad", (0, 1), 0,
+     lambda f, n, s, t: (f.a[n, s, t + 1], f.d[n - 1, s, t + 1], f.a[n, s, t], f.d[n, s, t]),
+     None),
+    ("product-bd", (1, 0), 1,
+     lambda f, n, s, t: (f.b[n, s + 1, t], f.d[n, s + 1, t], f.b[n + 1, s, t], f.d[n, s, t]),
+     None),
+    ("product-bc", (0, 1), 1,
+     lambda f, n, s, t: (f.b[n, s, t + 1], f.c[n, s, t + 1], f.b[n + 1, s, t], f.c[n, s, t]),
+     lambda f, n, s, t: (f.b[n, s, t + 1], f.d[n, s, t + 1], f.b[n + 1, s, t], f.d[n, s, t])),
+)
+
+
+def dpfl_fractions(field):
+    """The dpfl report in Fraction arithmetic on the field's reduced
+    entries: the additive balances, then the products site by site, the
+    two stepping in s (ac, bd) before the two stepping in t (ad, bc)."""
+    c = field.config
+    report = Report("dpfl", {})
+    for n, s, t in _stencils(c, (1, 1), range(1, c.pairs)):
+        report.add(f"additive:n={n},s={s},t={t}", _additive(field, n, s, t))
+    for step in ((1, 0), (0, 1)):
+        rows = [row for row in _PRODUCTS if row[1] == step]
+        for s in range(c.steps_s - step[0]):
+            for t in range(c.steps_t - step[1]):
+                for rel_id, _, top, factors, _ in rows:
+                    for n in range(1, c.pairs + 1 - top):
+                        lhs, x, r1, r2 = factors(field, n, s, t)
+                        report.add(f"{rel_id}:n={n},s={s},t={t}", lhs * x == r1 * r2)
+    return report
+
+
+def edpfl_fractions(field):
+    """The edpfl report in Fraction arithmetic on the field's reduced
+    AntiDiagonal entries: each additive balance, skipped where an entry is
+    missing, then each product relation in its four variants, passing on
+    "pattern-swapped"."""
+    c = field.config
+    report = Report("edpfl", {})
+    for n, s, t in _stencils(c, (1, 1), range(1, c.pairs)):
+        tag = f"additive:n={n},s={s},t={t}"
+        try:
+            report.add(tag, _additive(field, n, s, t))
+        except KeyError:
+            report.skip(tag, "coefficient undefined (sigma vanishes)")
+    for rel_id, step, top, pattern, printed in _PRODUCTS:
+        found = {}
+        for name, factors in (("pattern", pattern), ("printed", printed or pattern)):
+            found[name] = []
+            for n, s, t in _stencils(c, step, range(1, c.pairs + 1 - top)):
+                try:
+                    found[name].append(factors(field, n, s, t))
+                except KeyError:
+                    pass
+        if not found["pattern"]:
+            report.skip(rel_id, "no admissible pattern-swapped instance" if found["printed"]
+                        else "every instance touches a singular site")
+            continue
+        holds = {}
+        for name, insts in found.items():
+            holds[name] = all(
+                antidiagonal_product(lhs, x) == antidiagonal_product(r1, r2)
+                for lhs, x, r1, r2 in insts
+            )
+            holds[f"{name}-swapped"] = all(
+                antidiagonal_product(lhs, x) == antidiagonal_product(r2, r1)
+                for lhs, x, r1, r2 in insts
+            )
+        variants = ("pattern-swapped", "pattern", "printed", "printed-swapped")
+        detail = " ".join(f"{k}={'pass' if holds[k] else 'fail'}" for k in variants)
+        report.add(rel_id, holds["pattern-swapped"], detail)
+    return report

@@ -34,9 +34,14 @@ from skewflow.moments import (
 from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
 from skewflow.sops import skew_product
 from oracles import (
+    antidiagonal_difference,
+    antidiagonal_product,
+    antidiagonal_sum,
     apply_antidiagonal,
     as_form,
     bilinear_checks,
+    dpfl_fractions,
+    edpfl_fractions,
     lax_checks,
     mul,
     phi_even,
@@ -82,8 +87,10 @@ def with_values(grid, tau=(), sigma=(), tauhat=(), sighat=()):
 
 
 @st.composite
-def random_grids(draw, zero_site=False):
+def random_grids(draw, zero_site=False, pairs=(0, 2), steps=(1, 2)):
     """A grid over a drawn table, box and (mu, lambda); no vanishing tau.
+    Its pair count lies in the closed range ``pairs`` and, without
+    ``zero_site``, its step counts in ``steps``.
 
     With ``zero_site``, mu and lambda have denominators above 1 and the box
     holds a site (s, t) other than the origin with s*mu + t*lam = 0."""
@@ -92,10 +99,10 @@ def random_grids(draw, zero_site=False):
         s0, t0 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
         lam = -s0 * mu / t0
         assume(lam.denominator > 1)
-        box = draw(st.integers(0, 2)), draw(st.integers(s0, 2)), draw(st.integers(t0, 2))
+        box = draw(st.integers(*pairs)), draw(st.integers(s0, 2)), draw(st.integers(t0, 2))
     else:
         mu, lam = draw(st.lists(fractions(-4, 4, 5), min_size=2, max_size=2, unique=True))
-        box = draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        box = draw(st.integers(*pairs)), draw(st.integers(*steps)), draw(st.integers(*steps))
     config = LatticeConfig(mu, lam, *box)
     m = config.required_budget
     rows = [[draw(fractions(-4, 4, 5)) for _ in range(i + 1, m + 1)] for i in range(m + 1)]
@@ -471,6 +478,32 @@ class TestCoefficientField:
         # one call for the scalar field, two (upper, lower) for the matrix one
         assert len(calls) == 3
 
+    def test_fields_and_lattice_verifiers_form_no_fraction(self, monkeypatch):
+        # both fields, slax, edlax, dpfl and edpfl run on integer forms: a
+        # Fraction formed in skewflow.lattice on the way raises here
+        grid = build_grid(GRID.base, CONFIG)
+        samples = samples_for(grid)
+
+        def refuse(*args):
+            raise AssertionError("skewflow.lattice formed a Fraction")
+
+        monkeypatch.setattr(lattice, "Fraction", refuse)
+        reports = [
+            verify_slax(grid, samples),
+            verify_edlax(grid, samples),
+            verify_dpfl(coefficient_field(grid)),
+            verify_edpfl(matrix_coefficient_field(grid)),
+        ]
+        for report in reports:
+            assert report.passed and report.checks, report.suite
+
+    def test_views_are_read_only(self):
+        field = coefficient_field(GRID)
+        with pytest.raises(TypeError):
+            field.b[0, 0, 0] = Fraction(1)
+        with pytest.raises(AttributeError):
+            field.b = {}
+
     def test_lax_reports_do_not_depend_on_who_builds_the_field(self):
         first, later = build_grid(GRID.base, CONFIG), build_grid(GRID.base, CONFIG)
         coefficient_field(first)
@@ -533,14 +566,14 @@ class TestAntiDiagonal:
     def test_arithmetic(self):
         m = AntiDiagonal(Fraction(2), Fraction(-3))
         k = AntiDiagonal(Fraction(1), Fraction(5))
-        assert m + k == AntiDiagonal(Fraction(3), Fraction(2))
-        assert m - k == AntiDiagonal(Fraction(1), Fraction(-8))
+        assert antidiagonal_sum(m, k) == AntiDiagonal(Fraction(3), Fraction(2))
+        assert antidiagonal_difference(m, k) == AntiDiagonal(Fraction(1), Fraction(-8))
 
     def test_product_is_diagonal(self):
         m = AntiDiagonal(Fraction(2), Fraction(-3))
         k = AntiDiagonal(Fraction(1), Fraction(5))
-        assert m.times(k) == (10, -3)
-        assert k.times(m) == (-3, 10)
+        assert antidiagonal_product(m, k) == (10, -3)
+        assert antidiagonal_product(k, m) == (-3, 10)
 
     def test_apply_swaps_components(self):
         m = AntiDiagonal(Fraction(2), Fraction(-3))
@@ -778,8 +811,9 @@ class TestExtendedSystems:
         # n=1 every factor is the identity-like (1, 1), so all variants
         # hold; at n=2 the right-hand factors do not commute and only
         # "pattern" holds.  That field passed while any variant sufficed.
+        # A matrix field entry is stored as ((num, den), (num, den)).
         def ad(upper, lower):
-            return AntiDiagonal(Fraction(upper), Fraction(lower))
+            return (upper, 1), (lower, 1)
 
         config = LatticeConfig(MU, LAM, 2, 2, 1)
         a = {(1, 1, 0): ad(1, 1), (1, 0, 0): ad(1, 1), (2, 1, 0): ad(5, 6), (2, 0, 0): ad(1, 2)}
@@ -853,6 +887,50 @@ class TestAgainstTheOracle:
         assert checks(verify_edckp(grid)) == edckp
         assert checks(verify_slax(grid, samples)) == slax
         assert checks(verify_edlax(grid, samples)) == edlax
+
+
+def off_by_one(field, data):
+    """A copy of a field with one drawn entry's numerator off by one (for a
+    matrix entry, its upper or its lower one); the field itself where it
+    has no entry."""
+    stores = [dict(store) for store in (field._a, field._b, field._c, field._d)]
+    entries = [(i, key) for i, store in enumerate(stores) for key in sorted(store)]
+    if not entries:
+        return field
+    i, key = data.draw(st.sampled_from(entries))
+    entry = stores[i][key]
+    if type(entry[0]) is int:
+        stores[i][key] = (entry[0] + 1, entry[1])
+    else:
+        parts, which = list(entry), data.draw(st.integers(0, 1))
+        num, den = parts[which]
+        parts[which] = (num + 1, den)
+        stores[i][key] = tuple(parts)
+    return CoefficientField(field.config, *stores)
+
+
+def report_bytes(report):
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+class TestFieldsAgainstFractions:
+    @settings(max_examples=30, deadline=None)
+    @given(random_grids(pairs=(1, 3), steps=(2, 2)), st.booleans(), st.data())
+    def test_integer_fields_match_the_fraction_construction(self, grid, degenerate, data):
+        # the views reduce to the printed formulas, and dpfl and edpfl on the
+        # integer forms write the bytes of the Fraction reports
+        # (tests/oracles.py), on each field as built and with one entry's
+        # numerator off by one; a 2x2 box gives instances to product-ac
+        # and product-ad, and pairs >= 2 to every relation
+        if degenerate:
+            grid = grid.degenerate()
+        assert_fields_are_printed(grid)
+        for build, verify, oracle in (
+            (coefficient_field, verify_dpfl, dpfl_fractions),
+            (matrix_coefficient_field, verify_edpfl, edpfl_fractions),
+        ):
+            for field in (build(grid), off_by_one(build(grid), data)):
+                assert report_bytes(verify(field)) == report_bytes(oracle(field))
 
 
 class TestSumsToZero:
