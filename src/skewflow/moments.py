@@ -9,14 +9,17 @@ budget.
 A table stores one integer form and nothing else: D, the lcm of the entry
 denominators, and N = D*S as a full skew matrix of Python ints, with
 gcd(D, *N) = 1, so the form is canonical.  Loaders and generators build
-it directly (entries parse to (num, den) pairs, ensemble sums run over one
+it directly (the constructor and the JSON loader parse entries to reduced
+(num, den) pairs, whose form needs no gcd pass; ensemble sums run over one
 common denominator), shifts and rescalings are computed on N and reduced
 back to the least common denominator, and :meth:`SkewMoments.entry` forms
 a ``Fraction`` only for the entry asked for.  Two methods hand the form
 out: :meth:`SkewMoments.apply_form` returns S*g as an integer vector over
 one denominator, which is all a skew product needs, and
 :meth:`SkewMoments.integer_rows` returns the leading rows of N and D, from
-which :mod:`skewflow.pfaffian` reads every Pfaffian of the table.
+which :mod:`skewflow.pfaffian` builds the integer store of its prefix pass;
+its reference Pfaffians read the entries s_ij through
+:meth:`SkewMoments.entry`.
 """
 
 from __future__ import annotations
@@ -91,8 +94,23 @@ class SkewMoments:
             for i in range(max_index + 1)
             for j in range(i + 1, max_index + 1)
         }
-        provenance = provenance or {"kind": "unspecified"}
-        self._set(*_skew_form(max_index + 1, parts), provenance)
+        self._set_parts(max_index + 1, parts, provenance)
+
+    def _set_parts(
+        self,
+        size: int,
+        parts: dict[tuple[int, int], tuple[int, int]],
+        provenance: dict[str, Any] | None,
+    ) -> None:
+        """Set the table from parsed entries, parts[i, j] = (p, q) for
+        s_ij = p/q in lowest terms with q > 0, absent pairs standing for 0.
+
+        :func:`_skew_form` of such pairs is already canonical, so no gcd
+        pass follows: D is the lcm of the q, so every prime of D divides
+        some q_ij to its full power, and N_ij = p_ij * D/q_ij is prime to
+        it, since p_ij is prime to q_ij and D/q_ij lacks that prime.
+        """
+        self._set(*_skew_form(size, parts), provenance or {"kind": "unspecified"})
 
     def _set(self, num: list[list[int]], den: int, provenance: dict[str, Any]) -> None:
         self.max_index = len(num) - 1
@@ -240,9 +258,9 @@ class SkewMoments:
             parts[i, j] = rat_parts(v)
         if len(parts) != len(entries):
             raise ValueError("duplicate entry: an index pair (i, j) is given more than once")
-        return SkewMoments._from_integers(
-            *_skew_form(m + 1, parts), provenance or {"kind": "unspecified"}
-        )
+        table = object.__new__(SkewMoments)
+        table._set_parts(m + 1, parts, provenance)
+        return table
 
 
 def _skew_form(

@@ -1,27 +1,28 @@
-"""Exact Pfaffians of skew-symmetric rational matrices.
+"""Exact Pfaffians of skew-symmetric rational matrices, in two layers that
+share one fraction-free elimination step (:func:`_step`, Python integers,
+O(m^3) integer operations).
 
-Every Pfaffian comes from fraction-free skew elimination in Python integers
-(:func:`_step`), O(m^3) integer operations.  Every Pfaffian of a moment
-table is read off one integer store (:func:`_store`: N = D*S, optional mu
+The engine the program runs.  Every Pfaffian a family or a lattice site
+needs is read off one integer store (:func:`_store`: N = D*S, optional mu
 and lambda border rows, a z border column of integer polynomials).  One
 routine, :func:`_prefix_pass`, eliminates a store once without pivoting,
 and after n steps every later entry (i, j) is the bordered minor
 Pf(0..2n-1, i, j), by Tanner's Pfaffian form of Sylvester's identity.
 :func:`prefix_pfaffians` runs it with no border rows and reads every
 leading and z-bordered Pfaffian of an SOP family or a lattice site off it,
-as integer forms it leaves unreduced;
-:func:`prefix_tails` runs it with mu and lambda border rows and reads the
-lattice crosscheck's short tails Pf(0..2n-1, tail) for every n off it, each
-in closed form.  :func:`augmented_pfaffian` reads the block of any index
-list mixing moment indices with mu, lambda and z straight off a store and
-eliminates it once, with pivoting (:func:`_eliminate`); it serves only the
-tests (the per-member SOP formula, and the reference for the prefix
-reads).
-:func:`pfaffian` eliminates a bare rational :class:`SkewMatrix` with
-pivoting; :func:`numeric_pfaffian` applies it to an index slice of N, and
-outside the tests answers only the random table's draw check.  The
-memoized recursive expansion :func:`pfaffian_expand` is an independent
-algorithm kept as the test oracle; nothing in the library calls it.
+as integer forms it leaves unreduced; :func:`prefix_tails` runs it with mu
+and lambda border rows and reads the lattice crosscheck's short tails
+Pf(0..2n-1, tail) for every n off it, each in closed form.
+
+The reference the tests check the engine against.  :func:`pfaffian`
+eliminates a bare rational :class:`SkewMatrix` with pivoting
+(:func:`_eliminate`), with no store and no z column.
+:func:`numeric_pfaffian` applies it to the entries s_ij of an index list,
+and outside the tests answers only the random table's draw check;
+:func:`augmented_pfaffian` builds any index list mixing moment indices
+with mu, lambda and z from its element rules on it.  The memoized
+recursive expansion :func:`pfaffian_expand` is an independent algorithm
+kept as the test oracle; nothing in the library calls it.
 """
 
 from __future__ import annotations
@@ -128,9 +129,10 @@ def _step(
         M'_ij = (p*M_ij - M_ki*M_{k+1,j} + M_kj*M_{k+1,i}) / prev
 
     with p = M_{k,k+1}, the returned pivot, and ``prev`` the pivot of the
-    previous step (1 at the first).  A z column ``zc`` (one int polynomial
-    per row, all of one length, standing for an index after every row of
-    ``a``) is updated by the same rule, coefficient by coefficient.  The
+    previous step (1 at the first).  The prefix pass's z column ``zc`` (one
+    int polynomial per row, all of one length, standing for an index after
+    every row of ``a``) is updated by the same rule, coefficient by
+    coefficient; the pivoted :func:`_eliminate` passes none.  The
     division is exact by the Pfaffian form of Sylvester's identity
     (Tanner): after r steps entry (i, j) is the bordered minor
     Pf(0..2r-1, i, j), so every entry stays an integer.
@@ -151,41 +153,25 @@ def _step(
     return pivot
 
 
-def _eliminate(
-    a: list[list[int]], zc: list[list[int]] | None = None
-) -> tuple[int, int]:
-    """Run every :func:`_step` on the store ``a``, with pivoting.
-
-    Returns (sign, pivot): the sign of the index exchanges made, 0 when the
-    Pfaffian vanishes, and the last pivot.  Without ``zc``, ``a`` has even
-    dimension and sign*pivot is Pf(a).  With a z column ``a`` has odd
-    dimension m and the Pfaffian of a bordered by z is sign*zc[m-1].
+def _eliminate(a: list[list[int]]) -> tuple[int, int]:
+    """Run every :func:`_step` on the even-dimensional store ``a``, with
+    pivoting; sign*pivot of the returned (sign, pivot) is Pf(a).
 
     The pivot of step k is the nonzero entry of row k of least absolute
-    value, taken from the numeric columns only; each exchange that brings
-    it next to row k flips the sign.  A row with no nonzero numeric entry
-    is exchanged for the first later row that has one (one more sign
-    flip), since with a z column it may still pair with z; 0 comes only
-    when no later row has one, that is, when the numeric block left is
-    zero.  Without z such a row makes the Pfaffian 0 anyway, and the
-    exchange only defers that verdict to a later step.
+    value, and the exchange that brings it next to row k flips the sign.
+    A row with nothing nonzero left makes the reduced matrix, and so the
+    Pfaffian, vanish: that step returns (0, prev).
     """
-    m = len(a)
     sign = 1
     prev = 1
-    for k in range(0, m - 1, 2):
+    for k in range(0, len(a) - 1, 2):
         best = _pivot_column(a[k], k)
         if best < 0:
-            u = next((u for u in range(k + 1, m) if any(a[u][u + 1 :])), -1)
-            if u < 0:
-                return 0, prev
-            _swap(a, zc, k, k, u)
-            sign = -sign
-            best = _pivot_column(a[k], k)
+            return 0, prev
         if best != k + 1:
-            _swap(a, zc, k, k + 1, best)
+            _swap(a, k, best)
             sign = -sign
-        prev = _step(a, k, prev, zc)
+        prev = _step(a, k, prev)
     return sign, prev
 
 
@@ -198,24 +184,19 @@ def _pivot_column(row: list[int], k: int) -> int:
     return best
 
 
-def _swap(
-    a: list[list[int]], zc: list[list[int]] | None, k: int, u: int, q: int
-) -> None:
-    """Exchange indices u and q > u in the upper-triangle store ``a``, and
-    their z entries.
+def _swap(a: list[list[int]], k: int, q: int) -> None:
+    """Exchange indices k+1 and q > k+1 in the upper-triangle store ``a``.
 
-    Rows before k <= u are finished and left alone.  An entry whose index
-    pair changes order under the exchange changes sign.
+    Rows before k are finished and left alone.  An entry whose index pair
+    changes order under the exchange changes sign.
     """
-    for r in range(k, u):
-        a[r][u], a[r][q] = a[r][q], a[r][u]
+    u = k + 1
+    a[k][u], a[k][q] = a[k][q], a[k][u]
     for r in range(u + 1, q):
         a[u][r], a[r][q] = -a[r][q], -a[u][r]
     a[u][q] = -a[u][q]
     for r in range(q + 1, len(a)):
         a[u][r], a[q][r] = a[q][r], a[u][r]
-    if zc is not None:
-        zc[u], zc[q] = zc[q], zc[u]
 
 
 def pfaffian_expand(matrix: SkewMatrix) -> Rational:
@@ -258,18 +239,13 @@ def _check_budget(moments: SkewMoments, ints: Collection[int]) -> None:
 
 
 def numeric_pfaffian(moments: SkewMoments, indices: Sequence[int]) -> Rational:
-    """Pfaffian of the skew matrix picked out by an ordered monomial index list.
-
-    The entries are the index slice of N = D*S, so :func:`pfaffian` returns
-    D^(k/2) times the value for a list of length k.
-    """
+    """Pfaffian of the skew matrix picked out by an ordered monomial index
+    list: :func:`pfaffian` of its entries s_ij."""
     idx = list(indices)
     _check_budget(moments, idx)
     if len(idx) % 2 != 0:
         raise ValueError("index list must have even length")
-    rows, d = moments.integer_rows(max(idx, default=-1) + 1)
-    value = pfaffian(SkewMatrix(len(idx), lambda u, v: rows[idx[u]][idx[v]]))
-    return value / d ** (len(idx) // 2)
+    return _sub_pfaffians(moments, idx, {})(range(len(idx)))
 
 
 def augmented_pfaffian(
@@ -286,14 +262,11 @@ def augmented_pfaffian(
     may appear at most once; a moment index may repeat, which gives 0.  A
     moment index outside 0..max_index raises DegreeBudgetExceeded.
 
-    The store (:func:`_store`) is N = D*S on the indices 0..size-1, size
-    one past the largest moment index, with a mu and a lambda border row
-    and a z column: the augmented matrix with every index scaled by
-    sqrt(D), and mu and lambda further by q^(size-1) for x = p/q.  The
-    block on the listed rows, z moved to the end (a sign flip when that
-    passes an odd number of indices), goes through one :func:`_eliminate`;
-    dividing by D^h for a list of length 2h, and by q^(size-1) for each
-    border row present, gives the value.
+    Without z the value is :func:`pfaffian` of the list's rational matrix
+    under those rules.  With z at position p it is the expansion along z's
+    row: with ``rest`` the list without z, Pf = (-1)^(p+1) times the sum
+    over the positions k of the moment indices i = rest[k] of
+    (-1)^k z^i Pf(rest without k), since z pairs with a special as 0.
     """
     idx = list(indices)
     if len(idx) % 2 != 0:
@@ -301,43 +274,49 @@ def augmented_pfaffian(
     specials = [i for i in idx if isinstance(i, Special)]
     if len(specials) != len(set(specials)):
         raise ValueError("each special index may appear at most once")
-    if not idx:
-        return Polynomial((1,))
     ints = [x for x in idx if type(x) is int]
     _check_budget(moments, ints)
-    half = len(idx) // 2
-    sign, with_z = 1, ZVAR in specials
-    if with_z:
-        # moving z to the end passes every index after it
-        sign = (-1) ** (len(idx) - 1 - idx.index(ZVAR))
-        idx.remove(ZVAR)
-    size = max(ints, default=0) + 1
-    border = (rat(mu), rat(lam))
-    a, d, zc = _store(moments, size, border)
-    rows = [size if x is MU else size + 1 if x is LAMBDA else x for x in idx]
-    block = [
-        [0] * (r + 1) + [a[u][v] if u < v else -a[v][u] for v in rows[r + 1 :]]
-        for r, u in enumerate(rows)
+    rest = [x for x in idx if x is not ZVAR]
+    pf = _sub_pfaffians(moments, rest, {MU: rat(mu), LAMBDA: rat(lam)})
+    if len(rest) == len(idx):
+        return Polynomial((pf(range(len(rest))),))
+    p = idx.index(ZVAR)
+    coeffs = [Fraction(0)] * (max(ints, default=-1) + 1)
+    for k, i in enumerate(rest):
+        if type(i) is int:
+            term = pf([*range(k), *range(k + 1, len(rest))])
+            coeffs[i] += term if (p + k) % 2 else -term
+    return Polynomial(coeffs)
+
+
+def _sub_pfaffians(
+    moments: SkewMoments,
+    items: Sequence[AugmentedIndex],
+    values: dict[Special, Rational],
+) -> Callable[[Sequence[int]], Rational]:
+    """pf(keep): :func:`pfaffian` of the rational matrix on the items at the
+    ascending positions ``keep``, by the element rules: s_ij between moment
+    indices i and j, x^i between index i and a special of value x in
+    ``values``, 0 between two specials.  Every entry is formed once."""
+
+    def element(x: AugmentedIndex, y: AugmentedIndex) -> RationalLike:
+        if type(x) is int:
+            return moments.entry(x, y) if type(y) is int else values[y] ** x
+        return -(values[x] ** y) if type(y) is int else 0
+
+    rows = [
+        [0] * (u + 1) + [element(x, y) for y in items[u + 1 :]]
+        for u, x in enumerate(items)
     ]
-    if with_z:
-        column = [zc[u] for u in rows]
-        flips, _ = _eliminate(block, column)
-        num = [sign * flips * c for c in column[-1]]
-    else:
-        flips, last = _eliminate(block)
-        num = [flips * last]
-    den = d**half
-    for x, special in zip(border, (MU, LAMBDA)):
-        if special in specials:
-            den *= x.denominator ** (size - 1)
-    return Polynomial._reduced(num, den)
+    return lambda keep: pfaffian(
+        SkewMatrix(len(keep), lambda u, v: rows[keep[u]][keep[v]])
+    )
 
 
 def _store(
     moments: SkewMoments, size: int, border: Sequence[Rational] = ()
 ) -> tuple[list[list[int]], int, list[list[int]]]:
-    """The integer store that :func:`_prefix_pass` eliminates and
-    :func:`augmented_pfaffian` reads its block off: (a, D, zc).
+    """The integer store that :func:`_prefix_pass` eliminates: (a, D, zc).
 
     ``a`` is N = D*S on the indices 0..size-1, followed by one border row
     per x = p/q in ``border`` whose entry at index i is D*q^(size-1)*x^i,

@@ -4,8 +4,10 @@ With tau_n = Pf(0..2n-1), q_2n = Pf(0..2n, z)/tau_n and q_2n+1 =
 Pf(0..2n-1, 2n+1, z)/tau_n.  :func:`build_family` reads every member off one
 elimination, and :func:`oracle_family` (skew Gram-Schmidt in integers,
 independent of the Pfaffian engine) cross-checks it.  The tests evaluate
-each member's formula by itself too, with
-:func:`skewflow.pfaffian.augmented_pfaffian`; nothing here calls it.
+each member's formula by itself too, with the reference
+:func:`skewflow.pfaffian.augmented_pfaffian`, which expands along z's row
+on the pivoted :func:`skewflow.pfaffian.pfaffian` and shares only the
+elimination step with that pass; nothing here calls it.
 :func:`verify_skew_orthogonality` checks a family against its defining
 pairings in integers.
 """

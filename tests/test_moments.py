@@ -28,6 +28,15 @@ params = st.one_of(
 )
 
 
+@st.composite
+def common_factor_tables(draw):
+    """Tables whose entry denominators share a factor c: s_ij = p/(c*q)."""
+    m = draw(st.integers(1, 7))
+    c = draw(st.integers(2, 12))
+    entry = st.builds(lambda p, q: Fraction(p, c * q), st.integers(-30, 30), st.integers(1, 6))
+    return SkewMoments(m, [[draw(entry) for _ in range(i + 1, m + 1)] for i in range(m + 1)])
+
+
 def pair_sum_table(measure, max_index):
     """Reference orthogonal-ensemble table: the ordered O(K^2 m^2) double
     sum over node pairs k > l."""
@@ -485,6 +494,15 @@ class TestCanonicalForm:
         again = SkewMoments.from_json(table.to_json())
         assert again == table and hash(again) == hash(table)
         assert again.provenance == table.provenance
+
+    @settings(max_examples=60)
+    @given(tables(1, 7) | common_factor_tables())
+    def test_from_json_keeps_the_integer_form(self, table):
+        # the loader forms N and D with no gcd pass: reduced entries give
+        # the canonical form as they stand
+        again = SkewMoments.from_json(table.to_json())
+        assert (again._den, again._num) == (table._den, table._num)
+        assert gcd(again._den, *(x for row in again._num for x in row)) == 1
 
     @settings(max_examples=60)
     @given(tables(1, 7), params)

@@ -93,6 +93,12 @@ class TestBaseCases:
 class TestCrossChecks:
     @settings(max_examples=80)
     @given(sparse_skew_matrices())
+    # _eliminate's one zero exit, a row with nothing nonzero left: row 0
+    # zero, row 3 zero, and row 2 nonzero but zero after the first step
+    # (s01*s23 - s02*s13 = 0)
+    @example(skew_from_upper(4, [0, 0, 0, 1, 2, 3]))
+    @example(skew_from_upper(4, [1, 2, 0, 3, 0, 0]))
+    @example(skew_from_upper(4, [1, 1, 0, 0, 1, 1]))
     def test_two_algorithms_agree(self, m):
         assert pfaffian(m) == pfaffian_expand(m)
 
@@ -134,14 +140,32 @@ def _table(seed=5, size=9):
     return from_random(seed, size, 6)
 
 
+@st.composite
+def permuted_lists(draw):
+    """A list of distinct moment indices 0..9 followed by any subset of
+    lambda, mu and z, and a permutation of its positions."""
+    specials = draw(st.sets(st.sampled_from([MU, LAMBDA, ZVAR])))
+    count = draw(st.sampled_from([n for n in range(1, 8) if (n + len(specials)) % 2 == 0]))
+    ints = draw(st.lists(st.integers(0, 9), min_size=count, max_size=count, unique=True))
+    items = ints + sorted(specials, key=lambda x: x.value)
+    return items, draw(st.permutations(range(len(items))))
+
+
 class TestIndexedPfaffians:
     @settings(max_examples=25)
-    @given(st.permutations(list(range(6))))
-    def test_antisymmetry_under_index_permutation(self, perm):
+    @given(st.permutations(list(range(6))), permuted_lists())
+    def test_antisymmetry_under_index_permutation(self, perm, case):
         table = _table()
         base = numeric_pfaffian(table, range(6))
         sign = _permutation_sign(perm)
         assert numeric_pfaffian(table, perm) == sign * base
+        # z, mu and lambda moved to any position: this pins the signs of
+        # the expansion along z's row
+        items, order = case
+        mu, lam = Fraction(1, 2), Fraction(3)
+        base = augmented_pfaffian(table, items, mu, lam)
+        permuted = augmented_pfaffian(table, [items[k] for k in order], mu, lam)
+        assert permuted == (base if _permutation_sign(order) > 0 else -base)
 
     def test_repeated_index_vanishes(self):
         table = _table()
@@ -219,6 +243,22 @@ class TestAugmented:
         assert with_mu.degree <= 0
         assert with_mu.coefficient(0) == 2 * mu**2 - 6 * mu + 5
 
+    @pytest.mark.parametrize(
+        "items, mu, lam",
+        [
+            # a repeated moment index
+            ([0, 2, 2, ZVAR], 0, 0),
+            ([2, MU, 1, 2], Fraction(1, 2), Fraction(3)),
+            ([ZVAR, 3, LAMBDA, 3, MU, 0], Fraction(1, 2), Fraction(3)),
+            # mu == lambda with both present
+            ([0, MU, 1, LAMBDA], Fraction(5, 4), Fraction(5, 4)),
+            ([MU, 0, ZVAR, 2, 1, LAMBDA], Fraction(-2), Fraction(-2)),
+            ([LAMBDA, MU], Fraction(0), Fraction(0)),
+        ],
+    )
+    def test_two_equal_rows_vanish(self, items, mu, lam):
+        assert augmented_pfaffian(_table(), items, mu, lam) == Polynomial()
+
     def test_duplicate_special_rejected(self):
         with pytest.raises(ValueError):
             augmented_pfaffian(SYMPLECTIC, [0, ZVAR, 1, ZVAR])
@@ -249,9 +289,10 @@ def augmented_cases(draw):
     for mu and lambda.
 
     Half the tables have a zero row at one of the indices.  That row, a
-    repeated index or a mu or lambda row that vanishes off index 0 brings
-    the elimination to a row with no numeric pivot, which with z present
-    may still pair with z."""
+    repeated index or a mu or lambda row that vanishes off index 0 makes
+    the bordered matrix, or some minors of the expansion along z, singular,
+    so the reference's zero exit in :func:`_eliminate` runs often; with z
+    present such a row may still pair with z."""
     specials = draw(st.sets(st.sampled_from([MU, LAMBDA, ZVAR])))
     count = draw(st.sampled_from([n for n in range(1, 10) if (n + len(specials)) % 2 == 0]))
     unique = count <= 8 and draw(st.booleans())
@@ -288,7 +329,8 @@ def _zero_row_table(row, seed=11):
 class TestAugmentedOracle:
     @settings(max_examples=120)
     @given(augmented_cases())
-    # rows with no numeric pivot that pair with z: first, and after one step
+    # a zero row that pairs only with z, first and after one step: its own
+    # term is the only one of the expansion along z that survives
     @example((_zero_row_table(2), [2, 0, 1, ZVAR], Fraction(0), Fraction(0)))
     @example((_zero_row_table(4), [0, 1, 4, 3, 5, ZVAR], Fraction(0), Fraction(0)))
     # a vanishing leading Pfaffian: tau_1, and tau_2 after one step
@@ -358,8 +400,9 @@ class TestBorderedPrefixPass:
     @example((from_random(3, 9), 3, Fraction(0), Fraction(-5, 2), list(lattice._TAILS)))
     @example((_zero_row_table(2), 2, Fraction(-1, 3), Fraction(0), TAIL_SHAPES))
     def test_reads_match_augmented_pfaffians(self, case):
-        # each read is checked against one pivoted elimination of the whole
-        # index list, which shares no algebra with the prefix pass
+        # each read is checked against augmented_pfaffian, which builds the
+        # whole index list from the element rules and shares only _step
+        # with the prefix pass
         table, pairs, mu, lam, tails = case
         values = prefix_tails(table, pairs, mu, lam, tails)
         for n, row in enumerate(values):
