@@ -292,12 +292,15 @@ def _load_grid(args) -> TauGrid:
     return TauGrid.from_json(_read_json(args.grid))
 
 
-def _lam_values(args, minimum: int = 1) -> list[Fraction]:
+def _lam_values(args, chain: bool = False) -> list[Fraction]:
+    """The --lambda values: one for a single step, two or more for a chain."""
     if not args.lam:
         raise UsageError("this suite needs --lambda")
     values = [_parse_rat(x) for x in args.lam]
-    if len(values) < minimum:
-        raise UsageError(f"this suite needs at least {minimum} --lambda values")
+    if chain and len(values) < 2:
+        raise UsageError("this suite needs at least 2 --lambda values")
+    if not chain and len(values) > 1:
+        raise UsageError("this suite takes one --lambda value")
     return values
 
 
@@ -326,7 +329,7 @@ def _cmd_gen_moments(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    moments = SkewMoments.from_json(_read_json(args.moments))
+    moments = _load_moments(args)
     family = build_family(moments, args.pairs)
     _emit(family.to_json(), args.output)
     return 0
@@ -346,8 +349,8 @@ def _christoffel_data_json(data: transforms.ChristoffelData) -> dict[str, Any]:
 
 
 def _cmd_transform(args) -> int:
-    family = SOPFamily.from_json(_read_json(args.family))
-    moments = SkewMoments.from_json(_read_json(args.moments))
+    family = _load_family(args)
+    moments = _load_moments(args)
     steps = []
     for lam in (_parse_rat(x) for x in args.lam):
         family, moments, data = transforms.christoffel(family, moments, lam)
@@ -361,7 +364,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    moments = SkewMoments.from_json(_read_json(args.moments))
+    moments = _load_moments(args)
     config = LatticeConfig(
         _parse_rat(args.mu),
         _parse_rat(args.lam),
@@ -398,7 +401,7 @@ def _suite_geronimus(args) -> Report:
 def _suite_dlax(args) -> Report:
     family = _load_family(args)
     moments = _load_moments(args)
-    lams = _lam_values(args, minimum=2)
+    lams = _lam_values(args, chain=True)
     if len(set(lams)) != 1:
         raise UsageError(
             "the discrete Lax chain evolves at a fixed lambda; "

@@ -191,22 +191,6 @@ class TauGrid:
             for t in range(self.config.steps_t + 1):
                 yield (s, t)
 
-    def degenerate(self) -> "TauGrid":
-        """Copy with sigma := tau and sighat := tauhat.
-
-        Collapses the extended (vector) theory onto the scalar one; useful
-        for consistency checks of the extended-system verifiers.
-        """
-        return TauGrid(
-            self.config,
-            self.base,
-            self.tables,
-            self._tau,
-            dict(self._tau),
-            self._tauhat,
-            dict(self._tauhat),
-        )
-
     # -- serialization ------------------------------------------------
 
     def _fields(self) -> dict[str, list]:
@@ -650,18 +634,39 @@ def _bilinear(
     ))
 
 
-def verify_dckp(grid: TauGrid) -> Report:
-    """The two bilinear tau/tauhat relations, exact in z at each interior site."""
+# The bilinear relations of each suite, in report order at a site: (id,
+# fields (x, xhat, y, yhat) by store name, m - n, least n).
+_TAU, _SIG = ("_tau", "_tauhat"), ("_sigma", "_sighat")
+_BILINEAR = {
+    "dckp": (("dckp1", _TAU + _TAU, 1, 0), ("dckp2", _TAU + _TAU, 0, 1)),
+    "edckp": (
+        ("edckp1", _SIG + _TAU, 0, 1), ("edckp2", _TAU + _SIG, 0, 1),
+        ("edckp3", _SIG + _TAU, 1, 0), ("edckp4", _TAU + _SIG, 1, 0),
+    ),
+}
+
+
+def _bilinear_report(grid: TauGrid, suite: str) -> Report:
+    """Each relation of ``suite`` (:func:`_bilinear`) at every interior
+    site, from its least n to pairs, n varying fastest."""
     c = grid.config
     lm, z = _lm(c), _z_forms(c)
-    tau = (grid._tau, grid._tauhat, grid._tau, grid._tauhat)
-    report = Report("dckp", {"provenance": grid.base.provenance})
+    rels = [
+        (rel, [getattr(grid, name) for name in names], up, least)
+        for rel, names, up, least in _BILINEAR[suite]
+    ]
+    report = Report(suite, {"provenance": grid.base.provenance})
     for n, s, t in _sites(c, 0, 0, range(c.pairs + 1)):
         tag = f"n={n},s={s},t={t}"
-        report.add(f"dckp1:{tag}", _bilinear(tau, n, n + 1, s, t, lm, z))
-        if n >= 1:
-            report.add(f"dckp2:{tag}", _bilinear(tau, n, n, s, t, lm, z))
+        for rel, fields, up, least in rels:
+            if n >= least:
+                report.add(f"{rel}:{tag}", _bilinear(fields, n, n + up, s, t, lm, z))
     return report
+
+
+def verify_dckp(grid: TauGrid) -> Report:
+    """The two bilinear tau/tauhat relations, exact in z at each interior site."""
+    return _bilinear_report(grid, "dckp")
 
 
 def sample_points(
@@ -911,19 +916,7 @@ def matrix_coefficient_field(grid: TauGrid) -> CoefficientField:
 
 def verify_edckp(grid: TauGrid) -> Report:
     """The four bilinear relations coupling tau/sigma with tauhat/sighat."""
-    c = grid.config
-    lm, z = _lm(c), _z_forms(c)
-    sig_tau = (grid._sigma, grid._sighat, grid._tau, grid._tauhat)
-    tau_sig = (grid._tau, grid._tauhat, grid._sigma, grid._sighat)
-    report = Report("edckp", {"provenance": grid.base.provenance})
-    for n, s, t in _sites(c, 0, 0, range(c.pairs + 1)):
-        tag = f"n={n},s={s},t={t}"
-        if n >= 1:
-            report.add(f"edckp1:{tag}", _bilinear(sig_tau, n, n, s, t, lm, z))
-            report.add(f"edckp2:{tag}", _bilinear(tau_sig, n, n, s, t, lm, z))
-        report.add(f"edckp3:{tag}", _bilinear(sig_tau, n, n + 1, s, t, lm, z))
-        report.add(f"edckp4:{tag}", _bilinear(tau_sig, n, n + 1, s, t, lm, z))
-    return report
+    return _bilinear_report(grid, "edckp")
 
 
 def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:

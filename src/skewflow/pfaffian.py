@@ -20,16 +20,14 @@ eliminates a bare rational :class:`SkewMatrix` with pivoting
 :func:`numeric_pfaffian` applies it to the entries s_ij of an index list,
 and outside the tests answers only the random table's draw check;
 :func:`augmented_pfaffian` builds any index list mixing moment indices
-with mu, lambda and z from its element rules on it.  The memoized
-recursive expansion :func:`pfaffian_expand` is an independent algorithm
-kept as the test oracle; nothing in the library calls it.
+with mu, lambda and z from its element rules on it.  The tests check
+:func:`pfaffian` in turn against a recursive expansion of their own.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Sequence, Union
@@ -64,8 +62,9 @@ PolyForm = tuple[list[int], int]
 class SkewMatrix:
     """Even-dimensional skew-symmetric matrix; only the upper triangle is free.
 
-    The lower triangle and diagonal are implied, so skew-symmetry is
-    structural rather than a runtime invariant.
+    ``upper(i, j)`` gives the entry for i < j.  The lower triangle and
+    diagonal are implied, so skew-symmetry is structural rather than a
+    runtime invariant.
     """
 
     __slots__ = ("dimension", "_upper")
@@ -79,21 +78,12 @@ class SkewMatrix:
             for i in range(dimension)
         )
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "SkewMatrix":
-        """Build from a full square array; only the upper triangle is read."""
-        return SkewMatrix(len(rows), lambda i, j: rows[i][j])
-
     def entry(self, i: int, j: int) -> Rational:
         if i == j:
             return Fraction(0)
         if i < j:
             return self._upper[i][j - i - 1]
         return -self._upper[j][i - j - 1]
-
-    def to_rows(self) -> list[list[Rational]]:
-        m = self.dimension
-        return [[self.entry(i, j) for j in range(m)] for i in range(m)]
 
 
 def pfaffian(matrix: SkewMatrix) -> Rational:
@@ -197,34 +187,6 @@ def _swap(a: list[list[int]], k: int, q: int) -> None:
     a[u][q] = -a[u][q]
     for r in range(q + 1, len(a)):
         a[u][r], a[q][r] = a[q][r], a[u][r]
-
-
-def pfaffian_expand(matrix: SkewMatrix) -> Rational:
-    """Pfaffian by recursive last-index expansion with memoized minors.
-
-    Independent of :func:`pfaffian`; kept as the cross-check oracle.
-    """
-
-    entry = matrix.entry
-
-    @lru_cache(maxsize=None)
-    def rec(indices: tuple[int, ...]) -> Rational:
-        if not indices:
-            return Fraction(1)
-        if len(indices) == 2:
-            return entry(indices[0], indices[1])
-        last = indices[-1]
-        rest = indices[:-1]
-        total = Fraction(0)
-        for k, idx in enumerate(rest):
-            coeff = entry(idx, last)
-            if coeff == 0:
-                continue
-            minor = rest[:k] + rest[k + 1 :]
-            total += (-1) ** k * coeff * rec(minor)
-        return total
-
-    return rec(tuple(range(matrix.dimension)))
 
 
 def _check_budget(moments: SkewMoments, ints: Collection[int]) -> None:

@@ -69,27 +69,28 @@ def _reduced_rows(forms: Sequence[RowForm]) -> tuple[tuple[Rational, ...], ...]:
     return tuple(tuple(Fraction(x, den) for x in ints) for ints, den in forms)
 
 
-def _kernel_order(family: SOPFamily, pairs: int) -> None:
+def _kernel_sums(
+    family: SOPFamily, pairs: int, y: RationalLike
+) -> tuple[Rational, list[int], list[list[int]], list[int], int]:
+    """The kernel sums K_n = sum_{k<=n} (q_2k(y) q_{2k+1} - q_{2k+1}(y)
+    q_2k) / r_k for n = 0..pairs, on one denominator, and the member
+    values they read.
+
+    Returns (y, at, sums, base, den), y as a Fraction p/q.  ``at[j]`` is
+    q^j den_j q_j(y), the Horner numerator of member j < 2*pairs + 2 at y.
+    Pair k is b_k (q at[2k] num_{2k+1} - at[2k+1] num_2k) over
+    d_k = q^(2k+1) den_2k den_{2k+1} a_k, with r_k = a_k/b_k.
+    K_n = sums[n]/den, each sum the last plus one pair scaled to
+    den = lcm |d_k|, and base[j]/den is the coefficient of q_j in K_pairs.
+    """
+    y = rat(y)
     if pairs < 0:
         raise ValueError(f"kernel order must be nonnegative, got {pairs}")
     if pairs > family.pairs:
         raise ValueError("kernel order exceeds the family")
-
-
-def _kernel_sums(
-    family: SOPFamily, at: Sequence[int], q: int, pairs: int
-) -> tuple[list[list[int]], list[int], int]:
-    """The kernel sums K_n = sum_{k<=n} (q_2k(y) q_{2k+1} - q_{2k+1}(y)
-    q_2k) / r_k for n = 0..pairs, on one denominator.
-
-    ``at[j]`` is q^j den_j q_j(y), the Horner numerator of member j at
-    y = p/q.  Pair k is b_k (q at[2k] num_{2k+1} - at[2k+1] num_2k) over
-    d_k = q^(2k+1) den_2k den_{2k+1} a_k, with r_k = a_k/b_k.  Returns
-    (sums, base, den): K_n = sums[n]/den, each sum the last plus one pair
-    scaled to den = lcm |d_k|, and base[j]/den the coefficient of q_j in
-    K_pairs.
-    """
+    p, q = y.numerator, y.denominator
     polys, norms = family.polys, family.norms
+    at = [horner(f.num, p, q) for f in polys[: 2 * pairs + 2]]
     dens = [
         q ** (2 * k + 1) * polys[2 * k].den * polys[2 * k + 1].den * norms[k].numerator
         for k in range(pairs + 1)
@@ -107,7 +108,7 @@ def _kernel_sums(
             total[i] += hi * a
         sums.append(list(total))
         base += (lo * even.den, hi * odd.den)
-    return sums, base, den
+    return y, at, sums, base, den
 
 
 def _even_scale(family: SOPFamily, at: Sequence[int], q: int, den: int, n: int) -> tuple[int, int]:
@@ -148,18 +149,16 @@ def christoffel(
     member is read off its own row.  Every even L row is a prefix of the
     one base row of :func:`_kernel_sums` times its scale.
     """
-    lam = rat(lam)
+    lam, at, sums, base, den = _kernel_sums(family, family.pairs, lam)
     if family.pairs < 1:
         raise ValueError("need at least two pairs to transform")
-    p, q = lam.numerator, lam.denominator
-    polys = family.polys
-    at = [horner(f.num, p, q) for f in polys]
     for n in range(family.pairs + 1):
         if at[2 * n] == 0:
             raise SingularConfiguration(
                 f"q_{2 * n}({rat_str(lam)}) = 0: lambda outside the admissible set"
             )
-    sums, base, den = _kernel_sums(family, at, q, family.pairs)
+    p, q = lam.numerator, lam.denominator
+    polys = family.polys
     size, qq = len(polys), q * q
     forms: list[RowForm] = []
     members: list[Polynomial] = []
@@ -197,18 +196,14 @@ def christoffel(
 class GeronimusData:
     """The R factor of one transformation step at parameter lam.
 
-    Row i writes the pre-transform member q_i = sum_j rows[i][j] q*_j in
+    Row i writes the pre-transform member q_i = sum_j R[i][j] q*_j in
     the transformed family q*_0..q*_{2N+1}: unit lower triangular, with
-    rows[i][i] = 1 and every entry to its right 0.  ``forms`` holds each
-    row as integers over one denominator; ``rows`` reduces them.
+    R[i][i] = 1 and every entry to its right 0.  ``forms`` holds each
+    row as integers over one denominator.
     """
 
     lam: Rational
     forms: tuple[RowForm, ...]
-
-    @property
-    def rows(self) -> tuple[tuple[Rational, ...], ...]:
-        return _reduced_rows(self.forms)
 
 
 def geronimus_coeffs(
@@ -364,14 +359,6 @@ class BandMatrix:
             for row, den in self.forms[:window]
         ]
 
-    def multiply(
-        self, other: "BandMatrix", window: int | None = None
-    ) -> tuple[tuple[Rational, ...], ...]:
-        """The leading window x window block of self*other (all of it by
-        default), formed in integers with one ``Fraction`` per entry."""
-        w = self.size if window is None else window
-        return _reduced_rows(self._product(other, w))
-
 
 def build_lax_pair(
     families: Sequence[SOPFamily],
@@ -434,11 +421,7 @@ def verify_dlax(
 def kernel(family: SOPFamily, pairs: int, y: RationalLike) -> Polynomial:
     """Skew Christoffel-Darboux kernel I_N(x, y) as a polynomial in x: the
     kernel sum of :func:`_kernel_sums`, reduced once."""
-    y = rat(y)
-    _kernel_order(family, pairs)
-    p, q = y.numerator, y.denominator
-    at = [horner(f.num, p, q) for f in family.polys[: 2 * pairs + 2]]
-    sums, _, den = _kernel_sums(family, at, q, pairs)
+    _, _, sums, _, den = _kernel_sums(family, pairs, y)
     return Polynomial._reduced(sums[-1], den)
 
 
@@ -463,12 +446,9 @@ def verify_factorization(
     form (a) is one integer identity (:func:`sums_to_zero`).  The report
     records which candidate matches; nothing is assumed in advance.
     """
-    y = rat(y)
     report = Report("kernel", {"provenance": moments.provenance})
-    _kernel_order(family, pairs)
+    y, at, sums, _, den = _kernel_sums(family, pairs, y)
     p, q = y.numerator, y.denominator
-    at = [horner(f.num, p, q) for f in family.polys[: 2 * pairs + 2]]
-    sums, _, den = _kernel_sums(family, at, q, pairs)
     ker = sums[-1]  # I_N = ker/den
     if at[2 * pairs] == 0:
         raise SingularConfiguration(f"q_{2 * pairs}({rat_str(y)}) = 0")

@@ -2,10 +2,11 @@
 product, combination and division by z - root that the library no longer
 runs, the Fraction construction of the transforms, the per-member SOP
 formula, the SOP oracle by linear solves and the Fraction orthogonality
-report, an exact determinant, the acceptance battery's two measures, the
-lattice polynomials read off a grid's accessors, the lattice relations in
-z, and the nonlinear lattice systems with the AntiDiagonal sum, difference
-and product they need.
+report, an exact determinant, the recursive Pfaffian expansion, the
+acceptance battery's two measures, the grid values read off the bordered
+base table, the degenerate grid, the lattice polynomials read off a
+grid's accessors, the lattice relations in z, and the nonlinear lattice
+systems with the AntiDiagonal sum, difference and product they need.
 
 Each oracle reads like its formula and shares no code path with what it
 checks: :func:`christoffel_fractions`, :func:`geronimus_fractions` and
@@ -19,7 +20,11 @@ relations by fraction-free Bareiss elimination
 runs skew Gram-Schmidt; :func:`orthogonality_fractions` compares and
 writes each pairing as a Fraction, where
 :func:`skewflow.sops.verify_skew_orthogonality` cross-multiplies integers; :func:`determinant` is Fraction Gaussian elimination,
-independent of the Pfaffian engine; and :func:`bilinear_checks` and
+independent of the Pfaffian engine; :func:`pfaffian_expand` expands
+along the last index, where :func:`skewflow.pfaffian.pfaffian` eliminates;
+:func:`bordered_grid_values` reads each grid value off the base table
+bordered by mu and lambda rows, where :func:`skewflow.lattice.build_grid`
+shifts the table once per site step; and :func:`bilinear_checks` and
 :func:`lax_checks` check the dckp, edckp, slax and edlax relations in
 ``Polynomial`` arithmetic on the printed coefficient formulas, where
 :mod:`skewflow.lattice` checks each as one integer identity; and
@@ -30,13 +35,16 @@ relations in Fraction arithmetic on a field's reduced entries, where
 
 import operator
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import comb, lcm
 
 from skewflow.algebra import Polynomial, convolve, linear_quotient, rat, rat_str
 from skewflow.errors import DegreeBudgetExceeded, NotDivisible, SingularConfiguration
-from skewflow.lattice import AntiDiagonal
+from skewflow.lattice import AntiDiagonal, TauGrid
 from skewflow.moments import DiscreteMeasure
-from skewflow.pfaffian import ZVAR, augmented_pfaffian, numeric_pfaffian
+from skewflow.pfaffian import (
+    ZVAR, SkewMatrix, augmented_pfaffian, numeric_pfaffian, pfaffian,
+)
 from skewflow.report import Report
 from skewflow.sops import COEFF_GAUGE, SOPFamily, skew_pairings, skew_product
 
@@ -273,7 +281,118 @@ def determinant(rows):
     return det
 
 
+# -- Pfaffians -----------------------------------------------------------
+
+
+def skew_matrix(rows):
+    """The SkewMatrix of a full square array; only its upper triangle is read."""
+    return SkewMatrix(len(rows), lambda i, j: rows[i][j])
+
+
+def matrix_rows(m):
+    """The full square array of a SkewMatrix."""
+    return [[m.entry(i, j) for j in range(m.dimension)] for i in range(m.dimension)]
+
+
+def pfaffian_expand(matrix):
+    """Pfaffian by recursive last-index expansion with memoized minors.
+
+    Independent of :func:`skewflow.pfaffian.pfaffian`; kept as the
+    cross-check oracle.
+    """
+
+    entry = matrix.entry
+
+    @lru_cache(maxsize=None)
+    def rec(indices):
+        if not indices:
+            return Fraction(1)
+        if len(indices) == 2:
+            return entry(indices[0], indices[1])
+        last = indices[-1]
+        rest = indices[:-1]
+        total = Fraction(0)
+        for k, idx in enumerate(rest):
+            coeff = entry(idx, last)
+            if coeff == 0:
+                continue
+            minor = rest[:k] + rest[k + 1 :]
+            total += (-1) ** k * coeff * rec(minor)
+        return total
+
+    return rec(tuple(range(matrix.dimension)))
+
+
 # -- grid values ---------------------------------------------------------
+
+
+def degenerate(grid):
+    """A copy of ``grid`` with sigma := tau and sighat := tauhat, which
+    collapses the extended (vector) theory onto the scalar one."""
+    return TauGrid(
+        grid.config, grid.base, grid.tables,
+        grid._tau, dict(grid._tau), grid._tauhat, dict(grid._tauhat),
+    )
+
+
+def bordered_grid_values(grid, n, s, t):
+    """(tau_n, sigma_n, tauhat_n, sighat_n) at site (s, t), each read off
+    the base table's bordered rational matrix with the reference
+    :func:`skewflow.pfaffian.pfaffian`, never through a shifted table.
+
+    The borders are s rows at mu and then t at lambda, a repeated point's
+    rows its derivative orders 0, 1, ...: row (x, j) pairs with moment
+    index i as C(i, j) x^(i-j), and two border rows pair as 0.  z stands
+    after the moment indices and before the borders, and is expanded along
+    its row.  With k = s + t, D = (lambda - mu)^(s t), e = (-1)^(k(k-1)/2)
+    and P = (z - mu)^s (z - lambda)^t, the offset s*mu + t*lambda included:
+
+        tau_n D      = e Pf(0..2n+k-1, borders)
+        sigma_n D    = e Pf(0..2n+k-2, 2n+k, borders)
+        tauhat_n P D = e Pf(0..2n+k, z, borders)
+        sighat_n P D = e Pf(0..2n+k-1, 2n+k+1, z, borders)
+
+    with sigma_0 = 0 at the origin.
+    """
+    c = grid.config
+    table = grid.base
+    borders = [(c.mu, j) for j in range(s)] + [(c.lam, j) for j in range(t)]
+    k = s + t
+    scale = Fraction((-1) ** (k * (k - 1) // 2)) / (c.lam - c.mu) ** (s * t)
+
+    def border(i, x, j):
+        return comb(i, j) * x ** (i - j) if i >= j else 0
+
+    def pf(indices):
+        items = [*indices, *borders]
+
+        def element(u, v):
+            x, y = items[u], items[v]
+            if type(x) is int:
+                return table.entry(x, y) if type(y) is int else border(x, *y)
+            return -border(y, *x) if type(y) is int else 0
+
+        return scale * pfaffian(SkewMatrix(len(items), element))
+
+    def pf_z(indices):
+        # z at position len(indices): Pf = sum_q (-1)^(len+q+1) z^i_q Pf(without q)
+        coeffs = [Fraction(0)] * (max(indices) + 1)
+        for q, i in enumerate(indices):
+            term = pf(indices[:q] + indices[q + 1 :])
+            coeffs[i] += term if (len(indices) + q) % 2 else -term
+        value = Polynomial(coeffs)
+        for x in [c.mu] * s + [c.lam] * t:
+            value = div_by_linear(value, x)
+        return value
+
+    m = 2 * n + k
+    sigma = pf([*range(m - 1), m]) if m else Fraction(0)
+    return (
+        pf(list(range(m))),
+        sigma,
+        pf_z(list(range(m + 1))),
+        pf_z([*range(m), m + 1]),
+    )
 
 
 def as_form(value):

@@ -31,7 +31,7 @@ from skewflow.moments import (
     from_discrete_symplectic,
     from_random,
 )
-from skewflow.pfaffian import SkewMatrix, pfaffian, pfaffian_expand
+from skewflow.pfaffian import pfaffian
 from skewflow.sops import (
     SOPFamily,
     build_family,
@@ -46,7 +46,9 @@ from skewflow.transforms import (
     verify_factorization,
     verify_geronimus,
 )
-from oracles import ORTH_MEASURE, SYM_MEASURE, determinant
+from oracles import (
+    ORTH_MEASURE, SYM_MEASURE, degenerate, determinant, pfaffian_expand, skew_matrix,
+)
 
 DURATIONS = {}
 _criterion_start = [0.0]
@@ -108,7 +110,7 @@ def test_criterion_01_pfaffian():
                         v = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
                         rows[i][j] = v
                         rows[j][i] = -v
-                m = SkewMatrix.from_rows(rows)
+                m = skew_matrix(rows)
                 pf = pfaffian(m)
                 assert pf == pfaffian_expand(m)
                 assert pf * pf == determinant(rows)
@@ -241,7 +243,7 @@ def test_criterion_09_nonlinear():
                     if c.id.startswith("product-")
                 )
             )
-            degen = verify_edpfl(matrix_coefficient_field(grid.degenerate()))
+            degen = verify_edpfl(matrix_coefficient_field(degenerate(grid)))
             assert degen.passed
             degen_tables.append(
                 tuple(

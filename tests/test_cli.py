@@ -198,6 +198,15 @@ class TestExitCodes:
         ]) == 0
         assert read(out)["instance"]["threads"] == 4
 
+    @pytest.mark.parametrize("suite", ["christoffel", "geronimus"])
+    def test_single_step_suites_refuse_a_second_lambda(self, suite, random_setup, capsys):
+        moments, family = random_setup
+        assert main([
+            "verify", "--suite", suite, "--family", str(family),
+            "--moments", str(moments), "--lambda", "3", "--lambda", "5",
+        ]) == 3
+        assert capsys.readouterr().err == "error: this suite takes one --lambda value\n"
+
     def test_mixed_lambda_dlax(self, random_setup):
         moments, family = random_setup
         assert main([

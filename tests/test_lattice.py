@@ -40,6 +40,8 @@ from oracles import (
     apply_antidiagonal,
     as_form,
     bilinear_checks,
+    bordered_grid_values,
+    degenerate,
     dpfl_fractions,
     edpfl_fractions,
     lax_checks,
@@ -187,6 +189,22 @@ class TestGrid:
                 hat = augmented_pfaffian(table, [*range(2 * n + 1), ZVAR])
                 core_hat = augmented_pfaffian(table, [*range(2 * n), 2 * n + 1, ZVAR])
                 assert grid.sigma_hat(n, s, t) == core_hat + hat.scale(offset)
+
+    @settings(max_examples=25)
+    @given(random_grids(steps=(0, 2)))
+    def test_every_value_is_a_bordered_pfaffian_of_the_base_table(self, grid):
+        # tau, sigma, tauhat and sighat at every site, read off the base
+        # table bordered by s mu rows and t lambda rows (tests/oracles.py),
+        # so a wrong shift, alone or composed, shows
+        c = grid.config
+        for s, t in grid.sites():
+            for n in range(c.pairs + 2):
+                assert bordered_grid_values(grid, n, s, t) == (
+                    grid.tau(n, s, t),
+                    grid.sigma(n, s, t),
+                    grid.tau_hat(n, s, t),
+                    grid.sigma_hat(n, s, t),
+                )
 
     @settings(max_examples=30, deadline=None)
     @given(random_grids(zero_site=True))
@@ -519,7 +537,7 @@ class TestCoefficientField:
         # per config would hand GRID's field to all of them
         grids = [
             GRID,
-            GRID.degenerate(),
+            degenerate(GRID),
             BROKEN,
             build_grid(from_random(43, CONFIG.required_budget), CONFIG),
             sigma_zeroed(GRID, (1, 1, 1)),
@@ -585,7 +603,7 @@ class TestAntiDiagonal:
 
 class TestMatrixField:
     def test_degenerate_matches_scalar(self):
-        degen = GRID.degenerate()
+        degen = degenerate(GRID)
         scalar = coefficient_field(GRID)
         matrix = matrix_coefficient_field(degen)
         n, s, t = 1, 0, 1
@@ -602,7 +620,7 @@ class TestMatrixField:
     @given(random_grids())
     def test_degenerate_entries_are_minus_the_scalar_ones(self, grid):
         scalar = coefficient_field(grid)
-        matrix = matrix_coefficient_field(grid.degenerate())
+        matrix = matrix_coefficient_field(degenerate(grid))
         for letter in "abcd":
             want, got = getattr(scalar, letter), getattr(matrix, letter)
             assert got.keys() == want.keys()
@@ -616,7 +634,7 @@ class TestExtendedSystems:
         assert verify_edckp(SYM_GRID).passed
 
     def test_edckp_degenerate(self):
-        assert verify_edckp(GRID.degenerate()).passed
+        assert verify_edckp(degenerate(GRID)).passed
 
     def test_edckp_fails_where_sigma_is_perturbed(self):
         # the edckp relations whose stencil reads sigma_1 at (1, 1): as x
@@ -666,7 +684,7 @@ class TestExtendedSystems:
         for built in (grid, BROKEN):
             samples = samples_for(built)
             slax = verify_slax(built, samples).checks
-            edlax = verify_edlax(built.degenerate(), samples).checks
+            edlax = verify_edlax(degenerate(built), samples).checks
             assert [
                 (c.id.replace("edlax", "slax"), c.status)
                 for c in edlax
@@ -839,7 +857,7 @@ class TestExtendedSystems:
         assert ac.detail == "no admissible pattern-swapped instance"
 
     def test_edpfl_degeneration(self):
-        report = verify_edpfl(matrix_coefficient_field(GRID.degenerate()))
+        report = verify_edpfl(matrix_coefficient_field(degenerate(GRID)))
         assert report.passed
         ac = next(c for c in report.checks if c.id == "product-ac")
         assert "pattern=pass" in ac.detail
@@ -916,14 +934,14 @@ def report_bytes(report):
 class TestFieldsAgainstFractions:
     @settings(max_examples=30, deadline=None)
     @given(random_grids(pairs=(1, 3), steps=(2, 2)), st.booleans(), st.data())
-    def test_integer_fields_match_the_fraction_construction(self, grid, degenerate, data):
+    def test_integer_fields_match_the_fraction_construction(self, grid, collapse, data):
         # the views reduce to the printed formulas, and dpfl and edpfl on the
         # integer forms write the bytes of the Fraction reports
         # (tests/oracles.py), on each field as built and with one entry's
         # numerator off by one; a 2x2 box gives instances to product-ac
         # and product-ad, and pairs >= 2 to every relation
-        if degenerate:
-            grid = grid.degenerate()
+        if collapse:
+            grid = degenerate(grid)
         assert_fields_are_printed(grid)
         for build, verify, oracle in (
             (coefficient_field, verify_dpfl, dpfl_fractions),
@@ -1112,16 +1130,16 @@ IDENTITY_DIGESTS = {
 class TestGoldenOutput:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_fields_and_reports_are_unchanged(self, name):
-        args, degenerate, digest = GOLDEN[name]
+        args, collapse, digest = GOLDEN[name]
         grid = golden_grid(*args)
-        if degenerate:
-            grid = grid.degenerate()
+        if collapse:
+            grid = degenerate(grid)
         assert lattice_digest(grid) == digest
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_crosscheck_and_bilinear_reports_are_unchanged(self, name):
-        args, degenerate, _ = GOLDEN[name]
+        args, collapse, _ = GOLDEN[name]
         grid = golden_grid(*args)
-        if degenerate:
-            grid = grid.degenerate()
+        if collapse:
+            grid = degenerate(grid)
         assert identity_digest(grid) == IDENTITY_DIGESTS[name]
