@@ -48,8 +48,9 @@ an integer scalar times a value's integer coefficients times a fixed factor
 denominators and added (:func:`skewflow.algebra.sums_to_zero`, the
 library's one integer-identity rule), with no rational arithmetic and no
 reduction; the nonlinear systems' additive balances go through the same
-rule, and their products are compared by cross-multiplication.  A failed
-identity is reported, never raised.
+rule.  A scalar identity, the crosscheck's for tau and sigma and the
+nonlinear systems' products, is compared by cross-multiplication
+(:func:`_same_product`).  A failed identity is reported, never raised.
 """
 
 from __future__ import annotations
@@ -133,8 +134,11 @@ class TauGrid:
     The two coefficient fields are built from the grid's values on first
     use and kept in the private ``_scalar_field`` and ``_matrix_field``
     slots (see :func:`coefficient_field`), and so are each site's
-    crosscheck Pfaffians, in ``_crosscheck`` (see
-    :func:`crosscheck_single_step`); every grid starts with none.  A grid's
+    crosscheck Pfaffians, in ``_crosscheck``, beside the site's offset
+    s*mu + t*lam and its step factors (see :func:`_crosscheck_site`), from
+    which :func:`crosscheck_single_step` checks each scalar identity by
+    cross-multiplication (:func:`_same_product`) and each identity in z as
+    one sum (:func:`sums_to_zero`); every grid starts with none.  A grid's
     values are not modified after construction.
     """
 
@@ -162,7 +166,7 @@ class TauGrid:
         self._sighat = sighat
         self._scalar_field = None
         self._matrix_field = None
-        self._crosscheck: dict[tuple[int, int], list] = {}
+        self._crosscheck: dict[tuple[int, int], tuple] = {}
 
     # -- accessors ----------------------------------------------------
     # The four stores hold exactly the points 0 <= n <= pairs+1,
@@ -386,14 +390,30 @@ _TAILS = (
     (1, MU), (1, LAMBDA), (0, 2, MU, LAMBDA),
     (0, 2, MU, ZVAR), (0, 2, LAMBDA, ZVAR), (0, 1, 3, MU, LAMBDA, ZVAR),
 )
-_STEPS = (("s+1", 1, 0), ("t+1", 0, 1), ("s+1,t+1", 1, 1))
+_STEPS = ((1, 0), (0, 1), (1, 1))
+# The twelve check ids, in the order of _TAILS.
+_CROSSCHECK_IDS = tuple(
+    f"{name}:{label}"
+    for name in ("tau", "tauhat", "sigma", "sighat")
+    for label in ("s+1", "t+1", "s+1,t+1")
+)
+_UNIT = (1, 1)
 
 
-def _form(v: ScalarForm | PolyForm) -> _Form:
-    """A grid form as integer coefficients, constant first, over its
-    denominator: a scalar (num, den) becomes ((num,), den)."""
-    num, den = v
-    return ((num,), den) if type(num) is int else v
+def _crosscheck_site(grid: TauGrid, s: int, t: int) -> tuple:
+    """What every crosscheck stencil at (s, t) reads besides the grid's
+    values: the bordered Pfaffians of each n off one prefix pass over the
+    site's table, the offset s*mu + t*lam as (num, den), and the factors of
+    the steps s+1, t+1 and s+1,t+1, as (num, den) for a scalar (1, 1 and
+    -lm) and as (k, coefficients, den) for a polynomial (-(z-mu), -(z-lam)
+    and -lm(z-mu)(z-lam)), with lm = lambda - mu.  No form is reduced."""
+    c = grid.config
+    pfaffians = prefix_tails(grid.moments(s, t), c.pairs, c.mu, c.lam, _TAILS)
+    lp, lq = _lm(c)
+    (z_mu, qm), (z_lam, ql), (z_both, db) = _z_forms(c)
+    scalar = (_UNIT, _UNIT, (-lp, lq))
+    poly = ((-1, z_mu, qm), (-1, z_lam, ql), (-lp, z_both, lq * db))
+    return pfaffians, _offset(c, s, t), scalar, poly
 
 
 def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
@@ -406,13 +426,16 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     The factors are 1, 1 and -lm for a scalar and -(z-mu), -(z-lam) and
     -lm(z-mu)(z-lam) for a polynomial, lm = lambda - mu.  The sigma and
     sighat identities carry a one-step bookkeeping term (mu, lambda, or
-    mu+lambda times the stepped tau) on top of the plain Pfaffian.  Each
-    identity is checked as the two-term integer identity value * factor -
+    mu+lambda times the stepped tau) on top of the plain Pfaffian.  A
+    scalar identity (tau, sigma) is checked by cross-multiplication,
+    value * factor = Pfaffian (:func:`_same_product`); an identity in z
+    (tauhat, sighat) as the two-term integer identity value * factor -
     Pfaffian = 0 (:func:`sums_to_zero`).
 
     The Pfaffians of every n at a site are read off one bordered prefix
     pass over its table (:func:`skewflow.pfaffian.prefix_tails`), made by
-    the first stencil there that needs it and kept on the grid.  A
+    the first stencil there that needs it and kept on the grid with the
+    site's offset and step factors (:func:`_crosscheck_site`).  A
     vanishing leading Pfaffian tau_k of the table, k <= n, which
     :func:`build_grid` (and so :meth:`TauGrid.from_json`) rules out, raises
     SingularConfiguration naming it and the site on a grid assembled by
@@ -421,42 +444,43 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     c = grid.config
     if not (0 <= n <= c.pairs and 0 <= s < c.steps_s and 0 <= t < c.steps_t):
         raise IndexError(f"crosscheck stencil at (n={n}, s={s}, t={t}) leaves the box")
-    pfaffians = grid._crosscheck.get((s, t))
-    if pfaffians is None:
-        pfaffians = prefix_tails(grid.moments(s, t), c.pairs, c.mu, c.lam, _TAILS)
-        grid._crosscheck[s, t] = pfaffians
+    site = grid._crosscheck.get((s, t))
+    if site is None:
+        site = grid._crosscheck[s, t] = _crosscheck_site(grid, s, t)
+    pfaffians, (op, oq), scalar, poly = site
     if n >= len(pfaffians):
         raise SingularConfiguration(f"tau_{len(pfaffians)} vanishes at site ({s},{t})")
-    # lm and the offset over qm*ql; a form need not be reduced to compare
-    lp, lq = _lm(c)
-    op, oq = _offset(c, s, t)
-    # (scalar, form) of the factors of the steps s+1, t+1 and s+1,t+1
-    z_mu, z_lam, (z_both, db) = _z_forms(c)
-    scalar = ((1, (_ONE, 1)), (1, (_ONE, 1)), (-lp, (_ONE, lq)))
-    poly = ((-1, z_mu), (-1, z_lam), (-lp, (z_both, lq * db)))
-    # sigma and sighat first subtract the base site's offset s*mu + t*lam
-    # times the stepped tau or tauhat, leaving a one-step term.
-    quantities = (
-        ("tau", grid._tau, None, scalar),
-        ("tauhat", grid._tauhat, None, poly),
-        ("sigma", grid._sigma, grid._tau, scalar),
-        ("sighat", grid._sighat, grid._tauhat, poly),
-    )
+    row = pfaffians[n]
+    keys = [(n, s + ds, t + dt) for ds, dt in _STEPS]
     report = Report(
         "crosscheck",
         {"n": n, "s": s, "t": t, "provenance": grid.base.provenance},
     )
-    for q, (name, store, bookkept, factors) in enumerate(quantities):
-        tails = pfaffians[n][3 * q : 3 * q + 3]
-        for (label, ds, dt), (fk, (f, fd)), (pf, pd) in zip(_STEPS, factors, tails):
-            k = (n, s + ds, t + dt)
-            v, vd = _form(store[k])
-            if bookkept is not None and op:
-                w, wd = _form(bookkept[k])
-                v = [oq * wd * x - op * vd * y for x, y in zip_longest(v, w, fillvalue=0)]
-                vd *= oq * wd
-            same = sums_to_zero(((fk, f, v, vd * fd), (-1, _ONE, pf, pd)))
-            report.add(f"{name}:{label}", same)
+    # sigma and sighat first subtract the base site's offset s*mu + t*lam
+    # times the stepped tau or tauhat, leaving a one-step term.
+    for q, (store, bookkept, in_z) in enumerate((
+        (grid._tau, None, False), (grid._tauhat, None, True),
+        (grid._sigma, grid._tau, False), (grid._sighat, grid._tauhat, True),
+    )):
+        if not op:
+            bookkept = None
+        for j, k in enumerate(keys):
+            i = 3 * q + j
+            v, vd = store[k]
+            pf, pd = row[i]
+            if in_z:
+                if bookkept is not None:
+                    w, wd = bookkept[k]
+                    v = [oq * wd * x - op * vd * y for x, y in zip_longest(v, w, fillvalue=0)]
+                    vd *= oq * wd
+                fk, f, fd = poly[j]
+                same = sums_to_zero(((fk, f, v, vd * fd), (-1, _ONE, pf, pd)))
+            else:
+                if bookkept is not None:
+                    w, wd = bookkept[k]
+                    v, vd = oq * wd * v - op * vd * w, oq * wd * vd
+                same = _same_product((v, vd), scalar[j], (pf[0], pd), _UNIT)
+            report.add(_CROSSCHECK_IDS[i], same)
     return report
 
 
@@ -811,8 +835,9 @@ def _additive(field: CoefficientField, n: int, s: int, t: int) -> bool:
 
 
 def _same_product(w: ScalarForm, x: ScalarForm, y: ScalarForm, z: ScalarForm) -> bool:
-    """w x == y z for four field entries (num, den), den != 0 of either
-    sign, by cross-multiplication: w0 x0 y1 z1 == y0 z0 w1 x1."""
+    """w x == y z for four scalars (num, den), den != 0 of either sign
+    (field entries, or the crosscheck's values, factors and Pfaffians), by
+    cross-multiplication: w0 x0 y1 z1 == y0 z0 w1 x1."""
     return w[0] * x[0] * y[1] * z[1] == y[0] * z[0] * w[1] * x[1]
 
 

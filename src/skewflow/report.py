@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     id: str
     status: str  # "pass" | "fail" | "skip"

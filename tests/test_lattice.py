@@ -398,6 +398,31 @@ class TestCrosscheck:
             (1, 1, 0): ["sighat:t+1"],
         }
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_a_changed_tau_or_sigma_fails_exactly_the_checks_that_read_it(self, data):
+        # the stored value at (n, s1, t1), s1 + t1 >= 1, is the stepped
+        # value of the stencil at (n, s1 - ds, t1 - dt) for each step that
+        # lands there from inside the box; a tau is also read by that
+        # stencil's sigma check, times its base offset s*mu + t*lam, so that
+        # check fails too wherever the offset is nonzero
+        grid = data.draw(st.one_of(random_grids(), random_grids(zero_site=True)))
+        c = grid.config
+        name = data.draw(st.sampled_from(["tau", "sigma"]))
+        n = data.draw(st.integers(0, c.pairs + 1))
+        s1, t1 = data.draw(st.sampled_from([site for site in grid.sites() if sum(site) >= 1]))
+        delta = data.draw(fractions(-5, 5, 7).filter(bool))
+        changed = getattr(grid, name)(n, s1, t1) + delta
+        want = {}
+        for label, ds, dt in (("s+1", 1, 0), ("t+1", 0, 1), ("s+1,t+1", 1, 1)):
+            s, t = s1 - ds, t1 - dt
+            if n <= c.pairs and 0 <= s < c.steps_s and 0 <= t < c.steps_t:
+                want[n, s, t] = [f"{name}:{label}"]
+                if name == "tau" and s * c.mu + t * c.lam != 0:
+                    want[n, s, t].append(f"sigma:{label}")
+        broken = with_values(grid, **{name: {(n, s1, t1): changed}})
+        assert crosscheck_failures(broken) == want
+
     def test_vanishing_tau_raises_from_its_stencil_on(self):
         # the (0, 0) table with s_23 chosen so that tau_2 = Pf(0..3) = 0
         base = GRID.moments(0, 0)
@@ -995,14 +1020,20 @@ class TestSumsToZero:
         assert sums_to_zero(ints + [closing])
 
     def test_every_relation_in_z_is_one_sum(self, monkeypatch):
-        # the crosscheck's identities are its two-term case; dckp/edckp
+        # the crosscheck's six identities in z are its two-term case, and
+        # its six scalar ones one cross-multiplication each; dckp/edckp
         # sum four terms, and slax/edlax three or four per component
-        sizes = []
+        sizes, products = [], []
         monkeypatch.setattr(
             lattice, "sums_to_zero", lambda terms: sizes.append(len(terms)) or sums_to_zero(terms)
         )
+        same_product = lattice._same_product
+        monkeypatch.setattr(
+            lattice, "_same_product", lambda *f: products.append(f) or same_product(*f)
+        )
         assert crosscheck_single_step(GRID, 1, 0, 0).passed
-        assert sizes == [2] * 12
+        assert sizes == [2] * 6
+        assert len(products) == 6
         for verify, lengths in (
             (verify_dckp, {4}),
             (verify_edckp, {4}),
