@@ -185,6 +185,57 @@ def linear_quotient(num: Sequence[int], p: int, q: int) -> list[int]:
     raise NotDivisible(f"polynomial does not vanish at {ratio_str(p, q)}")
 
 
+class Record:
+    """A class whose fields are its ``__slots__``, in order.  Two records
+    of one class are equal when their fields are, the repr reads
+    ``Name(field=value, ...)``, and a record is unhashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable, hashable :class:`Record`.  ``Frozen.__init__`` sets
+    the fields once, from values in slot order; any later assignment or
+    deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # copy and pickle rebuild an instance through __setstate__, since the
+    # default restores slots by setattr
+    def __reduce__(self) -> tuple:
+        return object.__new__, (type(self),), self._values()
+
+    def __setstate__(self, values: tuple) -> None:
+        Frozen.__init__(self, *values)
+
+
 class Polynomial:
     """Dense univariate polynomial over exact rationals.
 

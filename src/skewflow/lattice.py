@@ -56,13 +56,12 @@ nonlinear systems' products, is compared by cross-multiplication
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Any, Iterator, Sequence
 
 from .algebra import (
-    Polynomial, Rational, RationalLike, convolve, form_json, rat, rat_str, ratio_str,
+    Frozen, Polynomial, Rational, RationalLike, convolve, form_json, rat, rat_str, ratio_str,
     sums_to_zero,
 )
 from .errors import DegreeBudgetExceeded, SingularConfiguration
@@ -74,19 +73,18 @@ from .report import Report
 from .sops import skew_pairings
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
-    """Box parameters: pair index 0..pairs, site range [0,steps_s]x[0,steps_t]."""
+class LatticeConfig(Frozen):
+    """Box parameters: pair index 0..pairs, site range [0,steps_s]x[0,steps_t].
 
-    mu: Rational
-    lam: Rational
-    pairs: int
-    steps_s: int
-    steps_t: int
+    An immutable value: mu and lam are coerced by :func:`rat`, and the
+    counts must be nonnegative ints."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", rat(self.mu))
-        object.__setattr__(self, "lam", rat(self.lam))
+    __slots__ = ("mu", "lam", "pairs", "steps_s", "steps_t")
+
+    def __init__(
+        self, mu: RationalLike, lam: RationalLike, pairs: int, steps_s: int, steps_t: int
+    ) -> None:
+        Frozen.__init__(self, rat(mu), rat(lam), pairs, steps_s, steps_t)
         if self.mu == self.lam:
             raise ValueError("lattice parameters mu and lambda must differ")
         for name in ("pairs", "steps_s", "steps_t"):
@@ -899,13 +897,15 @@ def verify_dpfl(field: CoefficientField) -> Report:
 # -- 2x2 matrix extension ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class AntiDiagonal:
+class AntiDiagonal(Frozen):
     """2x2 matrix with zero diagonal, stored as (upper, lower) entries: a
-    matrix field entry as its views hand it out."""
+    matrix field entry as its views hand it out.  An immutable value."""
 
-    upper: Rational  # row 0, column 1
-    lower: Rational  # row 1, column 0
+    __slots__ = ("upper", "lower")
+
+    def __init__(self, upper: Rational, lower: Rational) -> None:
+        # upper is row 0, column 1; lower is row 1, column 0
+        Frozen.__init__(self, upper, lower)
 
 
 def _same_antidiagonal_product(lhs: _Entry, x: _Entry, r1: _Entry, r2: _Entry) -> bool:

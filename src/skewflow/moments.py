@@ -25,24 +25,22 @@ its reference Pfaffians read the entries s_ij through
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Any, Sequence
 
-from .algebra import Rational, RationalLike, rat, rat_parts, rat_str
+from .algebra import Frozen, Rational, RationalLike, rat, rat_parts, rat_str
 from .errors import DegreeBudgetExceeded
 from . import pfaffian
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finitely supported measure with rational nodes and positive weights."""
+class DiscreteMeasure(Frozen):
+    """Finitely supported measure with rational nodes and positive weights;
+    an immutable value."""
 
-    nodes: tuple[Rational, ...]
-    weights: tuple[Rational, ...]
+    __slots__ = ("nodes", "weights")
 
     def __init__(self, nodes: Sequence[RationalLike], weights: Sequence[RationalLike]):
         ns = tuple(rat(x) for x in nodes)
@@ -53,8 +51,7 @@ class DiscreteMeasure:
             raise ValueError("nodes must be strictly increasing")
         if any(w <= 0 for w in ws):
             raise ValueError("weights must be positive")
-        object.__setattr__(self, "nodes", ns)
-        object.__setattr__(self, "weights", ws)
+        Frozen.__init__(self, ns, ws)
 
 
 # The largest max_index of a table read from a file or generated from the

@@ -26,13 +26,13 @@ transformed member, a norm, a report detail and the ``rows`` views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .algebra import (
+    Frozen,
     Polynomial,
     Rational,
     RationalLike,
@@ -119,8 +119,7 @@ def _even_scale(family: SOPFamily, at: Sequence[int], q: int, den: int, n: int) 
     return r.numerator * q ** (2 * n) * even.den, r.denominator * at[2 * n] * den
 
 
-@dataclass(frozen=True)
-class ChristoffelData:
+class ChristoffelData(Frozen):
     """The L factor of one transformation step at parameter lam.
 
     Row i writes (z - lam) q*_i = sum_j rows[i][j] q_j in the pre-transform
@@ -128,11 +127,14 @@ class ChristoffelData:
     r_n/q_2n(lam), row 2n+1 is q_{2n+2} - (q_{2n+2}(lam)/q_2n(lam)) q_2n.
     Row 2N, the kernel sum of order N, has no member in the transformed
     family, which is one pair shorter; the rows stop there.  ``forms``
-    holds each row as integers over one denominator; ``rows`` reduces them.
+    holds each row as integers over one denominator; ``rows`` reduces
+    them.  An immutable value.
     """
 
-    lam: Rational
-    forms: tuple[RowForm, ...]
+    __slots__ = ("lam", "forms")
+
+    def __init__(self, lam: Rational, forms: tuple[RowForm, ...]) -> None:
+        Frozen.__init__(self, lam, forms)
 
     @property
     def rows(self) -> tuple[tuple[Rational, ...], ...]:
@@ -192,18 +194,19 @@ def christoffel(
     return transformed, moments.shift(lam), ChristoffelData(lam, tuple(forms))
 
 
-@dataclass(frozen=True)
-class GeronimusData:
+class GeronimusData(Frozen):
     """The R factor of one transformation step at parameter lam.
 
     Row i writes the pre-transform member q_i = sum_j R[i][j] q*_j in
     the transformed family q*_0..q*_{2N+1}: unit lower triangular, with
     R[i][i] = 1 and every entry to its right 0.  ``forms`` holds each
-    row as integers over one denominator.
+    row as integers over one denominator.  An immutable value.
     """
 
-    lam: Rational
-    forms: tuple[RowForm, ...]
+    __slots__ = ("lam", "forms")
+
+    def __init__(self, lam: Rational, forms: tuple[RowForm, ...]) -> None:
+        Frozen.__init__(self, lam, forms)
 
 
 def geronimus_coeffs(

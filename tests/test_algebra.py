@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -13,6 +15,10 @@ from skewflow.algebra import (
     rat_str,
 )
 from skewflow.errors import NotDivisible
+from skewflow.lattice import AntiDiagonal, LatticeConfig
+from skewflow.moments import DiscreteMeasure
+from skewflow.report import Check, Report
+from skewflow.transforms import ChristoffelData, GeronimusData
 from oracles import combination, div_by_linear, mul
 from strategies import entries, fractions
 
@@ -152,6 +158,60 @@ class TestStructure:
     def test_json_round_trip(self):
         p = P(Fraction(-7, 3), 0, Fraction(5, 2))
         assert Polynomial.from_json(p.to_json()) == p
+
+
+# (class, a function returning fresh field values, one field changed).
+# The five immutable values, then the two records of a report.
+VALUE_TYPES = [
+    (LatticeConfig,
+     lambda: {"mu": Fraction(1, 2), "lam": Fraction(3), "pairs": 1, "steps_s": 2, "steps_t": 2},
+     {"steps_t": 3}),
+    (AntiDiagonal, lambda: {"upper": Fraction(2), "lower": Fraction(-3)}, {"lower": Fraction(3)}),
+    (DiscreteMeasure,
+     lambda: {"nodes": (Fraction(1), Fraction(2)), "weights": (Fraction(1), Fraction(1, 3))},
+     {"weights": (Fraction(1), Fraction(1))}),
+    (ChristoffelData, lambda: {"lam": Fraction(3), "forms": (((1, 2), 3),)}, {"lam": Fraction(5)}),
+    (GeronimusData, lambda: {"lam": Fraction(3), "forms": (((1, 2), 3),)}, {"forms": ()}),
+    (Check, lambda: {"id": "a", "status": "pass", "detail": ""}, {"status": "fail"}),
+    (Report,
+     lambda: {"suite": "x", "instance": {"k": "v"}, "checks": [Check("a", "pass")],
+              "elapsed_ms": 0.0},
+     {"checks": []}),
+]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "cls, fields, changed", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES]
+    )
+    def test_fields_decide_equality_hash_and_repr(self, cls, fields, changed):
+        a, b = cls(**fields()), cls(**fields())
+        assert a == b
+        assert a != cls(**{**fields(), **changed})
+        text = ", ".join(f"{name}={value!r}" for name, value in fields().items())
+        assert repr(a) == f"{cls.__name__}({text})"
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        name = next(iter(changed))
+        if cls in (Check, Report):
+            with pytest.raises(TypeError):
+                hash(a)
+            return
+        assert hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, name, changed[name])
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert a == b
+
+    def test_types_with_equal_fields_differ(self):
+        assert ChristoffelData(Fraction(3), ()) != GeronimusData(Fraction(3), ())
+
+    def test_reports_do_not_share_defaults(self):
+        first, second = Report("x"), Report("x")
+        first.add("a", True)
+        first.instance["k"] = "v"
+        assert second.checks == [] and second.instance == {}
+        assert first.instance is not second.instance and first.checks is not second.checks
 
 
 class TestRat:

@@ -5,6 +5,8 @@ import math
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -760,6 +762,26 @@ class TestParser:
                      "--y", "7", "--y", "8"]) == 0
         assert seen == [(["1", "2"], ["5"]), (["3"], ["7", "8"])]
         assert cli._build_parser() is cli._build_parser()
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        """Every command is its own process, so what ``import skewflow.cli``
+        loads is paid per command.  The standard-library modules skewflow
+        uses are imported first, in a process without ``site``: neither
+        they nor skewflow may bring in dataclasses or inspect."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import argparse, enum, fractions, functools, itertools, json, math, "
+            "operator, os, random, re, time; "
+            "import skewflow.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"
 
 
 class TestDeterminism:

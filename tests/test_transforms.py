@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -142,7 +141,7 @@ def add_to_entry(data, i, j, delta):
     row[j] += delta.numerator * den
     forms = list(data.forms)
     forms[i] = (tuple(row), den * delta.denominator)
-    return replace(data, forms=tuple(forms))
+    return type(data)(data.lam, tuple(forms))
 
 
 def bump_numerator(data, i, j):
@@ -150,7 +149,7 @@ def bump_numerator(data, i, j):
     ints, den = data.forms[i]
     forms = list(data.forms)
     forms[i] = (ints[:j] + (ints[j] + 1,) + ints[j + 1 :], den)
-    return replace(data, forms=tuple(forms))
+    return type(data)(data.lam, tuple(forms))
 
 
 def random_setup(seed=42, pairs=3, budget=11):
