@@ -2,16 +2,17 @@
 on top of them.
 
 A grid holds, per site (s, t), the moment table obtained by s shifts with
-parameter mu followed by t shifts with parameter lambda, and the four
-Pfaffian-valued lattice functions
+parameter mu followed by t shifts with parameter lambda, as an integer
+block (rows, den), and the four Pfaffian-valued lattice functions
 
     tau_n    = Pf(0..2n-1)
     tauhat_n = Pf(0..2n, z)
     sigma_n  = Pf(0..2n-2, 2n) + (s*mu + t*lam) * tau_n
     sighat_n = Pf(0..2n-1, 2n+1, z) + (s*mu + t*lam) * tauhat_n
 
-:func:`build_grid` reads all four off one prefix elimination of each site's
-table (:func:`skewflow.pfaffian.prefix_pfaffians`), which adds the offset
+:func:`build_grid` shifts the blocks with the one shift kernel, makes no
+per-site table, and reads all four off one prefix elimination of each
+block (:func:`skewflow.pfaffian.prefix_pfaffians`), which adds the offset
 s*mu + t*lam to sigma and sighat in its integers, and keeps each as the
 integer form the pass gives, not reduced: a scalar as (num, den), a
 polynomial as (coefficients, den).  The verifiers and
@@ -65,9 +66,9 @@ from .algebra import (
     sums_to_zero,
 )
 from .errors import DegreeBudgetExceeded, SingularConfiguration
-from .moments import SkewMoments
+from .moments import SkewMoments, _shifted
 from .pfaffian import (
-    LAMBDA, MU, ZVAR, PolyForm, ScalarForm, prefix_pfaffians, prefix_tails,
+    LAMBDA, MU, ZVAR, IntegerForm, PolyForm, ScalarForm, prefix_pfaffians, prefix_tails,
 )
 from .report import Report
 from .sops import skew_pairings
@@ -122,6 +123,8 @@ class LatticeConfig(Frozen):
 class TauGrid:
     """Exact tau/sigma data for n = 0..pairs+1 over the (s, t) box.
 
+    ``_blocks`` holds each site's table as an integer block (rows, den),
+    full skew rows over den > 0, not reduced (:func:`_site_blocks`).
     The private stores ``_tau``, ``_sigma``, ``_tauhat`` and ``_sighat``
     hold each value as the integer form :func:`prefix_pfaffians` gives it,
     not reduced: a scalar as (num, den), a polynomial as (coefficients,
@@ -141,7 +144,7 @@ class TauGrid:
     """
 
     __slots__ = (
-        "config", "base", "tables", "_tau", "_sigma", "_tauhat", "_sighat",
+        "config", "base", "_blocks", "_tau", "_sigma", "_tauhat", "_sighat",
         "_scalar_field", "_matrix_field", "_crosscheck",
     )
 
@@ -149,7 +152,7 @@ class TauGrid:
         self,
         config: LatticeConfig,
         base: SkewMoments,
-        tables: dict[tuple[int, int], SkewMoments],
+        blocks: dict[tuple[int, int], IntegerForm],
         tau: dict[tuple[int, int, int], ScalarForm],
         sigma: dict[tuple[int, int, int], ScalarForm],
         tauhat: dict[tuple[int, int, int], PolyForm],
@@ -157,7 +160,7 @@ class TauGrid:
     ):
         self.config = config
         self.base = base
-        self.tables = tables
+        self._blocks = blocks
         self._tau = tau
         self._sigma = sigma
         self._tauhat = tauhat
@@ -184,9 +187,6 @@ class TauGrid:
     def sigma_hat(self, n: int, s: int, t: int) -> Polynomial:
         num, den = self._sighat[n, s, t]
         return Polynomial._reduced(list(num), den)
-
-    def moments(self, s: int, t: int) -> SkewMoments:
-        return self.tables[(s, t)]
 
     def sites(self) -> Iterator[tuple[int, int]]:
         for s in range(self.config.steps_s + 1):
@@ -267,39 +267,51 @@ def _first_mismatch(
     return (site + (0, 0, 0))[:3]
 
 
-def _shift_tables(
+def _site_blocks(
     base: SkewMoments, config: LatticeConfig
-) -> dict[tuple[int, int], SkewMoments]:
-    """Per-site moment tables: s shifts by mu first, then t shifts by lambda."""
-    tables: dict[tuple[int, int], SkewMoments] = {(0, 0): base}
-    for s in range(1, config.steps_s + 1):
-        tables[(s, 0)] = tables[(s - 1, 0)].shift(config.mu)
-    for s in range(config.steps_s + 1):
-        for t in range(1, config.steps_t + 1):
-            tables[(s, t)] = tables[(s, t - 1)].shift(config.lam)
-    return tables
+) -> dict[tuple[int, int], IntegerForm]:
+    """Per-site integer blocks (rows, den): mu shifts down the t = 0 column,
+    then lambda shifts along each row, by the one shift kernel with no
+    reduction.  Site (s, t) keeps the 2*pairs+4 indices its readers use,
+    steps_t - t more for the shifts along its row, and on the t = 0 column
+    steps_s - s more."""
+    c = config
+    pm, qm, pl, ql = c.mu.numerator, c.mu.denominator, c.lam.numerator, c.lam.denominator
+    row_size = 2 * c.pairs + 4 + c.steps_t
+    size = row_size + c.steps_s
+    num, den = base.form
+    blocks = {(0, 0): ([row[:size] for row in num[:size]], den)}
+    for s in range(1, c.steps_s + 1):
+        num, den = blocks[s - 1, 0]
+        blocks[s, 0] = _shifted(num, size - s, pm, qm), den * qm * qm
+    for s in range(c.steps_s + 1):
+        for t in range(1, c.steps_t + 1):
+            num, den = blocks[s, t - 1]
+            blocks[s, t] = _shifted(num, row_size - t, pl, ql), den * ql * ql
+    return blocks
 
 
 def build_grid(moments: SkewMoments, config: LatticeConfig) -> TauGrid:
     """Populate the full box; raises on the first vanishing tau.
 
     Each site's four functions come from one :func:`prefix_pfaffians` pass
-    over its table, which also adds the site's offset s*mu + t*lam in its
-    integers, and are stored as the integer forms the pass gives, with no
-    Fraction, no Polynomial and no reduction.
+    over its integer block (:func:`_site_blocks`), in the blocks' order,
+    which also adds the site's offset s*mu + t*lam in its integers, and
+    are stored as the integer forms the pass gives, with no Fraction, no
+    Polynomial and no reduction.
     """
     if moments.max_index < config.required_budget:
         raise DegreeBudgetExceeded(
             f"grid needs a base budget of {config.required_budget}, "
             f"got {moments.max_index}"
         )
-    tables = _shift_tables(moments, config)
+    blocks = _site_blocks(moments, config)
     tau: dict[tuple[int, int, int], ScalarForm] = {}
     sigma: dict[tuple[int, int, int], ScalarForm] = {}
     tauhat: dict[tuple[int, int, int], PolyForm] = {}
     sighat: dict[tuple[int, int, int], PolyForm] = {}
-    for (s, t), table in tables.items():
-        values = prefix_pfaffians(table, config.pairs, _offset(config, s, t))
+    for (s, t), block in blocks.items():
+        values = prefix_pfaffians(block, config.pairs, _offset(config, s, t))
         for n, (value, sig, hat, sig_hat) in enumerate(values):
             if not value[0]:
                 raise SingularConfiguration(
@@ -309,7 +321,7 @@ def build_grid(moments: SkewMoments, config: LatticeConfig) -> TauGrid:
             tauhat[(n, s, t)] = hat
             sigma[(n, s, t)] = sig
             sighat[(n, s, t)] = sig_hat
-    return TauGrid(config, moments, tables, tau, sigma, tauhat, sighat)
+    return TauGrid(config, moments, blocks, tau, sigma, tauhat, sighat)
 
 
 def _sites(
@@ -401,12 +413,12 @@ _UNIT = (1, 1)
 def _crosscheck_site(grid: TauGrid, s: int, t: int) -> tuple:
     """What every crosscheck stencil at (s, t) reads besides the grid's
     values: the bordered Pfaffians of each n off one prefix pass over the
-    site's table, the offset s*mu + t*lam as (num, den), and the factors of
+    site's block, the offset s*mu + t*lam as (num, den), and the factors of
     the steps s+1, t+1 and s+1,t+1, as (num, den) for a scalar (1, 1 and
     -lm) and as (k, coefficients, den) for a polynomial (-(z-mu), -(z-lam)
     and -lm(z-mu)(z-lam)), with lm = lambda - mu.  No form is reduced."""
     c = grid.config
-    pfaffians = prefix_tails(grid.moments(s, t), c.pairs, c.mu, c.lam, _TAILS)
+    pfaffians = prefix_tails(grid._blocks[s, t], c.pairs, c.mu, c.lam, _TAILS)
     lp, lq = _lm(c)
     (z_mu, qm), (z_lam, ql), (z_both, db) = _z_forms(c)
     scalar = (_UNIT, _UNIT, (-lp, lq))
@@ -431,7 +443,7 @@ def crosscheck_single_step(grid: TauGrid, n: int, s: int, t: int) -> Report:
     Pfaffian = 0 (:func:`sums_to_zero`).
 
     The Pfaffians of every n at a site are read off one bordered prefix
-    pass over its table (:func:`skewflow.pfaffian.prefix_tails`), made by
+    pass over its block (:func:`skewflow.pfaffian.prefix_tails`), made by
     the first stencil there that needs it and kept on the grid with the
     site's offset and step factors (:func:`_crosscheck_site`).  A
     vanishing leading Pfaffian tau_k of the table, k <= n, which
@@ -972,7 +984,7 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
     only required to exist away from those sites.  At the origin sigma_n
     (n >= 1) is Pf(0..2n-2, 2n) of the table itself, which may vanish (a
     symmetric measure zeroes them all), so phi_2n is exempt there exactly
-    where that Pfaffian of ``grid.moments(0, 0)`` vanishes, read off one
+    where that Pfaffian of the base table vanishes, read off one
     :func:`prefix_pfaffians` pass; every other phi_2n is required.
     """
     c = grid.config
@@ -1005,7 +1017,7 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
                 grid._sighat[n, s, t],
             )
         ]
-        pairings = skew_pairings(grid.moments(s, t), hats)
+        pairings = skew_pairings(grid._blocks[s, t], hats)
         for u in range(len(hats)):
             for v in range(u + 1, len(hats)):
                 tag = f"phi-orthogonality:<phi{u}|phi{v}>:s={s},t={t}"
@@ -1029,7 +1041,7 @@ def verify_edlax(grid: TauGrid, samples: Sequence[RationalLike]) -> Report:
         # where the table's own sigma_n vanishes (see the docstring)
         missing = {n for n in range(1, c.pairs + 1) if hats[2 * n] is None}
         if missing and (s, t) == (0, 0):
-            values = prefix_pfaffians(grid.moments(0, 0), c.pairs)
+            values = prefix_pfaffians(grid._blocks[0, 0], c.pairs)
             missing -= {n for n, (_, sig, _, _) in enumerate(values) if not sig[0]}
         report.add(
             f"phi-even-defined:s={s},t={t}",

@@ -13,13 +13,11 @@ it directly (the constructor and the JSON loader parse entries to reduced
 (num, den) pairs, whose form needs no gcd pass; ensemble sums run over one
 common denominator), shifts and rescalings are computed on N and reduced
 back to the least common denominator, and :meth:`SkewMoments.entry` forms
-a ``Fraction`` only for the entry asked for.  Two methods hand the form
-out: :meth:`SkewMoments.apply_form` returns S*g as an integer vector over
-one denominator, which is all a skew product needs, and
-:meth:`SkewMoments.integer_rows` returns the leading rows of N and D, from
-which :mod:`skewflow.pfaffian` builds the integer store of its prefix pass;
-its reference Pfaffians read the entries s_ij through
-:meth:`SkewMoments.entry`.
+a ``Fraction`` only for the entry asked for.  Every shift runs one kernel,
+:func:`_shifted`, which a lattice grid runs on its unreduced per-site
+blocks too.  :func:`apply_form` returns S*g for a form as an integer
+vector over one denominator, which is all a skew product needs, and
+:mod:`skewflow.pfaffian` copies a form into the store of its prefix pass.
 """
 
 from __future__ import annotations
@@ -139,27 +137,10 @@ class SkewMoments:
             )
         return Fraction(self._num[i][j], self._den)
 
-    def apply_form(self, num: Sequence[int], den: int, rows: int) -> tuple[list[int], int]:
-        """The first ``rows`` rows of S*g over one denominator for g = num/den
-        given as an integer form, reduced or not (coefficients constant
-        first, den != 0): (v, d) with sum_j s_ij g_j = v[i]/d for i < rows."""
-        size = self.max_index + 1
-        if len(num) > size or rows > size:
-            raise DegreeBudgetExceeded(
-                f"S*g needs degree and rows within budget {self.max_index}, "
-                f"got degree {len(num) - 1} and {rows} rows"
-            )
-        table = self._num
-        return [sum(map(mul, table[i], num)) for i in range(rows)], self._den * den
-
-    def integer_rows(self, size: int) -> tuple[list[list[int]], int]:
-        """The integer form on the indices 0..size-1: (rows, D) with
-        rows[i][j] = D*s_ij, as fresh lists the caller may overwrite."""
-        if size > self.max_index + 1:
-            raise DegreeBudgetExceeded(
-                f"{size} rows need max_index >= {size - 1}, got {self.max_index}"
-            )
-        return [list(row[:size]) for row in self._num[:size]], self._den
+    @property
+    def form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The integer form (N, D) itself, N as a tuple of rows."""
+        return self._num, self._den
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -175,30 +156,20 @@ class SkewMoments:
     def shift(self, c: RationalLike) -> "SkewMoments":
         """Moment table of <(z-c).|(z-c).>; budget drops by one.
 
-        With c = p/q the shifted numerators are
-        q^2 N_{i+1,j+1} - pq (N_{i+1,j} + N_{i,j+1}) + p^2 N_ij over D q^2.
-        The last (c, result) is kept, so a Christoffel step and the
-        Geronimus coefficients of that step share one shift.
+        The one shift kernel (:func:`_shifted`), over D q^2 for c = p/q,
+        reduced.  The last (c, result) is kept, so a Christoffel step and
+        the Geronimus coefficients of that step share one shift.
         """
         if self.max_index < 1:
             raise DegreeBudgetExceeded("cannot shift a table with max_index 0")
         c = rat(c)
         if self._last_shift is not None and self._last_shift[0] == c:
             return self._last_shift[1]
-        p, q = c.numerator, c.denominator
-        pp, pq, qq = p * p, p * q, q * q
-        old = self._num
-        size = self.max_index
-        num = [[0] * size for _ in range(size)]
-        for i in range(size):
-            row, below, out = old[i], old[i + 1], num[i]
-            for j in range(i + 1, size):
-                v = qq * below[j + 1] - pq * (below[j] + row[j + 1]) + pp * row[j]
-                out[j] = v
-                num[j][i] = -v
+        q = c.denominator
+        num = _shifted(self._num, self.max_index, c.numerator, q)
         prov = dict(self.provenance)
         prov["shifts"] = list(prov.get("shifts", [])) + [rat_str(c)]
-        shifted = SkewMoments._from_integers(num, self._den * qq, prov)
+        shifted = SkewMoments._from_integers(num, self._den * q * q, prov)
         self._last_shift = (c, shifted)
         return shifted
 
@@ -258,6 +229,39 @@ class SkewMoments:
         table = object.__new__(SkewMoments)
         table._set_parts(m + 1, parts, provenance)
         return table
+
+
+def apply_form(
+    form: pfaffian.IntegerForm, num: Sequence[int], den: int, rows: int
+) -> tuple[list[int], int]:
+    """The first ``rows`` rows of S*g over one denominator, for S an integer
+    form (N, D) on the indices 0..size-1, a table's or a grid block, and
+    g = num/den an integer form too, both reduced or not (coefficients
+    constant first, den != 0): (v, d) with sum_j s_ij g_j = v[i]/d."""
+    table, d = form
+    size = len(table)
+    if len(num) > size or rows > size:
+        raise DegreeBudgetExceeded(
+            f"S*g needs degree and rows within budget {size - 1}, "
+            f"got degree {len(num) - 1} and {rows} rows"
+        )
+    return [sum(map(mul, table[i], num)) for i in range(rows)], d * den
+
+
+def _shifted(num: Sequence[Sequence[int]], size: int, p: int, q: int) -> list[list[int]]:
+    """The one shift kernel: <(z-c).|(z-c).> for c = p/q on the indices
+    0..size-1, as fresh full skew rows over the old denominator times q^2,
+    not reduced, from the rows of a skew form N reaching index ``size``:
+    q^2 N_{i+1,j+1} - pq (N_{i+1,j} + N_{i,j+1}) + p^2 N_ij."""
+    pp, pq, qq = p * p, p * q, q * q
+    out = [[0] * size for _ in range(size)]
+    for i in range(size):
+        row, below, o = num[i], num[i + 1], out[i]
+        for j in range(i + 1, size):
+            v = qq * below[j + 1] - pq * (below[j] + row[j + 1]) + pp * row[j]
+            o[j] = v
+            out[j][i] = -v
+    return out
 
 
 def _skew_form(

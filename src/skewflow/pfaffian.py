@@ -4,7 +4,8 @@ O(m^3) integer operations).
 
 The engine the program runs.  Every Pfaffian a family or a lattice site
 needs is read off one integer store (:func:`_store`: N = D*S, optional mu
-and lambda border rows, a z border column of integer polynomials).  One
+and lambda border rows, a z border column of integer polynomials), copied
+from a table's integer form or a lattice site's unreduced block.  One
 routine, :func:`_prefix_pass`, eliminates a store once without pivoting,
 and after n steps every later entry (i, j) is the bordered minor
 Pf(0..2n-1, i, j), by Tanner's Pfaffian form of Sylvester's identity.
@@ -57,6 +58,8 @@ AugmentedIndex = Union[int, Special]
 # polynomial as (coefficients, den), coefficients constant first.
 ScalarForm = tuple[int, int]
 PolyForm = tuple[list[int], int]
+# A table as (N, D), N = D*S a full skew matrix of ints, reduced or not.
+IntegerForm = tuple[Sequence[Sequence[int]], int]
 
 
 class SkewMatrix:
@@ -276,15 +279,21 @@ def _sub_pfaffians(
 
 
 def _store(
-    moments: SkewMoments, size: int, border: Sequence[Rational] = ()
+    form: IntegerForm, size: int, border: Sequence[Rational] = ()
 ) -> tuple[list[list[int]], int, list[list[int]]]:
     """The integer store that :func:`_prefix_pass` eliminates: (a, D, zc).
 
-    ``a`` is N = D*S on the indices 0..size-1, followed by one border row
-    per x = p/q in ``border`` whose entry at index i is D*q^(size-1)*x^i,
-    and zc is the z column: row i < size starts as D*z^i, a border row as 0.
+    ``a`` is a copy of N on the indices 0..size-1, for ``form`` = (N, D),
+    followed by one border row per x = p/q in ``border`` whose entry at
+    index i is D*q^(size-1)*x^i, and zc is the z column: row i < size
+    starts as D*z^i, a border row as 0.
     """
-    a, d = moments.integer_rows(size)
+    rows, d = form
+    if size > len(rows):
+        raise DegreeBudgetExceeded(
+            f"{size} rows need max_index >= {size - 1}, got {len(rows) - 1}"
+        )
+    a = [list(row[:size]) for row in rows[:size]]
     for x in border:
         p, q = x.numerator, x.denominator
         for i, row in enumerate(a):
@@ -320,10 +329,10 @@ def _prefix_pass(
 
 
 def prefix_pfaffians(
-    moments: SkewMoments, pairs: int, offset: tuple[int, int] = (0, 1)
+    form: IntegerForm, pairs: int, offset: tuple[int, int] = (0, 1)
 ) -> Iterator[tuple[ScalarForm, ScalarForm, PolyForm, PolyForm]]:
-    """Every leading and z-bordered Pfaffian of a table from one pass, as
-    integer forms that are not reduced.
+    """Every leading and z-bordered Pfaffian of a table's integer form from
+    one pass, as integer forms that are not reduced.
 
     Yields, for n = 0..pairs+1 in turn, (tau_n, sigma_n, tauhat_n, sighat_n):
 
@@ -350,7 +359,7 @@ def prefix_pfaffians(
     with no Fraction and no gcd; a zero offset is taken as (0, 1).  The
     pass stops after yielding a vanishing tau_n.
     """
-    a, d, zc = store = _store(moments, 2 * pairs + 4)
+    a, d, zc = store = _store(form, 2 * pairs + 4)
     p, q = offset
     if not p:
         q = 1
@@ -369,14 +378,14 @@ def prefix_pfaffians(
 
 
 def prefix_tails(
-    moments: SkewMoments,
+    form: IntegerForm,
     pairs: int,
     mu: Rational,
     lam: Rational,
     tails: Sequence[Sequence[AugmentedIndex]],
 ) -> list[list[tuple[list[int], int]]]:
     """Pf(0..2n-1, *tail at 2n) for every tail and n = 0..pairs, off one
-    bordered prefix pass.
+    bordered prefix pass over a table's integer form.
 
     A tail lists, in this order, ascending offsets r >= 0 that stand for
     the moment indices 2n + r, then MU and/or LAMBDA, then optionally ZVAR;
@@ -399,7 +408,7 @@ def prefix_tails(
     """
     offsets = [x for tail in tails for x in tail if type(x) is int]
     size = 2 * pairs + 1 + max(offsets, default=-1)
-    a, d, zc = store = _store(moments, size, (mu, lam))
+    a, d, zc = store = _store(form, size, (mu, lam))
     qm, ql = mu.denominator ** (size - 1), lam.denominator ** (size - 1)
     scales = (1, qm, ql, qm * ql)  # by the border rows present: 1 mu, 2 lambda
     shapes = []

@@ -21,8 +21,8 @@ from typing import Any, Sequence
 
 from .algebra import Polynomial, Rational, RationalLike, rat, rat_str, ratio_str
 from .errors import DegreeBudgetExceeded, SingularConfiguration
-from .moments import SkewMoments
-from .pfaffian import prefix_pfaffians
+from .moments import SkewMoments, apply_form
+from .pfaffian import IntegerForm, prefix_pfaffians
 from .report import Report
 
 PFAFFIAN_GAUGE = "pfaffian-alpha-zero"
@@ -32,15 +32,16 @@ GAUGES = (PFAFFIAN_GAUGE, COEFF_GAUGE, CHRISTOFFEL_GAUGE)
 
 
 def skew_pairings(
-    moments: SkewMoments, polys: Sequence[tuple[Sequence[int], int] | None]
+    form: IntegerForm, polys: Sequence[tuple[Sequence[int], int] | None]
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """<p_a|p_b> for every a < b where neither member is None, each as an
-    integer pair (num, den), den > 0, not reduced.
+    integer pair (num, den), den > 0, not reduced, over a table's integer
+    form (N, D).
 
     Each member is an integer form (coefficients, den), den > 0,
     coefficients constant first.  S*p_b is formed once per member, on the
-    rows the earlier members reach; each pairing is then one integer dot
-    product with the coefficients of p_a.
+    rows the earlier members reach (:func:`apply_form`); each pairing is
+    then one integer dot product with the coefficients of p_a.
     """
     out: dict[tuple[int, int], tuple[int, int]] = {}
     earlier: list[tuple[int, Sequence[int], int]] = []
@@ -48,7 +49,7 @@ def skew_pairings(
     for b, g in enumerate(polys):
         if g is None:
             continue
-        sg, sg_den = moments.apply_form(*g, rows)
+        sg, sg_den = apply_form(form, *g, rows)
         for a, f, f_den in earlier:
             out[a, b] = sum(map(mul, f, sg)), f_den * sg_den
         earlier.append((b, *g))
@@ -63,7 +64,7 @@ def skew_product(moments: SkewMoments, f: Polynomial, g: Polynomial) -> Rational
     S*g, divided once at the end; DegreeBudgetExceeded where f or g
     exceeds the table.
     """
-    sg, sg_den = moments.apply_form(g.num, g.den, len(f.num))
+    sg, sg_den = apply_form(moments.form, g.num, g.den, len(f.num))
     return Fraction(sum(map(mul, f.num, sg)), f.den * sg_den)
 
 
@@ -155,7 +156,7 @@ def build_family(moments: SkewMoments, pairs: int) -> SOPFamily:
     polys: list[Polynomial] = []
     norms: list[Rational] = []
     for n, ((pivot, dn), _, (even, den), (odd, _)) in enumerate(
-        prefix_pfaffians(moments, pairs - 1)
+        prefix_pfaffians(moments.form, pairs - 1)
     ):
         # each numerator is over D^(n+1) and tau_n is pivot/D^n, so the
         # member is the numerator over D*pivot
@@ -202,7 +203,7 @@ def oracle_family(moments: SkewMoments, pairs: int) -> SOPFamily:
             for i, c in enumerate(even):
                 num[i] -= b * c
         polys.append(Polynomial._reduced(num, den))
-        sq, sq_den = moments.apply_form(polys[-1].num, polys[-1].den, rows)
+        sq, sq_den = apply_form(moments.form, polys[-1].num, polys[-1].den, rows)
         applied.append(sq)
         if degree % 2:
             n = degree // 2
@@ -229,7 +230,7 @@ def verify_skew_orthogonality(family: SOPFamily, moments: SkewMoments) -> Report
     """
     report = Report("orthogonality", {"provenance": moments.provenance})
     count = 2 * family.pairs + 2
-    pairings = skew_pairings(moments, [(p.num, p.den) for p in family.polys])
+    pairings = skew_pairings(moments.form, [(p.num, p.den) for p in family.polys])
     for a in range(count):
         for b in range(a + 1, count):
             num, den = pairings[a, b]

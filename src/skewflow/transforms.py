@@ -45,7 +45,7 @@ from .algebra import (
     sums_to_zero,
 )
 from .errors import SingularConfiguration, TruncationTooLarge
-from .moments import SkewMoments
+from .moments import SkewMoments, apply_form
 from .report import Report
 from .sops import CHRISTOFFEL_GAUGE, SOPFamily, verify_skew_orthogonality
 
@@ -235,7 +235,7 @@ def geronimus_coeffs(
     columns = []
     for j in range(size):
         g = family_next.polys[j ^ 1]
-        vec, den = shifted.apply_form(g.num, g.den, size)
+        vec, den = apply_form(shifted.form, g.num, g.den, size)
         r = family_next.norms[j // 2]
         columns.append((vec, (-1) ** j * r.denominator, den * r.numerator))
     common = lcm(*(d for _, _, d in columns))
@@ -445,7 +445,7 @@ def verify_factorization(
     of I_N, so (b) also requires the reproducing property at p = 1,
     <1 | I_N(., y)> = (S I_N)_0 = 1: a family whose norms are all
     multiplied by one factor scales I_N and fails it.  Both read off one
-    :meth:`SkewMoments.apply_form`.  I_N and q*_2N stay integer forms, and
+    :func:`apply_form`.  I_N and q*_2N stay integer forms, and
     form (a) is one integer identity (:func:`sums_to_zero`).  The report
     records which candidate matches; nothing is assumed in advance.
     """
@@ -465,7 +465,7 @@ def verify_factorization(
         (r.denominator, (-p, q), convolve(q_even.num, q_star), q * q_even.den * w * r.numerator),
         (-1, _ONE, ker, den),
     ))
-    v, v_den = moments.apply_form(ker, den, 2 * pairs + 1)
+    v, v_den = apply_form(moments.form, ker, den, 2 * pairs + 1)
     b_match = (
         len(q_star) == 2 * pairs + 1
         and q_star[-1] == w

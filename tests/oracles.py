@@ -4,9 +4,10 @@ runs, the Fraction construction of the transforms, the per-member SOP
 formula, the SOP oracle by linear solves and the Fraction orthogonality
 report, an exact determinant, the recursive Pfaffian expansion, the
 acceptance battery's two measures, the grid values read off the bordered
-base table, the degenerate grid, the lattice polynomials read off a
-grid's accessors, the lattice relations in z, and the nonlinear lattice
-systems with the AntiDiagonal sum, difference and product they need.
+base table, the site tables by the public shift chain, the degenerate
+grid, the lattice polynomials read off a grid's accessors, the lattice
+relations in z, and the nonlinear lattice systems with the AntiDiagonal
+sum, difference and product they need.
 
 Each oracle reads like its formula and shares no code path with what it
 checks: :func:`christoffel_fractions`, :func:`geronimus_fractions` and
@@ -24,9 +25,12 @@ independent of the Pfaffian engine; :func:`pfaffian_expand` expands
 along the last index, where :func:`skewflow.pfaffian.pfaffian` eliminates;
 :func:`bordered_grid_values` reads each grid value off the base table
 bordered by mu and lambda rows, where :func:`skewflow.lattice.build_grid`
-shifts the table once per site step; and :func:`bilinear_checks` and
-:func:`lax_checks` check the dckp, edckp, slax and edlax relations in
-``Polynomial`` arithmetic on the printed coefficient formulas, where
+shifts an unreduced integer block once per site step; :func:`site_table`
+reaches a site through public, reduced :class:`SkewMoments` shifts, mu
+first, where the grid keeps no table per site; and
+:func:`bilinear_checks` and :func:`lax_checks` check the dckp, edckp,
+slax and edlax relations in ``Polynomial`` arithmetic on the printed
+coefficient formulas, where
 :mod:`skewflow.lattice` checks each as one integer identity; and
 :func:`dpfl_fractions` and :func:`edpfl_fractions` check the dpfl and edpfl
 relations in Fraction arithmetic on a field's reduced entries, where
@@ -41,7 +45,7 @@ from math import comb, lcm
 from skewflow.algebra import Polynomial, convolve, linear_quotient, rat, rat_str
 from skewflow.errors import DegreeBudgetExceeded, NotDivisible, SingularConfiguration
 from skewflow.lattice import AntiDiagonal, TauGrid
-from skewflow.moments import DiscreteMeasure
+from skewflow.moments import DiscreteMeasure, apply_form
 from skewflow.pfaffian import (
     ZVAR, SkewMatrix, augmented_pfaffian, numeric_pfaffian, pfaffian,
 )
@@ -231,7 +235,7 @@ def oracle_family_solve(moments, pairs):
         else:
             y, det = solve_fraction_free(rows)
             polys.append(Polynomial._reduced(y + [det], det))
-        pairings.append(moments.apply_form(polys[-1].num, polys[-1].den, 2 * pairs + 2)[0])
+        pairings.append(apply_form(moments.form, polys[-1].num, polys[-1].den, 2 * pairs + 2)[0])
     for n in range(pairs + 1):
         r = skew_product(moments, polys[2 * n], polys[2 * n + 1])
         if r == 0:
@@ -245,7 +249,7 @@ def orthogonality_fractions(family, moments):
     target, compared and written as Fractions."""
     report = Report("orthogonality", {"provenance": moments.provenance})
     count = 2 * family.pairs + 2
-    pairings = skew_pairings(moments, [(p.num, p.den) for p in family.polys])
+    pairings = skew_pairings(moments.form, [(p.num, p.den) for p in family.polys])
     for a in range(count):
         for b in range(a + 1, count):
             value = Fraction(*pairings[a, b])
@@ -326,11 +330,23 @@ def pfaffian_expand(matrix):
 # -- grid values ---------------------------------------------------------
 
 
+def site_table(grid, s, t):
+    """The moment table at site (s, t) through the public
+    :meth:`SkewMoments.shift` chain: the base table shifted s times by mu,
+    then t times by lambda, each shift reduced to the canonical form."""
+    table = grid.base
+    for _ in range(s):
+        table = table.shift(grid.config.mu)
+    for _ in range(t):
+        table = table.shift(grid.config.lam)
+    return table
+
+
 def degenerate(grid):
     """A copy of ``grid`` with sigma := tau and sighat := tauhat, which
     collapses the extended (vector) theory onto the scalar one."""
     return TauGrid(
-        grid.config, grid.base, grid.tables,
+        grid.config, grid.base, grid._blocks,
         grid._tau, dict(grid._tau), grid._tauhat, dict(grid._tauhat),
     )
 
@@ -593,6 +609,7 @@ def lax_checks(grid):
     )
     for s, t in grid.sites():
         phis = [p for n in range(c.pairs + 1) for p in phi[n, s, t]]
+        table = site_table(grid, s, t)
         for u in range(len(phis)):
             for v in range(u + 1, len(phis)):
                 tag = f"phi-orthogonality:<phi{u}|phi{v}>:s={s},t={t}"
@@ -603,7 +620,7 @@ def lax_checks(grid):
                     expected = grid.tau(u // 2 + 1, s, t) / grid.sigma(u // 2, s, t)
                 else:
                     expected = 0
-                ok = _pairing(grid.moments(s, t), phis[u], phis[v]) == expected
+                ok = _pairing(table, phis[u], phis[v]) == expected
                 edlax.append((tag, _verdict(ok), ""))
         monic = [
             n
@@ -615,7 +632,7 @@ def lax_checks(grid):
         ok = all(
             phis[2 * n] is not None
             or (s, t) == (0, 0)
-            and numeric_pfaffian(grid.moments(0, 0), [*range(2 * n - 1), 2 * n]) == 0
+            and numeric_pfaffian(site_table(grid, 0, 0), [*range(2 * n - 1), 2 * n]) == 0
             for n in range(1, c.pairs + 1)
         ) and (phis[0] is not None or s * c.mu + t * c.lam == 0)
         edlax.append(

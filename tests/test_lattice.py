@@ -50,6 +50,7 @@ from oracles import (
     phi_odd,
     printed_ratios,
     q_even,
+    site_table,
     sop_even,
     sop_odd,
 )
@@ -80,7 +81,7 @@ def with_values(grid, tau=(), sigma=(), tauhat=(), sighat=()):
     return TauGrid(
         grid.config,
         grid.base,
-        grid.tables,
+        grid._blocks,
         {**grid._tau, **forms(tau)},
         {**grid._sigma, **forms(sigma)},
         {**grid._tauhat, **forms(tauhat)},
@@ -180,7 +181,7 @@ class TestGrid:
         # same with z, from the oracles on each site's table, at every n
         c = grid.config
         for s, t in grid.sites():
-            table = grid.moments(s, t)
+            table = site_table(grid, s, t)
             offset = s * c.mu + t * c.lam
             for n in range(c.pairs + 2):
                 tau = numeric_pfaffian(table, range(2 * n))
@@ -216,7 +217,7 @@ class TestGrid:
         c = grid.config
         assert any(s * c.mu + t * c.lam == 0 for s, t in grid.sites() if (s, t) != (0, 0))
         for s, t in grid.sites():
-            table = grid.moments(s, t)
+            table = site_table(grid, s, t)
             offset = s * c.mu + t * c.lam
             for n in range(c.pairs + 2):
                 tau = augmented_pfaffian(table, range(2 * n))
@@ -250,19 +251,102 @@ class TestGrid:
         assert SYM_GRID.sigma(1, 0, 0) == 6
 
     def test_shift_order(self):
-        base = GRID.base
-        assert GRID.moments(1, 1) == base.shift(LAM).shift(MU)
-        assert GRID.moments(2, 0) == base.shift(MU).shift(MU)
+        # every entry of every kept block, as a rational, is the entry of
+        # the public shift chain in either order; site (s, t) keeps
+        # 2*pairs+4 indices, steps_t - t more, and on the t = 0 column
+        # steps_s - s more; the blocks run down the t = 0 column, then
+        # along each row, the order build_grid raises in
+        c = CONFIG
+        for (s, t), (rows, den) in GRID._blocks.items():
+            mu_first = site_table(GRID, s, t)
+            lam_first = GRID.base
+            for step in [LAM] * t + [MU] * s:
+                lam_first = lam_first.shift(step)
+            size = 2 * c.pairs + 4 + c.steps_t - t + (c.steps_s - s if t == 0 else 0)
+            assert len(rows) == size and all(len(row) == size for row in rows)
+            for i in range(size):
+                for j in range(size):
+                    value = Fraction(rows[i][j], den)
+                    assert value == mu_first.entry(i, j) == lam_first.entry(i, j)
+        assert list(GRID._blocks) == [(s, 0) for s in range(c.steps_s + 1)] + [
+            (s, t) for s in range(c.steps_s + 1) for t in range(1, c.steps_t + 1)
+        ]
+
+    @settings(max_examples=15, deadline=None)
+    @given(random_grids(steps=(0, 2)))
+    def test_readers_leave_the_blocks_unchanged(self, grid):
+        # the prefix passes eliminate a copy: every block is the same after
+        # every crosscheck stencil, the six verifiers and to_json
+        def snapshot():
+            return {
+                site: ([list(row) for row in rows], den)
+                for site, (rows, den) in grid._blocks.items()
+            }
+
+        before = snapshot()
+        c = grid.config
+        for n in range(c.pairs + 1):
+            for s in range(c.steps_s):
+                for t in range(c.steps_t):
+                    crosscheck_single_step(grid, n, s, t)
+        samples = samples_for(grid)
+        verify_dckp(grid)
+        verify_edckp(grid)
+        verify_slax(grid, samples)
+        verify_edlax(grid, samples)
+        verify_dpfl(coefficient_field(grid))
+        verify_edpfl(matrix_coefficient_field(grid))
+        grid.to_json()
+        assert snapshot() == before
+
+    def test_build_and_load_make_no_shift(self, monkeypatch):
+        # the grid shifts integer blocks, never a SkewMoments
+        calls = []
+        shift = SkewMoments.shift
+        monkeypatch.setattr(
+            SkewMoments, "shift", lambda table, c: calls.append(c) or shift(table, c)
+        )
+        grid = build_grid(GRID.base, CONFIG)
+        TauGrid.from_json(json.loads(json.dumps(grid.to_json())))
+        assert calls == []
+        site_table(grid, 1, 0)  # the count sees a shift
+        assert calls == [MU]
+
+    @pytest.mark.parametrize("box", [(1, 3, 1), (1, 1, 3), (0, 3, 0), (0, 0, 3), (2, 2, 1)])
+    def test_box_edges(self, box):
+        # long and empty rows and columns: every tau matches the oracle
+        # table, the stencils pass crosscheck and edlax, and a base one
+        # index short is refused with the budget message
+        config = LatticeConfig(MU, LAM, *box)
+        budget = config.required_budget
+        grid = build_grid(from_random(42, budget), config)
+        for s, t in grid.sites():
+            table = site_table(grid, s, t)
+            for n in range(config.pairs + 2):
+                assert grid.tau(n, s, t) == numeric_pfaffian(table, range(2 * n))
+        if config.steps_s and config.steps_t:
+            reports = [
+                crosscheck_single_step(grid, n, s, t)
+                for n in range(config.pairs + 1)
+                for s in range(config.steps_s)
+                for t in range(config.steps_t)
+            ]
+            reports.append(verify_edlax(grid, samples_for(grid)))
+            for report in reports:
+                assert report.passed and report.checks, report.suite
+        with pytest.raises(DegreeBudgetExceeded) as err:
+            build_grid(from_random(42, budget - 1), config)
+        assert str(err.value) == f"grid needs a base budget of {budget}, got {budget - 1}"
 
     def test_q_even_matches_pfaffian_formula(self):
         for s, t in GRID.sites():
-            table = GRID.moments(s, t)
+            table = site_table(GRID, s, t)
             for n in range(GRID.config.pairs + 1):
                 assert q_even(GRID, n, s, t) == sop_even(table, n)
 
     def test_phi_odd_is_gauge_shifted_sop(self):
         for s, t in GRID.sites():
-            table = GRID.moments(s, t)
+            table = site_table(GRID, s, t)
             offset = s * MU + t * LAM
             for n in range(GRID.config.pairs + 1):
                 expected = sop_odd(table, n) + sop_even(table, n).scale(offset)
@@ -425,7 +509,7 @@ class TestCrosscheck:
 
     def test_vanishing_tau_raises_from_its_stencil_on(self):
         # the (0, 0) table with s_23 chosen so that tau_2 = Pf(0..3) = 0
-        base = GRID.moments(0, 0)
+        base = site_table(GRID, 0, 0)
         m, e = base.max_index, base.entry
         s23 = (e(0, 2) * e(1, 3) - e(0, 3) * e(1, 2)) / e(0, 1)
         rows = [
@@ -436,7 +520,7 @@ class TestCrosscheck:
         assert numeric_pfaffian(table, range(2)) != 0
         assert numeric_pfaffian(table, range(4)) == 0
         grid = TauGrid(
-            CONFIG, GRID.base, {**GRID.tables, (0, 0): table},
+            CONFIG, GRID.base, {**GRID._blocks, (0, 0): table.form},
             GRID._tau, GRID._sigma, GRID._tauhat, GRID._sighat,
         )
         for n in (2, 0, 1, 2):
@@ -478,7 +562,7 @@ def sigma_zeroed(grid, key, den=1):
     return TauGrid(
         grid.config,
         grid.base,
-        grid.tables,
+        grid._blocks,
         grid._tau,
         {**grid._sigma, key: (0, den)},
         grid._tauhat,
@@ -834,7 +918,7 @@ class TestExtendedSystems:
 
     def test_phi_orthogonality_direct(self):
         s, t = 0, 1
-        table = GRID.moments(s, t)
+        table = site_table(GRID, s, t)
         value = skew_product(table, phi_even(GRID, 0, s, t), phi_odd(GRID, 0, s, t))
         assert value == GRID.tau(1, s, t) / GRID.sigma(0, s, t)
         cross = skew_product(table, phi_even(GRID, 0, s, t), phi_odd(GRID, 1, s, t))

@@ -11,6 +11,7 @@ from skewflow.errors import DegreeBudgetExceeded
 from skewflow.moments import (
     DiscreteMeasure,
     SkewMoments,
+    apply_form,
     from_discrete_orthogonal,
     from_discrete_symplectic,
     from_random,
@@ -209,7 +210,7 @@ class TestIntegerFormLimit:
         # refused under any limit below the bits * (max_index + 1)^2 of
         # the table it makes, so its estimate is at least those bits
         size = max_index + 1
-        rows, den = generate(measure, max_index).integer_rows(size)
+        rows, den = generate(measure, max_index).form
         bits = max(den.bit_length(), *(x.bit_length() for row in rows for x in row))
         with mock.patch("skewflow.moments.MAX_FORM_BITS", bits * size * size - 1):
             with pytest.raises(ValueError, match="integer form too large"):
@@ -363,7 +364,7 @@ class TestShiftProperties:
             assert again == derived
             g = data.draw(polynomials(derived.max_index))
             rows = derived.max_index + 1
-            assert again.apply_form(g.num, g.den, rows) == derived.apply_form(g.num, g.den, rows)
+            assert apply_form(again.form, g.num, g.den, rows) == apply_form(derived.form, g.num, g.den, rows)
 
     @settings(max_examples=40)
     @given(tables(1, 7), params.filter(lambda c: c != 0))
@@ -461,8 +462,7 @@ class TestCanonicalForm:
     @settings(max_examples=60)
     @given(tables(1, 7))
     def test_least_denominator(self, table):
-        size = table.max_index + 1
-        rows, den = table.integer_rows(size)
+        rows, den = table.form
         values = [v for row in entries_of(table) for v in row]
         assert den == lcm(*(v.denominator for v in values))
         assert gcd(den, *(x for row in rows for x in row)) == 1

@@ -360,7 +360,7 @@ class TestPrefixPass:
     def test_matches_single_pfaffians(self, case):
         # tables may be larger than the 2*pairs+4 indices the pass reads
         pairs, table = case
-        values = [tuple(map(as_value, forms)) for forms in prefix_pfaffians(table, pairs)]
+        values = [tuple(map(as_value, forms)) for forms in prefix_pfaffians(table.form, pairs)]
         for n, (tau, core, hat, core_hat) in enumerate(values):
             assert tau == numeric_pfaffian(table, range(2 * n))
             assert core == (numeric_pfaffian(table, [*range(2 * n - 1), 2 * n]) if n else 0)
@@ -406,7 +406,7 @@ class TestBorderedPrefixPass:
         # whole index list from the element rules and shares only _step
         # with the prefix pass
         table, pairs, mu, lam, tails = case
-        values = prefix_tails(table, pairs, mu, lam, tails)
+        values = prefix_tails(table.form, pairs, mu, lam, tails)
         for n, row in enumerate(values):
             for (num, den), tail in zip(row, tails):
                 at_n = [2 * n + x if type(x) is int else x for x in tail]
