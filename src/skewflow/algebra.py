@@ -316,6 +316,7 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial._reduced([-c for c in self.num], self.den)
 
+    # Only the tests and tests/oracles.py read scale now.
     def scale(self, c: RationalLike) -> "Polynomial":
         c = rat(c)
         p = c.numerator

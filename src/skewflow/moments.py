@@ -288,24 +288,34 @@ def _skew_form(
 def from_random(seed: int, max_index: int, bound: int = 10) -> SkewMoments:
     """Deterministic random table in generic position.
 
-    Entry s_ij (row by row, i < j) is p/q for the draws p = randint(-bound,
-    bound), then q = randint(1, bound).  If the leading 4x4 Pfaffian
-    vanishes (so downstream denominators would be singular) the draw is
-    retried with an incremented sub-seed; the retry count is recorded in
-    the provenance.
+    Entry s_ij (row by row, i < j) is p/q for two draws by rejection on
+    ``getrandbits``: p = r - bound for the first r = getrandbits(k_p) below
+    2 bound + 1, k_p = bits(2 bound + 1), then q = r + 1 for the first
+    r = getrandbits(k_q) below bound, k_q = bits(bound).  These are the
+    calls that randint(-bound, bound) and randint(1, bound) make, so the
+    draws are randint's.  If the leading 4x4 Pfaffian vanishes (so
+    downstream denominators would be singular) the draw is retried with an
+    incremented sub-seed; the retry count is recorded in the provenance.
     """
     if max_index < 1:
         raise ValueError("max_index must be at least 1")
     if bound < 1:
         raise ValueError("bound must be positive")
     size = max_index + 1
+    width = 2 * bound + 1
+    k_p, k_q = width.bit_length(), bound.bit_length()
     for attempt in range(1000):
-        rng = random.Random(seed * 1000003 + attempt)
-        parts = {
-            (i, j): (rng.randint(-bound, bound), rng.randint(1, bound))
-            for i in range(size)
-            for j in range(i + 1, size)
-        }
+        bits = random.Random(seed * 1000003 + attempt).getrandbits
+        parts = {}
+        for i in range(size):
+            for j in range(i + 1, size):
+                p = bits(k_p)
+                while p >= width:
+                    p = bits(k_p)
+                q = bits(k_q)
+                while q >= bound:
+                    q = bits(k_q)
+                parts[i, j] = (p - bound, q + 1)
         table = SkewMoments._from_integers(
             *_skew_form(size, parts),
             {"kind": "random", "seed": seed, "bound": bound, "attempt": attempt},

@@ -100,12 +100,24 @@ class SOPFamily:
         return self.polys[2 * n + 1]
 
     def gauge_projected(self) -> "SOPFamily":
-        """Shift each odd member so its z^2n coefficient vanishes."""
+        """Shift each odd member so its z^2n coefficient vanishes:
+        q_2n+1 - alpha q_2n for alpha its z^2n coefficient, q_2n monic.
+
+        Worked on the integer forms: with a = odd.num[2n], so that
+        alpha = a/odd.den, the member is
+        (odd.num * even.den - a * even.num) / (odd.den * even.den),
+        reduced once; a member with a = 0 is kept as it is.
+        """
         polys = list(self.polys)
         for n in range(self.pairs + 1):
-            q_even, q_odd = polys[2 * n], polys[2 * n + 1]
-            alpha = q_odd.coefficient(2 * n)
-            polys[2 * n + 1] = q_odd - q_even.scale(alpha)
+            even, odd = polys[2 * n], polys[2 * n + 1]
+            a = odd.num[2 * n]
+            if a:
+                e_den = even.den
+                num = [c * e_den for c in odd.num]
+                for i, c in enumerate(even.num):
+                    num[i] -= a * c
+                polys[2 * n + 1] = Polynomial._reduced(num, odd.den * e_den)
         return SOPFamily(polys, self.norms, COEFF_GAUGE)
 
     def to_json(self) -> dict[str, Any]:

@@ -1,13 +1,13 @@
 """The tests' reference implementations, defined once: the Polynomial
 product, combination and division by z - root that the library no longer
 runs, the Fraction construction of the transforms, the per-member SOP
-formula, the SOP oracle by linear solves and the Fraction orthogonality
-report, an exact determinant, the recursive Pfaffian expansion, the
-acceptance battery's two measures, the grid values read off the bordered
-base table, the site tables by the public shift chain, the degenerate
-grid, the lattice polynomials read off a grid's accessors, the lattice
-relations in z, and the nonlinear lattice systems with the AntiDiagonal
-sum, difference and product they need.
+formula and gauge projection, the SOP oracle by linear solves and the
+Fraction orthogonality report, an exact determinant, the recursive
+Pfaffian expansion, the acceptance battery's two measures, the grid
+values read off the bordered base table, the site tables by the public
+shift chain, the degenerate grid, the lattice polynomials read off a
+grid's accessors, the lattice relations in z, and the nonlinear lattice
+systems with the AntiDiagonal sum, difference and product they need.
 
 Each oracle reads like its formula and shares no code path with what it
 checks: :func:`christoffel_fractions`, :func:`geronimus_fractions` and
@@ -15,10 +15,12 @@ checks: :func:`christoffel_fractions`, :func:`geronimus_fractions` and
 at a time, where :mod:`skewflow.transforms` keeps integer forms;
 :func:`sop_even`/:func:`sop_odd` evaluate one member with its own
 Pfaffians, where :func:`skewflow.sops.build_family` reads every member off
-one elimination; :func:`oracle_family_solve` solves each degree's defining
-relations by fraction-free Bareiss elimination
-(:func:`solve_fraction_free`), where :func:`skewflow.sops.oracle_family`
-runs skew Gram-Schmidt; :func:`orthogonality_fractions` compares and
+one elimination; :func:`gauge_projected_fractions` projects the odd
+members with a Fraction alpha, where
+:meth:`skewflow.sops.SOPFamily.gauge_projected` combines integer forms;
+:func:`oracle_family_solve` solves each degree's defining relations by
+fraction-free Bareiss elimination (:func:`solve_fraction_free`), where
+:func:`skewflow.sops.oracle_family` runs skew Gram-Schmidt; :func:`orthogonality_fractions` compares and
 writes each pairing as a Fraction, where
 :func:`skewflow.sops.verify_skew_orthogonality` cross-multiplies integers; :func:`determinant` is Fraction Gaussian elimination,
 independent of the Pfaffian engine; :func:`pfaffian_expand` expands
@@ -173,6 +175,17 @@ def sop_odd(moments, n):
     tau = _denominator(moments, n)
     numerator = augmented_pfaffian(moments, list(range(2 * n)) + [2 * n + 1, ZVAR])
     return numerator.scale(1 / tau)
+
+
+def gauge_projected_fractions(family):
+    """The z^2n-coefficient-zero gauge on rationals: each odd member minus
+    alpha times its even member, alpha the Fraction coefficient of z^2n in
+    the odd member, through ``Polynomial.scale`` and subtraction."""
+    polys = list(family.polys)
+    for n in range(family.pairs + 1):
+        q_even, q_odd = polys[2 * n], polys[2 * n + 1]
+        polys[2 * n + 1] = q_odd - q_even.scale(q_odd.coefficient(2 * n))
+    return SOPFamily(polys, family.norms, COEFF_GAUGE)
 
 
 # -- the SOP oracle by linear solves, and the Fraction verifier ----------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -181,6 +183,26 @@ class TestRandom:
         table = from_random(42, 9)
         assert numeric_pfaffian(table, range(4)) != 0
         assert "attempt" in table.provenance
+
+    # sha256 of to_json() (sorted keys) for the tables randint's draws give.
+    # from_random calls getrandbits itself and fraction_random, the oracle
+    # of TestGeneratorOracles, calls randint: if a Python release changes
+    # randint, test_random fails alone, and if from_random's draws change,
+    # this test fails too.
+    PINNED = {
+        (6, 5, 1): "7e065418659a8c9341ad7042f715598974db6073f3db9c970f9ea655af699689",
+        (42, 12, 10): "b3181e2dc22d3cd7a2471608fe7083125d68b593cda6c568a94a0e0d640914c3",
+        (0, 3, 1): "63ab4c7a581e3a71e9868d0152b67ff278d02cd9ab1318de4ba0dbc7aaff1d4d",
+        (7, 10, 3): "124368b89973bea7e1ffe3beef287258078ba684845574a3a5ce6c42e71e880b",
+        (11, 1, 1000): "3a1b196c00e4e4ba8749c3801f7ad531a9013c272661c19f7b1e8ea76cf84154",
+        (5, 4, 2**40): "d7946f2fd580013854af2597f5acef293b6253983213281a738fd349f93fdf0e",
+        (3, 8, 16): "a236ae228fba103ced87b51dbc71963e0516bc8f7799010f5f1c8d47666fd52c",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_tables_are_pinned(self, case):
+        payload = json.dumps(from_random(*case).to_json(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.PINNED[case]
 
 
 class TestIntegerFormLimit:
@@ -442,8 +464,18 @@ class TestGeneratorOracles:
         oracle = fraction_symplectic(measure, max_index)
         assert table == oracle and table.provenance == oracle.provenance
 
+    # from_random takes its draws' bit widths from bits(bound) and
+    # bits(2 bound + 1): powers of two, their neighbours and large bounds
+    # are where a wrong width or rejection limit would show.
     @settings(max_examples=40)
-    @given(st.integers(0, 10**6), st.integers(1, 11), st.integers(1, 12))
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 11),
+        st.one_of(
+            st.integers(1, 12),
+            st.sampled_from([1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 1023, 1024, 1025, 10**6, 2**40]),
+        ),
+    )
     def test_random(self, seed, max_index, bound):
         table = from_random(seed, max_index, bound)
         oracle = fraction_random(seed, max_index, bound)

@@ -16,6 +16,7 @@ from skewflow.moments import (
 )
 from skewflow.pfaffian import numeric_pfaffian
 from skewflow.sops import (
+    COEFF_GAUGE,
     SOPFamily,
     build_family,
     oracle_family,
@@ -26,6 +27,7 @@ from oracles import (
     ORTH_MEASURE,
     SYM_MEASURE,
     determinant,
+    gauge_projected_fractions,
     oracle_family_solve,
     orthogonality_fractions,
     solve_fraction_free,
@@ -235,6 +237,50 @@ class TestFamily:
         assert again.polys == family.polys
         assert again.norms == family.norms
         assert again.gauge == family.gauge
+
+
+@st.composite
+def gauge_shifted_families(draw, max_pairs=3):
+    """(family, monic): a build_family family on a from_random table with
+    each odd member moved by c q_2n, c often 0, so that its even members
+    are monic and alpha is zero for some members and not for others; or an
+    arbitrary family, whose even members need not be monic."""
+    if draw(st.booleans()):
+        return draw(arbitrary_families(max_pairs))[1], False
+    pairs = draw(st.integers(0, max_pairs))
+    try:
+        family = build_family(from_random(draw(st.integers(0, 10**6)), 2 * pairs + 1), pairs)
+    except SingularConfiguration:
+        assume(False)
+    shifts = st.one_of(st.just(Fraction(0)), fractions(-5, 5, 12))
+    polys = list(family.polys)
+    for n in range(pairs + 1):
+        polys[2 * n + 1] = polys[2 * n + 1] + polys[2 * n].scale(draw(shifts))
+    return SOPFamily(polys, family.norms, family.gauge), True
+
+
+class TestGaugeProjection:
+    @settings(max_examples=60)
+    @given(gauge_shifted_families())
+    def test_matches_fraction_oracle(self, case):
+        family, monic = case
+        projected = family.gauge_projected()
+        assert projected.polys == gauge_projected_fractions(family).polys
+        assert projected.polys[::2] == family.polys[::2]
+        assert projected.norms == family.norms
+        assert projected.gauge == COEFF_GAUGE
+        if monic:
+            for n in range(family.pairs + 1):
+                assert projected.odd(n).coefficient(2 * n) == 0
+
+    def test_alpha_zero_keeps_every_member(self):
+        # q_2n+1 = Pf(0..2n-1, 2n+1, z)/tau_n has no z^2n term
+        family = build_family(from_random(42, 9), 3)
+        assert all(family.odd(n).coefficient(2 * n) == 0 for n in range(4))
+        projected = family.gauge_projected()
+        assert projected.polys == family.polys
+        assert projected.norms == family.norms
+        assert projected.gauge == COEFF_GAUGE
 
 
 def per_member_family(table, pairs):
